@@ -19,12 +19,14 @@ uniformly, and amplifies the sampled small-gradient rows by
 
 import heapq
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
 from ..errors import DegenerateDataError
 from ..hsi_data import SampleSet
 from ..linalg import as_matrix
+from ..records import Record
 from ..rng import SplitMix64
 
 __all__ = [
@@ -78,14 +80,14 @@ class GbdtParams:
 
 
 @dataclass
-class Tree:
+class Tree(Record):
     """One regression tree as flat arrays; feature == -1 marks a leaf."""
 
-    feature: np.ndarray  # int32 per node, -1 for leaves
-    threshold: np.ndarray  # float64 raw cut value, 0.0 for leaves
-    left: np.ndarray  # int32 child index, -1 for leaves
-    right: np.ndarray
-    value: np.ndarray  # float64 leaf output (shrinkage included), 0.0 inside
+    feature: Annotated[np.ndarray, np.int32]  # -1 for leaves
+    threshold: Annotated[np.ndarray, np.float64]  # raw cut value, 0.0 for leaves
+    left: Annotated[np.ndarray, np.int32]  # child index, -1 for leaves
+    right: Annotated[np.ndarray, np.int32]
+    value: Annotated[np.ndarray, np.float64]  # leaf output (shrinkage included), 0.0 inside
 
     @property
     def n_nodes(self) -> int:
@@ -108,34 +110,17 @@ class Tree:
             node[rows] = np.where(go_left, self.left[at], self.right[at])
         return self.value[node]
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        return cls(
-            feature=np.asarray(d["feature"], dtype=np.int32),
-            threshold=np.asarray(d["threshold"], dtype=np.float64),
-            left=np.asarray(d["left"], dtype=np.int32),
-            right=np.asarray(d["right"], dtype=np.int32),
-            value=np.asarray(d["value"], dtype=np.float64),
-        )
-
 
 @dataclass
-class GbdtModel:
-    classes: np.ndarray
-    priors: np.ndarray  # log class frequencies, the round-0 scores
-    trees: list  # trees[r][c] is the round-r tree for class column c
+class GbdtModel(Record):
+    SCHEMA = "hsikit/gbdt-model/1"
+
+    classes: Annotated[np.ndarray, np.int64]
+    priors: Annotated[np.ndarray, np.float64]  # log class frequencies, the round-0 scores
+    trees: list[list[Tree]]  # trees[r][c] is the round-r tree for class column c
     params: GbdtParams
     n_features: int
-    warnings: list = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list)
 
     def decision_scores(self, x: np.ndarray) -> np.ndarray:
         scores = np.tile(self.priors, (x.shape[0], 1))
@@ -143,39 +128,6 @@ class GbdtModel:
             for c, tree in enumerate(round_trees):
                 scores[:, c] += tree.predict(x)
         return scores
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "hsikit/gbdt-model/1",
-            "classes": self.classes.tolist(),
-            "priors": self.priors.tolist(),
-            "n_features": self.n_features,
-            "params": {
-                "num_trees": self.params.num_trees,
-                "learning_rate": self.params.learning_rate,
-                "max_leaves": self.params.max_leaves,
-                "min_samples_leaf": self.params.min_samples_leaf,
-                "num_bins": self.params.num_bins,
-                "goss_top_rate": self.params.goss_top_rate,
-                "goss_other_rate": self.params.goss_other_rate,
-                "seed": self.params.seed,
-            },
-            "warnings": list(self.warnings),
-            "trees": [[t.to_dict() for t in round_trees] for round_trees in self.trees],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GbdtModel":
-        if d.get("schema") != "hsikit/gbdt-model/1":
-            raise ValueError(f"unsupported GBDT model schema: {d.get('schema')!r}")
-        return cls(
-            classes=np.asarray(d["classes"], dtype=np.int64),
-            priors=np.asarray(d["priors"], dtype=np.float64),
-            trees=[[Tree.from_dict(t) for t in rt] for rt in d["trees"]],
-            params=GbdtParams(**d["params"]),
-            n_features=int(d["n_features"]),
-            warnings=list(d["warnings"]),
-        )
 
 
 def softmax_probabilities(scores: np.ndarray) -> np.ndarray:

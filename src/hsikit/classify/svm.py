@@ -13,12 +13,14 @@ one-vs-one voting are broken by smallest index / smallest class id.
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
 from ..errors import DegenerateDataError
 from ..hsi_data import SampleSet
 from ..linalg import as_matrix
+from ..records import Record
 from ..rng import SplitMix64
 
 __all__ = [
@@ -60,13 +62,13 @@ class SvmParams:
 
 
 @dataclass
-class BinarySvm:
+class BinarySvm(Record):
     """One trained class-pair machine; ``class_pos`` is the smaller id."""
 
     class_pos: int
     class_neg: int
-    support_vectors: np.ndarray
-    dual_coef: np.ndarray  # alpha_i * y_i for each support vector
+    support_vectors: Annotated[np.ndarray, np.float64]
+    dual_coef: Annotated[np.ndarray, np.float64]  # alpha_i * y_i for each support vector
     bias: float
     n_iter: int
     converged: bool
@@ -78,72 +80,19 @@ class BinarySvm:
 
 
 @dataclass
-class SvmModel:
-    classes: np.ndarray
-    machines: list
+class SvmModel(Record):
+    SCHEMA = "hsikit/svm-model/1"
+
+    classes: Annotated[np.ndarray, np.int64]
+    machines: list[BinarySvm]
     params: SvmParams
-    feature_min: np.ndarray
-    feature_range: np.ndarray
-    warnings: list = field(default_factory=list)
+    feature_min: Annotated[np.ndarray, np.float64]
+    feature_range: Annotated[np.ndarray, np.float64]
+    warnings: list[str] = field(default_factory=list)
 
     @property
     def n_features(self) -> int:
         return self.feature_min.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "hsikit/svm-model/1",
-            "classes": self.classes.tolist(),
-            "params": {
-                "c": self.params.c,
-                "gamma": self.params.gamma,
-                "tolerance": self.params.tolerance,
-                "max_iter": self.params.max_iter,
-            },
-            "feature_min": self.feature_min.tolist(),
-            "feature_range": self.feature_range.tolist(),
-            "warnings": list(self.warnings),
-            "machines": [
-                {
-                    "class_pos": m.class_pos,
-                    "class_neg": m.class_neg,
-                    "support_vectors": m.support_vectors.tolist(),
-                    "dual_coef": m.dual_coef.tolist(),
-                    "bias": m.bias,
-                    "n_iter": m.n_iter,
-                    "converged": m.converged,
-                    "kkt_violation": m.kkt_violation,
-                }
-                for m in self.machines
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SvmModel":
-        if d.get("schema") != "hsikit/svm-model/1":
-            raise ValueError(f"unsupported SVM model schema: {d.get('schema')!r}")
-        params = SvmParams(**d["params"])
-        machines = [
-            BinarySvm(
-                class_pos=int(m["class_pos"]),
-                class_neg=int(m["class_neg"]),
-                support_vectors=np.asarray(m["support_vectors"], dtype=np.float64),
-                dual_coef=np.asarray(m["dual_coef"], dtype=np.float64),
-                bias=float(m["bias"]),
-                n_iter=int(m["n_iter"]),
-                converged=bool(m["converged"]),
-                kkt_violation=float(m["kkt_violation"]),
-            )
-            for m in d["machines"]
-        ]
-        return cls(
-            classes=np.asarray(d["classes"], dtype=np.int64),
-            machines=machines,
-            params=params,
-            feature_min=np.asarray(d["feature_min"], dtype=np.float64),
-            feature_range=np.asarray(d["feature_range"], dtype=np.float64),
-            warnings=list(d["warnings"]),
-        )
 
 
 def rbf_kernel(x, y, gamma: float) -> float:
@@ -351,8 +300,8 @@ def grid_search_cv(
     gamma_grid=DEFAULT_GAMMA_GRID,
     folds: int = 5,
     seed: int = 0,
-    tolerance: float = 1e-3,
-    max_iter: int = 100_000,
+    tolerance: float = SvmParams.tolerance,
+    max_iter: int = SvmParams.max_iter,
 ):
     """Stratified k-fold grid search over (C, gamma).
 

@@ -26,12 +26,13 @@ command-line flags override file values.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ from .classify import (
     svm_train,
 )
 from .dimred import PcaModel, fit_pca, fit_rpca, transform
-from .errors import ConvergenceError, DataFormatError, DegenerateDataError, HsikitError
+from .errors import ConvergenceError, DataFormatError, HsikitError
 from .evaluation import evaluate, mcnemar, render_map, write_ppm
 from .hsi_data import (
     GroundTruth,
@@ -64,6 +65,7 @@ from .hsi_data import (
     stratified_split,
 )
 from .linalg import RandomizedSvdParams, exact_svd, randomized_svd
+from .records import coerce
 from .rng import SplitMix64
 
 __all__ = ["main", "run_pipeline", "UsageError", "StageError"]
@@ -91,26 +93,35 @@ class _Parser(argparse.ArgumentParser):
 
 # --- configuration -----------------------------------------------------
 
-_SVM_PARAM_DEFAULTS = {"c": 600.0, "gamma": 0.5, "tolerance": 1e-3, "max_iter": 100_000}
-_GBDT_PARAM_DEFAULTS = {
-    "num_trees": 200,
-    "learning_rate": 0.1,
-    "max_leaves": 31,
-    "min_samples_leaf": 20,
-    "num_bins": 64,
-    "goss_top_rate": 0.2,
-    "goss_other_rate": 0.1,
-    "seed": 0,
-}
+def _params(cls, raw, name: str, **fixed):
+    """``cls`` built from a config object. Its settable keys, their
+    defaults and their types are the dataclass fields not in ``fixed``."""
+    if not isinstance(raw, dict):
+        raise UsageError(f"config field {name} must be an object, got {raw!r}")
+    types = {f.name: f.type for f in fields(cls) if f.name not in fixed}
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise UsageError(f"unknown {name} fields: {sorted(unknown)}")
+    return cls(**fixed, **{key: coerce(v, types[key], f"{name}.{key}") for key, v in raw.items()})
 
 
-def _as_number(value, name, kind=float):
-    try:
-        out = kind(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"config field {name} must be a {kind.__name__}, got {value!r}")
-    if isinstance(out, float) and not math.isfinite(out):
-        raise UsageError(f"config field {name} must be finite, got {value!r}")
+def _svm_grid(grid, params: SvmParams) -> dict | None:
+    if not grid:
+        return None
+    if grid is True:
+        grid = {}
+    if not isinstance(grid, dict):
+        raise UsageError("classifier.grid must be an object (or true for defaults)")
+    out = {"folds": coerce(grid.get("folds", 5), int, "classifier.grid.folds")}
+    if out["folds"] < 2:
+        raise UsageError(f"classifier.grid.folds must be >= 2, got {out['folds']}")
+    for key, default in (("c", DEFAULT_C_GRID), ("gamma", DEFAULT_GAMMA_GRID)):
+        values = grid.get(key, default)
+        if not isinstance(values, (list, tuple)) or not values:
+            raise UsageError(f"classifier.grid.{key} must be a non-empty list, got {values!r}")
+        out[key] = [coerce(v, float, f"classifier.grid.{key}") for v in values]
+    for c, gamma in itertools.product(out["c"], out["gamma"]):
+        replace(params, c=c, gamma=gamma).validate()
     return out
 
 
@@ -118,7 +129,9 @@ def resolve_config(file_config: dict, overrides: dict) -> dict:
     """Merge a config file with flag overrides and fill all defaults.
 
     The result is the canonical snapshot written to config.json; flags
-    win over file values, file values win over defaults.
+    win over file values, file values win over defaults. Every value is
+    checked here, so a config that cannot run raises UsageError before
+    any data is read.
     """
     cfg = dict(file_config)
     for key, value in overrides.items():
@@ -127,89 +140,55 @@ def resolve_config(file_config: dict, overrides: dict) -> dict:
     for required in ("cube", "ground_truth"):
         if not cfg.get(required):
             raise UsageError(f"missing required config field '{required}'")
-    out = {
-        "cube": str(cfg["cube"]),
-        "ground_truth": str(cfg["ground_truth"]),
-        "output": str(cfg.get("output", "hsikit_run")),
-        "train_fraction": _as_number(cfg.get("train_fraction", 0.7), "train_fraction"),
-        "seed": _as_number(cfg.get("seed", 0), "seed", int),
-    }
-    if not 0.0 < out["train_fraction"] < 1.0:
-        raise UsageError(f"train_fraction must be in (0, 1), got {out['train_fraction']}")
-
-    reduction = cfg.get("reduction", {"method": "none"})
-    if not isinstance(reduction, dict) or "method" not in reduction:
-        raise UsageError("config field 'reduction' must be an object with a 'method'")
-    method = reduction["method"]
-    if method == "none":
-        out["reduction"] = {"method": "none"}
-    elif method in ("pca", "rpca"):
-        k = _as_number(reduction.get("components"), "reduction.components", int)
-        if k < 1:
-            raise UsageError(f"reduction.components must be >= 1, got {k}")
-        entry = {"method": method, "components": k}
-        if method == "rpca":
-            entry["oversampling"] = _as_number(
-                reduction.get("oversampling", 10), "reduction.oversampling", int
-            )
-            entry["power_iterations"] = _as_number(
-                reduction.get("power_iterations", 2), "reduction.power_iterations", int
-            )
-        out["reduction"] = entry
-    else:
-        raise UsageError(f"unknown reduction method {method!r} (expected none, pca, rpca)")
-
-    classifier = cfg.get("classifier", {"kind": "svm"})
-    if not isinstance(classifier, dict) or "kind" not in classifier:
-        raise UsageError("config field 'classifier' must be an object with a 'kind'")
-    kind = classifier["kind"]
-    raw_params = classifier.get("params", {})
-    if kind == "svm":
-        defaults = dict(_SVM_PARAM_DEFAULTS)
-        unknown = set(raw_params) - set(defaults)
-        if unknown:
-            raise UsageError(f"unknown svm params: {sorted(unknown)}")
-        defaults.update(raw_params)
-        params = {
-            "c": _as_number(defaults["c"], "svm c"),
-            "gamma": _as_number(defaults["gamma"], "svm gamma"),
-            "tolerance": _as_number(defaults["tolerance"], "svm tolerance"),
-            "max_iter": _as_number(defaults["max_iter"], "svm max_iter", int),
-        }
-        entry = {"kind": "svm", "params": params, "grid": None}
-        grid = classifier.get("grid")
-        if grid:
-            if grid is True:
-                grid = {}
-            if not isinstance(grid, dict):
-                raise UsageError("classifier.grid must be an object (or true for defaults)")
-            entry["grid"] = {
-                "c": [float(v) for v in grid.get("c", DEFAULT_C_GRID)],
-                "gamma": [float(v) for v in grid.get("gamma", DEFAULT_GAMMA_GRID)],
-                "folds": _as_number(grid.get("folds", 5), "grid.folds", int),
-            }
-        out["classifier"] = entry
-    elif kind == "gbdt":
-        defaults = dict(_GBDT_PARAM_DEFAULTS)
-        unknown = set(raw_params) - set(defaults)
-        if unknown:
-            raise UsageError(f"unknown gbdt params: {sorted(unknown)}")
-        defaults.update(raw_params)
-        int_fields = {"num_trees", "max_leaves", "min_samples_leaf", "num_bins", "seed"}
-        params = {
-            key: _as_number(defaults[key], f"gbdt {key}", int if key in int_fields else float)
-            for key in _GBDT_PARAM_DEFAULTS
-        }
-        out["classifier"] = {"kind": "gbdt", "params": params}
-    else:
-        raise UsageError(f"unknown classifier kind {kind!r} (expected svm, gbdt)")
     try:
-        if kind == "svm":
-            SvmParams(**out["classifier"]["params"]).validate()
+        out = {
+            "cube": str(cfg["cube"]),
+            "ground_truth": str(cfg["ground_truth"]),
+            "output": str(cfg.get("output", "hsikit_run")),
+            "train_fraction": coerce(cfg.get("train_fraction", 0.7), float, "train_fraction"),
+            "seed": coerce(cfg.get("seed", 0), int, "seed"),
+        }
+        if not 0.0 < out["train_fraction"] < 1.0:
+            raise UsageError(f"train_fraction must be in (0, 1), got {out['train_fraction']}")
+
+        reduction = cfg.get("reduction", {"method": "none"})
+        if not isinstance(reduction, dict) or "method" not in reduction:
+            raise UsageError("config field 'reduction' must be an object with a 'method'")
+        method = reduction["method"]
+        if method == "none":
+            out["reduction"] = {"method": "none"}
+        elif method in ("pca", "rpca"):
+            k = coerce(reduction.get("components"), int, "reduction.components")
+            if k < 1:
+                raise UsageError(f"reduction.components must be >= 1, got {k}")
+            out["reduction"] = {"method": method, "components": k}
+            if method == "rpca":
+                settings = {
+                    key: value
+                    for key, value in reduction.items()
+                    if key not in ("method", "components")
+                }
+                sketch = _params(RandomizedSvdParams, settings, "reduction", k=k, seed=out["seed"])
+                sketch.validate(math.inf, math.inf)  # the data's size is checked once it is read
+                out["reduction"]["oversampling"] = sketch.oversampling
+                out["reduction"]["power_iterations"] = sketch.power_iterations
         else:
-            GbdtParams(**out["classifier"]["params"]).validate()
+            raise UsageError(f"unknown reduction method {method!r} (expected none, pca, rpca)")
+
+        classifier = cfg.get("classifier", {"kind": "svm"})
+        if not isinstance(classifier, dict) or "kind" not in classifier:
+            raise UsageError("config field 'classifier' must be an object with a 'kind'")
+        kind = classifier["kind"]
+        if kind not in ("svm", "gbdt"):
+            raise UsageError(f"unknown classifier kind {kind!r} (expected svm, gbdt)")
+        params_cls = SvmParams if kind == "svm" else GbdtParams
+        params = _params(params_cls, classifier.get("params", {}), "classifier.params")
+        params.validate()
+        out["classifier"] = {"kind": kind, "params": asdict(params)}
+        if kind == "svm":
+            out["classifier"]["grid"] = _svm_grid(classifier.get("grid"), params)
     except ValueError as exc:
-        raise UsageError(str(exc))
+        raise UsageError(str(exc)) from None
     return out
 
 
@@ -560,9 +539,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-_ORDER_AXES = {"bsq": None, "bil": (1, 0, 2), "bip": (2, 0, 1)}
-
-
 def _cmd_convert(args) -> int:
     if args.height < 1 or args.width < 1 or args.bands < 1:
         raise UsageError("--height, --width, --bands must be positive")
@@ -614,7 +590,7 @@ def _cmd_convert(args) -> int:
 def _cmd_inspect(args) -> int:
     for path in args.paths:
         base = Path(path)
-        if _peek_dtype(base) == "f32":
+        if parse_header(base)["dtype"] == "f32":
             cube = load_cube(base)
             flat = cube.values
             print(
@@ -637,10 +613,6 @@ def _cmd_inspect(args) -> int:
             for cls in range(1, gt.num_classes + 1):
                 print(f"  {cls} {names[cls - 1]}: {counts[cls]}")
     return 0
-
-
-def _peek_dtype(header_path: Path) -> str:
-    return parse_header(header_path)["dtype"]
 
 
 # --- parser / entry point ----------------------------------------------
@@ -715,16 +687,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def exit_code_for(exc: Exception) -> int:
+# The errors main reports instead of raising: exception type -> (exit
+# code, stderr prefix), the first matching entry wins. A StageError is a
+# HsikitError and reports its cause's exit code under the prefix "error".
+_EXIT_STATUS = {
+    UsageError: (1, "usage error"),
+    ConvergenceError: (3, "numerical error"),
+    FloatingPointError: (3, "numerical error"),
+    HsikitError: (2, "data error"),
+    ValueError: (2, "data error"),
+    OSError: (2, "data error"),
+    MemoryError: (2, "data error"),
+}
+
+
+def _exit_status(exc: Exception) -> tuple[int, str]:
     if isinstance(exc, StageError):
-        return exit_code_for(exc.cause)
-    if isinstance(exc, UsageError):
-        return 1
-    if isinstance(exc, (ConvergenceError, FloatingPointError)):
-        return 3
-    if isinstance(exc, (DataFormatError, DegenerateDataError, ValueError, OSError, MemoryError)):
-        return 2
-    return 2
+        return _exit_status(exc.cause)[0], "error"
+    return next(status for kind, status in _EXIT_STATUS.items() if isinstance(exc, kind))
+
+
+def exit_code_for(exc: Exception) -> int:
+    """The exit code main returns for an error it reports."""
+    return _exit_status(exc)[0]
 
 
 def main(argv=None) -> int:
@@ -734,18 +719,10 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             raise UsageError("a subcommand is required (run, compare, bench, convert, inspect)")
         return int(args.func(args) or 0)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
-    except (ConvergenceError, FloatingPointError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
-    except (DataFormatError, DegenerateDataError, ValueError, OSError, MemoryError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+    except tuple(_EXIT_STATUS) as exc:
+        code, prefix = _exit_status(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

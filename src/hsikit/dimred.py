@@ -13,11 +13,13 @@ PCA.
 """
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
 from .errors import DegenerateDataError
 from .linalg import RandomizedSvdParams, as_matrix, exact_svd, randomized_svd
+from .records import Record
 
 __all__ = [
     "PcaModel",
@@ -30,7 +32,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PcaModel:
+class PcaModel(Record):
     """Fitted reduction: per-band mean, orthonormal principal axes
     (rows of ``components``), and per-axis explained variance.
 
@@ -38,9 +40,11 @@ class PcaModel:
     ``method_params`` records seed, oversampling and power_iterations.
     """
 
-    mean: np.ndarray
-    components: np.ndarray
-    explained_variance: np.ndarray
+    SCHEMA = "hsikit/pca-model/1"
+
+    mean: Annotated[np.ndarray, np.float64]
+    components: Annotated[np.ndarray, np.float64]
+    explained_variance: Annotated[np.ndarray, np.float64]
     method: str
     n_fit_samples: int
     method_params: dict = field(default_factory=dict)
@@ -52,30 +56,6 @@ class PcaModel:
     @property
     def n_features(self) -> int:
         return self.components.shape[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "hsikit/pca-model/1",
-            "mean": self.mean.tolist(),
-            "components": self.components.tolist(),
-            "explained_variance": self.explained_variance.tolist(),
-            "method": self.method,
-            "method_params": dict(self.method_params),
-            "n_fit_samples": self.n_fit_samples,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PcaModel":
-        if d.get("schema") != "hsikit/pca-model/1":
-            raise ValueError(f"unsupported PCA model schema: {d.get('schema')!r}")
-        return cls(
-            mean=np.asarray(d["mean"], dtype=np.float64),
-            components=np.asarray(d["components"], dtype=np.float64),
-            explained_variance=np.asarray(d["explained_variance"], dtype=np.float64),
-            method=d["method"],
-            n_fit_samples=int(d["n_fit_samples"]),
-            method_params=dict(d["method_params"]),
-        )
 
 
 def _validate_fit_input(x: np.ndarray, k: int) -> None:
@@ -108,8 +88,8 @@ def fit_pca(x, k: int) -> PcaModel:
 def fit_rpca(
     x,
     k: int,
-    oversampling: int = 10,
-    power_iterations: int = 2,
+    oversampling: int = RandomizedSvdParams.oversampling,
+    power_iterations: int = RandomizedSvdParams.power_iterations,
     seed: int = 0,
 ) -> PcaModel:
     """Fit PCA like :func:`fit_pca` but factor the centered matrix with

@@ -14,10 +14,12 @@ so rendered files are byte-stable across platforms.
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .hsi_data import GroundTruth
+from .records import Record
 
 __all__ = [
     "PALETTE",
@@ -57,31 +59,12 @@ PALETTE = np.array(
 
 
 @dataclass
-class EvalReport:
+class EvalReport(Record):
     overall_accuracy: float
-    per_class_recall: np.ndarray  # indexed by class id - 1
-    confusion: np.ndarray  # confusion[t - 1, p - 1] counts truth t predicted p
+    per_class_recall: Annotated[np.ndarray, np.float64]  # indexed by class id - 1
+    confusion: Annotated[np.ndarray, np.int64]  # confusion[t - 1, p - 1] counts truth t predicted p
     n_test: int
     num_classes: int
-
-    def to_dict(self) -> dict:
-        return {
-            "overall_accuracy": self.overall_accuracy,
-            "per_class_recall": self.per_class_recall.tolist(),
-            "confusion": self.confusion.tolist(),
-            "n_test": self.n_test,
-            "num_classes": self.num_classes,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(
-            overall_accuracy=float(d["overall_accuracy"]),
-            per_class_recall=np.asarray(d["per_class_recall"], dtype=np.float64),
-            confusion=np.asarray(d["confusion"], dtype=np.int64),
-            n_test=int(d["n_test"]),
-            num_classes=int(d["num_classes"]),
-        )
 
 
 def _check_labels(arr, name, num_classes):
@@ -130,23 +113,13 @@ def chi_square_sf(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class McNemarResult:
+class McNemarResult(Record):
     b: int  # only the first classifier correct
     c: int  # only the second classifier correct
     statistic: float
     p_value: float
     significant_at_05: bool
     method: str  # "exact_binomial" or "chi_square"
-
-    def to_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "c": self.c,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "significant_at_05": self.significant_at_05,
-            "method": self.method,
-        }
 
 
 def _exact_binomial_p(b: int, c: int) -> float:

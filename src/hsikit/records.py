@@ -1,0 +1,98 @@
+"""JSON-ready dicts for the toolkit's result dataclasses.
+
+A record's layout is read from its dataclass fields, so the field list,
+the array dtypes and the schema tag are each written once, in the class:
+
+- an array field declares its dtype in the annotation, e.g.
+  ``Annotated[np.ndarray, np.int32]``, and is stored as nested lists;
+- a dataclass field is stored as a dict of its own fields;
+- ``list[...]`` fields nest, ``dict`` fields are copied;
+- ``int``, ``float``, ``bool`` and ``str`` fields are stored as they
+  are and checked by :func:`coerce` on the way back;
+- a class that sets ``SCHEMA`` gets a ``"schema"`` key, checked on decode.
+"""
+
+import math
+from dataclasses import fields, is_dataclass
+from typing import Annotated, get_args, get_origin, get_type_hints
+
+import numpy as np
+
+__all__ = ["Record", "coerce"]
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+
+
+def coerce(value, kind: type, name: str):
+    """``value`` as ``kind`` (int, float, bool or str), when nothing is lost.
+
+    Numbers must be finite, bools do not count as numbers, and an int
+    accepts an integral float such as ``10.0``. Raises ValueError
+    naming ``name`` otherwise.
+    """
+    if kind is bool or kind is str:
+        if isinstance(value, kind):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is int and isinstance(value, int):
+            return value
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number) and (kind is float or number.is_integer()):
+            return kind(number)
+    raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _encode(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if is_dataclass(value):
+        return _fields_to_dict(value)
+    if isinstance(value, list):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+def _decode(value, hint, name: str):
+    origin = get_origin(hint)
+    if origin is Annotated:
+        return np.asarray(value, dtype=get_args(hint)[1])
+    if is_dataclass(hint):
+        return _fields_from_dict(hint, value)
+    if origin is list:
+        (item,) = get_args(hint)
+        return [_decode(v, item, name) for v in value]
+    if hint is dict:
+        return dict(value)
+    return coerce(value, hint, name)
+
+
+def _fields_to_dict(obj) -> dict:
+    out = {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
+    schema = getattr(obj, "SCHEMA", None)
+    if schema is not None:
+        out["schema"] = schema
+    return out
+
+
+def _fields_from_dict(cls, d: dict):
+    schema = getattr(cls, "SCHEMA", None)
+    if schema is not None and d.get("schema") != schema:
+        raise ValueError(f"unsupported {cls.__name__} schema: {d.get('schema')!r}")
+    hints = get_type_hints(cls, include_extras=True)
+    return cls(**{f.name: _decode(d[f.name], hints[f.name], f.name) for f in fields(cls)})
+
+
+class Record:
+    """Base of a dataclass stored as JSON; see the module docstring."""
+
+    def to_dict(self) -> dict:
+        return _fields_to_dict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return _fields_from_dict(cls, d)

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from hsikit.classify import GbdtModel, SvmModel
 from hsikit.cli import (
     StageError,
     UsageError,
+    _canonical_json,
     exit_code_for,
     main,
     method_label,
@@ -18,6 +20,8 @@ from hsikit.errors import (
     DataFormatError,
     DegenerateDataError,
 )
+from hsikit.dimred import PcaModel
+from hsikit.evaluation import EvalReport
 from hsikit.hsi_data import load_cube, load_ground_truth, save_cube, save_ground_truth
 from hsikit.synthetic import gaussian_scene
 
@@ -120,12 +124,43 @@ def test_resolve_config_grid_true_fills_defaults():
         {"classifier": {"kind": "svm", "params": {"c": -5.0}}},
         {"classifier": {"kind": "gbdt", "params": {"num_trees": 0}}},
         {"classifier": {"kind": "svm", "grid": "yes"}},
+        {"classifier": {"kind": "svm", "grid": {"c": ["x"]}}},
+        {"classifier": {"kind": "svm", "params": ["c"]}},
+        {"classifier": {"kind": "svm", "grid": {"c": 5}}},
+        {"classifier": {"kind": "svm", "params": 3}},
+        {"classifier": {"kind": "svm", "grid": {"c": []}}},
+        {"classifier": {"kind": "svm", "grid": {"gamma": [-1]}}},
+        {"classifier": {"kind": "svm", "grid": {"folds": 1}}},
+        {"reduction": {"method": "rpca", "components": 4, "oversampling": -3}},
+        {"reduction": {"method": "rpca", "components": 4, "power_iterations": -1}},
+        {"seed": 2.7},
+        {"seed": True},
+        {"reduction": {"method": "pca", "components": 2.5}},
+        {"classifier": {"kind": "svm", "params": {"max_iter": 1000.9}}},
     ],
 )
 def test_resolve_config_rejects(mutation):
     base = {"cube": "a.hsih", "ground_truth": "b.hsih"}
     with pytest.raises(UsageError):
         resolve_config({**base, **mutation}, {})
+
+
+def test_resolve_config_accepts_integral_numbers():
+    config = resolve_config(
+        {
+            "cube": "a",
+            "ground_truth": "b",
+            "seed": 10.0,
+            "reduction": {"method": "pca", "components": 10.0},
+            "classifier": {"kind": "gbdt", "params": {"num_trees": 10, "learning_rate": 1}},
+        },
+        {},
+    )
+    assert config["seed"] == 10 and isinstance(config["seed"], int)
+    assert config["reduction"] == {"method": "pca", "components": 10}
+    assert config["classifier"]["params"]["num_trees"] == 10
+    assert config["classifier"]["params"]["learning_rate"] == 1.0
+    assert isinstance(config["classifier"]["params"]["learning_rate"], float)
 
 
 def test_method_label():
@@ -269,6 +304,45 @@ def test_run_failed_stage_leaves_no_artifacts(scene, tmp_path, capsys):
     assert code == 2
     assert "stage 'load' failed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_bad_config_is_usage_error_before_loading(tmp_path, capsys):
+    config_file = tmp_path / "c.json"
+    config_file.write_text(
+        json.dumps(
+            {
+                "cube": str(tmp_path / "missing.hsih"),
+                "ground_truth": str(tmp_path / "missing_gt.hsih"),
+                "classifier": {"kind": "svm", "grid": {"c": 5}},
+            }
+        )
+    )
+    assert main(["run", "--config", str(config_file), "--output", str(tmp_path / "o")]) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, model_cls",
+    [
+        (["--reduction", "rpca", "--components", "2", "--oversampling", "4"], SvmModel),
+        (["--reduction", "pca", "--components", "3", "--classifier", "gbdt",
+          "--gbdt-trees", "4", "--gbdt-min-samples-leaf", "2"], GbdtModel),
+    ],
+)
+def test_run_artifacts_decode_and_reencode_identically(scene, tmp_path, flags, model_cls):
+    out = tmp_path / "out"
+    make_run(scene, out, extra=flags)
+    model_bytes = (out / "model.json").read_bytes()
+    model_doc = json.loads(model_bytes)
+    model_doc["reduction"] = PcaModel.from_dict(model_doc["reduction"]).to_dict()
+    classifier = model_doc["classifier"]
+    classifier["model"] = model_cls.from_dict(classifier["model"]).to_dict()
+    assert _canonical_json(model_doc) == model_bytes
+    report_bytes = (out / "report.json").read_bytes()
+    report_doc = json.loads(report_bytes)
+    report_doc["evaluation"] = EvalReport.from_dict(report_doc["evaluation"]).to_dict()
+    assert _canonical_json(report_doc) == report_bytes
 
 
 def test_run_flag_conflicts(scene, tmp_path):

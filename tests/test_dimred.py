@@ -277,6 +277,8 @@ def test_model_dict_round_trip():
     assert back.method == model.method
     assert back.method_params == model.method_params
     assert back.n_fit_samples == model.n_fit_samples
+    assert back.to_dict() == model.to_dict()
+    assert back.components.dtype == np.float64
 
 
 def test_model_dict_rejects_unknown_schema():

@@ -7,6 +7,7 @@ from _oracles import chi2_sf_numeric, mcnemar_exact_enumeration
 from hsikit.evaluation import (
     PALETTE,
     EvalReport,
+    McNemarResult,
     chi_square_sf,
     evaluate,
     mcnemar,
@@ -102,6 +103,8 @@ def test_eval_report_round_trip():
     assert np.array_equal(back.per_class_recall, report.per_class_recall)
     assert back.n_test == report.n_test
     assert back.num_classes == report.num_classes
+    assert back.to_dict() == report.to_dict()
+    assert back.confusion.dtype == np.int64
 
 
 # ------------------------------------------------------------ chi_square_sf
@@ -220,9 +223,11 @@ def test_mcnemar_validation():
 
 def test_mcnemar_result_dict():
     pred_a, pred_b, truth = paired_predictions(b=4, c=1)
-    d = mcnemar(pred_a, pred_b, truth).to_dict()
+    result = mcnemar(pred_a, pred_b, truth)
+    d = result.to_dict()
     assert set(d) == {"b", "c", "statistic", "p_value", "significant_at_05", "method"}
     assert d["b"] == 4 and d["c"] == 1
+    assert McNemarResult.from_dict(d) == result
 
 
 # ------------------------------------------------------------------ rendering

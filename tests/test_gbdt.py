@@ -473,6 +473,11 @@ def test_model_dict_round_trip():
     assert np.array_equal(gbdt_predict(model, x), gbdt_predict(back, x))
     assert np.array_equal(model.decision_scores(x), back.decision_scores(x))
     assert back.params == model.params
+    assert back.to_dict() == model.to_dict()
+    assert back.classes.dtype == np.int64
+    for tree in (t for round_trees in back.trees for t in round_trees):
+        assert tree.feature.dtype == tree.left.dtype == tree.right.dtype == np.int32
+        assert tree.threshold.dtype == tree.value.dtype == np.float64
 
 
 def test_model_dict_rejects_unknown_schema():

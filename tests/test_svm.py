@@ -318,6 +318,9 @@ def test_model_dict_round_trip():
     x = SplitMix64(78).normal_matrix(50, 2)
     assert np.array_equal(svm_predict(model, x), svm_predict(back, x))
     assert back.params == model.params
+    assert back.to_dict() == model.to_dict()
+    assert back.classes.dtype == np.int64
+    assert all(m.support_vectors.dtype == np.float64 for m in back.machines)
 
 
 def test_model_dict_rejects_unknown_schema():
