@@ -8,13 +8,17 @@ McNemar significance tests, and rendered classification maps. The
 ``hsikit`` command line wires the pieces into reproducible runs.
 
 All randomness flows through the seeded counter-based generator in
-``hsikit.rng``, so every result is reproducible across platforms.
+``hsikit.rng``, so a run's artifacts are byte-identical for a fixed
+numpy/BLAS build and BLAS thread count. Across thread counts fitted
+floats may change in their last digits; predictions held in the tested
+runs (see the README's Determinism section).
 """
 
 __version__ = "0.1.0"
 
 from .classify import (
     DEFAULT_C_GRID,
+    DEFAULT_FOLDS,
     DEFAULT_GAMMA_GRID,
     GbdtModel,
     GbdtParams,
@@ -111,6 +115,7 @@ __all__ = [
     "grid_search_cv",
     "DEFAULT_C_GRID",
     "DEFAULT_GAMMA_GRID",
+    "DEFAULT_FOLDS",
     "GbdtParams",
     "GbdtModel",
     "gbdt_train",

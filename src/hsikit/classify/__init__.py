@@ -12,6 +12,7 @@ from .gbdt import (
 )
 from .svm import (
     DEFAULT_C_GRID,
+    DEFAULT_FOLDS,
     DEFAULT_GAMMA_GRID,
     BinarySvm,
     SvmModel,
@@ -32,6 +33,7 @@ __all__ = [
     "grid_search_cv",
     "DEFAULT_C_GRID",
     "DEFAULT_GAMMA_GRID",
+    "DEFAULT_FOLDS",
     "GbdtParams",
     "GbdtModel",
     "Tree",

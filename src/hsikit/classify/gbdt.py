@@ -17,7 +17,6 @@ uniformly, and amplifies the sampled small-gradient rows by
 (1 - a) / b so histogram sums stay unbiased in expectation.
 """
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Annotated
 
@@ -274,19 +273,16 @@ def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None):
 
     root = _Leaf(0, rows, *_leaf_histograms(binned, rows, g, h, num_bins))
     _best_split(root, params.min_samples_leaf)
-    heap = []
-    seq = 0
-    heapq.heappush(heap, (-root.gain, seq, root))
-    open_leaves = {0: root}
-    n_leaves = 1
-    while n_leaves < params.max_leaves and heap:
-        neg_gain, _, leaf = heapq.heappop(heap)
-        if -neg_gain <= _MIN_GAIN:
+    # Open leaves in creation order: max() takes the first of equal
+    # gains, so ties go to the oldest leaf.
+    open_leaves = [root]
+    while len(open_leaves) < params.max_leaves:
+        leaf = max(open_leaves, key=lambda l: l.gain)
+        if leaf.gain <= _MIN_GAIN:
             break
+        open_leaves.remove(leaf)
         if trace is not None:
-            others = [l.gain for node, l in open_leaves.items() if node != leaf.node]
-            trace.append((leaf.gain, others))
-        del open_leaves[leaf.node]
+            trace.append((leaf.gain, [l.gain for l in open_leaves]))
         go_left = binned[leaf.rows, leaf.feature] <= leaf.cut
         rows_l = leaf.rows[go_left]
         rows_r = leaf.rows[~go_left]
@@ -312,11 +308,8 @@ def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None):
         for node, child_rows, hist in ((node_l, rows_l, hist_l), (node_r, rows_r, hist_r)):
             child = _Leaf(node, child_rows, *hist)
             _best_split(child, params.min_samples_leaf)
-            seq += 1
-            heapq.heappush(heap, (-child.gain, seq, child))
-            open_leaves[node] = child
-        n_leaves += 1
-    for leaf in open_leaves.values():
+            open_leaves.append(child)
+    for leaf in open_leaves:
         close(leaf)
     return Tree(
         feature=np.asarray(feature, dtype=np.int32),

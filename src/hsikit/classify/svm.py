@@ -33,11 +33,13 @@ __all__ = [
     "grid_search_cv",
     "DEFAULT_C_GRID",
     "DEFAULT_GAMMA_GRID",
+    "DEFAULT_FOLDS",
 ]
 
 # Grid centered on the defaults C=600, gamma=0.5.
 DEFAULT_C_GRID = (1.0, 10.0, 100.0, 600.0, 1000.0)
 DEFAULT_GAMMA_GRID = (0.01, 0.1, 0.5, 1.0, 2.0)
+DEFAULT_FOLDS = 5
 
 # Kernel matrices up to this many rows are precomputed in full.
 _FULL_KERNEL_LIMIT = 4096
@@ -144,8 +146,7 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
     grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
     pos = y > 0
     n_iter = 0
-    violation = np.inf
-    while n_iter < params.max_iter:
+    while True:
         score = -y * grad
         up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
         low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
@@ -153,11 +154,9 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
         low_idx = np.nonzero(low)[0]
         i = up_idx[np.argmax(score[up_idx])]
         j = low_idx[np.argmin(score[low_idx])]
-        m_up = score[i]
-        m_low = score[j]
-        violation = m_up - m_low
-        if violation <= params.tolerance:
-            return alpha, _bias(alpha, y, grad, c, m_up, m_low), n_iter, True, violation
+        violation = score[i] - score[j]
+        if violation <= params.tolerance or n_iter == params.max_iter:
+            break
         ki = col(i)
         kj = col(j)
         quad = ki[i] + kj[j] - 2.0 * ki[j]
@@ -175,25 +174,11 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
             alpha[j] = min(max(alpha[j] - y[j] * step, 0.0), c)
         grad += step * y * (ki - kj)
         n_iter += 1
-    score = -y * grad
-    up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
-    low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
-    violation = score[up].max() - score[low].min()
-    return alpha, _bias(alpha, y, grad, c, None, None), n_iter, False, violation
-
-
-def _bias(alpha, y, grad, c, m_up, m_low):
+    # Bias: mean score over the free vectors, else the midpoint of the
+    # final maximal violating pair.
     free = (alpha > 0.0) & (alpha < c)
-    score = -y * grad
-    if free.any():
-        return float(score[free].mean())
-    if m_up is None:
-        pos = y > 0
-        up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
-        low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
-        m_up = score[up].max()
-        m_low = score[low].min()
-    return float((m_up + m_low) / 2.0)
+    bias = score[free].mean() if free.any() else (score[i] + score[j]) / 2.0
+    return alpha, float(bias), n_iter, n_iter < params.max_iter, violation
 
 
 def _fit_scaling(features: np.ndarray):
@@ -298,7 +283,7 @@ def grid_search_cv(
     train: SampleSet,
     c_grid=DEFAULT_C_GRID,
     gamma_grid=DEFAULT_GAMMA_GRID,
-    folds: int = 5,
+    folds: int = DEFAULT_FOLDS,
     seed: int = 0,
     tolerance: float = SvmParams.tolerance,
     max_iter: int = SvmParams.max_iter,

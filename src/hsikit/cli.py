@@ -10,11 +10,12 @@ and writes six fixed-name artifacts into its output directory:
     map.ppm           classification map of the test pixels
     timings.json      per-stage wall clock in milliseconds
 
-Everything except timings.json is a pure function of (config, seed),
-so two identical runs produce byte-identical artifacts; timings.json
-is the documented canonicalization cut. Files are written to a
-temporary name and renamed into place, and only after the whole
-pipeline has succeeded, so a failed stage leaves no partial output.
+Everything except timings.json is a pure function of (config, seed)
+for a fixed numpy/BLAS build and BLAS thread count, so two identical
+runs produce byte-identical artifacts; timings.json is the documented
+canonicalization cut. Files are written to a temporary name and renamed
+into place, and only after the whole pipeline has succeeded, so a failed
+stage leaves no partial output.
 
 Exit codes: 0 success, 1 usage (bad flags or config), 2 data error
 (unreadable or malformed inputs, degenerate datasets, mismatched
@@ -40,6 +41,7 @@ import numpy as np
 from . import __version__
 from .classify import (
     DEFAULT_C_GRID,
+    DEFAULT_FOLDS,
     DEFAULT_GAMMA_GRID,
     GbdtParams,
     SvmParams,
@@ -55,7 +57,6 @@ from .evaluation import evaluate, mcnemar, render_map, write_ppm
 from .hsi_data import (
     GroundTruth,
     HsiCube,
-    SampleSet,
     extract_labeled,
     load_cube,
     load_ground_truth,
@@ -69,8 +70,6 @@ from .records import coerce
 from .rng import SplitMix64
 
 __all__ = ["main", "run_pipeline", "UsageError", "StageError"]
-
-_ARTIFACTS = ("config", "report", "predictions", "model", "map", "timings")
 
 
 class UsageError(HsikitError):
@@ -112,7 +111,7 @@ def _svm_grid(grid, params: SvmParams) -> dict | None:
         grid = {}
     if not isinstance(grid, dict):
         raise UsageError("classifier.grid must be an object (or true for defaults)")
-    out = {"folds": coerce(grid.get("folds", 5), int, "classifier.grid.folds")}
+    out = {"folds": coerce(grid.get("folds", DEFAULT_FOLDS), int, "classifier.grid.folds")}
     if out["folds"] < 2:
         raise UsageError(f"classifier.grid.folds must be >= 2, got {out['folds']}")
     for key, default in (("c", DEFAULT_C_GRID), ("gamma", DEFAULT_GAMMA_GRID)):
@@ -274,7 +273,7 @@ def run_pipeline(config: dict) -> dict:
         grid_record = None
         if clf["kind"] == "svm":
             params = SvmParams(**clf["params"])
-            reduced_train = replace_features(train_set, train_x)
+            reduced_train = replace(train_set, features=train_x)
             if clf["grid"]:
                 best_c, best_gamma, table = grid_search_cv(
                     reduced_train,
@@ -291,7 +290,7 @@ def run_pipeline(config: dict) -> dict:
             predictor = svm_predict
         else:
             params = GbdtParams(**clf["params"])
-            model = gbdt_train(replace_features(train_set, train_x), params)
+            model = gbdt_train(replace(train_set, features=train_x), params)
             predictor = gbdt_predict
         timings["train_ms"] = (time.perf_counter() - t0) * 1000.0
 
@@ -344,12 +343,6 @@ def run_pipeline(config: dict) -> dict:
     os.replace(map_tmp, out_dir / "map.ppm")
     _write_atomic(out_dir / "timings.json", _canonical_json(timings_doc))
     return report_doc
-
-
-def replace_features(samples: SampleSet, features: np.ndarray) -> SampleSet:
-    return SampleSet(
-        features=features, labels=samples.labels, pixel_indices=samples.pixel_indices
-    )
 
 
 # --- subcommands -------------------------------------------------------

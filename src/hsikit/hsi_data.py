@@ -185,14 +185,15 @@ def load_cube(header_path) -> HsiCube:
     if fields["dtype"] != "f32":
         raise DataFormatError(f"{header_path}: cube requires dtype f32, got {fields['dtype']}")
     values = _read_payload(header_path, fields)
-    if not np.isfinite(values).all():
-        raise DataFormatError(f"{header_path}: payload contains non-finite values")
-    return HsiCube(
-        height=fields["height"],
-        width=fields["width"],
-        bands=fields["bands"],
-        values=values.astype(np.float32),
-    )
+    try:
+        return HsiCube(
+            height=fields["height"],
+            width=fields["width"],
+            bands=fields["bands"],
+            values=values.astype(np.float32),
+        )
+    except ValueError as exc:
+        raise DataFormatError(f"{header_path}: {exc}") from exc
 
 
 def load_ground_truth(header_path) -> GroundTruth:

@@ -85,35 +85,17 @@ def householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR of a tall matrix by Householder reflections.
 
     Requires rows >= cols. Returns (Q, R) with Q m x n orthonormal
-    columns and R n x n upper triangular. A zero (or already reduced)
-    column yields no reflection and a zero row in R, so rank-deficient
-    input is not an error.
+    columns and R n x n upper triangular. The factorization is LAPACK's
+    Householder QR (``geqrf``/``orgqr``) via numpy; R's diagonal may be
+    negative. A zero (or already reduced) column
+    yields no reflection and a zero row in R, so rank-deficient input is
+    not an error.
     """
     a = as_matrix(a)
     m, n = a.shape
     if m < n:
         raise ValueError(f"householder_qr requires rows >= cols, got {m} x {n}")
-    r = a.copy()
-    reflectors = []
-    for i in range(n):
-        x = r[i:, i]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            reflectors.append(None)
-            continue
-        v = x.copy()
-        v[0] += np.copysign(norm_x, x[0]) if x[0] != 0.0 else norm_x
-        v /= np.linalg.norm(v)
-        reflectors.append(v)
-        r[i:, i:] -= 2.0 * np.outer(v, v @ r[i:, i:])
-    q = np.eye(m, n)
-    for i in range(n - 1, -1, -1):
-        v = reflectors[i]
-        if v is None:
-            continue
-        q[i:, :] -= 2.0 * np.outer(v, v @ q[i:, :])
-    r_out = np.triu(r[:n, :])
-    return q, r_out
+    return np.linalg.qr(a)
 
 
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

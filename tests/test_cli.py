@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line driver."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hsikit
 from hsikit.classify import GbdtModel, SvmModel
 from hsikit.cli import (
     StageError,
@@ -293,6 +298,43 @@ def test_run_with_rpca_records_sketch(scene, tmp_path):
     model = json.loads((out / "model.json").read_text())
     assert model["reduction"]["method"] == "randomized"
     assert model["reduction"]["method_params"]["oversampling"] == 4
+
+
+def test_run_determinism_across_blas_threads(tmp_path):
+    # The determinism contract: with one BLAS thread count every
+    # deterministic artifact repeats byte for byte; across 1 and 2
+    # threads the fitted floats in model.json may differ in their last
+    # digits, but config, report, predictions and map must not.
+    cube, gt = gaussian_scene(40, 40, 60, 5, seed=11)
+    save_cube(cube, tmp_path / "scene.hsih")
+    save_ground_truth(gt, tmp_path / "scene_gt.hsih")
+    src = str(Path(hsikit.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for rep in range(2):
+            # Same relative paths from separate directories, so the
+            # config snapshots can be compared byte for byte too.
+            cwd = tmp_path / f"threads{threads}_{rep}"
+            cwd.mkdir()
+            subprocess.run(
+                [
+                    sys.executable, "-m", "hsikit", "run",
+                    "--cube", "../scene.hsih",
+                    "--gt", "../scene_gt.hsih",
+                    "--output", "run",
+                    "--reduction", "rpca",
+                    "--components", "10",
+                    "--seed", "3",
+                ],
+                cwd=cwd, env=env, check=True, capture_output=True,
+            )
+            runs[threads, rep] = run_dir_bytes(cwd / "run")
+    assert runs["1", 0] == runs["1", 1]
+    assert runs["2", 0] == runs["2", 1]
+    for name in ("config.json", "report.json", "predictions.json", "map.ppm"):
+        assert runs["1", 0][name] == runs["2", 0][name], name
 
 
 def test_run_failed_stage_leaves_no_artifacts(scene, tmp_path, capsys):

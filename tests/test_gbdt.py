@@ -297,6 +297,28 @@ def test_leaf_wise_growth_expands_best_leaf_first():
     assert tree.n_leaves <= params.max_leaves
 
 
+def test_leaf_wise_growth_ties_go_to_the_older_leaf():
+    # Feature 0 splits the rows into two halves whose gradients are
+    # negatives of each other, so both children of the root have the
+    # same best gain on feature 1. With room for one more split, the
+    # earlier-created leaf (node 1) is the one expanded.
+    x0 = np.repeat([0.0, 1.0], 8)
+    x1 = np.tile(np.repeat([0.0, 1.0], 4), 2)
+    g = np.concatenate([np.repeat([-2.0, 0.0], 4), np.repeat([2.0, 0.0], 4)])
+    h = np.full(16, 0.25)
+    params = GbdtParams(
+        num_trees=1, max_leaves=3, min_samples_leaf=1, num_bins=4, **NO_GOSS
+    )
+    edges, binned = _bin_features(np.column_stack([x0, x1]), params.num_bins)
+    trace = []
+    tree = _grow_tree(binned, edges, g, h, np.arange(16), params, trace=trace)
+    assert len(trace) == 2
+    chosen, others = trace[1]
+    assert others == [chosen]
+    assert list(tree.feature) == [0, 1, -1, -1, -1]
+    assert list(tree.left) == [1, 3, -1, -1, -1]
+
+
 def test_grown_leaf_values_include_shrinkage():
     x = np.array([0.0, 0.0, 1.0, 1.0])
     g = np.array([-0.5, -0.5, 0.5, 0.5])

@@ -145,11 +145,28 @@ def test_smo_iteration_cap():
     x = SplitMix64(503).normal_matrix(40, 2)
     y = np.where(SplitMix64(504).uniforms(40) < 0.5, 1.0, -1.0)
     y[:2] = [1.0, -1.0]
-    params = SvmParams(c=100.0, gamma=0.5, tolerance=1e-12, max_iter=3)
-    alpha, bias, n_iter, converged, violation = _smo_solve(x, y, params)
-    assert not converged
-    assert n_iter == 3
-    assert violation > 0.0
+    # A loose cap leaves free vectors; a tiny C with one step puts both
+    # working-set variables at the bound, so no vector is free.
+    for c, max_iter, expect_free in ((100.0, 3, True), (1e-3, 1, False)):
+        params = SvmParams(c=c, gamma=0.5, tolerance=1e-12, max_iter=max_iter)
+        alpha, bias, n_iter, converged, violation = _smo_solve(x, y, params)
+        assert not converged
+        assert n_iter == max_iter
+        assert violation > 0.0
+        # The reported violation and bias follow from alpha at the cap.
+        grad = (np.outer(y, y) * rbf_gram(x, params.gamma)) @ alpha - 1.0
+        score = -y * grad
+        pos = y > 0
+        up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
+        low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
+        assert abs(score[up].max() - score[low].min() - violation) <= 1e-9
+        free = (alpha > 0.0) & (alpha < c)
+        assert free.any() == expect_free
+        if expect_free:
+            expected_bias = score[free].mean()
+        else:
+            expected_bias = (score[up].max() + score[low].min()) / 2.0
+        assert abs(bias - expected_bias) <= 1e-9
 
 
 # ---------------------------------------------------------------- svm_train
