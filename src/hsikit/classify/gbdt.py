@@ -191,51 +191,39 @@ def _goss_sample(grad: np.ndarray, params: GbdtParams, rng: SplitMix64):
     return rows, weights[rows]
 
 
+@dataclass(eq=False)
 class _Leaf:
-    """Open leaf during growth: its rows, histograms, and best split."""
+    """Open leaf during growth: its node, rows, histogram and best split."""
 
-    __slots__ = ("node", "rows", "hist_g", "hist_h", "hist_n", "gain", "feature", "cut")
-
-    def __init__(self, node, rows, hist_g, hist_h, hist_n):
-        self.node = node
-        self.rows = rows
-        self.hist_g = hist_g
-        self.hist_h = hist_h
-        self.hist_n = hist_n
-        self.gain = -np.inf
-        self.feature = -1
-        self.cut = -1
+    node: int
+    rows: np.ndarray
+    hist: np.ndarray  # (gradient, hessian, row count) x feature x bin sums
+    gain: float
+    feature: int
+    cut: int
 
 
 def _leaf_histograms(binned, rows, g, h, num_bins):
-    """Per-(feature, bin) sums of gradient, hessian, and row count."""
+    """Per-(feature, bin) sums of gradient, hessian, and row count, as
+    one (3, features, num_bins) array."""
     width = binned.shape[1]
     size = width * num_bins
     codes = (binned[rows] + np.arange(width, dtype=np.int32) * num_bins).ravel()
-    hist_g = np.bincount(codes, weights=np.repeat(g[rows], width), minlength=size)
-    hist_h = np.bincount(codes, weights=np.repeat(h[rows], width), minlength=size)
-    hist_n = np.bincount(codes, minlength=size).astype(np.float64)
-    return (
-        hist_g.reshape(width, num_bins),
-        hist_h.reshape(width, num_bins),
-        hist_n.reshape(width, num_bins),
-    )
+    weights = (np.repeat(g[rows], width), np.repeat(h[rows], width), None)
+    hist = [np.bincount(codes, weights=w, minlength=size) for w in weights]
+    return np.array(hist, dtype=np.float64).reshape(3, width, num_bins)
 
 
-def _best_split(leaf: _Leaf, min_samples_leaf: int):
-    """Fill the leaf's (gain, feature, cut) with its best boundary.
+def _best_split(hist: np.ndarray, min_samples_leaf: int):
+    """(gain, feature, cut) of a leaf's best boundary.
 
     gain = 0.5 [G_L^2/(H_L+lam) + G_R^2/(H_R+lam) - G^2/(H+lam)],
     maximized over all boundaries with both sides holding at least
     ``min_samples_leaf`` rows. Ties pick the smallest feature, then the
     smallest boundary.
     """
-    g_left = np.cumsum(leaf.hist_g, axis=1)[:, :-1]
-    h_left = np.cumsum(leaf.hist_h, axis=1)[:, :-1]
-    n_left = np.cumsum(leaf.hist_n, axis=1)[:, :-1]
-    g_total = leaf.hist_g[0].sum()
-    h_total = leaf.hist_h[0].sum()
-    n_total = leaf.hist_n[0].sum()
+    g_left, h_left, n_left = np.cumsum(hist, axis=2)[:, :, :-1]
+    g_total, h_total, n_total = hist[:, 0].sum(axis=1)
     g_right = g_total - g_left
     h_right = h_total - h_left
     n_right = n_total - n_left
@@ -247,35 +235,34 @@ def _best_split(leaf: _Leaf, min_samples_leaf: int):
     )
     gain[(n_left < min_samples_leaf) | (n_right < min_samples_leaf)] = -np.inf
     flat = int(np.argmax(gain))
-    leaf.gain = float(gain.ravel()[flat])
-    leaf.feature, leaf.cut = divmod(flat, gain.shape[1])
+    return (float(gain.ravel()[flat]), *divmod(flat, gain.shape[1]))
 
 
 def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None):
     """Grow one leaf-wise tree on pre-binned features.
 
     ``g`` and ``h`` are per-row (already amplified) gradient and
-    hessian values for one class column. When ``trace`` is a list, each
+    hessian values for one class column. Each open leaf keeps one
+    histogram array; a split builds the smaller child's and takes the
+    sibling's as the difference. When ``trace`` is a list, each
     expansion appends (chosen leaf gain, gains of the other open
     leaves) for inspection.
     """
     num_bins = params.num_bins
-    feature = [-1]
-    threshold = [0.0]
-    left = [-1]
-    right = [-1]
-    value = [0.0]
 
-    def close(leaf):
-        gsum = leaf.hist_g[0].sum()
-        hsum = leaf.hist_h[0].sum()
-        value[leaf.node] = -params.learning_rate * gsum / (hsum + _LAMBDA)
+    def new_leaf(node, leaf_rows, hist):
+        return _Leaf(node, leaf_rows, hist, *_best_split(hist, params.min_samples_leaf))
 
-    root = _Leaf(0, rows, *_leaf_histograms(binned, rows, g, h, num_bins))
-    _best_split(root, params.min_samples_leaf)
+    # A tree of L leaves has 2L - 1 nodes, numbered in creation order.
+    size = 2 * params.max_leaves - 1
+    feature = np.full(size, -1, dtype=np.int32)
+    threshold = np.zeros(size)
+    left = np.full(size, -1, dtype=np.int32)
+    right = np.full(size, -1, dtype=np.int32)
+    value = np.zeros(size)
     # Open leaves in creation order: max() takes the first of equal
     # gains, so ties go to the oldest leaf.
-    open_leaves = [root]
+    open_leaves = [new_leaf(0, rows, _leaf_histograms(binned, rows, g, h, num_bins))]
     while len(open_leaves) < params.max_leaves:
         leaf = max(open_leaves, key=lambda l: l.gain)
         if leaf.gain <= _MIN_GAIN:
@@ -286,37 +273,29 @@ def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None):
         go_left = binned[leaf.rows, leaf.feature] <= leaf.cut
         rows_l = leaf.rows[go_left]
         rows_r = leaf.rows[~go_left]
-        # Build the smaller side's histograms, derive the sibling's.
+        # Build the smaller side's histogram, derive the sibling's.
         if len(rows_l) <= len(rows_r):
             hist_l = _leaf_histograms(binned, rows_l, g, h, num_bins)
-            hist_r = tuple(p - s for p, s in zip((leaf.hist_g, leaf.hist_h, leaf.hist_n), hist_l))
+            hist_r = leaf.hist - hist_l
         else:
             hist_r = _leaf_histograms(binned, rows_r, g, h, num_bins)
-            hist_l = tuple(p - s for p, s in zip((leaf.hist_g, leaf.hist_h, leaf.hist_n), hist_r))
-        node_l = len(feature)
-        node_r = node_l + 1
-        for _ in range(2):
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(0.0)
+            hist_l = leaf.hist - hist_r
+        node_l = 2 * (len(open_leaves) + 1) - 1  # nodes so far: the open leaves and this one
         feature[leaf.node] = leaf.feature
-        threshold[leaf.node] = float(edges[leaf.feature][leaf.cut])
+        threshold[leaf.node] = edges[leaf.feature][leaf.cut]
         left[leaf.node] = node_l
-        right[leaf.node] = node_r
-        for node, child_rows, hist in ((node_l, rows_l, hist_l), (node_r, rows_r, hist_r)):
-            child = _Leaf(node, child_rows, *hist)
-            _best_split(child, params.min_samples_leaf)
-            open_leaves.append(child)
+        right[leaf.node] = node_l + 1
+        open_leaves += [new_leaf(node_l, rows_l, hist_l), new_leaf(node_l + 1, rows_r, hist_r)]
     for leaf in open_leaves:
-        close(leaf)
+        g_sum, h_sum = leaf.hist[:2, 0].sum(axis=1)
+        value[leaf.node] = -params.learning_rate * g_sum / (h_sum + _LAMBDA)
+    n_nodes = 2 * len(open_leaves) - 1
     return Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value, dtype=np.float64),
+        feature=feature[:n_nodes],
+        threshold=threshold[:n_nodes],
+        left=left[:n_nodes],
+        right=right[:n_nodes],
+        value=value[:n_nodes],
     )
 
 

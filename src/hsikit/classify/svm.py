@@ -123,8 +123,12 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
 
     Minimizes 0.5 a'Qa - e'a over 0 <= a <= C, y'a = 0 with
     Q_ij = y_i y_j K_ij. Returns (alpha, bias, n_iter, converged,
-    final KKT violation). Selection picks the maximal violating pair;
-    the gradient is updated incrementally from two kernel columns.
+    final KKT violation). Selection picks the maximal violating pair.
+
+    The loop keeps only what selection reads: ``score`` = -y * gradient,
+    updated from the two kernel columns of each step, and the masks
+    ``up`` / ``low`` of the rows whose alpha may still move along +y /
+    -y, of which a step changes entries i and j alone.
     """
     n = len(y)
     c = params.c
@@ -143,17 +147,14 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
             return np.exp(-params.gamma * d2)
 
     alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
+    score = np.array(y, dtype=np.float64)  # -y * gradient; the gradient is -1 at alpha = 0
     pos = y > 0
+    up = pos.copy()
+    low = ~pos
     n_iter = 0
     while True:
-        score = -y * grad
-        up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
-        low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
-        up_idx = np.nonzero(up)[0]
-        low_idx = np.nonzero(low)[0]
-        i = up_idx[np.argmax(score[up_idx])]
-        j = low_idx[np.argmin(score[low_idx])]
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        j = int(np.argmin(np.where(low, score, np.inf)))
         violation = score[i] - score[j]
         if violation <= params.tolerance or n_iter == params.max_iter:
             break
@@ -172,11 +173,14 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
             alpha[j] = 0.0 if pos[j] else c
         else:
             alpha[j] = min(max(alpha[j] - y[j] * step, 0.0), c)
-        grad += step * y * (ki - kj)
+        score -= step * (ki - kj)
+        for k in (i, j):
+            up[k] = alpha[k] < c if pos[k] else alpha[k] > 0.0
+            low[k] = alpha[k] > 0.0 if pos[k] else alpha[k] < c
         n_iter += 1
-    # Bias: mean score over the free vectors, else the midpoint of the
-    # final maximal violating pair.
-    free = (alpha > 0.0) & (alpha < c)
+    # Bias: mean score over the free vectors (those in both up and low),
+    # else the midpoint of the final maximal violating pair.
+    free = up & low
     bias = score[free].mean() if free.any() else (score[i] + score[j]) / 2.0
     return alpha, float(bias), n_iter, n_iter < params.max_iter, violation
 

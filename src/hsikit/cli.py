@@ -8,7 +8,7 @@ and writes six fixed-name artifacts into its output directory:
     predictions.json  aligned test pixel indices, truth, predictions
     model.json        reduction model and trained classifier
     map.ppm           classification map of the test pixels
-    timings.json      per-stage wall clock in milliseconds
+    timings.json      wall clock per stage and in total, in milliseconds
 
 Everything except timings.json is a pure function of (config, seed)
 for a fixed numpy/BLAS build and BLAS thread count, so two identical
@@ -229,25 +229,28 @@ def run_pipeline(config: dict) -> dict:
     """Execute a resolved config and write artifacts; returns the report.
 
     Raises StageError around any failing stage; artifacts are only
-    written once every stage has succeeded.
+    written once every stage has succeeded. The cube is let go once its
+    labeled pixels are extracted, and those once they are split.
     """
     out_dir = Path(config["output"])
-    timings = {}
-    stage = "load"
+    starts = [("load", time.perf_counter())]  # (stage, start time) in run order
+
+    def begin(stage):
+        starts.append((stage, time.perf_counter()))
+
     try:
-        t0 = time.perf_counter()
         cube = load_cube(config["cube"])
         gt = load_ground_truth(config["ground_truth"])
         samples = extract_labeled(cube, gt)
-        timings["load_ms"] = (time.perf_counter() - t0) * 1000.0
+        del cube
 
-        stage = "split"
+        begin("split")
         train_set, test_set = stratified_split(
             samples, config["train_fraction"], config["seed"]
         )
+        del samples
 
-        stage = "reduce"
-        t0 = time.perf_counter()
+        begin("reduce")
         reduction = config["reduction"]
         if reduction["method"] == "none":
             pca_model = None
@@ -265,10 +268,8 @@ def run_pipeline(config: dict) -> dict:
                 )
             train_x = transform(pca_model, train_set.features)
             test_x = transform(pca_model, test_set.features)
-        timings["reduce_ms"] = (time.perf_counter() - t0) * 1000.0
 
-        stage = "train"
-        t0 = time.perf_counter()
+        begin("train")
         clf = config["classifier"]
         grid_record = None
         if clf["kind"] == "svm":
@@ -292,20 +293,17 @@ def run_pipeline(config: dict) -> dict:
             params = GbdtParams(**clf["params"])
             model = gbdt_train(replace(train_set, features=train_x), params)
             predictor = gbdt_predict
-        timings["train_ms"] = (time.perf_counter() - t0) * 1000.0
 
-        stage = "predict"
-        t0 = time.perf_counter()
+        begin("predict")
         predicted = predictor(model, test_x)
-        timings["predict_ms"] = (time.perf_counter() - t0) * 1000.0
 
-        stage = "evaluate"
+        begin("evaluate")
         report = evaluate(predicted, test_set.labels, gt.num_classes)
         image = render_map(gt, predicted, test_set.pixel_indices)
     except (HsikitError, ValueError, OSError) as exc:
-        raise StageError(stage, exc)
+        raise StageError(starts[-1][0], exc)
 
-    timings["total_ms"] = sum(timings.values())
+    begin("write")
     label = method_label(config)
     report_doc = {
         "schema": "hsikit/report/1",
@@ -317,7 +315,7 @@ def run_pipeline(config: dict) -> dict:
     }
     predictions_doc = {
         "schema": "hsikit/predictions/1",
-        "dataset": {"height": gt.height, "width": gt.width, "bands": cube.bands},
+        "dataset": {"height": gt.height, "width": gt.width, "bands": train_set.features.shape[1]},
         "seed": config["seed"],
         "train_fraction": config["train_fraction"],
         "method": label,
@@ -330,8 +328,6 @@ def run_pipeline(config: dict) -> dict:
         "reduction": None if pca_model is None else pca_model.to_dict(),
         "classifier": {"kind": clf["kind"], "grid": grid_record, "model": model.to_dict()},
     }
-    timings_doc = {"schema": "hsikit/timings/1"}
-    timings_doc.update({key: round(value, 3) for key, value in timings.items()})
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(out_dir / "config.json", _canonical_json(config))
@@ -341,6 +337,13 @@ def run_pipeline(config: dict) -> dict:
     map_tmp = out_dir / "map.ppm.tmp"
     write_ppm(image, map_tmp)
     os.replace(map_tmp, out_dir / "map.ppm")
+    # Each stage runs until the next begins; the last until now. total_ms
+    # is the wall clock from entry, up to the one write it cannot time.
+    starts.append(("total", time.perf_counter()))
+    timings_doc = {"schema": "hsikit/timings/1"}
+    for (stage, start), (_, end) in zip(starts, starts[1:]):
+        timings_doc[f"{stage}_ms"] = round((end - start) * 1000.0, 3)
+    timings_doc["total_ms"] = round((starts[-1][1] - starts[0][1]) * 1000.0, 3)
     _write_atomic(out_dir / "timings.json", _canonical_json(timings_doc))
     return report_doc
 
@@ -380,18 +383,20 @@ def _cmd_run(args) -> int:
 
 
 def _reduction_from_flags(args) -> dict | None:
-    if args.reduction is None:
+    method = args.reduction
+    entry = {"method": method}
+    for key in ("components", "oversampling", "power_iterations"):
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if method not in (("pca", "rpca") if key == "components" else ("rpca",)):
+            context = f"with --reduction {method}" if method else "without --reduction"
+            raise UsageError(f"--{key.replace('_', '-')} is not valid {context}")
+        entry[key] = value
+    if method is None:
         return None
-    if args.reduction == "none":
-        return {"method": "none"}
-    if args.components is None:
-        raise UsageError(f"--reduction {args.reduction} needs --components")
-    entry = {"method": args.reduction, "components": args.components}
-    if args.reduction == "rpca":
-        if args.oversampling is not None:
-            entry["oversampling"] = args.oversampling
-        if args.power_iterations is not None:
-            entry["power_iterations"] = args.power_iterations
+    if method != "none" and "components" not in entry:
+        raise UsageError(f"--reduction {method} needs --components")
     return entry
 
 
@@ -430,37 +435,43 @@ def _classifier_from_flags(args) -> dict | None:
     return {"kind": "gbdt", "params": gbdt_set}
 
 
+def _compared_run(run_dir) -> dict:
+    """The predictions.json fields compare reads, and the report's
+    overall accuracy as ``accuracy``."""
+    base = Path(run_dir)
+    path = base / "predictions.json"
+    try:
+        predictions = _load_json(path)
+        run = {
+            key: predictions[key]
+            for key in ("dataset", "seed", "train_fraction", "method", "pixel_indices",
+                        "truth", "predicted")
+        }
+        path = base / "report.json"
+        run["accuracy"] = _load_json(path)["evaluation"]["overall_accuracy"]
+    except (KeyError, TypeError) as exc:
+        raise DataFormatError(f"{path}: missing or malformed field ({exc!r})") from None
+    return run
+
+
 def _cmd_compare(args) -> int:
-    docs = []
-    for run_dir in (args.run_a, args.run_b):
-        base = Path(run_dir)
-        predictions = _load_json(base / "predictions.json")
-        report = _load_json(base / "report.json")
-        docs.append((predictions, report))
-    (pred_a, rep_a), (pred_b, rep_b) = docs
+    run_a, run_b = _compared_run(args.run_a), _compared_run(args.run_b)
     for field in ("dataset", "seed", "train_fraction"):
-        if pred_a[field] != pred_b[field]:
+        if run_a[field] != run_b[field]:
             raise DataFormatError(
                 f"runs are not comparable: {field} differs "
-                f"({pred_a[field]!r} vs {pred_b[field]!r})"
+                f"({run_a[field]!r} vs {run_b[field]!r})"
             )
-    if pred_a["pixel_indices"] != pred_b["pixel_indices"] or pred_a["truth"] != pred_b["truth"]:
+    if run_a["pixel_indices"] != run_b["pixel_indices"] or run_a["truth"] != run_b["truth"]:
         raise DataFormatError("runs are not comparable: test splits differ")
-    truth = np.asarray(pred_a["truth"], dtype=np.int64)
     result = mcnemar(
-        np.asarray(pred_a["predicted"], dtype=np.int64),
-        np.asarray(pred_b["predicted"], dtype=np.int64),
-        truth,
+        np.asarray(run_a["predicted"], dtype=np.int64),
+        np.asarray(run_b["predicted"], dtype=np.int64),
+        np.asarray(run_a["truth"], dtype=np.int64),
     )
     row = {
-        "a": {
-            "method": pred_a["method"],
-            "accuracy": rep_a["evaluation"]["overall_accuracy"],
-        },
-        "b": {
-            "method": pred_b["method"],
-            "accuracy": rep_b["evaluation"]["overall_accuracy"],
-        },
+        "a": {"method": run_a["method"], "accuracy": run_a["accuracy"]},
+        "b": {"method": run_b["method"], "accuracy": run_b["accuracy"]},
         "mcnemar": result.to_dict(),
     }
     if args.json:

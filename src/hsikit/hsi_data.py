@@ -23,6 +23,8 @@ height x width x bands values, band-sequential (all of band 0 in raster
 order, then band 1, ...). Class names may not contain commas.
 """
 
+import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,7 +64,9 @@ class HsiCube:
         expected = (self.bands, self.height, self.width)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
-        if self.values.size and not np.isfinite(self.values).all():
+        # min and max carry any NaN or infinity without a per-value mask,
+        # so the check allocates nothing beside the cube.
+        if self.values.size and not np.isfinite([self.values.min(), self.values.max()]).all():
             raise ValueError("cube contains non-finite values")
 
 
@@ -160,22 +164,24 @@ def parse_header(header_path) -> dict:
 
 
 def _read_payload(header_path, fields: dict) -> np.ndarray:
+    """The payload as one (bands, height, width) array, read once from the
+    file straight into the array that is returned."""
     payload = _payload_path(header_path)
     np_dtype = np.dtype("<f4") if fields["dtype"] == "f32" else np.dtype("<u2")
-    expected = fields["height"] * fields["width"] * fields["bands"]
+    shape = (fields["bands"], fields["height"], fields["width"])
+    count = math.prod(shape)
     try:
-        raw = payload.read_bytes()
+        with open(payload, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != count * np_dtype.itemsize:
+                raise DataFormatError(
+                    f"{payload}: payload is {size} bytes, expected {count * np_dtype.itemsize} "
+                    f"({fields['height']}x{fields['width']}x{fields['bands']} {fields['dtype']})"
+                )
+            values = np.fromfile(fh, dtype=np_dtype, count=count)
     except OSError as exc:
         raise DataFormatError(f"cannot read payload {payload}: {exc}") from exc
-    if len(raw) != expected * np_dtype.itemsize:
-        raise DataFormatError(
-            f"{payload}: payload is {len(raw)} bytes, expected "
-            f"{expected * np_dtype.itemsize} "
-            f"({fields['height']}x{fields['width']}x{fields['bands']} {fields['dtype']})"
-        )
-    return np.frombuffer(raw, dtype=np_dtype).reshape(
-        fields["bands"], fields["height"], fields["width"]
-    )
+    return values.reshape(shape)
 
 
 def load_cube(header_path) -> HsiCube:
@@ -184,13 +190,12 @@ def load_cube(header_path) -> HsiCube:
     fields = parse_header(header_path)
     if fields["dtype"] != "f32":
         raise DataFormatError(f"{header_path}: cube requires dtype f32, got {fields['dtype']}")
-    values = _read_payload(header_path, fields)
     try:
         return HsiCube(
             height=fields["height"],
             width=fields["width"],
             bands=fields["bands"],
-            values=values.astype(np.float32),
+            values=_read_payload(header_path, fields),
         )
     except ValueError as exc:
         raise DataFormatError(f"{header_path}: {exc}") from exc
@@ -205,7 +210,6 @@ def load_ground_truth(header_path) -> GroundTruth:
         )
     if fields["bands"] != 1:
         raise DataFormatError(f"{header_path}: ground truth must have bands: 1")
-    labels = _read_payload(header_path, fields)[0]
     names = []
     if "class_names" in fields and fields["class_names"]:
         names = [s.strip() for s in fields["class_names"].split(",")]
@@ -213,7 +217,7 @@ def load_ground_truth(header_path) -> GroundTruth:
         return GroundTruth(
             height=fields["height"],
             width=fields["width"],
-            labels=labels.astype(np.uint16),
+            labels=_read_payload(header_path, fields)[0],
             class_names=names,
         )
     except ValueError as exc:
@@ -279,14 +283,12 @@ def extract_labeled(cube: HsiCube, gt: GroundTruth) -> SampleSet:
             f"{gt.height}x{gt.width}"
         )
     flat_labels = gt.labels.reshape(-1)
-    mask = flat_labels != 0
-    indices = np.nonzero(mask)[0]
-    spectra = cube.values.reshape(cube.bands, -1)
-    features = spectra[:, indices].T.astype(np.float64)
+    indices = np.nonzero(flat_labels)[0]
+    # SampleSet casts each array to its dtype and C order; a cast here would copy twice.
     return SampleSet(
-        features=features,
-        labels=flat_labels[indices].astype(np.int64),
-        pixel_indices=indices.astype(np.int64),
+        features=cube.values.reshape(cube.bands, -1)[:, indices].T,
+        labels=flat_labels[indices],
+        pixel_indices=indices,
     )
 
 

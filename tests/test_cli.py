@@ -209,6 +209,18 @@ def test_run_writes_artifacts_and_summary(scene, tmp_path, capsys):
     assert str(out) in printed
 
 
+def test_run_times_every_stage(scene, tmp_path):
+    out = tmp_path / "out"
+    make_run(scene, out, extra=["--reduction", "pca", "--components", "3"])
+    timings = json.loads((out / "timings.json").read_text())
+    stages = ("load", "split", "reduce", "train", "predict", "evaluate", "write")
+    assert set(timings) == {"schema", "total_ms"} | {f"{stage}_ms" for stage in stages}
+    assert all(timings[f"{stage}_ms"] >= 0.0 for stage in stages)
+    # total_ms is a wall clock, not a sum; the 0.01 allows for the rounding
+    # of each value to three decimals.
+    assert timings["total_ms"] >= sum(timings[f"{stage}_ms"] for stage in stages) - 0.01
+
+
 def test_run_deterministic_artifacts(scene, tmp_path):
     # The identical invocation repeated must reproduce every artifact
     # byte for byte; timings.json is the documented exception.
@@ -387,13 +399,24 @@ def test_run_artifacts_decode_and_reencode_identically(scene, tmp_path, flags, m
     assert _canonical_json(report_doc) == report_bytes
 
 
-def test_run_flag_conflicts(scene, tmp_path):
+def test_run_flag_conflicts(scene, tmp_path, capsys):
     cube_path, gt_path = scene
     base = ["run", "--cube", cube_path, "--gt", gt_path, "--output", str(tmp_path / "o")]
     assert main(base + ["--classifier", "gbdt", "--svm-c", "10"]) == 1
     assert main(base + ["--classifier", "svm", "--gbdt-trees", "5"]) == 1
     assert main(base + ["--svm-c", "10", "--gbdt-trees", "5"]) == 1
     assert main(base + ["--reduction", "pca"]) == 1  # no --components
+    # Reduction flags that would be dropped are rejected instead.
+    capsys.readouterr()
+    assert main(base + ["--components", "5"]) == 1
+    assert "--components is not valid without --reduction" in capsys.readouterr().err
+    assert main(base + ["--oversampling", "4"]) == 1
+    assert main(base + ["--power-iterations", "1"]) == 1
+    assert main(base + ["--reduction", "pca", "--components", "3", "--oversampling", "4"]) == 1
+    assert main(base + ["--reduction", "pca", "--components", "3", "--power-iterations", "1"]) == 1
+    assert main(base + ["--reduction", "none", "--components", "3"]) == 1
+    assert not (tmp_path / "o").exists()
+
 
 
 # ------------------------------------------------------------------- compare
@@ -449,6 +472,30 @@ def test_compare_mismatched_seeds_rejected(scene, tmp_path, capsys):
 def test_compare_missing_run_dir(tmp_path, capsys):
     code = main(["compare", str(tmp_path / "x"), str(tmp_path / "y")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "name, mangle",
+    [
+        ("predictions.json", lambda doc: doc.pop("dataset")),
+        ("predictions.json", lambda doc: doc.pop("predicted")),
+        ("report.json", lambda doc: doc.pop("evaluation")),
+        ("report.json", lambda doc: doc.update(evaluation=[0.9])),
+    ],
+)
+def test_compare_foreign_run_is_a_data_error(scene, tmp_path, capsys, name, mangle):
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    make_run(scene, out_a)
+    make_run(scene, out_b)
+    doc = json.loads((out_b / name).read_text())
+    mangle(doc)
+    (out_b / name).write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["compare", str(out_a), str(out_b)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert str(out_b / name) in err
 
 
 # --------------------------------------------------------------------- bench

@@ -319,6 +319,42 @@ def test_leaf_wise_growth_ties_go_to_the_older_leaf():
     assert list(tree.left) == [1, 3, -1, -1, -1]
 
 
+@pytest.mark.parametrize(
+    "max_leaves, min_samples_leaf, grown_leaves",
+    [(2, 5, 2), (7, 5, 7), (31, 2, 31), (31, 60, None)],  # None: stops below max_leaves
+)
+def test_grown_tree_structure(max_leaves, min_samples_leaf, grown_leaves):
+    rng = SplitMix64(98)
+    features = rng.normal_matrix(200, 3)
+    g = rng.normals(200)
+    h = np.full(200, 0.25)
+    params = GbdtParams(
+        num_trees=1, max_leaves=max_leaves, min_samples_leaf=min_samples_leaf,
+        num_bins=16, **NO_GOSS
+    )
+    edges, binned = _bin_features(features, params.num_bins)
+    tree = _grow_tree(binned, edges, g, h, np.arange(200), params)
+    if grown_leaves is None:
+        assert 1 < tree.n_leaves < max_leaves
+    else:
+        assert tree.n_leaves == grown_leaves
+    assert tree.n_nodes == 2 * tree.n_leaves - 1
+    for array in (tree.feature, tree.threshold, tree.left, tree.right, tree.value):
+        assert array.shape == (tree.n_nodes,)
+    leaf = tree.feature == -1
+    assert (tree.left[leaf] == -1).all() and (tree.right[leaf] == -1).all()
+    assert (tree.threshold[leaf] == 0.0).all()
+    inner = ~leaf
+    assert (tree.feature[inner] >= 0).all() and (tree.feature[inner] < 3).all()
+    assert (tree.value[inner] == 0.0).all()
+    # Every node but the root is the child of exactly one inner node,
+    # and children are created after their parent.
+    children = np.concatenate([tree.left[inner], tree.right[inner]])
+    assert sorted(children) == list(range(1, tree.n_nodes))
+    assert (tree.left[inner] > np.nonzero(inner)[0]).all()
+    assert (tree.right[inner] == tree.left[inner] + 1).all()
+
+
 def test_grown_leaf_values_include_shrinkage():
     x = np.array([0.0, 0.0, 1.0, 1.0])
     g = np.array([-0.5, -0.5, 0.5, 0.5])

@@ -1,6 +1,8 @@
 """Tests for the container format, labeled-pixel extraction, and the
 stratified split."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,31 @@ def test_non_finite_payload_rejected(tmp_path):
     )
     with pytest.raises(DataFormatError, match="non-finite"):
         load_cube(header)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cube_rejects_each_kind_of_non_finite_value(bad):
+    values = tiny_cube().values.copy()
+    values[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        HsiCube(height=2, width=2, bands=3, values=values)
+
+
+def test_load_cube_holds_the_payload_once(tmp_path):
+    # 40 x 50 x 500 f32 is a 4 MB payload; reading, converting and
+    # checking it must not hold a second copy (or a per-value mask).
+    values = SplitMix64(7).normal_matrix(500, 40 * 50).astype(np.float32)
+    path = save_cube(HsiCube(40, 50, 500, values.reshape(500, 40, 50)), tmp_path / "big")
+    payload_bytes = path.with_suffix(".hsir").stat().st_size
+    del values
+    tracemalloc.start()
+    try:
+        cube = load_cube(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cube.values.nbytes == payload_bytes
+    assert peak < 1.25 * payload_bytes
 
 
 def test_cube_rejects_u16_header(tmp_path):

@@ -169,6 +169,25 @@ def test_smo_iteration_cap():
         assert abs(bias - expected_bias) <= 1e-9
 
 
+def test_smo_column_recompute_path_matches_full_gram(monkeypatch):
+    # Pairs above _FULL_KERNEL_LIMIT rows compute two kernel columns per
+    # step instead of reading a precomputed Gram matrix; the iterates
+    # must agree up to the rounding of the two kernel formulas.
+    x = SplitMix64(505).normal_matrix(300, 3)
+    y = np.where(x[:, 0] + 0.5 * SplitMix64(506).normals(300) > 0, 1.0, -1.0)
+    params = SvmParams(c=10.0, gamma=0.5, tolerance=1e-3)
+    alpha, bias, n_iter, converged, _ = _smo_solve(x, y, params)
+    monkeypatch.setattr("hsikit.classify.svm._FULL_KERNEL_LIMIT", 100)
+    alpha_col, bias_col, n_iter_col, converged_col, _ = _smo_solve(x, y, params)
+    assert converged and converged_col
+    assert n_iter_col == n_iter
+    free = (alpha > 0.0) & (alpha < params.c)
+    assert free.any() and (alpha == params.c).any()
+    assert np.array_equal(alpha_col > 0.0, alpha > 0.0)
+    assert np.abs(alpha_col - alpha).max() <= 1e-10
+    assert abs(bias_col - bias) <= 1e-10
+
+
 # ---------------------------------------------------------------- svm_train
 
 
