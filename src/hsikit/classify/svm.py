@@ -7,11 +7,19 @@ Features are rescaled to [0, 1] per dimension from the training
 min/max (the RBF width is scale sensitive); the scaling is recorded in
 the model and reapplied at prediction time.
 
+Kernel columns are computed on demand, as SMO steps ask for them, and
+kept in a least-recently-used cache bounded by ``_KERNEL_CACHE_BYTES``;
+no Gram matrix is ever formed, so training memory per class pair grows
+with the cache budget and the columns touched, not with n^2. An evicted
+column is recomputed bit for bit, so the budget and the eviction order
+never change a result.
+
 Training is fully deterministic: ties in working-set selection and in
 one-vs-one voting are broken by smallest index / smallest class id.
 """
 
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Annotated
 
@@ -41,8 +49,9 @@ DEFAULT_C_GRID = (1.0, 10.0, 100.0, 600.0, 1000.0)
 DEFAULT_GAMMA_GRID = (0.01, 0.1, 0.5, 1.0, 2.0)
 DEFAULT_FOLDS = 5
 
-# Kernel matrices up to this many rows are precomputed in full.
-_FULL_KERNEL_LIMIT = 4096
+# Memory for cached kernel columns per SMO solve: what a 4096-row Gram
+# matrix of float64 takes.
+_KERNEL_CACHE_BYTES = 4096 * 4096 * 8
 
 
 @dataclass(frozen=True)
@@ -129,22 +138,29 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
     updated from the two kernel columns of each step, and the masks
     ``up`` / ``low`` of the rows whose alpha may still move along +y /
     -y, of which a step changes entries i and j alone.
+
+    Kernel columns are computed on demand into an LRU cache of at most
+    ``_KERNEL_CACHE_BYTES`` (and never fewer than the two columns a step
+    reads). A column is a pure function of x and its index, so eviction
+    never changes the result.
     """
     n = len(y)
     c = params.c
     sq = (x * x).sum(axis=1)
-    if n <= _FULL_KERNEL_LIMIT:
-        kmat = _rbf_cross(x, x, params.gamma)
+    capacity = max(2, _KERNEL_CACHE_BYTES // (8 * n))
+    cache = OrderedDict()
 
-        def col(i):
-            return kmat[:, i]
-
-    else:
-
-        def col(i):
+    def col(i):
+        column = cache.get(i)
+        if column is None:
+            if len(cache) == capacity:
+                cache.popitem(last=False)
             d2 = sq + sq[i] - 2.0 * (x @ x[i])
             np.maximum(d2, 0.0, out=d2)
-            return np.exp(-params.gamma * d2)
+            column = cache[i] = np.exp(-params.gamma * d2)
+        else:
+            cache.move_to_end(i)
+        return column
 
     alpha = np.zeros(n)
     score = np.array(y, dtype=np.float64)  # -y * gradient; the gradient is -1 at alpha = 0

@@ -501,6 +501,10 @@ def _cmd_bench(args) -> int:
     k_list = args.k
     if not k_list:
         raise UsageError("--k needs at least one value")
+    if not args.seeds:
+        raise UsageError("--seeds needs at least one value")
+    if args.repeats < 1:
+        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     limit = min(args.rows, args.cols)
     for k in k_list:
         if not 1 <= k <= limit:

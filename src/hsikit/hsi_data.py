@@ -133,6 +133,8 @@ def parse_header(header_path) -> dict:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataFormatError(f"cannot read header {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: header is not UTF-8 text ({exc})") from exc
     lines = text.splitlines()
     if not lines or lines[0].strip() != _MAGIC:
         raise DataFormatError(f"{path}: missing '{_MAGIC}' magic line")

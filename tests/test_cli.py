@@ -529,6 +529,15 @@ def test_bench_rejects_bad_k(capsys):
     assert main(["bench", "--rows", "0", "--cols", "10", "--k", "2"]) == 1
 
 
+def test_bench_rejects_empty_work(capsys):
+    base = ["bench", "--rows", "50", "--cols", "10", "--k", "3"]
+    for extra in (["--repeats", "0"], ["--repeats", "-1"], ["--seeds", ","], ["--seeds", ""]):
+        assert main(base + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error" in captured.err
+
+
 # ----------------------------------------------------------- convert/inspect
 
 

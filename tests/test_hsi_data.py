@@ -139,6 +139,15 @@ def test_malformed_headers_rejected(tmp_path, mangle):
         load_cube(header)
 
 
+def test_non_utf8_header_is_a_data_format_error(tmp_path):
+    header = tmp_path / "bad.hsih"
+    header.write_bytes(b"\xff\xfe" + GOOD_HEADER.encode("utf-8"))
+    header.with_suffix(".hsir").write_bytes(b"\x00" * 4)
+    for load in (parse_header, load_cube, load_ground_truth):
+        with pytest.raises(DataFormatError, match="bad.hsih"):
+            load(header)
+
+
 def test_missing_header_file(tmp_path):
     with pytest.raises(DataFormatError):
         load_cube(tmp_path / "nope.hsih")

@@ -1,0 +1,91 @@
+"""Property tests for the container format: parse_header either returns
+validated fields or raises DataFormatError, whatever bytes the header
+file holds, and save_cube -> load_cube returns the cube it was given."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from hsikit.errors import DataFormatError
+from hsikit.hsi_data import HsiCube, load_cube, parse_header, save_cube
+
+VALID = {
+    "height": "3",
+    "width": "2",
+    "bands": "1",
+    "dtype": "f32",
+    "interleave": "bsq",
+    "byteorder": "le",
+}
+VALUES = st.sampled_from(["0", "-2", "1.5", " 7 ", "u16", "bip", "be", ""]) | st.text(max_size=8)
+# Each required key is mostly valid, sometimes missing (None) or wrong, so
+# a fair share of the draws parses and the rest fails each check in turn.
+FIELDS = st.fixed_dictionaries(
+    {k: st.one_of(st.just(v), st.just(v), st.just(v), st.none(), VALUES) for k, v in VALID.items()}
+)
+EXTRA_LINES = st.lists(
+    st.builds(
+        lambda key, sep, value: f"{key}{sep}{value}",
+        st.sampled_from(["class_names", "height", "note", ""]),
+        st.sampled_from([": ", ":", " "]),
+        VALUES,
+    ),
+    max_size=3,
+)
+
+
+def _header_bytes(magic, fields, extra, tail):
+    lines = [magic] + [f"{k}: {v}" for k, v in fields.items() if v is not None] + extra
+    return "\n".join(lines).encode("utf-8") + tail
+
+
+HEADERS = st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        _header_bytes,
+        st.sampled_from(["hsih 1", "hsih 1", " hsih 1 ", "hsih 2", ""]),
+        FIELDS,
+        EXTRA_LINES,
+        st.sampled_from([b"", b"\n", b"\xff\xfe", b"\x80"]),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(header=HEADERS)
+def test_parse_header_returns_valid_fields_or_raises(header):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scene.hsih"
+        path.write_bytes(header)
+        try:
+            fields = parse_header(path)
+        except DataFormatError:
+            return
+    for key in ("height", "width", "bands"):
+        assert isinstance(fields[key], int) and fields[key] >= 1
+    assert fields["dtype"] in ("f32", "u16")
+    assert fields["interleave"] == "bsq"
+    assert fields["byteorder"] == "le"
+
+
+FINITE_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    values=hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=5).flatmap(
+        lambda shape: hnp.arrays(np.float32, shape, elements=FINITE_F32)
+    )
+)
+def test_save_cube_load_cube_round_trip(values):
+    bands, height, width = values.shape
+    cube = HsiCube(height=height, width=width, bands=bands, values=values)
+    with tempfile.TemporaryDirectory() as tmp:
+        back = load_cube(save_cube(cube, Path(tmp) / "scene.hsih"))
+    assert (back.height, back.width, back.bands) == (height, width, bands)
+    assert back.values.dtype == np.float32
+    assert back.values.tobytes() == values.tobytes()

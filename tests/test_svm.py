@@ -1,5 +1,7 @@
 """Tests for the SMO-trained one-vs-one RBF SVM."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from hsikit.classify.svm import (
     BinarySvm,
     SvmModel,
     SvmParams,
+    _rbf_cross,
     _smo_solve,
     grid_search_cv,
     rbf_kernel,
@@ -170,22 +173,47 @@ def test_smo_iteration_cap():
 
 
 def test_smo_column_recompute_path_matches_full_gram(monkeypatch):
-    # Pairs above _FULL_KERNEL_LIMIT rows compute two kernel columns per
-    # step instead of reading a precomputed Gram matrix; the iterates
-    # must agree up to the rounding of the two kernel formulas.
+    # With room for only the two columns of a step, almost every column
+    # is evicted and recomputed; the recomputed columns are bit-identical,
+    # so the solve is exactly the one under the default budget.
     x = SplitMix64(505).normal_matrix(300, 3)
     y = np.where(x[:, 0] + 0.5 * SplitMix64(506).normals(300) > 0, 1.0, -1.0)
     params = SvmParams(c=10.0, gamma=0.5, tolerance=1e-3)
-    alpha, bias, n_iter, converged, _ = _smo_solve(x, y, params)
-    monkeypatch.setattr("hsikit.classify.svm._FULL_KERNEL_LIMIT", 100)
-    alpha_col, bias_col, n_iter_col, converged_col, _ = _smo_solve(x, y, params)
+    alpha, bias, n_iter, converged, violation = _smo_solve(x, y, params)
+    monkeypatch.setattr("hsikit.classify.svm._KERNEL_CACHE_BYTES", 2 * 8 * len(y))
+    alpha_col, bias_col, n_iter_col, converged_col, violation_col = _smo_solve(x, y, params)
     assert converged and converged_col
     assert n_iter_col == n_iter
     free = (alpha > 0.0) & (alpha < params.c)
     assert free.any() and (alpha == params.c).any()
-    assert np.array_equal(alpha_col > 0.0, alpha > 0.0)
-    assert np.abs(alpha_col - alpha).max() <= 1e-10
-    assert abs(bias_col - bias) <= 1e-10
+    assert np.array_equal(alpha_col, alpha)
+    assert bias_col == bias and violation_col == violation
+    # Against the full Gram matrix: the violation and the bias follow
+    # from the returned alpha.
+    grad = (np.outer(y, y) * _rbf_cross(x, x, params.gamma)) @ alpha - 1.0
+    score = -y * grad
+    pos = y > 0
+    up = (pos & (alpha < params.c)) | (~pos & (alpha > 0.0))
+    low = (pos & (alpha > 0.0)) | (~pos & (alpha < params.c))
+    assert abs(score[up].max() - score[low].min() - violation) <= 1e-9
+    assert abs(score[free].mean() - bias) <= 1e-9
+
+
+def test_smo_memory_is_bounded_below_the_gram_matrix():
+    # A separable 2000-row pair touches few distinct kernel columns, so
+    # the solve must hold far less than the n x n Gram matrix.
+    n = 2000
+    x = SplitMix64(505).normal_matrix(n, 5)
+    y = np.where(x[:, 0] > 0, 1.0, -1.0)
+    params = SvmParams(c=10.0, gamma=0.5)
+    tracemalloc.start()
+    try:
+        _, _, _, converged, _ = _smo_solve(x, y, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert converged
+    assert peak < n * n * 8 / 4
 
 
 # ---------------------------------------------------------------- svm_train
