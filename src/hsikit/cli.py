@@ -22,8 +22,12 @@ Exit codes: 0 success, 1 usage (bad flags or config), 2 data error
 comparisons), 3 numerical failure (factorization non-convergence,
 floating-point breakdown).
 
-Configs are JSON with the same shape as the config.json artifact;
-command-line flags override file values.
+Configs are JSON with the same shape as the config.json artifact.
+Each `run` flag sets one config field, which its help text names, and
+overrides the file's value; the flags of one section replace the file's
+whole `reduction` or `classifier` object. `resolve_config` is the one
+check on the merged settings: a bad value or a key it does not know, at
+any level, is a usage error that names the config field.
 """
 
 import argparse
@@ -92,15 +96,21 @@ class _Parser(argparse.ArgumentParser):
 
 # --- configuration -----------------------------------------------------
 
+def _check_keys(raw, name: str, allowed) -> None:
+    """Raise UsageError unless ``raw`` is an object whose keys are all in
+    ``allowed``, so no key of a config is dropped without a word."""
+    if not isinstance(raw, dict):
+        raise UsageError(f"config field {name} must be an object, got {raw!r}")
+    unknown = set(raw) - set(allowed)
+    if unknown:
+        raise UsageError(f"unknown {name} fields {sorted(unknown)}; allowed: {sorted(allowed)}")
+
+
 def _params(cls, raw, name: str, **fixed):
     """``cls`` built from a config object. Its settable keys, their
     defaults and their types are the dataclass fields not in ``fixed``."""
-    if not isinstance(raw, dict):
-        raise UsageError(f"config field {name} must be an object, got {raw!r}")
     types = {f.name: f.type for f in fields(cls) if f.name not in fixed}
-    unknown = set(raw) - set(types)
-    if unknown:
-        raise UsageError(f"unknown {name} fields: {sorted(unknown)}")
+    _check_keys(raw, name, types)
     return cls(**fixed, **{key: coerce(v, types[key], f"{name}.{key}") for key, v in raw.items()})
 
 
@@ -109,8 +119,7 @@ def _svm_grid(grid, params: SvmParams) -> dict | None:
         return None
     if grid is True:
         grid = {}
-    if not isinstance(grid, dict):
-        raise UsageError("classifier.grid must be an object (or true for defaults)")
+    _check_keys(grid, "classifier.grid", ("c", "gamma", "folds"))
     out = {"folds": coerce(grid.get("folds", DEFAULT_FOLDS), int, "classifier.grid.folds")}
     if out["folds"] < 2:
         raise UsageError(f"classifier.grid.folds must be >= 2, got {out['folds']}")
@@ -129,8 +138,9 @@ def resolve_config(file_config: dict, overrides: dict) -> dict:
 
     The result is the canonical snapshot written to config.json; flags
     win over file values, file values win over defaults. Every value is
-    checked here, so a config that cannot run raises UsageError before
-    any data is read.
+    checked here, and a key this function does not know, at any level, is
+    rejected, so a config that cannot run as written raises UsageError
+    before any data is read.
     """
     cfg = dict(file_config)
     for key, value in overrides.items():
@@ -141,9 +151,9 @@ def resolve_config(file_config: dict, overrides: dict) -> dict:
             raise UsageError(f"missing required config field '{required}'")
     try:
         out = {
-            "cube": str(cfg["cube"]),
-            "ground_truth": str(cfg["ground_truth"]),
-            "output": str(cfg.get("output", "hsikit_run")),
+            "cube": coerce(cfg["cube"], str, "cube"),
+            "ground_truth": coerce(cfg["ground_truth"], str, "ground_truth"),
+            "output": coerce(cfg.get("output", "hsikit_run"), str, "output"),
             "train_fraction": coerce(cfg.get("train_fraction", 0.7), float, "train_fraction"),
             "seed": coerce(cfg.get("seed", 0), int, "seed"),
         }
@@ -173,6 +183,7 @@ def resolve_config(file_config: dict, overrides: dict) -> dict:
                 out["reduction"]["power_iterations"] = sketch.power_iterations
         else:
             raise UsageError(f"unknown reduction method {method!r} (expected none, pca, rpca)")
+        _check_keys(reduction, "reduction", out["reduction"])  # the keys its method takes
 
         classifier = cfg.get("classifier", {"kind": "svm"})
         if not isinstance(classifier, dict) or "kind" not in classifier:
@@ -180,6 +191,8 @@ def resolve_config(file_config: dict, overrides: dict) -> dict:
         kind = classifier["kind"]
         if kind not in ("svm", "gbdt"):
             raise UsageError(f"unknown classifier kind {kind!r} (expected svm, gbdt)")
+        allowed = ("kind", "params", "grid") if kind == "svm" else ("kind", "params")
+        _check_keys(classifier, "classifier", allowed)
         params_cls = SvmParams if kind == "svm" else GbdtParams
         params = _params(params_cls, classifier.get("params", {}), "classifier.params")
         params.validate()
@@ -188,6 +201,7 @@ def resolve_config(file_config: dict, overrides: dict) -> dict:
             out["classifier"]["grid"] = _svm_grid(classifier.get("grid"), params)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _check_keys(cfg, "top-level config", out)  # out has every top-level key
     return out
 
 
@@ -351,25 +365,52 @@ def run_pipeline(config: dict) -> dict:
 # --- subcommands -------------------------------------------------------
 
 
+# Each `run` flag: (flag, the config field it sets, argparse keywords).
+_RUN_FLAGS = (
+    ("--cube", "cube", {}),
+    ("--gt", "ground_truth", {}),
+    ("--output", "output", {}),
+    ("--train-fraction", "train_fraction", {"type": float}),
+    ("--seed", "seed", {"type": int}),
+    ("--reduction", "reduction.method", {"choices": ["none", "pca", "rpca"]}),
+    ("--components", "reduction.components", {"type": int}),
+    ("--oversampling", "reduction.oversampling", {"type": int}),
+    ("--power-iterations", "reduction.power_iterations", {"type": int}),
+    ("--classifier", "classifier.kind", {"choices": ["svm", "gbdt"]}),
+    ("--svm-c", "classifier.params.c", {"type": float}),
+    ("--svm-gamma", "classifier.params.gamma", {"type": float}),
+    ("--svm-grid", "classifier.grid", {"action": "store_const", "const": True}),
+    ("--gbdt-trees", "classifier.params.num_trees", {"type": int}),
+    ("--gbdt-learning-rate", "classifier.params.learning_rate", {"type": float}),
+    ("--gbdt-max-leaves", "classifier.params.max_leaves", {"type": int}),
+    ("--gbdt-min-samples-leaf", "classifier.params.min_samples_leaf", {"type": int}),
+    ("--gbdt-bins", "classifier.params.num_bins", {"type": int}),
+    ("--goss-top-rate", "classifier.params.goss_top_rate", {"type": float}),
+    ("--goss-other-rate", "classifier.params.goss_other_rate", {"type": float}),
+)
+
+
 def _cmd_run(args) -> int:
     file_config = {}
     if args.config:
         file_config = _load_json(Path(args.config))
         if not isinstance(file_config, dict):
             raise UsageError(f"{args.config}: config must be a JSON object")
-    overrides = {
-        "cube": args.cube,
-        "ground_truth": args.ground_truth,
-        "output": args.output,
-        "train_fraction": args.train_fraction,
-        "seed": args.seed,
-    }
-    reduction = _reduction_from_flags(args)
-    if reduction is not None:
-        overrides["reduction"] = reduction
-    classifier = _classifier_from_flags(args)
-    if classifier is not None:
-        overrides["classifier"] = classifier
+    # Each given flag is placed at its config field, so the flags of one
+    # section form a whole `reduction` or `classifier` object.
+    overrides = {}
+    for _, field, _ in _RUN_FLAGS:
+        value = getattr(args, field)
+        if value is not None:
+            *sections, key = field.split(".")
+            node = overrides
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[key] = value
+    classifier = overrides.get("classifier")
+    if classifier is not None and "kind" not in classifier:
+        gbdt_fields = {f.name for f in fields(GbdtParams)}
+        classifier["kind"] = "gbdt" if gbdt_fields & set(classifier.get("params", {})) else "svm"
     config = resolve_config(file_config, overrides)
     report_doc = run_pipeline(config)
     ev = report_doc["evaluation"]
@@ -380,59 +421,6 @@ def _cmd_run(args) -> int:
     print(f"overall accuracy {ev['overall_accuracy']:.4f} over {ev['num_classes']} classes")
     print(f"artifacts written to {config['output']}")
     return 0
-
-
-def _reduction_from_flags(args) -> dict | None:
-    method = args.reduction
-    entry = {"method": method}
-    for key in ("components", "oversampling", "power_iterations"):
-        value = getattr(args, key)
-        if value is None:
-            continue
-        if method not in (("pca", "rpca") if key == "components" else ("rpca",)):
-            context = f"with --reduction {method}" if method else "without --reduction"
-            raise UsageError(f"--{key.replace('_', '-')} is not valid {context}")
-        entry[key] = value
-    if method is None:
-        return None
-    if method != "none" and "components" not in entry:
-        raise UsageError(f"--reduction {method} needs --components")
-    return entry
-
-
-def _classifier_from_flags(args) -> dict | None:
-    svm_flags = {
-        "c": args.svm_c,
-        "gamma": args.svm_gamma,
-    }
-    gbdt_flags = {
-        "num_trees": args.gbdt_trees,
-        "learning_rate": args.gbdt_learning_rate,
-        "max_leaves": args.gbdt_max_leaves,
-        "min_samples_leaf": args.gbdt_min_samples_leaf,
-        "num_bins": args.gbdt_bins,
-        "goss_top_rate": args.goss_top_rate,
-        "goss_other_rate": args.goss_other_rate,
-    }
-    svm_set = {k: v for k, v in svm_flags.items() if v is not None}
-    gbdt_set = {k: v for k, v in gbdt_flags.items() if v is not None}
-    if args.classifier is None and not svm_set and not gbdt_set and not args.svm_grid:
-        return None
-    kind = args.classifier
-    if kind is None:
-        if svm_set and gbdt_set:
-            raise UsageError("both svm and gbdt flags given; pick --classifier")
-        kind = "gbdt" if gbdt_set else "svm"
-    if kind == "svm":
-        if gbdt_set:
-            raise UsageError("gbdt flags are not valid with --classifier svm")
-        entry = {"kind": "svm", "params": svm_set}
-        if args.svm_grid:
-            entry["grid"] = True
-        return entry
-    if svm_set or args.svm_grid:
-        raise UsageError("svm flags are not valid with --classifier gbdt")
-    return {"kind": "gbdt", "params": gbdt_set}
 
 
 def _compared_run(run_dir) -> dict:
@@ -550,6 +538,8 @@ def _cmd_bench(args) -> int:
 def _cmd_convert(args) -> int:
     if args.height < 1 or args.width < 1 or args.bands < 1:
         raise UsageError("--height, --width, --bands must be positive")
+    if args.class_names is not None and args.dtype != "u16":
+        raise UsageError("--class-names is only valid with --dtype u16 (ground truth)")
     path = Path(args.input)
     expected = args.height * args.width * args.bands
     if args.dtype == "f32":
@@ -639,28 +629,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a classification pipeline", add_help=True)
     run.add_argument("--config", help="JSON config file; flags override its values")
-    run.add_argument("--cube", help="cube header (.hsih)")
-    run.add_argument("--gt", dest="ground_truth", help="ground truth header (.hsih)")
-    run.add_argument("--output", help="output directory (default hsikit_run)")
-    run.add_argument("--train-fraction", type=float, default=None)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--reduction", choices=["none", "pca", "rpca"], default=None)
-    run.add_argument("--components", type=int, default=None)
-    run.add_argument("--oversampling", type=int, default=None)
-    run.add_argument("--power-iterations", type=int, default=None)
-    run.add_argument("--classifier", choices=["svm", "gbdt"], default=None)
-    run.add_argument("--svm-c", type=float, default=None)
-    run.add_argument("--svm-gamma", type=float, default=None)
-    run.add_argument(
-        "--svm-grid", action="store_true", help="cross-validated grid search for (C, gamma)"
-    )
-    run.add_argument("--gbdt-trees", type=int, default=None)
-    run.add_argument("--gbdt-learning-rate", type=float, default=None)
-    run.add_argument("--gbdt-max-leaves", type=int, default=None)
-    run.add_argument("--gbdt-min-samples-leaf", type=int, default=None)
-    run.add_argument("--gbdt-bins", type=int, default=None)
-    run.add_argument("--goss-top-rate", type=float, default=None)
-    run.add_argument("--goss-other-rate", type=float, default=None)
+    for flag, field, kwargs in _RUN_FLAGS:
+        metavar = None if "choices" in kwargs else field.rsplit(".", 1)[-1].upper()
+        run.add_argument(
+            flag, dest=field, metavar=metavar, help=f"sets config field {field}", **kwargs
+        )
     run.set_defaults(func=_cmd_run)
 
     compare = sub.add_parser("compare", help="McNemar's test between two run directories")

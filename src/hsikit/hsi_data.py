@@ -151,6 +151,9 @@ def parse_header(header_path) -> dict:
             raise DataFormatError(f"{path}: header missing required key {key!r}")
     try:
         for key in ("height", "width", "bands"):
+            # int() alone would also take "+1", "1_0" and non-ASCII digits.
+            if not (fields[key].isascii() and fields[key].isdigit()):
+                raise ValueError
             fields[key] = int(fields[key])
             if fields[key] < 1:
                 raise ValueError

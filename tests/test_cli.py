@@ -142,6 +142,18 @@ def test_resolve_config_grid_true_fills_defaults():
         {"seed": True},
         {"reduction": {"method": "pca", "components": 2.5}},
         {"classifier": {"kind": "svm", "params": {"max_iter": 1000.9}}},
+        # Keys that would be dropped, at every level.
+        {"train_fracton": 0.5},
+        {"reduction": {"method": "none", "components": 3}},
+        {"reduction": {"method": "pca", "components": 3, "oversampling": 4}},
+        {"reduction": {"method": "pca", "components": 3, "power_iterations": 1}},
+        {"classifier": {"kind": "gbdt", "grid": True}},
+        {"classifier": {"kind": "svm", "weights": [1, 2]}},
+        {"classifier": {"kind": "svm", "grid": {"c": [1.0], "fold": 3}}},
+        # Paths are strings, not values passed through str().
+        {"cube": 5},
+        {"ground_truth": ["b.hsih"]},
+        {"output": {"a": 1}},
     ],
 )
 def test_resolve_config_rejects(mutation):
@@ -406,10 +418,14 @@ def test_run_flag_conflicts(scene, tmp_path, capsys):
     assert main(base + ["--classifier", "svm", "--gbdt-trees", "5"]) == 1
     assert main(base + ["--svm-c", "10", "--gbdt-trees", "5"]) == 1
     assert main(base + ["--reduction", "pca"]) == 1  # no --components
-    # Reduction flags that would be dropped are rejected instead.
+    assert main(base + ["--classifier", "gbdt", "--svm-grid"]) == 1
+    # Reduction flags that would be dropped are rejected instead, by the
+    # config check, which names the config field.
     capsys.readouterr()
     assert main(base + ["--components", "5"]) == 1
-    assert "--components is not valid without --reduction" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "usage error: config field 'reduction' must be an object with a 'method'\n"
+    )
     assert main(base + ["--oversampling", "4"]) == 1
     assert main(base + ["--power-iterations", "1"]) == 1
     assert main(base + ["--reduction", "pca", "--components", "3", "--oversampling", "4"]) == 1
@@ -417,6 +433,48 @@ def test_run_flag_conflicts(scene, tmp_path, capsys):
     assert main(base + ["--reduction", "none", "--components", "3"]) == 1
     assert not (tmp_path / "o").exists()
 
+
+
+@pytest.mark.parametrize(
+    "flags, fields",
+    [
+        (
+            ["--cube", "c.hsih", "--gt", "g.hsih", "--output", "o", "--train-fraction", "0.5",
+             "--seed", "4", "--reduction", "rpca", "--components", "3", "--oversampling", "5",
+             "--power-iterations", "1", "--classifier", "svm", "--svm-c", "7", "--svm-gamma",
+             "0.25", "--svm-grid"],
+            {"cube": "c.hsih", "ground_truth": "g.hsih", "output": "o", "train_fraction": 0.5,
+             "seed": 4, "reduction.method": "rpca", "reduction.components": 3,
+             "reduction.oversampling": 5, "reduction.power_iterations": 1,
+             "classifier.kind": "svm", "classifier.params.c": 7.0,
+             "classifier.params.gamma": 0.25, "classifier.grid.folds": 5},
+        ),
+        (  # no --classifier: a GBDT parameter selects gbdt
+            ["--cube", "c.hsih", "--gt", "g.hsih", "--gbdt-trees", "3",
+             "--gbdt-learning-rate", "0.2", "--gbdt-max-leaves", "7",
+             "--gbdt-min-samples-leaf", "2", "--gbdt-bins", "8", "--goss-top-rate", "0.3",
+             "--goss-other-rate", "0.05"],
+            {"classifier.kind": "gbdt", "classifier.params.num_trees": 3,
+             "classifier.params.learning_rate": 0.2, "classifier.params.max_leaves": 7,
+             "classifier.params.min_samples_leaf": 2, "classifier.params.num_bins": 8,
+             "classifier.params.goss_top_rate": 0.3, "classifier.params.goss_other_rate": 0.05},
+        ),
+    ],
+)
+def test_each_run_flag_sets_its_config_field(monkeypatch, flags, fields):
+    resolved = []
+
+    def stop(config):
+        resolved.append(config)
+        raise UsageError("stopped before loading")
+
+    monkeypatch.setattr("hsikit.cli.run_pipeline", stop)
+    assert main(["run"] + flags) == 1
+    for field, expected in fields.items():
+        value = resolved[0]
+        for key in field.split("."):
+            value = value[key]
+        assert value == expected, field
 
 
 # ------------------------------------------------------------------- compare
@@ -614,6 +672,18 @@ def test_convert_u16_multiband_rejected(tmp_path):
          "--dtype", "u16", "--output", str(tmp_path / "x")]
     )
     assert code == 1
+
+
+def test_convert_class_names_need_ground_truth(tmp_path, capsys):
+    raw = tmp_path / "one.bin"
+    raw.write_bytes(np.array([2.5], dtype="<f4").tobytes())
+    code = main(
+        ["convert", "--input", str(raw), "--height", "1", "--width", "1", "--bands", "1",
+         "--dtype", "f32", "--class-names", "water", "--output", str(tmp_path / "x")]
+    )
+    assert code == 1
+    assert "--class-names" in capsys.readouterr().err
+    assert not (tmp_path / "x.hsih").exists()
 
 
 def test_convert_too_few_class_names(tmp_path):

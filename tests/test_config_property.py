@@ -1,10 +1,12 @@
-"""Property test: resolve_config either returns a stable snapshot or
-raises UsageError, whatever JSON value a config field holds."""
+"""Property tests: resolve_config either returns a stable snapshot or
+raises UsageError, whatever JSON value a config field holds, and it
+rejects every key it does not know, in any object of a config."""
 
 import copy
 import json
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hsikit.cli import UsageError, resolve_config
@@ -82,3 +84,28 @@ def test_resolve_config_accepts_or_rejects_with_usage_error(case, value):
         return
     # The snapshot is written as config.json; read back, it resolves to itself.
     assert resolve_config(json.loads(json.dumps(snapshot)), {}) == snapshot
+
+
+def _objects(node, prefix=()):
+    """The key path of every object inside ``node``, ``node`` included."""
+    if isinstance(node, dict):
+        yield prefix
+        for key, child in node.items():
+            yield from _objects(child, prefix + (key,))
+
+
+OBJECTS = [(base, path) for base in BASES for path in _objects(base)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=st.sampled_from(OBJECTS), key=st.text(max_size=6), value=JSON_VALUES)
+def test_resolve_config_rejects_any_extra_key(case, key, value):
+    base, path = case
+    config = copy.deepcopy(base)
+    node = config
+    for part in path:
+        node = node[part]
+    assume(key not in node)
+    node[key] = value
+    with pytest.raises(UsageError):
+        resolve_config(config, {})

@@ -131,6 +131,10 @@ GOOD_HEADER = "hsih 1\nheight: 1\nwidth: 1\nbands: 1\ndtype: f32\ninterleave: bs
         lambda t: t.replace("byteorder: le", "byteorder: be"),
         lambda t: t.replace("dtype: f32", "dtype: f64"),
         lambda t: t.replace("width: 1", "width 1"),  # missing colon
+        # int() reads each of these as 1; the format takes ASCII digits only.
+        lambda t: t.replace("height: 1", "height: +1"),
+        lambda t: t.replace("width: 1", "width: \u0661"),  # Arabic-Indic one
+        lambda t: t.replace("bands: 1", "bands: 0_1"),
     ],
 )
 def test_malformed_headers_rejected(tmp_path, mangle):
