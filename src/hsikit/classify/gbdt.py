@@ -9,7 +9,12 @@ Features are bucketed once into at most ``num_bins`` bins by training
 quantiles; split thresholds are stored as raw feature values so that
 prediction never needs the bin edges. The routing rule is strict:
 ``value < threshold`` goes left, everything else right, matching the
-half-open binning.
+half-open binning. A tree routes rows by index partition: starting
+from all row indices at the root, each internal node splits its index
+array on one contiguous feature column (the features transposed once
+per call, or once per ensemble in ``GbdtModel.decision_scores``), and
+each leaf writes its value to the rows that reach it. Training updates
+its scores through the same routine after each tree is grown.
 
 Gradient-based one-side sampling (GOSS) keeps the top ``a * n`` rows
 by summed absolute gradient each round, samples ``b * n`` of the rest
@@ -97,17 +102,23 @@ class Tree(Record):
         return int(np.sum(self.feature < 0))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        node = np.zeros(x.shape[0], dtype=np.int32)
-        while True:
-            feat = self.feature[node]
-            active = feat >= 0
-            if not active.any():
-                break
-            rows = np.nonzero(active)[0]
-            at = node[rows]
-            go_left = x[rows, feat[rows]] < self.threshold[at]
-            node[rows] = np.where(go_left, self.left[at], self.right[at])
-        return self.value[node]
+        """Leaf value of each row of ``x`` (rows x features)."""
+        return self.predict_columns(np.ascontiguousarray(x.T))
+
+    def predict_columns(self, columns: np.ndarray) -> np.ndarray:
+        """Leaf value of each row, given the rows' features as columns
+        (features x rows, so each feature is one contiguous array)."""
+        out = np.empty(columns.shape[1])
+        stack = [(0, np.arange(columns.shape[1]))]
+        while stack:
+            node, rows = stack.pop()
+            f = self.feature[node]
+            if f < 0:
+                out[rows] = self.value[node]
+                continue
+            go_left = columns[f][rows] < self.threshold[node]
+            stack += [(self.left[node], rows[go_left]), (self.right[node], rows[~go_left])]
+        return out
 
 
 @dataclass
@@ -123,9 +134,10 @@ class GbdtModel(Record):
 
     def decision_scores(self, x: np.ndarray) -> np.ndarray:
         scores = np.tile(self.priors, (x.shape[0], 1))
+        columns = np.ascontiguousarray(x.T)
         for round_trees in self.trees:
             for c, tree in enumerate(round_trees):
-                scores[:, c] += tree.predict(x)
+                scores[:, c] += tree.predict_columns(columns)
         return scores
 
 
@@ -214,28 +226,37 @@ def _leaf_histograms(binned, rows, g, h, num_bins):
     return np.array(hist, dtype=np.float64).reshape(3, width, num_bins)
 
 
-def _best_split(hist: np.ndarray, min_samples_leaf: int):
-    """(gain, feature, cut) of a leaf's best boundary.
+def _best_split(hists: np.ndarray, min_samples_leaf: int):
+    """(gain, feature, cut) of each leaf's best boundary, for a stack of
+    leaf histograms shaped (leaves, 3, features, bins).
 
     gain = 0.5 [G_L^2/(H_L+lam) + G_R^2/(H_R+lam) - G^2/(H+lam)],
     maximized over all boundaries with both sides holding at least
     ``min_samples_leaf`` rows. Ties pick the smallest feature, then the
     smallest boundary.
     """
-    g_left, h_left, n_left = np.cumsum(hist, axis=2)[:, :, :-1]
-    g_total, h_total, n_total = hist[:, 0].sum(axis=1)
-    g_right = g_total - g_left
-    h_right = h_total - h_left
-    n_right = n_total - n_left
+    cum = np.cumsum(hists, axis=3)[..., :-1]
+    g_left, h_left, n_left = cum.swapaxes(0, 1)
+    g_total, h_total, n_total = hists[:, :, 0].sum(axis=2).T[:, :, None, None]
     parent = g_total * g_total / (h_total + _LAMBDA)
-    gain = 0.5 * (
-        g_left * g_left / (h_left + _LAMBDA)
-        + g_right * g_right / (h_right + _LAMBDA)
-        - parent
-    )
-    gain[(n_left < min_samples_leaf) | (n_right < min_samples_leaf)] = -np.inf
-    flat = int(np.argmax(gain))
-    return (float(gain.ravel()[flat]), *divmod(flat, gain.shape[1]))
+    # The formula above, evaluated in place to spare temporaries; each
+    # element goes through the same operations in the same order.
+    gain = g_left * g_left
+    gain /= h_left + _LAMBDA
+    g_right = g_total - g_left
+    g_right *= g_right
+    h_right = h_total - h_left
+    h_right += _LAMBDA
+    g_right /= h_right
+    gain += g_right
+    gain -= parent
+    gain *= 0.5
+    gain[(n_left < min_samples_leaf) | (n_total - n_left < min_samples_leaf)] = -np.inf
+    per_leaf = gain.reshape(len(gain), -1)
+    flat = per_leaf.argmax(axis=1)
+    best = per_leaf[np.arange(len(gain)), flat]
+    feature, cut = np.divmod(flat, gain.shape[2])
+    return list(zip(best.tolist(), feature.tolist(), cut.tolist()))
 
 
 def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None):
@@ -244,14 +265,18 @@ def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None):
     ``g`` and ``h`` are per-row (already amplified) gradient and
     hessian values for one class column. Each open leaf keeps one
     histogram array; a split builds the smaller child's and takes the
-    sibling's as the difference. When ``trace`` is a list, each
-    expansion appends (chosen leaf gain, gains of the other open
-    leaves) for inspection.
+    sibling's as the difference, and searches both children's splits
+    in one call. When ``trace`` is a list, each expansion appends
+    (chosen leaf gain, gains of the other open leaves) for inspection.
     """
     num_bins = params.num_bins
 
-    def new_leaf(node, leaf_rows, hist):
-        return _Leaf(node, leaf_rows, hist, *_best_split(hist, params.min_samples_leaf))
+    def new_leaves(nodes, leaf_rows, hists):
+        splits = _best_split(hists, params.min_samples_leaf)
+        return [
+            _Leaf(node, r, hist, *split)
+            for node, r, hist, split in zip(nodes, leaf_rows, hists, splits)
+        ]
 
     # A tree of L leaves has 2L - 1 nodes, numbered in creation order.
     size = 2 * params.max_leaves - 1
@@ -262,7 +287,7 @@ def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None):
     value = np.zeros(size)
     # Open leaves in creation order: max() takes the first of equal
     # gains, so ties go to the oldest leaf.
-    open_leaves = [new_leaf(0, rows, _leaf_histograms(binned, rows, g, h, num_bins))]
+    open_leaves = new_leaves([0], [rows], _leaf_histograms(binned, rows, g, h, num_bins)[None])
     while len(open_leaves) < params.max_leaves:
         leaf = max(open_leaves, key=lambda l: l.gain)
         if leaf.gain <= _MIN_GAIN:
@@ -271,21 +296,18 @@ def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None):
         if trace is not None:
             trace.append((leaf.gain, [l.gain for l in open_leaves]))
         go_left = binned[leaf.rows, leaf.feature] <= leaf.cut
-        rows_l = leaf.rows[go_left]
-        rows_r = leaf.rows[~go_left]
+        children = (leaf.rows[go_left], leaf.rows[~go_left])
         # Build the smaller side's histogram, derive the sibling's.
-        if len(rows_l) <= len(rows_r):
-            hist_l = _leaf_histograms(binned, rows_l, g, h, num_bins)
-            hist_r = leaf.hist - hist_l
-        else:
-            hist_r = _leaf_histograms(binned, rows_r, g, h, num_bins)
-            hist_l = leaf.hist - hist_r
+        small = int(len(children[0]) > len(children[1]))
+        hists = np.empty((2, *leaf.hist.shape))
+        hists[small] = _leaf_histograms(binned, children[small], g, h, num_bins)
+        np.subtract(leaf.hist, hists[small], out=hists[1 - small])
         node_l = 2 * (len(open_leaves) + 1) - 1  # nodes so far: the open leaves and this one
         feature[leaf.node] = leaf.feature
         threshold[leaf.node] = edges[leaf.feature][leaf.cut]
         left[leaf.node] = node_l
         right[leaf.node] = node_l + 1
-        open_leaves += [new_leaf(node_l, rows_l, hist_l), new_leaf(node_l + 1, rows_r, hist_r)]
+        open_leaves += new_leaves((node_l, node_l + 1), children, hists)
     for leaf in open_leaves:
         g_sum, h_sum = leaf.hist[:2, 0].sum(axis=1)
         value[leaf.node] = -params.learning_rate * g_sum / (h_sum + _LAMBDA)
@@ -318,6 +340,7 @@ def gbdt_train(train: SampleSet, params: GbdtParams | None = None) -> GbdtModel:
     priors = np.log(onehot.mean(axis=0))
     scores = np.tile(priors, (n, 1))
     edges, binned = _bin_features(features, params.num_bins)
+    columns = np.ascontiguousarray(features.T)
     rng = SplitMix64(params.seed)
     notes = []
     if params.goss_top_rate > 0 and n < 20:
@@ -334,7 +357,7 @@ def gbdt_train(train: SampleSet, params: GbdtParams | None = None) -> GbdtModel:
             h[rows] = hess[rows, c] * amplify
             tree = _grow_tree(binned, edges, g, h, rows, params)
             round_trees.append(tree)
-            scores[:, c] += tree.predict(features)
+            scores[:, c] += tree.predict_columns(columns)
         all_trees.append(round_trees)
     return GbdtModel(
         classes=classes.astype(np.int64),

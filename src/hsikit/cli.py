@@ -157,6 +157,8 @@ def resolve_config(file_config: dict, overrides: dict) -> dict:
             "train_fraction": coerce(cfg.get("train_fraction", 0.7), float, "train_fraction"),
             "seed": coerce(cfg.get("seed", 0), int, "seed"),
         }
+        if not out["output"]:  # Path("") is the working directory
+            raise UsageError("config field 'output' must be a non-empty path")
         if not 0.0 < out["train_fraction"] < 1.0:
             raise UsageError(f"train_fraction must be in (0, 1), got {out['train_fraction']}")
 

@@ -179,3 +179,19 @@ def mcnemar_exact_enumeration(b, c):
         if abs(2 * k - n) >= observed:
             hits += 1
     return hits / float(2**n)
+
+
+# --- GBDT tree walk, one row and one node at a time ----------------------
+
+
+def tree_walk(tree, x):
+    """Leaf value of each row of ``x``, stepping each row from the root
+    down by the rule ``value < threshold`` goes left."""
+    out = np.empty(len(x))
+    for i, row in enumerate(x):
+        node = 0
+        while tree.feature[node] >= 0:
+            goes_left = row[tree.feature[node]] < tree.threshold[node]
+            node = tree.left[node] if goes_left else tree.right[node]
+        out[i] = tree.value[node]
+    return out

@@ -154,6 +154,7 @@ def test_resolve_config_grid_true_fills_defaults():
         {"cube": 5},
         {"ground_truth": ["b.hsih"]},
         {"output": {"a": 1}},
+        {"output": ""},
     ],
 )
 def test_resolve_config_rejects(mutation):
@@ -386,6 +387,16 @@ def test_run_bad_config_is_usage_error_before_loading(tmp_path, capsys):
     assert main(["run", "--config", str(config_file), "--output", str(tmp_path / "o")]) == 1
     assert "usage error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_run_empty_output_writes_nothing(scene, tmp_path, monkeypatch, capsys):
+    cube_path, gt_path = scene
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["run", "--cube", cube_path, "--gt", gt_path, "--output", ""]) == 1
+    assert "config field 'output' must be a non-empty path" in capsys.readouterr().err
+    assert list(cwd.iterdir()) == []
 
 
 @pytest.mark.parametrize(

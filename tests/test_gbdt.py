@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _oracles import tree_walk
 from hsikit.classify.gbdt import (
     GbdtModel,
     GbdtParams,
@@ -65,6 +66,22 @@ def exhaustive_root_split(features, g, h, num_bins, min_leaf, lam=1.0):
             if gain > best[0]:
                 best = (gain, f, float(edge))
     return best
+
+
+def grid_features(n, width, seed):
+    """Normal features rounded to a 0.5 grid: many rows share a value,
+    so quantile bin edges land exactly on feature values."""
+    return np.round(SplitMix64(seed).normal_matrix(n, width) * 2.0) / 2.0
+
+
+def tree_of(feature, threshold, left, right, value):
+    return Tree(
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        value=np.array(value, dtype=np.float64),
+    )
 
 
 def round_losses(model, features, onehot):
@@ -480,6 +497,43 @@ def test_train_three_classes_structure():
     assert accuracy >= 0.95
 
 
+def test_train_matches_reference_loop():
+    # gbdt_train against a loop built from its parts, with scores
+    # updated by a per-row tree walk: every tree array must be equal.
+    n = 150
+    features = grid_features(n, 3, seed=110)
+    labels = np.repeat([1, 2, 3], 50)
+    features[labels == 2, 0] += 1.0
+    features[labels == 3, 1] -= 1.0
+    params = GbdtParams(
+        num_trees=5, max_leaves=6, min_samples_leaf=3, num_bins=8,
+        goss_top_rate=0.3, goss_other_rate=0.3, seed=4,
+    )
+    edges, binned = _bin_features(features, params.num_bins)
+    on_edge = sum(int(np.isin(features[:, f], e).sum()) for f, e in enumerate(edges))
+    assert on_edge > features.size // 2
+    model = gbdt_train(sample_set(features, labels), params)
+    assert len(model.trees) == 5 and all(len(r) == 3 for r in model.trees)
+    assert sum(t.n_leaves for r in model.trees for t in r) > 2 * 15
+
+    onehot = np.eye(3)[labels - 1]
+    scores = np.tile(np.log(onehot.mean(axis=0)), (n, 1))
+    rng = SplitMix64(params.seed)
+    for round_trees in model.trees:
+        grad, hess = softmax_gradients(scores, onehot)
+        rows, amplify = _goss_sample(grad, params, rng)
+        assert len(rows) < n
+        for c, got in enumerate(round_trees):
+            g = np.zeros(n)
+            h = np.zeros(n)
+            g[rows] = grad[rows, c] * amplify
+            h[rows] = hess[rows, c] * amplify
+            tree = _grow_tree(binned, edges, g, h, rows, params)
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert np.array_equal(getattr(got, name), getattr(tree, name)), name
+            scores[:, c] += tree_walk(tree, features)
+
+
 # --------------------------------------------------------------- prediction
 
 
@@ -497,13 +551,7 @@ def test_predict_zero_trees_majority_prior():
 
 def test_predict_single_leaf_override():
     # One tree whose class-2 leaf adds +10: every row flips to class 2.
-    leaf = lambda v: Tree(
-        feature=np.array([-1], dtype=np.int32),
-        threshold=np.zeros(1),
-        left=np.array([-1], dtype=np.int32),
-        right=np.array([-1], dtype=np.int32),
-        value=np.array([v]),
-    )
+    leaf = lambda v: tree_of([-1], [0.0], [-1], [-1], [v])
     model = GbdtModel(
         classes=np.array([1, 2], dtype=np.int64),
         priors=np.log([0.75, 0.25]),
@@ -520,6 +568,72 @@ def test_predict_dimension_mismatch():
     model = gbdt_train(train, GbdtParams(num_trees=1, min_samples_leaf=1, num_bins=8, **NO_GOSS))
     with pytest.raises(ValueError):
         gbdt_predict(model, np.zeros((2, 5)))
+
+
+# ------------------------------------------------------------------ routing
+
+
+def test_predict_rows_at_threshold_go_right():
+    # Root splits feature 1 at 0.5; its right child splits feature 0 at -2.
+    tree = tree_of(
+        feature=[1, -1, 0, -1, -1],
+        threshold=[0.5, 0.0, -2.0, 0.0, 0.0],
+        left=[1, -1, 3, -1, -1],
+        right=[2, -1, 4, -1, -1],
+        value=[0.0, 1.0, 0.0, 2.0, 3.0],
+    )
+    x = np.array([
+        [9.0, 0.5],  # at the root threshold: right, then 9 >= -2: right
+        [-2.0, 0.5],  # at both thresholds: right, right
+        [-2.5, 0.5],  # right, then left
+        [0.0, np.nextafter(0.5, 0.0)],  # just below the root threshold: left
+    ])
+    assert np.array_equal(tree.predict(x), [3.0, 3.0, 2.0, 1.0])
+    assert np.array_equal(tree.predict(x), tree_walk(tree, x))
+
+
+def test_predict_single_leaf_tree_and_zero_rows():
+    leaf = tree_of([-1], [0.0], [-1], [-1], [0.25])
+    assert np.array_equal(leaf.predict(np.zeros((3, 2))), [0.25] * 3)
+    stump = tree_of([0, -1, -1], [1.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, -1.0, 1.0])
+    for tree in (leaf, stump):
+        out = tree.predict(np.zeros((0, 2)))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+
+@pytest.mark.parametrize("max_leaves", [2, 5, 17])
+def test_predict_matches_tree_walk_on_grown_trees(max_leaves):
+    rng = SplitMix64(111 + max_leaves)
+    features = grid_features(300, 4, seed=112)
+    params = GbdtParams(
+        num_trees=1, max_leaves=max_leaves, min_samples_leaf=4, num_bins=16, **NO_GOSS
+    )
+    edges, binned = _bin_features(features, params.num_bins)
+    tree = _grow_tree(
+        binned, edges, rng.normals(300), np.full(300, 0.25), np.arange(300), params
+    )
+    assert tree.n_leaves == max_leaves
+    assert (features[:, tree.feature[0]] == tree.threshold[0]).any()  # ties at the root
+    # New rows on the same grid, plus one row per inner node that sits
+    # exactly at that node's threshold.
+    x = grid_features(200, 4, seed=113)
+    at = np.repeat(x[:1], tree.n_nodes, axis=0)
+    inner = tree.feature >= 0
+    at[np.nonzero(inner)[0], tree.feature[inner]] = tree.threshold[inner]
+    for rows in (features, x, at):
+        assert np.array_equal(tree.predict(rows), tree_walk(tree, rows))
+
+
+def test_decision_scores_sum_tree_predictions_round_by_round():
+    train = two_gaussian_set(80, separation=2.0, seed=114)
+    params = GbdtParams(num_trees=6, max_leaves=6, min_samples_leaf=3, num_bins=16)
+    model = gbdt_train(train, params)
+    x = np.vstack([SplitMix64(115).normal_matrix(300, 2), train.features])
+    scores = np.tile(model.priors, (len(x), 1))
+    for round_trees in model.trees:
+        for c, tree in enumerate(round_trees):
+            scores[:, c] += tree.predict(x)
+    assert np.array_equal(model.decision_scores(x), scores)
 
 
 def test_model_dict_round_trip():

@@ -1,6 +1,8 @@
 """Property tests for the container format: parse_header either returns
 validated fields or raises DataFormatError, whatever bytes the header
-file holds, and save_cube -> load_cube returns the cube it was given."""
+file holds, save_cube -> load_cube returns the cube it was given, and
+`hsikit convert` reads raw bsq, bil and bip payloads back in (band, row,
+column) order."""
 
 import tempfile
 from pathlib import Path
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hsikit.cli import main
 from hsikit.errors import DataFormatError
 from hsikit.hsi_data import HsiCube, load_cube, parse_header, save_cube
 
@@ -73,14 +76,14 @@ def test_parse_header_returns_valid_fields_or_raises(header):
 
 
 FINITE_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+# Cubes in (band, row, column) order, 1 to 5 along each axis.
+CUBES = hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=5).flatmap(
+    lambda shape: hnp.arrays(np.float32, shape, elements=FINITE_F32)
+)
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(
-    values=hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=5).flatmap(
-        lambda shape: hnp.arrays(np.float32, shape, elements=FINITE_F32)
-    )
-)
+@given(values=CUBES)
 def test_save_cube_load_cube_round_trip(values):
     bands, height, width = values.shape
     cube = HsiCube(height=height, width=width, bands=bands, values=values)
@@ -88,4 +91,26 @@ def test_save_cube_load_cube_round_trip(values):
         back = load_cube(save_cube(cube, Path(tmp) / "scene.hsih"))
     assert (back.height, back.width, back.bands) == (height, width, bands)
     assert back.values.dtype == np.float32
+    assert back.values.tobytes() == values.tobytes()
+
+
+# Raw payload axes of each interleave, as a transpose of (band, row, column).
+RAW_AXES = {"bsq": (0, 1, 2), "bil": (1, 0, 2), "bip": (1, 2, 0)}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(values=CUBES, order=st.sampled_from(sorted(RAW_AXES)))
+def test_convert_load_cube_round_trip(values, order):
+    bands, height, width = values.shape
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = Path(tmp) / "scene.raw"
+        raw.write_bytes(values.transpose(RAW_AXES[order]).astype("<f4").tobytes())
+        out = Path(tmp) / "scene"
+        code = main(
+            ["convert", "--input", str(raw), "--height", str(height), "--width", str(width),
+             "--bands", str(bands), "--dtype", "f32", "--order", order, "--output", str(out)]
+        )
+        assert code == 0
+        back = load_cube(out.with_suffix(".hsih"))
+    assert (back.bands, back.height, back.width) == values.shape
     assert back.values.tobytes() == values.tobytes()
