@@ -1,4 +1,4 @@
-"""Command-line driver: run, compare, bench, convert, inspect.
+"""Command-line driver: run, compare, convert, inspect.
 
 A run executes load -> split -> reduce -> train -> predict -> evaluate
 and writes six fixed-name artifacts into its output directory:
@@ -13,9 +13,10 @@ and writes six fixed-name artifacts into its output directory:
 Everything except timings.json is a pure function of (config, seed)
 for a fixed numpy/BLAS build and BLAS thread count, so two identical
 runs produce byte-identical artifacts; timings.json is the documented
-canonicalization cut. Files are written to a temporary name and renamed
-into place, and only after the whole pipeline has succeeded, so a failed
-stage leaves no partial output.
+canonicalization cut. The six files are written to temporary names
+only after the whole pipeline has succeeded, and renamed into place only
+once all six are written, so neither a failed stage nor a failed write
+leaves a mix of old and new artifacts.
 
 Exit codes: 0 success, 1 usage (bad flags or config), 2 data error
 (unreadable or malformed inputs, degenerate datasets, mismatched
@@ -55,7 +56,7 @@ from .classify import (
     svm_predict,
     svm_train,
 )
-from .dimred import PcaModel, fit_pca, fit_rpca, transform
+from .dimred import fit_pca, fit_rpca, transform
 from .errors import ConvergenceError, DataFormatError, HsikitError
 from .evaluation import evaluate, mcnemar, render_map, write_ppm
 from .hsi_data import (
@@ -69,9 +70,8 @@ from .hsi_data import (
     save_ground_truth,
     stratified_split,
 )
-from .linalg import RandomizedSvdParams, exact_svd, randomized_svd
+from .linalg import RandomizedSvdParams
 from .records import coerce
-from .rng import SplitMix64
 
 __all__ = ["main", "run_pipeline", "UsageError", "StageError"]
 
@@ -115,7 +115,9 @@ def _params(cls, raw, name: str, **fixed):
 
 
 def _svm_grid(grid, params: SvmParams) -> dict | None:
-    if not grid:
+    """The resolved grid: null or false is none, true or an object a grid
+    whose missing keys take their defaults; any other value is an error."""
+    if grid is None or grid is False:
         return None
     if grid is True:
         grid = {}
@@ -221,13 +223,6 @@ def method_label(config: dict) -> str:
 
 def _canonical_json(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
-def _write_atomic(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
 
 
 def _load_json(path: Path) -> dict:
@@ -345,22 +340,41 @@ def run_pipeline(config: dict) -> dict:
         "classifier": {"kind": clf["kind"], "grid": grid_record, "model": model.to_dict()},
     }
 
+    # Every artifact is written to <name>.tmp before any is renamed into
+    # place, so a failed write leaves the previous run's artifacts as they
+    # were. Files are renamed one by one, not swapped in as a directory,
+    # because the output directory may hold files that are not the run's.
+    staged = []  # temporary paths, each listed before it is opened
+
+    def staged_path(name):
+        staged.append(out_dir / f"{name}.tmp")
+        return staged[-1]
+
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / "config.json", _canonical_json(config))
-    _write_atomic(out_dir / "report.json", _canonical_json(report_doc))
-    _write_atomic(out_dir / "predictions.json", _canonical_json(predictions_doc))
-    _write_atomic(out_dir / "model.json", _canonical_json(model_doc))
-    map_tmp = out_dir / "map.ppm.tmp"
-    write_ppm(image, map_tmp)
-    os.replace(map_tmp, out_dir / "map.ppm")
-    # Each stage runs until the next begins; the last until now. total_ms
-    # is the wall clock from entry, up to the one write it cannot time.
-    starts.append(("total", time.perf_counter()))
-    timings_doc = {"schema": "hsikit/timings/1"}
-    for (stage, start), (_, end) in zip(starts, starts[1:]):
-        timings_doc[f"{stage}_ms"] = round((end - start) * 1000.0, 3)
-    timings_doc["total_ms"] = round((starts[-1][1] - starts[0][1]) * 1000.0, 3)
-    _write_atomic(out_dir / "timings.json", _canonical_json(timings_doc))
+    try:
+        for name, doc in (
+            ("config.json", config),
+            ("report.json", report_doc),
+            ("predictions.json", predictions_doc),
+            ("model.json", model_doc),
+        ):
+            staged_path(name).write_bytes(_canonical_json(doc))
+        write_ppm(image, staged_path("map.ppm"))
+        # Each stage runs until the next begins; the last until now. total_ms
+        # is the wall clock from entry, up to the writes it cannot time: its
+        # own file and the renames.
+        starts.append(("total", time.perf_counter()))
+        timings_doc = {"schema": "hsikit/timings/1"}
+        for (stage, start), (_, end) in zip(starts, starts[1:]):
+            timings_doc[f"{stage}_ms"] = round((end - start) * 1000.0, 3)
+        timings_doc["total_ms"] = round((starts[-1][1] - starts[0][1]) * 1000.0, 3)
+        staged_path("timings.json").write_bytes(_canonical_json(timings_doc))
+    except BaseException:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp in staged:
+        os.replace(tmp, tmp.with_suffix(""))
     return report_doc
 
 
@@ -478,65 +492,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _decayed_test_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
-    rng = SplitMix64(seed)
-    rank = min(rows, cols)
-    decay = 0.95 ** np.arange(rank)
-    return rng.normal_matrix(rows, rank) @ (decay[:, None] * rng.normal_matrix(rank, cols))
-
-
-def _cmd_bench(args) -> int:
-    if args.rows < 1 or args.cols < 1:
-        raise UsageError("--rows and --cols must be positive")
-    k_list = args.k
-    if not k_list:
-        raise UsageError("--k needs at least one value")
-    if not args.seeds:
-        raise UsageError("--seeds needs at least one value")
-    if args.repeats < 1:
-        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
-    limit = min(args.rows, args.cols)
-    for k in k_list:
-        if not 1 <= k <= limit:
-            raise UsageError(f"k={k} outside 1..{limit} for a {args.rows}x{args.cols} matrix")
-    results = []
-    for seed in args.seeds:
-        matrix = _decayed_test_matrix(args.rows, args.cols, seed)
-        for k in k_list:
-
-            def timed(fn):
-                samples = []
-                for _ in range(args.repeats):
-                    t0 = time.perf_counter()
-                    fn()
-                    samples.append((time.perf_counter() - t0) * 1000.0)
-                return float(np.median(samples))
-
-            exact_ms = timed(lambda: exact_svd(matrix, k))
-            params = RandomizedSvdParams(k=k, seed=seed)
-            rand_ms = timed(lambda: randomized_svd(matrix, params))
-            results.append(
-                {
-                    "k": k,
-                    "seed": seed,
-                    "exact_ms": round(exact_ms, 3),
-                    "randomized_ms": round(rand_ms, 3),
-                }
-            )
-    doc = {
-        "schema": "hsikit/bench/1",
-        "rows": args.rows,
-        "cols": args.cols,
-        "repeats": args.repeats,
-        "results": results,
-    }
-    payload = _canonical_json(doc).decode("utf-8")
-    if args.output:
-        _write_atomic(Path(args.output), payload.encode("utf-8"))
-    sys.stdout.write(payload)
-    return 0
-
-
 def _cmd_convert(args) -> int:
     if args.height < 1 or args.width < 1 or args.bands < 1:
         raise UsageError("--height, --width, --bands must be positive")
@@ -618,16 +573,9 @@ def _cmd_inspect(args) -> int:
 # --- parser / entry point ----------------------------------------------
 
 
-def _int_list(text: str) -> list:
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hsikit", description="Hyperspectral image classification toolkit")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute a classification pipeline", add_help=True)
     run.add_argument("--config", help="JSON config file; flags override its values")
@@ -643,15 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("run_b")
     compare.add_argument("--json", action="store_true", help="machine-readable output")
     compare.set_defaults(func=_cmd_compare)
-
-    bench = sub.add_parser("bench", help="time exact vs randomized SVD")
-    bench.add_argument("--rows", type=int, required=True)
-    bench.add_argument("--cols", type=int, required=True)
-    bench.add_argument("--k", type=_int_list, required=True, help="comma-separated ranks")
-    bench.add_argument("--seeds", type=_int_list, default=[0])
-    bench.add_argument("--repeats", type=int, default=5)
-    bench.add_argument("--output", help="also write the JSON report here")
-    bench.set_defaults(func=_cmd_bench)
 
     convert = sub.add_parser("convert", help="raw binary dump to container pair")
     convert.add_argument("--input", required=True, help="flat little-endian binary file")
@@ -699,8 +638,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
-            raise UsageError("a subcommand is required (run, compare, bench, convert, inspect)")
         return int(args.func(args) or 0)
     except tuple(_EXIT_STATUS) as exc:
         code, prefix = _exit_status(exc)

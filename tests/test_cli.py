@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line driver."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from hsikit.cli import (
     StageError,
     UsageError,
     _canonical_json,
+    build_parser,
     exit_code_for,
     main,
     method_label,
@@ -114,6 +117,15 @@ def test_resolve_config_grid_true_fills_defaults():
     assert grid["folds"] == 5
 
 
+def test_resolve_config_empty_grid_object_is_the_default_grid():
+    base = {"cube": "a", "ground_truth": "b"}
+
+    def grid(value):
+        return resolve_config({**base, "classifier": {"kind": "svm", "grid": value}}, {})
+
+    assert grid({})["classifier"]["grid"] == grid(True)["classifier"]["grid"]
+
+
 @pytest.mark.parametrize(
     "mutation",
     [
@@ -155,6 +167,10 @@ def test_resolve_config_grid_true_fills_defaults():
         {"ground_truth": ["b.hsih"]},
         {"output": {"a": 1}},
         {"output": ""},
+        # A grid is null, false, true or an object; no other value.
+        {"classifier": {"kind": "svm", "grid": []}},
+        {"classifier": {"kind": "svm", "grid": 0}},
+        {"classifier": {"kind": "svm", "grid": ""}},
     ],
 )
 def test_resolve_config_rejects(mutation):
@@ -373,6 +389,24 @@ def test_run_failed_stage_leaves_no_artifacts(scene, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_failed_write_keeps_previous_artifacts(scene, tmp_path, monkeypatch, capsys):
+    cube_path, gt_path = scene
+    out = tmp_path / "out"
+    argv = ["run", "--cube", cube_path, "--gt", gt_path, "--output", str(out)]
+    assert main(argv + ["--seed", "1"]) == 0
+    before = run_dir_bytes(out, skip_timings=False)
+
+    def failing_write_ppm(image, path):
+        Path(path).write_bytes(b"P6\n")  # a partial file, then the disk fills
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr("hsikit.cli.write_ppm", failing_write_ppm)
+    assert main(argv + ["--seed", "2"]) == 2
+    assert "no space left on device" in capsys.readouterr().err
+    assert run_dir_bytes(out, skip_timings=False) == before
+    assert sorted(path.name for path in out.iterdir()) == sorted(ARTIFACTS)  # no *.tmp
+
+
 def test_run_bad_config_is_usage_error_before_loading(tmp_path, capsys):
     config_file = tmp_path / "c.json"
     config_file.write_text(
@@ -567,46 +601,6 @@ def test_compare_foreign_run_is_a_data_error(scene, tmp_path, capsys, name, mang
     assert str(out_b / name) in err
 
 
-# --------------------------------------------------------------------- bench
-
-
-def test_bench_output_shape(capsys):
-    code = main(["bench", "--rows", "40", "--cols", "30", "--k", "3,5", "--repeats", "1"])
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == "hsikit/bench/1"
-    assert doc["rows"] == 40 and doc["cols"] == 30
-    assert [r["k"] for r in doc["results"]] == [3, 5]
-    for row in doc["results"]:
-        assert row["exact_ms"] >= 0.0
-        assert row["randomized_ms"] >= 0.0
-
-
-def test_bench_writes_report_file(tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    code = main(
-        ["bench", "--rows", "30", "--cols", "20", "--k", "2", "--repeats", "1",
-         "--output", str(out)]
-    )
-    assert code == 0
-    assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
-
-
-def test_bench_rejects_bad_k(capsys):
-    assert main(["bench", "--rows", "10", "--cols", "10", "--k", "11"]) == 1
-    assert main(["bench", "--rows", "10", "--cols", "10", "--k", ""]) == 1
-    assert main(["bench", "--rows", "0", "--cols", "10", "--k", "2"]) == 1
-
-
-def test_bench_rejects_empty_work(capsys):
-    base = ["bench", "--rows", "50", "--cols", "10", "--k", "3"]
-    for extra in (["--repeats", "0"], ["--repeats", "-1"], ["--seeds", ","], ["--seeds", ""]):
-        assert main(base + extra) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "usage error" in captured.err
-
-
 # ----------------------------------------------------------- convert/inspect
 
 
@@ -738,13 +732,30 @@ def test_inspect_missing_file(tmp_path, capsys):
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
-    assert main(["frobnicate"]) == 1
-    assert main([]) == 1
+    # Neither `bench` nor a bare `hsikit` names a subcommand.
+    for argv in (["frobnicate"], ["bench", "--rows", "40", "--cols", "30", "--k", "3"], []):
+        assert main(argv) == 1
+        assert "usage error" in capsys.readouterr().err
 
 
 def test_missing_required_flag_is_usage_error(capsys):
-    assert main(["bench", "--rows", "10"]) == 1
+    assert main(["convert", "--input", "x"]) == 1
     assert main(["run"]) == 1  # no cube/ground truth anywhere
+
+
+def test_readme_names_exactly_the_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    named = set(re.findall(r"\bhsikit (\w+)", section))
+    # In prose a subcommand opens a sentence or clause: "`run` executes".
+    named |= set(re.findall(r"(?:^|[.;]\s+|,\s+and\s+)`([a-z]+)`\s+[a-z]+s\b", prose, re.M))
+    (subcommands,) = (
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert named == set(subcommands)
 
 
 def test_exit_code_mapping():
