@@ -20,7 +20,7 @@ one-vs-one voting are broken by smallest index / smallest class id.
 
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Annotated
 
 import numpy as np
@@ -305,10 +305,12 @@ def grid_search_cv(
     gamma_grid=DEFAULT_GAMMA_GRID,
     folds: int = DEFAULT_FOLDS,
     seed: int = 0,
-    tolerance: float = SvmParams.tolerance,
-    max_iter: int = SvmParams.max_iter,
+    params: SvmParams | None = None,
 ):
     """Stratified k-fold grid search over (C, gamma).
+
+    Each cell trains with ``params`` (default ``SvmParams()``) with its
+    own C and gamma put in.
 
     Returns (best_c, best_gamma, table) where table rows are
     ``{"c", "gamma", "cv_accuracy"}`` in ascending (C, gamma) order.
@@ -319,6 +321,8 @@ def grid_search_cv(
     """
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
+    if params is None:
+        params = SvmParams()
     c_grid = sorted(set(float(v) for v in c_grid))
     gamma_grid = sorted(set(float(v) for v in gamma_grid))
     if not c_grid or not gamma_grid:
@@ -342,7 +346,7 @@ def grid_search_cv(
     best = None
     for c in c_grid:
         for gamma in gamma_grid:
-            params = SvmParams(c=c, gamma=gamma, tolerance=tolerance, max_iter=max_iter)
+            cell = replace(params, c=c, gamma=gamma)
             accuracies = []
             for held_out in fold_positions:
                 mask = np.ones(len(train), dtype=bool)
@@ -352,7 +356,7 @@ def grid_search_cv(
                     labels=train.labels[mask],
                     pixel_indices=train.pixel_indices[mask],
                 )
-                model = svm_train(fold_train, params)
+                model = svm_train(fold_train, cell)
                 predicted = svm_predict(model, train.features[held_out])
                 accuracies.append(float(np.mean(predicted == train.labels[held_out])))
             cv_accuracy = float(np.mean(accuracies))

@@ -15,8 +15,8 @@ for a fixed numpy/BLAS build and BLAS thread count, so two identical
 runs produce byte-identical artifacts; timings.json is the documented
 canonicalization cut. The six files are written to temporary names
 only after the whole pipeline has succeeded, and renamed into place only
-once all six are written, so neither a failed stage nor a failed write
-leaves a mix of old and new artifacts.
+once all six are written and no target is a directory, so neither a
+failed stage nor a failed write leaves a mix of old and new artifacts.
 
 Exit codes: 0 success, 1 usage (bad flags or config), 2 data error
 (unreadable or malformed inputs, degenerate datasets, mismatched
@@ -60,12 +60,15 @@ from .dimred import fit_pca, fit_rpca, transform
 from .errors import ConvergenceError, DataFormatError, HsikitError
 from .evaluation import evaluate, mcnemar, render_map, write_ppm
 from .hsi_data import (
+    DTYPES,
+    INTERLEAVES,
     GroundTruth,
     HsiCube,
     extract_labeled,
     load_cube,
     load_ground_truth,
     parse_header,
+    read_raw,
     save_cube,
     save_ground_truth,
     stratified_split,
@@ -293,8 +296,7 @@ def run_pipeline(config: dict) -> dict:
                     gamma_grid=clf["grid"]["gamma"],
                     folds=clf["grid"]["folds"],
                     seed=config["seed"],
-                    tolerance=params.tolerance,
-                    max_iter=params.max_iter,
+                    params=params,
                 )
                 params = replace(params, c=best_c, gamma=best_gamma)
                 grid_record = {"best": {"c": best_c, "gamma": best_gamma}, "table": table}
@@ -369,6 +371,12 @@ def run_pipeline(config: dict) -> dict:
             timings_doc[f"{stage}_ms"] = round((end - start) * 1000.0, 3)
         timings_doc["total_ms"] = round((starts[-1][1] - starts[0][1]) * 1000.0, 3)
         staged_path("timings.json").write_bytes(_canonical_json(timings_doc))
+        # A directory in a target's place would fail its rename after the
+        # ones before it had succeeded.
+        for tmp in staged:
+            target = tmp.with_suffix("")
+            if target.is_dir():
+                raise IsADirectoryError(f"{target} is a directory, not an artifact")
     except BaseException:
         for tmp in staged:
             tmp.unlink(missing_ok=True)
@@ -495,49 +503,24 @@ def _cmd_compare(args) -> int:
 def _cmd_convert(args) -> int:
     if args.height < 1 or args.width < 1 or args.bands < 1:
         raise UsageError("--height, --width, --bands must be positive")
+    if args.dtype == "u16" and args.bands != 1:
+        raise UsageError("--dtype u16 (ground truth) requires --bands 1")
     if args.class_names is not None and args.dtype != "u16":
         raise UsageError("--class-names is only valid with --dtype u16 (ground truth)")
-    path = Path(args.input)
-    expected = args.height * args.width * args.bands
+    values = read_raw(args.input, args.dtype, args.height, args.width, args.bands, args.order)
     if args.dtype == "f32":
-        raw = np.fromfile(path, dtype="<f4")
-    else:
-        raw = np.fromfile(path, dtype="<u2")
-    if raw.size != expected:
-        raise DataFormatError(
-            f"{path}: expected {expected} values for "
-            f"{args.height}x{args.width}x{args.bands}, found {raw.size}"
-        )
-    if args.dtype == "f32":
-        if args.order == "bsq":
-            values = raw.reshape(args.bands, args.height, args.width)
-        elif args.order == "bil":
-            values = raw.reshape(args.height, args.bands, args.width).transpose(1, 0, 2)
-        else:  # bip
-            values = raw.reshape(args.height, args.width, args.bands).transpose(2, 0, 1)
-        cube = HsiCube(
-            height=args.height,
-            width=args.width,
-            bands=args.bands,
-            values=np.ascontiguousarray(values, dtype=np.float32),
-        )
-        header = save_cube(cube, args.output)
+        header = save_cube(HsiCube(args.height, args.width, args.bands, values), args.output)
         print(f"wrote cube {header}")
         return 0
-    if args.bands != 1:
-        raise UsageError("--dtype u16 (ground truth) requires --bands 1")
-    labels = raw.reshape(args.height, args.width)
-    top = int(labels.max()) if labels.size else 0
+    labels = values[0]
+    top = int(labels.max())
     if args.class_names:
         names = [n.strip() for n in args.class_names.split(",")]
         if len(names) < top:
             raise UsageError(f"labels go up to {top} but only {len(names)} class names given")
     else:
         names = [f"class_{c}" for c in range(1, top + 1)]
-    gt = GroundTruth(
-        height=args.height, width=args.width, labels=labels.copy(), class_names=names
-    )
-    header = save_ground_truth(gt, args.output)
+    header = save_ground_truth(GroundTruth(args.height, args.width, labels, names), args.output)
     print(f"wrote ground truth {header}")
     return 0
 
@@ -597,8 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--height", type=int, required=True)
     convert.add_argument("--width", type=int, required=True)
     convert.add_argument("--bands", type=int, required=True)
-    convert.add_argument("--dtype", choices=["f32", "u16"], required=True)
-    convert.add_argument("--order", choices=["bsq", "bil", "bip"], default="bsq")
+    convert.add_argument("--dtype", choices=list(DTYPES), required=True)
+    convert.add_argument("--order", choices=list(INTERLEAVES), default="bsq")
     convert.add_argument("--class-names", help="comma-separated names for ground truth")
     convert.add_argument("--output", required=True, help="output base path (no extension)")
     convert.set_defaults(func=_cmd_convert)

@@ -21,6 +21,12 @@ Cubes use ``dtype: f32``; ground truth uses ``dtype: u16`` with
 ``bands: 1`` and label 0 meaning "unlabeled". The payload is exactly
 height x width x bands values, band-sequential (all of band 0 in raster
 order, then band 1, ...). Class names may not contain commas.
+
+Every fact about these bytes lives here: ``DTYPES`` maps header dtypes
+to little-endian numpy types, ``read_raw`` is the one payload reader and
+``save_cube``/``save_ground_truth`` share one writer. ``read_raw`` checks
+a file's size before it reads anything, then reads the payload once;
+``hsikit convert`` reads bsq, bil and bip dumps through it too.
 """
 
 import math
@@ -38,7 +44,10 @@ __all__ = [
     "HsiCube",
     "GroundTruth",
     "SampleSet",
+    "DTYPES",
+    "INTERLEAVES",
     "parse_header",
+    "read_raw",
     "load_cube",
     "save_cube",
     "load_ground_truth",
@@ -48,6 +57,14 @@ __all__ = [
 ]
 
 _MAGIC = "hsih 1"
+
+# The payload's value type for each header ``dtype``, always little-endian.
+DTYPES = {"f32": "<f4", "u16": "<u2"}
+
+# Each raw interleave's axes, in file order, as positions in (bands,
+# height, width): bsq is band, row, column; bil row, band, column; bip
+# row, column, band. Containers are always bsq.
+INTERLEAVES = {"bsq": (0, 1, 2), "bil": (1, 0, 2), "bip": (1, 2, 0)}
 
 
 @dataclass
@@ -159,83 +176,95 @@ def parse_header(header_path) -> dict:
                 raise ValueError
     except ValueError:
         raise DataFormatError(f"{path}: height/width/bands must be positive integers")
-    if fields["interleave"] != "bsq":
-        raise DataFormatError(f"{path}: unsupported interleave {fields['interleave']!r}")
-    if fields["byteorder"] != "le":
-        raise DataFormatError(f"{path}: unsupported byteorder {fields['byteorder']!r}")
-    if fields["dtype"] not in ("f32", "u16"):
-        raise DataFormatError(f"{path}: unsupported dtype {fields['dtype']!r}")
+    for key, supported in (("interleave", ("bsq",)), ("byteorder", ("le",)), ("dtype", DTYPES)):
+        if fields[key] not in supported:
+            raise DataFormatError(f"{path}: unsupported {key} {fields[key]!r}")
     return fields
 
 
-def _read_payload(header_path, fields: dict) -> np.ndarray:
-    """The payload as one (bands, height, width) array, read once from the
-    file straight into the array that is returned."""
-    payload = _payload_path(header_path)
-    np_dtype = np.dtype("<f4") if fields["dtype"] == "f32" else np.dtype("<u2")
-    shape = (fields["bands"], fields["height"], fields["width"])
+def read_raw(path, dtype: str, height: int, width: int, bands: int, order="bsq") -> np.ndarray:
+    """A raw little-endian payload as a (bands, height, width) array.
+
+    ``dtype`` is a key of ``DTYPES`` and ``order`` one of ``INTERLEAVES``.
+    The file's size is checked before anything is read; the payload is
+    then read once, and a bil or bip payload comes back as a transposed
+    view of it. Raises DataFormatError on a size mismatch or a failed read.
+    """
+    np_dtype = np.dtype(DTYPES[dtype])
+    axes = INTERLEAVES[order]
+    shape = (bands, height, width)
     count = math.prod(shape)
     try:
-        with open(payload, "rb") as fh:
+        with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if size != count * np_dtype.itemsize:
                 raise DataFormatError(
-                    f"{payload}: payload is {size} bytes, expected {count * np_dtype.itemsize} "
-                    f"({fields['height']}x{fields['width']}x{fields['bands']} {fields['dtype']})"
+                    f"{path}: payload is {size} bytes, expected {count * np_dtype.itemsize} "
+                    f"({height}x{width}x{bands} {dtype})"
                 )
             values = np.fromfile(fh, dtype=np_dtype, count=count)
     except OSError as exc:
-        raise DataFormatError(f"cannot read payload {payload}: {exc}") from exc
-    return values.reshape(shape)
+        raise DataFormatError(f"cannot read payload {path}: {exc}") from exc
+    return values.reshape([shape[axis] for axis in axes]).transpose(np.argsort(axes))
+
+
+def _load(header_path, kind: str, dtype: str, bands: int | None = None):
+    """The header fields and the (bands, height, width) payload of a
+    container that must hold ``dtype`` and, if given, ``bands`` bands."""
+    fields = parse_header(header_path)
+    if fields["dtype"] != dtype:
+        raise DataFormatError(
+            f"{header_path}: {kind} requires dtype {dtype}, got {fields['dtype']}"
+        )
+    if bands is not None and fields["bands"] != bands:
+        raise DataFormatError(f"{header_path}: {kind} must have bands: {bands}")
+    values = read_raw(
+        _payload_path(header_path), dtype, fields["height"], fields["width"], fields["bands"]
+    )
+    return fields, values
 
 
 def load_cube(header_path) -> HsiCube:
     """Load a ``dtype: f32`` scene; raises DataFormatError on a malformed
     header, a size mismatch, or non-finite values."""
-    fields = parse_header(header_path)
-    if fields["dtype"] != "f32":
-        raise DataFormatError(f"{header_path}: cube requires dtype f32, got {fields['dtype']}")
+    fields, values = _load(header_path, "cube", "f32")
     try:
-        return HsiCube(
-            height=fields["height"],
-            width=fields["width"],
-            bands=fields["bands"],
-            values=_read_payload(header_path, fields),
-        )
+        return HsiCube(fields["height"], fields["width"], fields["bands"], values)
     except ValueError as exc:
         raise DataFormatError(f"{header_path}: {exc}") from exc
 
 
 def load_ground_truth(header_path) -> GroundTruth:
     """Load a ``dtype: u16`` single-band label raster."""
-    fields = parse_header(header_path)
-    if fields["dtype"] != "u16":
-        raise DataFormatError(
-            f"{header_path}: ground truth requires dtype u16, got {fields['dtype']}"
-        )
-    if fields["bands"] != 1:
-        raise DataFormatError(f"{header_path}: ground truth must have bands: 1")
+    fields, values = _load(header_path, "ground truth", "u16", bands=1)
     names = []
-    if "class_names" in fields and fields["class_names"]:
+    if fields.get("class_names"):
         names = [s.strip() for s in fields["class_names"].split(",")]
     try:
-        return GroundTruth(
-            height=fields["height"],
-            width=fields["width"],
-            labels=_read_payload(header_path, fields)[0],
-            class_names=names,
-        )
+        return GroundTruth(fields["height"], fields["width"], values[0], names)
     except ValueError as exc:
         raise DataFormatError(f"{header_path}: {exc}") from exc
 
 
-def _write_container(header_path, fields: list[tuple[str, str]], payload: bytes) -> Path:
+def _save(header_path, values: np.ndarray, dtype: str, *extra_lines: str) -> Path:
+    """Write a (bands, height, width) array as a ``dtype`` container;
+    ``extra_lines`` follow the six standard header lines."""
     header = Path(header_path)
     if header.suffix != ".hsih":
         header = header.with_name(header.name + ".hsih")
-    lines = [_MAGIC] + [f"{k}: {v}" for k, v in fields]
+    bands, height, width = values.shape
+    lines = [
+        _MAGIC,
+        f"height: {height}",
+        f"width: {width}",
+        f"bands: {bands}",
+        f"dtype: {dtype}",
+        "interleave: bsq",
+        "byteorder: le",
+        *extra_lines,
+    ]
     header.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _payload_path(header).write_bytes(payload)
+    values.astype(DTYPES[dtype], copy=False).tofile(_payload_path(header))
     return header
 
 
@@ -244,36 +273,16 @@ def save_cube(cube: HsiCube, header_path) -> Path:
 
     Returns the header path, with the ``.hsih`` suffix added if missing.
     """
-    return _write_container(
-        header_path,
-        [
-            ("height", str(cube.height)),
-            ("width", str(cube.width)),
-            ("bands", str(cube.bands)),
-            ("dtype", "f32"),
-            ("interleave", "bsq"),
-            ("byteorder", "le"),
-        ],
-        cube.values.astype("<f4").tobytes(),
-    )
+    return _save(header_path, cube.values, "f32")
 
 
 def save_ground_truth(gt: GroundTruth, header_path) -> Path:
     """Write the ``.hsih``/``.hsir`` pair for a label raster."""
-    fields = [
-        ("height", str(gt.height)),
-        ("width", str(gt.width)),
-        ("bands", "1"),
-        ("dtype", "u16"),
-        ("interleave", "bsq"),
-        ("byteorder", "le"),
-    ]
-    if gt.class_names:
-        for name in gt.class_names:
-            if "," in name:
-                raise ValueError(f"class name {name!r} may not contain commas")
-        fields.append(("class_names", ", ".join(gt.class_names)))
-    return _write_container(header_path, fields, gt.labels.astype("<u2").tobytes())
+    for name in gt.class_names:
+        if "," in name:
+            raise ValueError(f"class name {name!r} may not contain commas")
+    names = [f"class_names: {', '.join(gt.class_names)}"] if gt.class_names else []
+    return _save(header_path, gt.labels[np.newaxis], "u16", *names)
 
 
 def extract_labeled(cube: HsiCube, gt: GroundTruth) -> SampleSet:

@@ -1,11 +1,13 @@
 """End-to-end tests for the command-line driver."""
 
 import argparse
+import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +409,21 @@ def test_run_failed_write_keeps_previous_artifacts(scene, tmp_path, monkeypatch,
     assert sorted(path.name for path in out.iterdir()) == sorted(ARTIFACTS)  # no *.tmp
 
 
+def test_run_directory_in_an_artifact_place_keeps_previous_artifacts(scene, tmp_path, capsys):
+    cube_path, gt_path = scene
+    out = tmp_path / "out"
+    argv = ["run", "--cube", cube_path, "--gt", gt_path, "--output", str(out)]
+    assert main(argv + ["--seed", "1"]) == 0
+    before = run_dir_bytes(out, skip_timings=False)
+    del before["map.ppm"]
+    (out / "map.ppm").unlink()
+    (out / "map.ppm").mkdir()
+    assert main(argv + ["--seed", "2"]) == 2
+    assert "map.ppm is a directory" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert sorted(path.name for path in out.iterdir()) == sorted(ARTIFACTS)  # no *.tmp
+
+
 def test_run_bad_config_is_usage_error_before_loading(tmp_path, capsys):
     config_file = tmp_path / "c.json"
     config_file.write_text(
@@ -669,6 +686,43 @@ def test_convert_size_mismatch(tmp_path, capsys):
     assert "expected" in capsys.readouterr().err
 
 
+def big_raw_cube(tmp_path):
+    """A 40 x 50 x 500 f32 bsq dump, a 4 MB payload, and its convert flags."""
+    raw = tmp_path / "big.bin"
+    np.arange(40 * 50 * 500, dtype="<f4").tofile(raw)
+    return raw, ["--height", "40", "--width", "50", "--bands", "500", "--dtype", "f32"]
+
+
+def test_convert_holds_the_payload_once(tmp_path, capsys):
+    raw, dims = big_raw_cube(tmp_path)
+    payload_bytes = raw.stat().st_size
+    out = tmp_path / "big"
+    tracemalloc.start()
+    try:
+        code = main(["convert", "--input", str(raw), *dims, "--order", "bsq", "--output", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.with_suffix(".hsir").read_bytes() == raw.read_bytes()
+    assert peak < 1.25 * payload_bytes
+
+
+def test_convert_checks_the_size_before_reading(tmp_path, capsys):
+    raw, dims = big_raw_cube(tmp_path)
+    dims[dims.index("--bands") + 1] = "499"
+    tracemalloc.start()
+    try:
+        code = main(["convert", "--input", str(raw), *dims, "--output", str(tmp_path / "x")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert code == 2
+    assert "payload is 4000000 bytes, expected 3992000 (40x50x499 f32)" in capsys.readouterr().err
+    assert not (tmp_path / "x.hsih").exists()
+
+
 def test_convert_u16_multiband_rejected(tmp_path):
     raw = tmp_path / "gt.bin"
     raw.write_bytes(b"\x00" * 8)
@@ -756,6 +810,17 @@ def test_readme_names_exactly_the_subcommands():
         if isinstance(action, argparse._SubParsersAction)
     )
     assert named == set(subcommands)
+
+
+def test_readme_module_map_names_exist():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\nModule map:\n", 1)[1].strip().split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(hsikit[.\w]*)` \|(.*)\|$", table, re.M)
+    assert len(rows) == len(table.splitlines()) - 2  # every row but the head and rule
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for name in re.findall(r"`([^`]+)`", contents):
+            assert hasattr(module, name), f"{module_name} has no {name}"
 
 
 def test_exit_code_mapping():

@@ -15,6 +15,7 @@ from hsikit.hsi_data import (
     load_cube,
     load_ground_truth,
     parse_header,
+    read_raw,
     save_cube,
     save_ground_truth,
     stratified_split,
@@ -204,6 +205,45 @@ def test_load_cube_holds_the_payload_once(tmp_path):
         tracemalloc.stop()
     assert cube.values.nbytes == payload_bytes
     assert peak < 1.25 * payload_bytes
+
+
+def test_save_cube_writes_without_copying_the_payload(tmp_path):
+    # 40 x 50 x 500 f32 is a 4 MB payload, written straight from the cube.
+    values = SplitMix64(7).normal_matrix(500, 40 * 50).astype(np.float32)
+    cube = HsiCube(40, 50, 500, values.reshape(500, 40, 50))
+    del values
+    tracemalloc.start()
+    try:
+        path = save_cube(cube, tmp_path / "big")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.with_suffix(".hsir").read_bytes() == cube.values.astype("<f4").tobytes()
+    assert peak < 0.1 * cube.values.nbytes
+
+
+@pytest.mark.parametrize(
+    "order, raw_axes", [("bsq", (0, 1, 2)), ("bil", (1, 0, 2)), ("bip", (1, 2, 0))]
+)
+@pytest.mark.parametrize("dtype, np_dtype", [("f32", "<f4"), ("u16", "<u2")])
+def test_read_raw_matches_a_reference_transpose(tmp_path, order, raw_axes, dtype, np_dtype):
+    bands, height, width = 3, 4, 5
+    values = np.arange(bands * height * width).astype(np_dtype).reshape(bands, height, width)
+    raw = tmp_path / "dump.bin"
+    raw.write_bytes(np.ascontiguousarray(values.transpose(raw_axes)).tobytes())
+    back = read_raw(raw, dtype, height, width, bands, order)
+    assert back.shape == (bands, height, width)
+    assert back.dtype == np.dtype(np_dtype)
+    assert np.array_equal(back, values)
+
+
+def test_read_raw_names_sizes_on_mismatch(tmp_path):
+    raw = tmp_path / "dump.bin"
+    raw.write_bytes(b"\x00" * 10)
+    with pytest.raises(DataFormatError, match=r"payload is 10 bytes, expected 12 \(1x2x3 u16\)"):
+        read_raw(raw, "u16", 1, 2, 3)
+    with pytest.raises(DataFormatError, match="cannot read payload"):
+        read_raw(tmp_path / "missing.bin", "f32", 1, 1, 1)
 
 
 def test_cube_rejects_u16_header(tmp_path):
