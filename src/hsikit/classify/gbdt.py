@@ -371,10 +371,6 @@ def gbdt_train(train: SampleSet, params: GbdtParams | None = None) -> GbdtModel:
 
 def gbdt_predict(model: GbdtModel, x) -> np.ndarray:
     """Class labels by argmax score; ties go to the smallest class id."""
-    x = as_matrix(x, "x")
-    if x.shape[1] != model.n_features:
-        raise ValueError(
-            f"x has {x.shape[1]} features but the model was trained on {model.n_features}"
-        )
+    x = as_matrix(x, "x", cols=model.n_features)
     scores = model.decision_scores(x)
     return model.classes[np.argmax(scores, axis=1)]

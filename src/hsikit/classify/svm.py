@@ -26,10 +26,9 @@ from typing import Annotated
 import numpy as np
 
 from ..errors import DegenerateDataError
-from ..hsi_data import SampleSet
+from ..hsi_data import SampleSet, stratified_folds
 from ..linalg import as_matrix
 from ..records import Record
-from ..rng import SplitMix64
 
 __all__ = [
     "SvmParams",
@@ -271,11 +270,7 @@ def svm_predict(model: SvmModel, x) -> np.ndarray:
     A strictly positive decision votes for the smaller class id of the
     pair; overall ties go to the smallest class id.
     """
-    x = as_matrix(x, "x")
-    if x.shape[1] != model.n_features:
-        raise ValueError(
-            f"x has {x.shape[1]} features but the model was trained on {model.n_features}"
-        )
+    x = as_matrix(x, "x", cols=model.n_features)
     scaled = (x - model.feature_min) / model.feature_range
     class_index = {int(cls): idx for idx, cls in enumerate(model.classes)}
     votes = np.zeros((x.shape[0], len(model.classes)), dtype=np.int64)
@@ -285,18 +280,6 @@ def svm_predict(model: SvmModel, x) -> np.ndarray:
         votes[wins_pos, class_index[machine.class_pos]] += 1
         votes[~wins_pos, class_index[machine.class_neg]] += 1
     return model.classes[np.argmax(votes, axis=1)]
-
-
-def _stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
-    """Seeded per-class partition into ``folds`` disjoint position sets."""
-    rng = SplitMix64(seed)
-    assignments = [[] for _ in range(folds)]
-    for cls in np.unique(labels):
-        positions = np.nonzero(labels == cls)[0]
-        perm = positions[rng.permutation(len(positions))]
-        for f, chunk in enumerate(np.array_split(perm, folds)):
-            assignments[f].append(chunk)
-    return [np.sort(np.concatenate(chunks)) for chunks in assignments]
 
 
 def grid_search_cv(
@@ -341,24 +324,21 @@ def grid_search_cv(
             stacklevel=2,
         )
         folds = usable
-    fold_positions = _stratified_folds(train.labels, folds, seed)
+    fold_sets = []
+    for held_out in stratified_folds(train.labels, folds, seed):
+        in_fold = np.ones(len(train), dtype=bool)
+        in_fold[held_out] = False
+        fold_sets.append((train.take(in_fold), train.take(held_out)))
     table = []
     best = None
     for c in c_grid:
         for gamma in gamma_grid:
             cell = replace(params, c=c, gamma=gamma)
             accuracies = []
-            for held_out in fold_positions:
-                mask = np.ones(len(train), dtype=bool)
-                mask[held_out] = False
-                fold_train = SampleSet(
-                    features=train.features[mask],
-                    labels=train.labels[mask],
-                    pixel_indices=train.pixel_indices[mask],
-                )
+            for fold_train, fold_test in fold_sets:
                 model = svm_train(fold_train, cell)
-                predicted = svm_predict(model, train.features[held_out])
-                accuracies.append(float(np.mean(predicted == train.labels[held_out])))
+                predicted = svm_predict(model, fold_test.features)
+                accuracies.append(float(np.mean(predicted == fold_test.labels)))
             cv_accuracy = float(np.mean(accuracies))
             table.append({"c": c, "gamma": gamma, "cv_accuracy": cv_accuracy})
             if best is None or cv_accuracy > best[0]:

@@ -232,7 +232,7 @@ def _load_json(path: Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: not valid JSON ({exc})")
 
 
@@ -417,7 +417,10 @@ _RUN_FLAGS = (
 def _cmd_run(args) -> int:
     file_config = {}
     if args.config:
-        file_config = _load_json(Path(args.config))
+        try:
+            file_config = _load_json(Path(args.config))
+        except (OSError, DataFormatError) as exc:
+            raise UsageError(f"config file: {exc}") from None
         if not isinstance(file_config, dict):
             raise UsageError(f"{args.config}: config must be a JSON object")
     # Each given flag is placed at its config field, so the flags of one
@@ -529,15 +532,16 @@ def _cmd_inspect(args) -> int:
     for path in args.paths:
         base = Path(path)
         if parse_header(base)["dtype"] == "f32":
-            cube = load_cube(base)
-            flat = cube.values
+            values = load_cube(base).values
+            bands, height, width = values.shape
+            # float64 sums band by band, so no full-size temporary is made.
+            mean = sum(band.sum(dtype=np.float64) for band in values) / values.size
+            deviations = (band.astype(np.float64).ravel() - mean for band in values)
+            std = math.sqrt(sum(d @ d for d in deviations) / values.size)
+            print(f"{base}: hyperspectral cube {height} x {width} pixels, {bands} bands")
             print(
-                f"{base}: hyperspectral cube {cube.height} x {cube.width} pixels, "
-                f"{cube.bands} bands"
-            )
-            print(
-                f"  values: min {flat.min():.4f} max {flat.max():.4f} "
-                f"mean {flat.mean():.4f} std {flat.std():.4f}"
+                f"  values: min {values.min():.4f} max {values.max():.4f} "
+                f"mean {mean:.4f} std {std:.4f}"
             )
         else:
             gt = load_ground_truth(base)

@@ -58,12 +58,25 @@ class PcaModel(Record):
         return self.components.shape[1]
 
 
-def _validate_fit_input(x: np.ndarray, k: int) -> None:
+def _fit(x, k: int, method: str, factor, **method_params) -> PcaModel:
+    """Center the rows of ``x``, factor them with ``factor(centered)``
+    and record the top ``k`` axes as a model made by ``method``."""
+    x = as_matrix(x, "x")
     n, b = x.shape
     if n < 2:
         raise DegenerateDataError(f"PCA needs at least 2 samples, got {n}")
     if not 1 <= k <= min(n, b):
         raise ValueError(f"k must satisfy 1 <= k <= min(n, B) = {min(n, b)}, got {k}")
+    mean = x.mean(axis=0)
+    svd = factor(x - mean)
+    return PcaModel(
+        mean=mean,
+        components=svd.vt,
+        explained_variance=svd.s**2 / (n - 1),
+        method=method,
+        n_fit_samples=n,
+        method_params=method_params,
+    )
 
 
 def fit_pca(x, k: int) -> PcaModel:
@@ -72,17 +85,7 @@ def fit_pca(x, k: int) -> PcaModel:
     explained_variance[i] is s_i^2 / (n - 1), the sample-covariance
     eigenvalue along component i.
     """
-    x = as_matrix(x, "x")
-    _validate_fit_input(x, k)
-    mean = x.mean(axis=0)
-    svd = exact_svd(x - mean, k)
-    return PcaModel(
-        mean=mean,
-        components=svd.vt,
-        explained_variance=svd.s**2 / (x.shape[0] - 1),
-        method="exact",
-        n_fit_samples=x.shape[0],
-    )
+    return _fit(x, k, "exact", lambda centered: exact_svd(centered, k))
 
 
 def fit_rpca(
@@ -94,37 +97,24 @@ def fit_rpca(
 ) -> PcaModel:
     """Fit PCA like :func:`fit_pca` but factor the centered matrix with
     the randomized SVD; the sketch settings are recorded in the model."""
-    x = as_matrix(x, "x")
-    _validate_fit_input(x, k)
     params = RandomizedSvdParams(
         k=k, oversampling=oversampling, power_iterations=power_iterations, seed=seed
     )
-    params.validate(*x.shape)
-    mean = x.mean(axis=0)
-    svd = randomized_svd(x - mean, params)
-    return PcaModel(
-        mean=mean,
-        components=svd.vt,
-        explained_variance=svd.s**2 / (x.shape[0] - 1),
-        method="randomized",
-        n_fit_samples=x.shape[0],
-        method_params={
-            "seed": seed,
-            "oversampling": oversampling,
-            "power_iterations": power_iterations,
-        },
+    return _fit(
+        x,
+        k,
+        "randomized",
+        lambda centered: randomized_svd(centered, params),
+        seed=seed,
+        oversampling=oversampling,
+        power_iterations=power_iterations,
     )
 
 
 def transform(model: PcaModel, x) -> np.ndarray:
     """Project rows of ``x`` (m x B) onto the model's components: the
     result is (x - mean) @ components^T, shape m x k."""
-    x = as_matrix(x, "x")
-    if x.shape[1] != model.n_features:
-        raise ValueError(
-            f"x has {x.shape[1]} columns but the model was fit on "
-            f"{model.n_features} features"
-        )
+    x = as_matrix(x, "x", cols=model.n_features)
     return (x - model.mean) @ model.components.T
 
 

@@ -5,6 +5,8 @@ conditions the CLI maps to distinct exit codes (data errors vs numerical
 failures).
 """
 
+__all__ = ["HsikitError", "DataFormatError", "ConvergenceError", "DegenerateDataError"]
+
 
 class HsikitError(Exception):
     """Base class for toolkit-specific errors."""

@@ -1,5 +1,8 @@
 """Hyperspectral cube and ground-truth containers, labeled-pixel
-extraction, and stratified train/test splitting.
+extraction, and the two seeded per-class partitions of labeled samples:
+``stratified_split`` (train/test) and ``stratified_folds`` (the
+cross-validation folds of ``grid_search_cv``). Both shuffle each class's
+positions, in ascending class order, from one SplitMix64 stream.
 
 Container format
 ----------------
@@ -54,6 +57,7 @@ __all__ = [
     "save_ground_truth",
     "extract_labeled",
     "stratified_split",
+    "stratified_folds",
 ]
 
 _MAGIC = "hsih 1"
@@ -77,7 +81,8 @@ class HsiCube:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.float32)
+        # A transposed view stays a view; the writer walks it band by band.
+        self.values = np.asarray(self.values, dtype=np.float32)
         expected = (self.bands, self.height, self.width)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
@@ -137,6 +142,10 @@ class SampleSet:
 
     def __len__(self) -> int:
         return self.features.shape[0]
+
+    def take(self, rows) -> "SampleSet":
+        """The samples at ``rows`` (positions or a boolean mask)."""
+        return SampleSet(self.features[rows], self.labels[rows], self.pixel_indices[rows])
 
 
 def _payload_path(header_path) -> Path:
@@ -264,7 +273,13 @@ def _save(header_path, values: np.ndarray, dtype: str, *extra_lines: str) -> Pat
         *extra_lines,
     ]
     header.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    values.astype(DTYPES[dtype], copy=False).tofile(_payload_path(header))
+    payload = values.astype(DTYPES[dtype], copy=False)
+    # A contiguous payload goes out in one call. A transposed view goes
+    # band by band: one tofile call would walk it value by value, and a
+    # contiguous copy of the whole would double the memory.
+    with open(_payload_path(header), "wb") as fh:
+        for part in [payload] if payload.flags.c_contiguous else payload:
+            np.ascontiguousarray(part).tofile(fh)
     return header
 
 
@@ -306,6 +321,15 @@ def extract_labeled(cube: HsiCube, gt: GroundTruth) -> SampleSet:
     )
 
 
+def _class_shuffles(labels: np.ndarray, seed: int):
+    """Each class's positions in ``labels``, in ascending class order,
+    shuffled by one SplitMix64(seed) stream: yields (class, positions)."""
+    rng = SplitMix64(seed)
+    for cls in np.unique(labels):
+        positions = np.nonzero(labels == cls)[0]
+        yield cls, positions[rng.permutation(len(positions))]
+
+
 def stratified_split(
     samples: SampleSet, train_fraction: float, seed: int
 ) -> tuple[SampleSet, SampleSet]:
@@ -318,34 +342,30 @@ def stratified_split(
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    rng = SplitMix64(seed)
-    train_positions = []
-    test_positions = []
-    for cls in np.unique(samples.labels):
-        positions = np.nonzero(samples.labels == cls)[0]
-        n_c = len(positions)
-        perm = positions[rng.permutation(n_c)]
+    in_train = np.zeros(len(samples), dtype=bool)
+    for cls, perm in _class_shuffles(samples.labels, seed):
+        n_c = len(perm)
         if n_c == 1:
             warnings.warn(
                 f"class {int(cls)} has a single sample; assigning it to train",
                 stacklevel=2,
             )
-            train_positions.append(perm)
-            continue
-        n_train = int(np.floor(train_fraction * n_c + 0.5))
-        n_train = min(max(n_train, 1), n_c - 1)
-        train_positions.append(perm[:n_train])
-        test_positions.append(perm[n_train:])
+        n_train = max(min(int(np.floor(train_fraction * n_c + 0.5)), n_c - 1), 1)
+        in_train[perm[:n_train]] = True
+    return samples.take(in_train), samples.take(~in_train)
 
-    def take(position_groups):
-        if position_groups:
-            pos = np.sort(np.concatenate(position_groups))
-        else:
-            pos = np.empty(0, dtype=np.int64)
-        return SampleSet(
-            features=samples.features[pos],
-            labels=samples.labels[pos],
-            pixel_indices=samples.pixel_indices[pos],
-        )
 
-    return take(train_positions), take(test_positions)
+def stratified_folds(labels, folds: int, seed: int) -> list[np.ndarray]:
+    """Seeded per-class partition of the positions of ``labels`` into
+    ``folds`` disjoint, ascending position arrays.
+
+    Each class's shuffled positions are dealt out in ``folds`` contiguous
+    chunks (``np.array_split``), so a class's count differs by at most 1
+    between folds.
+    """
+    labels = np.asarray(labels)
+    fold_of = np.empty(len(labels), dtype=np.int64)
+    for _, perm in _class_shuffles(labels, seed):
+        for f, chunk in enumerate(np.array_split(perm, folds)):
+            fold_of[chunk] = f
+    return [np.nonzero(fold_of == f)[0] for f in range(folds)]

@@ -30,15 +30,19 @@ __all__ = [
 ]
 
 
-def as_matrix(a, name: str = "a") -> np.ndarray:
+def as_matrix(a, name: str = "a", cols: int | None = None) -> np.ndarray:
     """Validate and convert ``a`` to a 2-D float64 C-ordered array.
 
     Rejects non-2-D input and any non-finite entry; this is the single
     gate that upholds the all-finite invariant for the whole toolkit.
+    A fitted model passes its width as ``cols``, and any other column
+    count is rejected.
     """
     out = np.ascontiguousarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got ndim={out.ndim}")
+    if cols is not None and out.shape[1] != cols:
+        raise ValueError(f"{name} has {out.shape[1]} columns but the model was fit on {cols}")
     if out.size and not np.isfinite(out).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return out

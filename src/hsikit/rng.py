@@ -20,6 +20,8 @@ Conventions, fixed here so results are reproducible:
 
 import numpy as np
 
+__all__ = ["SplitMix64"]
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 

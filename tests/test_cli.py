@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line driver."""
 
 import argparse
+import ast
 import importlib
 import json
 import os
@@ -440,6 +441,25 @@ def test_run_bad_config_is_usage_error_before_loading(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("truncated.json", b'{"seed": 1,'),
+        ("latin1.json", '{"output": "caf\xe9"}'.encode("latin-1")),
+        ("missing.json", None),
+    ],
+    ids=["not-json", "not-utf8", "missing"],
+)
+def test_run_unreadable_config_is_usage_error(tmp_path, capsys, name, content):
+    config_file = tmp_path / name
+    if content is not None:
+        config_file.write_bytes(content)
+    assert main(["run", "--config", str(config_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert str(config_file) in err
+
+
 def test_run_empty_output_writes_nothing(scene, tmp_path, monkeypatch, capsys):
     cube_path, gt_path = scene
     cwd = tmp_path / "cwd"
@@ -618,6 +638,19 @@ def test_compare_foreign_run_is_a_data_error(scene, tmp_path, capsys, name, mang
     assert str(out_b / name) in err
 
 
+def test_compare_non_utf8_run_file_is_a_data_error(scene, tmp_path, capsys):
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    make_run(scene, out_a)
+    make_run(scene, out_b)
+    (out_b / "predictions.json").write_bytes(b'{"dataset": "\xff"}')
+    capsys.readouterr()
+    assert main(["compare", str(out_a), str(out_b)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert str(out_b / "predictions.json") in err
+
+
 # ----------------------------------------------------------- convert/inspect
 
 
@@ -693,30 +726,57 @@ def big_raw_cube(tmp_path):
     return raw, ["--height", "40", "--width", "50", "--bands", "500", "--dtype", "f32"]
 
 
+def peak_of_main(argv):
+    """main's exit code and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_convert_holds_the_payload_once(tmp_path, capsys):
     raw, dims = big_raw_cube(tmp_path)
     payload_bytes = raw.stat().st_size
     out = tmp_path / "big"
-    tracemalloc.start()
-    try:
-        code = main(["convert", "--input", str(raw), *dims, "--order", "bsq", "--output", str(out)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = peak_of_main(
+        ["convert", "--input", str(raw), *dims, "--order", "bsq", "--output", str(out)]
+    )
     assert code == 0
     assert out.with_suffix(".hsir").read_bytes() == raw.read_bytes()
     assert peak < 1.25 * payload_bytes
 
 
+def test_convert_bip_holds_the_payload_once(tmp_path, capsys):
+    raw, dims = big_raw_cube(tmp_path)
+    out = tmp_path / "big"
+    code, peak = peak_of_main(
+        ["convert", "--input", str(raw), *dims, "--order", "bip", "--output", str(out)]
+    )
+    assert code == 0
+    expected = np.fromfile(raw, dtype="<f4").reshape(40, 50, 500).transpose(2, 0, 1)
+    assert out.with_suffix(".hsir").read_bytes() == expected.tobytes()
+    assert peak < 1.25 * raw.stat().st_size
+
+
+def test_inspect_holds_the_payload_once(tmp_path, capsys):
+    raw, dims = big_raw_cube(tmp_path)
+    assert main(["convert", "--input", str(raw), *dims, "--output", str(tmp_path / "big")]) == 0
+    capsys.readouterr()
+    code, peak = peak_of_main(["inspect", str(tmp_path / "big.hsih")])
+    assert code == 0
+    assert peak < 1.25 * raw.stat().st_size
+    values = np.arange(40 * 50 * 500, dtype=np.float64)
+    assert f"mean {values.mean():.4f} std {values.std():.4f}" in capsys.readouterr().out
+
+
 def test_convert_checks_the_size_before_reading(tmp_path, capsys):
     raw, dims = big_raw_cube(tmp_path)
     dims[dims.index("--bands") + 1] = "499"
-    tracemalloc.start()
-    try:
-        code = main(["convert", "--input", str(raw), *dims, "--output", str(tmp_path / "x")])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = peak_of_main(
+        ["convert", "--input", str(raw), *dims, "--output", str(tmp_path / "x")]
+    )
     assert peak < 2**20
     assert code == 2
     assert "payload is 4000000 bytes, expected 3992000 (40x50x499 f32)" in capsys.readouterr().err
@@ -812,15 +872,53 @@ def test_readme_names_exactly_the_subcommands():
     assert named == set(subcommands)
 
 
-def test_readme_module_map_names_exist():
+def readme_module_map():
+    """(module, backticked names) of each row of README's module map."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("\nModule map:\n", 1)[1].strip().split("\n\n", 1)[0]
     rows = re.findall(r"^\| `(hsikit[.\w]*)` \|(.*)\|$", table, re.M)
     assert len(rows) == len(table.splitlines()) - 2  # every row but the head and rule
-    for module_name, contents in rows:
-        module = importlib.import_module(module_name)
-        for name in re.findall(r"`([^`]+)`", contents):
-            assert hasattr(module, name), f"{module_name} has no {name}"
+    return [
+        (importlib.import_module(module_name), re.findall(r"`([^`]+)`", contents))
+        for module_name, contents in rows
+    ]
+
+
+def test_readme_module_map_names_exist():
+    for module, names in readme_module_map():
+        for name in names:
+            assert hasattr(module, name), f"{module.__name__} has no {name}"
+
+
+def test_readme_module_map_names_are_public():
+    for module, names in readme_module_map():
+        for name in names:
+            assert name in module.__all__, f"{name} is not in {module.__name__}.__all__"
+
+
+def test_no_module_imports_a_private_name():
+    for path in Path(hsikit.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    private = alias.name.startswith("_") and not alias.name.startswith("__")
+                    assert not private, f"{path.name} imports {alias.name} from {node.module}"
+
+
+def test_package_reexports_each_module_all():
+    from hsikit import classify, dimred, errors, evaluation, hsi_data, linalg, rng, synthetic
+    from hsikit.classify import gbdt, svm
+
+    modules = (rng, errors, linalg, dimred, hsi_data, svm, gbdt, evaluation, synthetic)
+    expected = ["__version__", *(name for module in modules for name in module.__all__)]
+    assert hsikit.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    assert classify.__all__ == svm.__all__ + gbdt.__all__
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(hsikit, name) is getattr(module, name)
+            if module in (svm, gbdt):
+                assert getattr(classify, name) is getattr(module, name)
 
 
 def test_exit_code_mapping():

@@ -196,7 +196,7 @@ def test_transform_linearity():
 
 def test_transform_dimension_mismatch():
     model = fit_pca(random_matrix(10, 4, 54), k=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^x has 5 columns but the model was fit on 4$"):
         transform(model, np.zeros((3, 5)))
 
 

@@ -566,7 +566,7 @@ def test_predict_single_leaf_override():
 def test_predict_dimension_mismatch():
     train = two_gaussian_set(20, separation=3.0, seed=106)
     model = gbdt_train(train, GbdtParams(num_trees=1, min_samples_leaf=1, num_bins=8, **NO_GOSS))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^x has 5 columns but the model was fit on 2$"):
         gbdt_predict(model, np.zeros((2, 5)))
 
 

@@ -2,7 +2,8 @@
 validated fields or raises DataFormatError, whatever bytes the header
 file holds, save_cube -> load_cube returns the cube it was given, and
 `hsikit convert` reads raw bsq, bil and bip payloads back in (band, row,
-column) order."""
+column) order, and stratified_folds deals each class out evenly over
+disjoint folds."""
 
 import tempfile
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from hsikit.cli import main
 from hsikit.errors import DataFormatError
-from hsikit.hsi_data import HsiCube, load_cube, parse_header, save_cube
+from hsikit.hsi_data import HsiCube, load_cube, parse_header, save_cube, stratified_folds
 
 VALID = {
     "height": "3",
@@ -114,3 +115,23 @@ def test_convert_load_cube_round_trip(values, order):
         back = load_cube(out.with_suffix(".hsih"))
     assert (back.bands, back.height, back.width) == values.shape
     assert back.values.tobytes() == values.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    labels=st.lists(st.integers(1, 4), max_size=40),
+    folds=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_stratified_folds_partition_each_class_evenly(labels, folds, seed):
+    labels = np.array(labels, dtype=np.int64)
+    parts = stratified_folds(labels, folds, seed)
+    assert len(parts) == folds
+    # Disjoint, ascending, and together every position exactly once.
+    assert all(np.all(np.diff(part) > 0) for part in parts)
+    assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(len(labels)))
+    for cls in np.unique(labels):
+        counts = [int(np.sum(labels[part] == cls)) for part in parts]
+        assert max(counts) - min(counts) <= 1
+    again = stratified_folds(labels, folds, seed)
+    assert all(np.array_equal(a, b) for a, b in zip(parts, again))

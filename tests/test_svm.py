@@ -371,7 +371,7 @@ def test_predict_vote_tie_smallest_class():
 def test_predict_dimension_mismatch():
     train = sample_set([[0.0, 1.0], [1.0, 0.0]], [1, 2])
     model = svm_train(train, SvmParams(c=1.0, gamma=0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^x has 3 columns but the model was fit on 2$"):
         svm_predict(model, np.zeros((1, 3)))
 
 
