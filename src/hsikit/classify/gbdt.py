@@ -19,7 +19,9 @@ its scores through the same routine after each tree is grown.
 Gradient-based one-side sampling (GOSS) keeps the top ``a * n`` rows
 by summed absolute gradient each round, samples ``b * n`` of the rest
 uniformly, and amplifies the sampled small-gradient rows by
-(1 - a) / b so histogram sums stay unbiased in expectation.
+(1 - a) / b so histogram sums stay unbiased in expectation. GOSS draws
+from ``SplitMix64(seed)``, ``seed`` being ``gbdt_train``'s argument; a
+run passes its run seed.
 """
 
 from dataclasses import dataclass, field
@@ -60,7 +62,6 @@ class GbdtParams:
     num_bins: int = 64
     goss_top_rate: float = 0.2
     goss_other_rate: float = 0.1
-    seed: int = 0
 
     def validate(self):
         if self.num_trees < 1:
@@ -180,6 +181,13 @@ def _bin_features(features: np.ndarray, num_bins: int):
     return edges, binned
 
 
+def _goss_sizes(n: int, params: GbdtParams):
+    """(top, other): how many of ``n`` rows GOSS keeps by gradient and
+    how many it samples from the rest, each round."""
+    top_n = int(round(params.goss_top_rate * n))
+    return top_n, min(int(round(params.goss_other_rate * n)), n - top_n)
+
+
 def _goss_sample(grad: np.ndarray, params: GbdtParams, rng: SplitMix64):
     """Row subset and per-row amplification weights for one round.
 
@@ -190,12 +198,10 @@ def _goss_sample(grad: np.ndarray, params: GbdtParams, rng: SplitMix64):
     n = grad.shape[0]
     if params.goss_top_rate <= 0.0:
         return np.arange(n), np.ones(n)
-    top_n = int(round(params.goss_top_rate * n))
-    other_n = int(round(params.goss_other_rate * n))
+    top_n, other_n = _goss_sizes(n, params)
     order = np.argsort(-np.abs(grad).sum(axis=1), kind="stable")
     top = order[:top_n]
     rest = order[top_n:]
-    other_n = min(other_n, len(rest))
     picked = rest[rng.permutation(len(rest))[:other_n]]
     rows = np.sort(np.concatenate([top, picked]))
     weights = np.ones(n)
@@ -238,19 +244,12 @@ def _best_split(hists: np.ndarray, min_samples_leaf: int):
     cum = np.cumsum(hists, axis=3)[..., :-1]
     g_left, h_left, n_left = cum.swapaxes(0, 1)
     g_total, h_total, n_total = hists[:, :, 0].sum(axis=2).T[:, :, None, None]
-    parent = g_total * g_total / (h_total + _LAMBDA)
-    # The formula above, evaluated in place to spare temporaries; each
-    # element goes through the same operations in the same order.
-    gain = g_left * g_left
-    gain /= h_left + _LAMBDA
     g_right = g_total - g_left
-    g_right *= g_right
-    h_right = h_total - h_left
-    h_right += _LAMBDA
-    g_right /= h_right
-    gain += g_right
-    gain -= parent
-    gain *= 0.5
+    gain = 0.5 * (
+        g_left * g_left / (h_left + _LAMBDA)
+        + g_right * g_right / (h_total - h_left + _LAMBDA)
+        - g_total * g_total / (h_total + _LAMBDA)
+    )
     gain[(n_left < min_samples_leaf) | (n_total - n_left < min_samples_leaf)] = -np.inf
     per_leaf = gain.reshape(len(gain), -1)
     flat = per_leaf.argmax(axis=1)
@@ -321,12 +320,13 @@ def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None):
     )
 
 
-def gbdt_train(train: SampleSet, params: GbdtParams | None = None) -> GbdtModel:
+def gbdt_train(train: SampleSet, params: GbdtParams | None = None, seed: int = 0) -> GbdtModel:
     """Boost ``num_trees`` rounds of per-class leaf-wise trees.
 
     Scores start at the log class frequencies; every round fits one
     tree per class column to the softmax gradient/hessian, on the GOSS
-    row subset when sampling is enabled.
+    row subset when sampling is enabled. GOSS draws from
+    ``SplitMix64(seed)``; without sampling ``seed`` changes nothing.
     """
     params = params or GbdtParams()
     params.validate()
@@ -341,10 +341,10 @@ def gbdt_train(train: SampleSet, params: GbdtParams | None = None) -> GbdtModel:
     scores = np.tile(priors, (n, 1))
     edges, binned = _bin_features(features, params.num_bins)
     columns = np.ascontiguousarray(features.T)
-    rng = SplitMix64(params.seed)
+    rng = SplitMix64(seed)
     notes = []
     if params.goss_top_rate > 0 and n < 20:
-        notes.append(f"GOSS on only {n} rows; sampling is close to a no-op")
+        notes.append(f"GOSS keeps {sum(_goss_sizes(n, params))} of {n} rows per round")
     all_trees = []
     for _ in range(params.num_trees):
         grad, hess = softmax_gradients(scores, onehot)

@@ -18,6 +18,7 @@ Training is fully deterministic: ties in working-set selection and in
 one-vs-one voting are broken by smallest index / smallest class id.
 """
 
+import itertools
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -224,36 +225,34 @@ def svm_train(train: SampleSet, params: SvmParams | None = None) -> SvmModel:
     fmin, frange = _fit_scaling(features)
     scaled = (features - fmin) / frange
     machines = []
-    notes = []
-    for a_pos in range(len(classes)):
-        for b_pos in range(a_pos + 1, len(classes)):
-            cls_a, cls_b = int(classes[a_pos]), int(classes[b_pos])
-            mask = (train.labels == cls_a) | (train.labels == cls_b)
-            x_pair = scaled[mask]
-            y_pair = np.where(train.labels[mask] == cls_a, 1.0, -1.0)
-            if np.all(x_pair == x_pair[0]):
-                raise DegenerateDataError(
-                    f"classes {cls_a} and {cls_b} have identical feature rows"
-                )
-            alpha, bias, n_iter, converged, violation = _smo_solve(x_pair, y_pair, params)
-            if not converged:
-                notes.append(
-                    f"pair ({cls_a}, {cls_b}): iteration cap {params.max_iter} reached "
-                    f"(KKT violation {violation:.3e})"
-                )
-            sv = alpha > 0.0
-            machines.append(
-                BinarySvm(
-                    class_pos=cls_a,
-                    class_neg=cls_b,
-                    support_vectors=x_pair[sv],
-                    dual_coef=(alpha * y_pair)[sv],
-                    bias=bias,
-                    n_iter=n_iter,
-                    converged=converged,
-                    kkt_violation=float(violation),
-                )
+    for cls_a, cls_b in itertools.combinations(classes.tolist(), 2):
+        mask = (train.labels == cls_a) | (train.labels == cls_b)
+        x_pair = scaled[mask]
+        y_pair = np.where(train.labels[mask] == cls_a, 1.0, -1.0)
+        if np.all(x_pair == x_pair[0]):
+            raise DegenerateDataError(
+                f"classes {cls_a} and {cls_b} have identical feature rows"
             )
+        alpha, bias, n_iter, converged, violation = _smo_solve(x_pair, y_pair, params)
+        sv = alpha > 0.0
+        machines.append(
+            BinarySvm(
+                class_pos=cls_a,
+                class_neg=cls_b,
+                support_vectors=x_pair[sv],
+                dual_coef=(alpha * y_pair)[sv],
+                bias=bias,
+                n_iter=n_iter,
+                converged=converged,
+                kkt_violation=float(violation),
+            )
+        )
+    notes = [
+        f"pair ({m.class_pos}, {m.class_neg}): iteration cap {params.max_iter} reached "
+        f"(KKT violation {m.kkt_violation:.3e})"
+        for m in machines
+        if not m.converged
+    ]
     return SvmModel(
         classes=classes.astype(np.int64),
         machines=machines,

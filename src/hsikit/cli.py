@@ -286,9 +286,9 @@ def run_pipeline(config: dict) -> dict:
         begin("train")
         clf = config["classifier"]
         grid_record = None
+        reduced_train = replace(train_set, features=train_x)
         if clf["kind"] == "svm":
             params = SvmParams(**clf["params"])
-            reduced_train = replace(train_set, features=train_x)
             if clf["grid"]:
                 best_c, best_gamma, table = grid_search_cv(
                     reduced_train,
@@ -304,7 +304,7 @@ def run_pipeline(config: dict) -> dict:
             predictor = svm_predict
         else:
             params = GbdtParams(**clf["params"])
-            model = gbdt_train(replace(train_set, features=train_x), params)
+            model = gbdt_train(reduced_train, params, seed=config["seed"])
             predictor = gbdt_predict
 
         begin("predict")

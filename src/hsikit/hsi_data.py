@@ -170,8 +170,10 @@ def parse_header(header_path) -> dict:
             continue
         if ":" not in ln:
             raise DataFormatError(f"{path}: malformed header line {ln!r}")
-        key, value = ln.split(":", 1)
-        fields[key.strip()] = value.strip()
+        key, value = (part.strip() for part in ln.split(":", 1))
+        if key in fields:
+            raise DataFormatError(f"{path}: header repeats key {key!r}")
+        fields[key] = value
     for key in ("height", "width", "bands", "dtype", "interleave", "byteorder"):
         if key not in fields:
             raise DataFormatError(f"{path}: header missing required key {key!r}")

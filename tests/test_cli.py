@@ -3,6 +3,7 @@
 import argparse
 import ast
 import importlib
+import inspect
 import json
 import os
 import re
@@ -109,6 +110,7 @@ def test_resolve_config_gbdt_defaults():
     assert config["classifier"]["kind"] == "gbdt"
     assert config["classifier"]["params"]["num_trees"] == 200
     assert config["classifier"]["params"]["goss_top_rate"] == 0.2
+    assert "seed" not in config["classifier"]["params"]
 
 
 def test_resolve_config_grid_true_fills_defaults():
@@ -174,6 +176,8 @@ def test_resolve_config_empty_grid_object_is_the_default_grid():
         {"classifier": {"kind": "svm", "grid": []}},
         {"classifier": {"kind": "svm", "grid": 0}},
         {"classifier": {"kind": "svm", "grid": ""}},
+        # The run seed is the only seed.
+        {"classifier": {"kind": "gbdt", "params": {"seed": 1}}},
     ],
 )
 def test_resolve_config_rejects(mutation):
@@ -266,14 +270,29 @@ def test_run_deterministic_artifacts(scene, tmp_path):
     assert first == second
 
 
-def test_run_config_snapshot_reproduces(scene, tmp_path):
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {},
+        {
+            "reduction": {"method": "pca", "components": 3},
+            "classifier": {"kind": "gbdt", "params": {"num_trees": 4, "min_samples_leaf": 2}},
+        },
+        {
+            "reduction": {"method": "rpca", "components": 3, "oversampling": 2},
+            "classifier": {"kind": "svm", "grid": {"c": [1, 10], "gamma": [0.5], "folds": 2}},
+        },
+    ],
+    ids=["svm", "gbdt-pca", "svm-rpca-grid"],
+)
+def test_run_config_snapshot_reproduces(scene, tmp_path, settings):
     # Feeding the emitted config.json back reproduces the run exactly.
     cube_path, gt_path = scene
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    assert (
-        main(["run", "--cube", cube_path, "--gt", gt_path, "--output", str(out_a)]) == 0
-    )
+    config_a = tmp_path / "first.json"
+    config_a.write_text(json.dumps({"cube": cube_path, "ground_truth": gt_path, **settings}))
+    assert main(["run", "--config", str(config_a), "--output", str(out_a)]) == 0
     snapshot = out_a / "config.json"
     rewritten = json.loads(snapshot.read_text())
     rewritten["output"] = str(out_b)
@@ -284,6 +303,21 @@ def test_run_config_snapshot_reproduces(scene, tmp_path):
     blobs_b = run_dir_bytes(out_b)
     del blobs_a["config.json"], blobs_b["config.json"]  # paths differ
     assert blobs_a == blobs_b
+
+
+def test_run_seed_reaches_gbdt_train(scene, tmp_path, monkeypatch):
+    real = hsikit.cli.gbdt_train
+    seeds = []
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seeds.append(bound.arguments["seed"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("hsikit.cli.gbdt_train", recording)
+    make_run(scene, tmp_path / "out", ["--seed", "5", "--classifier", "gbdt", "--gbdt-trees", "2"])
+    assert seeds == [5]
 
 
 def test_run_flags_override_config_file(scene, tmp_path):
@@ -903,6 +937,31 @@ def test_no_module_imports_a_private_name():
                 for alias in node.names:
                     private = alias.name.startswith("_") and not alias.name.startswith("__")
                     assert not private, f"{path.name} imports {alias.name} from {node.module}"
+
+
+def test_every_sampler_takes_a_seed_argument():
+    # Each SplitMix64 stream is seeded by its function's own parameter
+    # named seed, never by a field of a params object, so the run seed
+    # reaches every draw.
+    seeded = 0
+    for path in Path(hsikit.__file__).parent.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = {
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SplitMix64"
+        }
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            params = [a.arg for a in func.args.args + func.args.kwonlyargs]
+            for node in calls & set(ast.walk(func)):
+                args = [ast.unparse(a) for a in node.args + node.keywords]
+                if "seed" in params and args == ["seed"]:
+                    calls.remove(node)
+                    seeded += 1
+        assert not calls, [f"{path.name}:{node.lineno} {ast.unparse(node)}" for node in calls]
+    assert seeded >= 4
 
 
 def test_package_reexports_each_module_all():

@@ -468,6 +468,23 @@ def test_train_deterministic():
     assert np.array_equal(m1.decision_scores(x), m2.decision_scores(x))
 
 
+
+def test_train_goss_draws_from_the_seed_argument():
+    train = two_gaussian_set(60, separation=2.0, seed=102)
+    params = GbdtParams(num_trees=5, max_leaves=5, min_samples_leaf=3, num_bins=16)
+    assert params.goss_top_rate > 0
+    trees = [gbdt_train(train, params, seed=seed).to_dict()["trees"] for seed in (1, 1, 2)]
+    assert trees[0] == trees[1]
+    assert trees[0] != trees[2]
+
+
+def test_train_goss_note_counts_the_rows_kept():
+    train = sample_set(np.linspace(0.0, 1.0, 12), [1] * 6 + [2] * 6)
+    params = GbdtParams(num_trees=1, max_leaves=2, min_samples_leaf=1, num_bins=4)
+    rows, _ = _goss_sample(np.ones((12, 2)), params, SplitMix64(0))
+    assert len(rows) == 3
+    assert gbdt_train(train, params).warnings == ["GOSS keeps 3 of 12 rows per round"]
+
 def test_train_goss_small_sample_notes_warning():
     train = sample_set(
         np.linspace(0.0, 1.0, 10), [1] * 5 + [2] * 5
@@ -507,18 +524,18 @@ def test_train_matches_reference_loop():
     features[labels == 3, 1] -= 1.0
     params = GbdtParams(
         num_trees=5, max_leaves=6, min_samples_leaf=3, num_bins=8,
-        goss_top_rate=0.3, goss_other_rate=0.3, seed=4,
+        goss_top_rate=0.3, goss_other_rate=0.3,
     )
     edges, binned = _bin_features(features, params.num_bins)
     on_edge = sum(int(np.isin(features[:, f], e).sum()) for f, e in enumerate(edges))
     assert on_edge > features.size // 2
-    model = gbdt_train(sample_set(features, labels), params)
+    model = gbdt_train(sample_set(features, labels), params, seed=4)
     assert len(model.trees) == 5 and all(len(r) == 3 for r in model.trees)
     assert sum(t.n_leaves for r in model.trees for t in r) > 2 * 15
 
     onehot = np.eye(3)[labels - 1]
     scores = np.tile(np.log(onehot.mean(axis=0)), (n, 1))
-    rng = SplitMix64(params.seed)
+    rng = SplitMix64(4)
     for round_trees in model.trees:
         grad, hess = softmax_gradients(scores, onehot)
         rows, amplify = _goss_sample(grad, params, rng)

@@ -144,6 +144,17 @@ def test_malformed_headers_rejected(tmp_path, mangle):
         load_cube(header)
 
 
+@pytest.mark.parametrize("line", ["height: 7", "class_names: x, y"])
+def test_repeated_header_key_rejected(tmp_path, line):
+    labels = np.array([[0, 1, 2]] * 6, dtype=np.uint16)
+    path = save_ground_truth(GroundTruth(6, 3, labels, ["a", "b"]), tmp_path / "gt.hsih")
+    path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    key = line.split(":")[0]
+    for load in (parse_header, load_ground_truth):
+        with pytest.raises(DataFormatError, match=f"gt.hsih: header repeats key '{key}'"):
+            load(path)
+
+
 def test_non_utf8_header_is_a_data_format_error(tmp_path):
     header = tmp_path / "bad.hsih"
     header.write_bytes(b"\xff\xfe" + GOOD_HEADER.encode("utf-8"))
