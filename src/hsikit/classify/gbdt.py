@@ -32,7 +32,7 @@ import numpy as np
 from ..errors import DegenerateDataError
 from ..hsi_data import SampleSet
 from ..linalg import as_matrix
-from ..records import Record
+from ..records import Record, check_int_fields
 from ..rng import SplitMix64
 
 __all__ = [
@@ -64,6 +64,7 @@ class GbdtParams:
     goss_other_rate: float = 0.1
 
     def validate(self):
+        check_int_fields(self)
         if self.num_trees < 1:
             raise ValueError(f"num_trees must be >= 1, got {self.num_trees}")
         if not self.learning_rate > 0:

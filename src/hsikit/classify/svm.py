@@ -14,6 +14,12 @@ with the cache budget and the columns touched, not with n^2. An evicted
 column is recomputed bit for bit, so the budget and the eviction order
 never change a result.
 
+Each SMO step selects from two masked copies of the scores, one with
+-inf where a row's alpha cannot move along +y and one with +inf where
+it cannot move along -y, both updated in place: a step allocates no
+n-length array, and the two hold bit for bit the values one score
+array would.
+
 Training is fully deterministic: ties in working-set selection and in
 one-vs-one voting are broken by smallest index / smallest class id.
 """
@@ -29,7 +35,7 @@ import numpy as np
 from ..errors import DegenerateDataError
 from ..hsi_data import SampleSet, stratified_folds
 from ..linalg import as_matrix
-from ..records import Record
+from ..records import Record, check_int_fields
 
 __all__ = [
     "SvmParams",
@@ -62,6 +68,7 @@ class SvmParams:
     max_iter: int = 100_000
 
     def validate(self):
+        check_int_fields(self)
         if not self.c > 0:
             raise ValueError(f"c must be > 0, got {self.c}")
         if not self.gamma > 0:
@@ -134,10 +141,22 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
     Q_ij = y_i y_j K_ij. Returns (alpha, bias, n_iter, converged,
     final KKT violation). Selection picks the maximal violating pair.
 
-    The loop keeps only what selection reads: ``score`` = -y * gradient,
+    The loop keeps only what selection reads: the score -y * gradient,
     updated from the two kernel columns of each step, and the masks
     ``up`` / ``low`` of the rows whose alpha may still move along +y /
-    -y, of which a step changes entries i and j alone.
+    -y, of which a step changes entries i and j alone. The score is held
+    twice, as ``s_up`` (-inf outside ``up``) and ``s_low`` (+inf outside
+    ``low``), so selection is ``s_up.argmax()`` and ``s_low.argmin()``,
+    first extremum on ties. A step writes ``ki - kj`` into one buffer,
+    scales it by the step and subtracts it from both arrays: the same
+    IEEE operations, in the same order, as updating a single score
+    array, and -inf and +inf stay as they are. When i or j changes mask,
+    its score is read from the array that held it (every row is in
+    ``up`` or ``low``, since C > 0) and written where the new mask
+    holds. The scores are therefore bit-identical to a single array's,
+    and so is every choice. Scalars and the per-row alpha, label and
+    mask values are Python floats and bools; the single score array is
+    rebuilt once, after the loop, for the bias.
 
     Kernel columns are computed on demand into an LRU cache of at most
     ``_KERNEL_CACHE_BYTES`` (and never fewer than the two columns a step
@@ -145,7 +164,7 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
     never changes the result.
     """
     n = len(y)
-    c = params.c
+    c = float(params.c)
     sq = (x * x).sum(axis=1)
     capacity = max(2, _KERNEL_CACHE_BYTES // (8 * n))
     cache = OrderedDict()
@@ -162,43 +181,65 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
             cache.move_to_end(i)
         return column
 
-    alpha = np.zeros(n)
     score = np.array(y, dtype=np.float64)  # -y * gradient; the gradient is -1 at alpha = 0
-    pos = y > 0
-    up = pos.copy()
-    low = ~pos
+    pos = score > 0
+    s_up = np.where(pos, score, -np.inf)
+    s_low = np.where(pos, np.inf, score)
+    diff = np.empty(n)
+    y = score.tolist()
+    pos = pos.tolist()
+    up = pos[:]
+    low = [not p for p in pos]
+    alpha = [0.0] * n
+    tolerance = params.tolerance
+    max_iter = params.max_iter
     n_iter = 0
     while True:
-        i = int(np.argmax(np.where(up, score, -np.inf)))
-        j = int(np.argmin(np.where(low, score, np.inf)))
-        violation = score[i] - score[j]
-        if violation <= params.tolerance or n_iter == params.max_iter:
+        i = int(s_up.argmax())
+        j = int(s_low.argmin())
+        violation = (s_up if up[i] else s_low).item(i) - (s_low if low[j] else s_up).item(j)
+        if violation <= tolerance or n_iter == max_iter:
             break
         ki = col(i)
         kj = col(j)
-        quad = ki[i] + kj[j] - 2.0 * ki[j]
+        quad = ki.item(i) + kj.item(j) - 2.0 * ki.item(j)
         step = violation / max(quad, 1e-12)
-        cap_i = (c - alpha[i]) if pos[i] else alpha[i]
-        cap_j = alpha[j] if pos[j] else (c - alpha[j])
+        a_i = alpha[i]
+        a_j = alpha[j]
+        cap_i = (c - a_i) if pos[i] else a_i
+        cap_j = a_j if pos[j] else (c - a_j)
         step = min(step, cap_i, cap_j)
         if step == cap_i:
             alpha[i] = c if pos[i] else 0.0
         else:
-            alpha[i] = min(max(alpha[i] + y[i] * step, 0.0), c)
+            alpha[i] = min(max(a_i + y[i] * step, 0.0), c)
         if step == cap_j:
             alpha[j] = 0.0 if pos[j] else c
         else:
-            alpha[j] = min(max(alpha[j] - y[j] * step, 0.0), c)
-        score -= step * (ki - kj)
+            alpha[j] = min(max(a_j - y[j] * step, 0.0), c)
+        np.subtract(ki, kj, out=diff)
+        diff *= step
+        s_up -= diff
+        s_low -= diff
         for k in (i, j):
-            up[k] = alpha[k] < c if pos[k] else alpha[k] > 0.0
-            low[k] = alpha[k] > 0.0 if pos[k] else alpha[k] < c
+            a = alpha[k]
+            up_k = a < c if pos[k] else a > 0.0
+            low_k = a > 0.0 if pos[k] else a < c
+            if up_k != up[k] or low_k != low[k]:
+                s = (s_up if up[k] else s_low).item(k)
+                s_up[k] = s if up_k else -np.inf
+                s_low[k] = s if low_k else np.inf
+                up[k] = up_k
+                low[k] = low_k
         n_iter += 1
     # Bias: mean score over the free vectors (those in both up and low),
     # else the midpoint of the final maximal violating pair.
+    up = np.array(up)
+    low = np.array(low)
+    score = np.where(up, s_up, s_low)
     free = up & low
     bias = score[free].mean() if free.any() else (score[i] + score[j]) / 2.0
-    return alpha, float(bias), n_iter, n_iter < params.max_iter, violation
+    return np.array(alpha), float(bias), n_iter, n_iter < max_iter, violation
 
 
 def _fit_scaling(features: np.ndarray):

@@ -13,12 +13,13 @@ the array dtypes and the schema tag are each written once, in the class:
 """
 
 import math
+import numbers
 from dataclasses import fields, is_dataclass
 from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-__all__ = ["Record", "coerce"]
+__all__ = ["Record", "coerce", "check_int_fields"]
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
@@ -43,6 +44,16 @@ def coerce(value, kind: type, name: str):
         if math.isfinite(number) and (kind is float or number.is_integer()):
             return kind(number)
     raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def check_int_fields(obj) -> None:
+    """Raise ValueError naming the first ``int`` field of dataclass ``obj``
+    that holds anything but an integer; bools do not count, and neither
+    does an integral float such as ``10.0``, since nothing converts it."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 def _encode(value):

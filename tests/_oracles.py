@@ -111,6 +111,63 @@ def active_set_dual_max(q_matrix, y, c):
     return best
 
 
+def smo_reference(x, y, params):
+    """The SMO loop as first written: one ``score`` array, selection by
+    ``np.where`` masks each step and numpy scalars throughout.
+
+    Returns what ``_smo_solve`` returns. Each kernel column is computed
+    afresh when a step reads it (no cache), with the library's formula,
+    so the library's solver must match this one bit for bit whatever its
+    cache budget.
+    """
+    n = len(y)
+    c = params.c
+    sq = (x * x).sum(axis=1)
+
+    def col(i):
+        d2 = sq + sq[i] - 2.0 * (x @ x[i])
+        np.maximum(d2, 0.0, out=d2)
+        return np.exp(-params.gamma * d2)
+
+    alpha = np.zeros(n)
+    score = np.array(y, dtype=np.float64)  # -y * gradient; the gradient is -1 at alpha = 0
+    pos = y > 0
+    up = pos.copy()
+    low = ~pos
+    n_iter = 0
+    while True:
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        j = int(np.argmin(np.where(low, score, np.inf)))
+        violation = score[i] - score[j]
+        if violation <= params.tolerance or n_iter == params.max_iter:
+            break
+        ki = col(i)
+        kj = col(j)
+        quad = ki[i] + kj[j] - 2.0 * ki[j]
+        step = violation / max(quad, 1e-12)
+        cap_i = (c - alpha[i]) if pos[i] else alpha[i]
+        cap_j = alpha[j] if pos[j] else (c - alpha[j])
+        step = min(step, cap_i, cap_j)
+        if step == cap_i:
+            alpha[i] = c if pos[i] else 0.0
+        else:
+            alpha[i] = min(max(alpha[i] + y[i] * step, 0.0), c)
+        if step == cap_j:
+            alpha[j] = 0.0 if pos[j] else c
+        else:
+            alpha[j] = min(max(alpha[j] - y[j] * step, 0.0), c)
+        score -= step * (ki - kj)
+        for k in (i, j):
+            up[k] = alpha[k] < c if pos[k] else alpha[k] > 0.0
+            low[k] = alpha[k] > 0.0 if pos[k] else alpha[k] < c
+        n_iter += 1
+    # Bias: mean score over the free vectors (those in both up and low),
+    # else the midpoint of the final maximal violating pair.
+    free = up & low
+    bias = score[free].mean() if free.any() else (score[i] + score[j]) / 2.0
+    return alpha, float(bias), n_iter, n_iter < params.max_iter, violation
+
+
 # --- symmetric eigenvalues by cyclic Jacobi ------------------------------
 
 

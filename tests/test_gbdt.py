@@ -424,6 +424,15 @@ def test_train_param_validation():
     ):
         with pytest.raises(ValueError):
             GbdtParams(**bad).validate()
+    for name, value in (
+        ("num_trees", 2.5),
+        ("max_leaves", 3.5),
+        ("min_samples_leaf", 2.0),
+        ("num_bins", 16.5),
+        ("num_bins", True),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            GbdtParams(**{name: value}).validate()
 
 
 def test_train_priors_are_log_frequencies():

@@ -1,11 +1,18 @@
 """Tests for the SMO-trained one-vs-one RBF SVM."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from _oracles import active_set_dual_max, dual_objective, lattice_dual_max, rbf_gram
+from _oracles import (
+    active_set_dual_max,
+    dual_objective,
+    lattice_dual_max,
+    rbf_gram,
+    smo_reference,
+)
 from hsikit.classify.svm import (
     BinarySvm,
     SvmModel,
@@ -199,6 +206,36 @@ def test_smo_column_recompute_path_matches_full_gram(monkeypatch):
     assert abs(score[free].mean() - bias) <= 1e-9
 
 
+@pytest.mark.parametrize("case", ["rows-at-c", "iteration-cap", "duplicate-rows", "two-column-cache"])
+def test_smo_matches_reference_loop(case, monkeypatch):
+    # The solver keeps masked score arrays and Python scalars; the
+    # reference keeps one score array and numpy scalars. Each step does
+    # the same IEEE operations in the same order, so every returned
+    # value is equal, not merely close.
+    x = SplitMix64(505).normal_matrix(300, 3)
+    y = np.where(x[:, 0] + 0.5 * SplitMix64(506).normals(300) > 0, 1.0, -1.0)
+    params = SvmParams(c=10.0, gamma=0.5, tolerance=1e-3)
+    if case == "iteration-cap":
+        params = replace(params, max_iter=50)
+    elif case == "duplicate-rows":
+        # A copy of the first negative row, labelled +1, goes first: the
+        # first step picks that pair, whose quad is 0.
+        k = int(np.argmax(y < 0))
+        x = np.vstack([x[k : k + 1], x])
+        y = np.concatenate([[1.0], y])
+    elif case == "two-column-cache":
+        monkeypatch.setattr("hsikit.classify.svm._KERNEL_CACHE_BYTES", 2 * 8 * len(y))
+    expected = smo_reference(x, y, params)
+    alpha, bias, n_iter, converged, violation = _smo_solve(x, y, params)
+    assert np.array_equal(alpha, expected[0])
+    assert bias == expected[1]
+    assert n_iter == expected[2]
+    assert converged == expected[3]
+    assert violation == expected[4]
+    assert (alpha == params.c).any()
+    assert converged == (case != "iteration-cap")
+
+
 def test_smo_memory_is_bounded_below_the_gram_matrix():
     # A separable 2000-row pair touches few distinct kernel columns, so
     # the solve must hold far less than the n x n Gram matrix.
@@ -292,6 +329,10 @@ def test_train_param_validation():
     ):
         with pytest.raises(ValueError):
             svm_train(train, bad)
+    # A non-integral cap would never equal the iteration count.
+    for value in (5.5, 5.0, True):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            svm_train(train, SvmParams(max_iter=value))
 
 
 def test_train_iteration_cap_warns_in_model():
