@@ -22,9 +22,27 @@ array would.
 
 Training is fully deterministic: ties in working-set selection and in
 one-vs-one voting are broken by smallest index / smallest class id.
+
+The class pairs of ``svm_train`` and the machines of ``svm_predict`` are
+independent, so both are spread over the CPUs the process may run on
+(``os.sched_getaffinity``; ``taskset`` limits them). The items go into
+one bin per CPU, heaviest first into the lightest bin: pairs weighed by
+row count, machines by support-vector count. The calling process runs
+bin 0 and a pool of CPUs - 1 ``fork`` workers runs the others; the pool
+is made on first use, with ``multiprocessing`` and
+``concurrent.futures`` imported only then, and kept by the process that
+made it. Every item runs the same code on the same inputs wherever it
+runs, so the results are bit-identical to a serial run, and with one
+CPU the same function runs in-process with no pool. A process forked
+from a pool's owner, and a daemonic multiprocessing worker (which may
+not start children), run serially. A worker that dies raises
+``WorkerError``.
 """
 
+import atexit
 import itertools
+import os
+import sys
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -32,7 +50,7 @@ from typing import Annotated
 
 import numpy as np
 
-from ..errors import DegenerateDataError
+from ..errors import DegenerateDataError, WorkerError
 from ..hsi_data import SampleSet, stratified_folds
 from ..linalg import as_matrix
 from ..records import Record, check_int_fields
@@ -58,6 +76,9 @@ DEFAULT_FOLDS = 5
 # Memory for cached kernel columns per SMO solve: what a 4096-row Gram
 # matrix of float64 takes.
 _KERNEL_CACHE_BYTES = 4096 * 4096 * 8
+
+# (owner pid, workers, executor) of the process pool; None until first use.
+_pool = None
 
 
 @dataclass(frozen=True)
@@ -92,8 +113,10 @@ class BinarySvm(Record):
     converged: bool
     kkt_violation: float
 
-    def decision(self, x_scaled: np.ndarray, gamma: float) -> np.ndarray:
-        k = _rbf_cross(x_scaled, self.support_vectors, gamma)
+    def decision(self, x_scaled: np.ndarray, gamma: float, sq_x=None) -> np.ndarray:
+        """Decision values of the rows of ``x_scaled``; ``sq_x`` holds
+        their squared norms, computed here when not given."""
+        k = _rbf_cross(x_scaled, self.support_vectors, gamma, sq_x)
         return k @ self.dual_coef + self.bias
 
 
@@ -125,9 +148,13 @@ def rbf_kernel(x, y, gamma: float) -> float:
     return float(np.exp(-gamma * (d @ d)))
 
 
-def _rbf_cross(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """Kernel block K[i, j] = exp(-gamma * ||a_i - b_j||^2)."""
-    sq_a = (a * a).sum(axis=1)
+def _rbf_cross(a: np.ndarray, b: np.ndarray, gamma: float, sq_a=None) -> np.ndarray:
+    """Kernel block K[i, j] = exp(-gamma * ||a_i - b_j||^2).
+
+    ``sq_a`` is ``(a * a).sum(axis=1)``, computed here when not given.
+    """
+    if sq_a is None:
+        sq_a = (a * a).sum(axis=1)
     sq_b = (b * b).sum(axis=1)
     d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T)
     np.maximum(d2, 0.0, out=d2)
@@ -249,31 +276,94 @@ def _fit_scaling(features: np.ndarray):
     return fmin, frange
 
 
-def svm_train(train: SampleSet, params: SvmParams | None = None) -> SvmModel:
-    """Train a one-vs-one RBF SVM on a labeled sample set.
+def _cpu_count() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot tell."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
 
-    Raises DegenerateDataError when fewer than two classes are present
-    or a class pair consists of identical feature rows with conflicting
-    labels. A machine that hits the iteration cap is kept, with a
-    warning recorded in the model.
+
+def _executor(workers: int):
+    """This process's pool of ``workers`` processes, or None to run serially.
+
+    A process forked from a pool's owner (one of the pool's own workers,
+    say) runs serially, as the owner's pool already fills the CPUs; so
+    does a daemonic multiprocessing worker, which may not start children.
+    A pool of another size, left by a change of the CPU set, is replaced.
     """
-    params = params or SvmParams()
-    params.validate()
-    features = as_matrix(train.features, "train.features")
-    classes = np.unique(train.labels)
-    if len(classes) < 2:
-        raise DegenerateDataError("SVM training needs at least 2 classes")
-    fmin, frange = _fit_scaling(features)
-    scaled = (features - fmin) / frange
+    global _pool
+    if _pool is not None and _pool[0] != os.getpid():
+        return None
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None and multiprocessing.current_process().daemon:
+        return None
+    if _pool is not None and _pool[1] != workers:
+        _drop_pool()
+    if _pool is None:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("fork")
+        _pool = (os.getpid(), workers, ProcessPoolExecutor(workers, mp_context=context))
+    return _pool[2]
+
+
+@atexit.register
+def _drop_pool() -> None:
+    """Shut down the pool this process made; the next ``_executor`` makes a
+    new one. Run at exit too, so the pool goes while its modules are whole."""
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[2].shutdown(cancel_futures=True)
+        _pool = None
+
+
+def _spread(fn, items: list, weights: list, *args) -> list:
+    """``fn(bin, *args)`` over ``items`` split into one bin per CPU.
+
+    ``fn`` returns one result per item of its bin; ``_spread`` returns
+    them in item order. Each item, heaviest first (first on ties), goes
+    to the bin of least weight so far (first on ties). This process runs
+    bin 0 while the pool runs the others; with one CPU or one item,
+    ``fn`` runs here once over all items.
+    """
+    cpus = _cpu_count()
+    n_bins = min(cpus, len(items))
+    executor = _executor(cpus - 1) if n_bins > 1 else None
+    if executor is None:
+        return fn(items, *args)
+    from concurrent.futures.process import BrokenProcessPool
+
+    bins = [[] for _ in range(n_bins)]
+    loads = [0] * n_bins
+    for k in sorted(range(len(items)), key=lambda k: -weights[k]):
+        b = loads.index(min(loads))
+        bins[b].append(k)
+        loads[b] += weights[k]
+    try:
+        futures = [executor.submit(fn, [items[k] for k in b], *args) for b in bins[1:]]
+        outputs = [fn([items[k] for k in bins[0]], *args)]
+        outputs += [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        _drop_pool()
+        raise WorkerError("a worker process died before returning its result") from exc
+    results = [None] * len(items)
+    for b, output in zip(bins, outputs):
+        for k, result in zip(b, output):
+            results[k] = result
+    return results
+
+
+def _fit_machines(pairs: list, scaled: np.ndarray, labels: np.ndarray, params) -> list:
+    """The trained machine of each (class_pos, class_neg) pair.
+
+    A pair's rows are gathered from ``scaled`` only while it is solved,
+    so one pair's copy is held at a time, here and in each worker.
+    """
     machines = []
-    for cls_a, cls_b in itertools.combinations(classes.tolist(), 2):
-        mask = (train.labels == cls_a) | (train.labels == cls_b)
+    for cls_a, cls_b in pairs:
+        mask = (labels == cls_a) | (labels == cls_b)
         x_pair = scaled[mask]
-        y_pair = np.where(train.labels[mask] == cls_a, 1.0, -1.0)
-        if np.all(x_pair == x_pair[0]):
-            raise DegenerateDataError(
-                f"classes {cls_a} and {cls_b} have identical feature rows"
-            )
+        y_pair = np.where(labels[mask] == cls_a, 1.0, -1.0)
         alpha, bias, n_iter, converged, violation = _smo_solve(x_pair, y_pair, params)
         sv = alpha > 0.0
         machines.append(
@@ -288,6 +378,43 @@ def svm_train(train: SampleSet, params: SvmParams | None = None) -> SvmModel:
                 kkt_violation=float(violation),
             )
         )
+    return machines
+
+
+def svm_train(train: SampleSet, params: SvmParams | None = None) -> SvmModel:
+    """Train a one-vs-one RBF SVM on a labeled sample set.
+
+    Raises DegenerateDataError when fewer than two classes are present
+    or a class pair consists of identical feature rows with conflicting
+    labels. A machine that hits the iteration cap is kept, with a
+    warning recorded in the model. The pairs are solved on every CPU the
+    process may use (see the module docstring).
+    """
+    params = params or SvmParams()
+    params.validate()
+    features = as_matrix(train.features, "train.features")
+    classes, counts = np.unique(train.labels, return_counts=True)
+    if len(classes) < 2:
+        raise DegenerateDataError("SVM training needs at least 2 classes")
+    fmin, frange = _fit_scaling(features)
+    scaled = (features - fmin) / frange
+    # The rows of a pair are all one row when both its classes are
+    # constant with the same row.
+    constant = {}
+    for cls in classes.tolist():
+        rows = scaled[train.labels == cls]
+        if np.all(rows == rows[0]):
+            constant[cls] = rows[0]
+    pairs = list(itertools.combinations(classes.tolist(), 2))
+    for cls_a, cls_b in pairs:
+        if cls_a in constant and cls_b in constant:
+            if np.array_equal(constant[cls_a], constant[cls_b]):
+                raise DegenerateDataError(
+                    f"classes {cls_a} and {cls_b} have identical feature rows"
+                )
+    count = dict(zip(classes.tolist(), counts.tolist()))
+    weights = [count[cls_a] + count[cls_b] for cls_a, cls_b in pairs]
+    machines = _spread(_fit_machines, pairs, weights, scaled, train.labels, params)
     notes = [
         f"pair ({m.class_pos}, {m.class_neg}): iteration cap {params.max_iter} reached "
         f"(KKT violation {m.kkt_violation:.3e})"
@@ -304,19 +431,27 @@ def svm_train(train: SampleSet, params: SvmParams | None = None) -> SvmModel:
     )
 
 
+def _wins_pos(machines: list, x_scaled: np.ndarray, gamma: float) -> list:
+    """Each machine's ``decision > 0`` over the rows of ``x_scaled``."""
+    sq_x = (x_scaled * x_scaled).sum(axis=1)
+    return [machine.decision(x_scaled, gamma, sq_x) > 0.0 for machine in machines]
+
+
 def svm_predict(model: SvmModel, x) -> np.ndarray:
     """Predict class labels by one-vs-one voting.
 
     A strictly positive decision votes for the smaller class id of the
-    pair; overall ties go to the smallest class id.
+    pair; overall ties go to the smallest class id. The machines are
+    evaluated on every CPU the process may use (see the module
+    docstring).
     """
     x = as_matrix(x, "x", cols=model.n_features)
     scaled = (x - model.feature_min) / model.feature_range
+    weights = [len(machine.dual_coef) for machine in model.machines]
+    wins = _spread(_wins_pos, model.machines, weights, scaled, model.params.gamma)
     class_index = {int(cls): idx for idx, cls in enumerate(model.classes)}
     votes = np.zeros((x.shape[0], len(model.classes)), dtype=np.int64)
-    for machine in model.machines:
-        decision = machine.decision(scaled, model.params.gamma)
-        wins_pos = decision > 0.0
+    for machine, wins_pos in zip(model.machines, wins):
         votes[wins_pos, class_index[machine.class_pos]] += 1
         votes[~wins_pos, class_index[machine.class_neg]] += 1
     return model.classes[np.argmax(votes, axis=1)]

@@ -599,6 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
 # The errors main reports instead of raising: exception type -> (exit
 # code, stderr prefix), the first matching entry wins. A StageError is a
 # HsikitError and reports its cause's exit code under the prefix "error".
+# A dead pool worker arrives as WorkerError, a HsikitError: naming the
+# pool's own BrokenProcessPool here would import concurrent.futures into
+# every run.
 _EXIT_STATUS = {
     UsageError: (1, "usage error"),
     ConvergenceError: (3, "numerical error"),

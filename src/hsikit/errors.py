@@ -5,7 +5,13 @@ conditions the CLI maps to distinct exit codes (data errors vs numerical
 failures).
 """
 
-__all__ = ["HsikitError", "DataFormatError", "ConvergenceError", "DegenerateDataError"]
+__all__ = [
+    "HsikitError",
+    "DataFormatError",
+    "ConvergenceError",
+    "DegenerateDataError",
+    "WorkerError",
+]
 
 
 class HsikitError(Exception):
@@ -22,3 +28,8 @@ class ConvergenceError(HsikitError):
 
 class DegenerateDataError(HsikitError):
     """Input data admits no meaningful result (e.g. a single class)."""
+
+
+class WorkerError(HsikitError):
+    """A worker process ended before returning its result (the kernel's
+    out-of-memory killer is the usual cause)."""

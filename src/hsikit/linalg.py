@@ -91,9 +91,9 @@ def householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
     Requires rows >= cols. Returns (Q, R) with Q m x n orthonormal
     columns and R n x n upper triangular. The factorization is LAPACK's
     Householder QR (``geqrf``/``orgqr``) via numpy; R's diagonal may be
-    negative. A zero (or already reduced) column
-    yields no reflection and a zero row in R, so rank-deficient input is
-    not an error.
+    negative. A zero (or already reduced) column yields no reflection and
+    a zero diagonal entry of R; the rest of that row holds the later
+    columns' components as usual. Rank-deficient input is not an error.
     """
     a = as_matrix(a)
     m, n = a.shape

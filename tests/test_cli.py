@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import hsikit
-from hsikit.classify import GbdtModel, SvmModel
+from hsikit.classify import GbdtModel, SvmModel, svm
 from hsikit.cli import (
     StageError,
     UsageError,
@@ -31,6 +31,7 @@ from hsikit.errors import (
     ConvergenceError,
     DataFormatError,
     DegenerateDataError,
+    WorkerError,
 )
 from hsikit.dimred import PcaModel
 from hsikit.evaluation import EvalReport
@@ -413,6 +414,91 @@ def test_run_determinism_across_blas_threads(tmp_path):
     assert runs["2", 0] == runs["2", 1]
     for name in ("config.json", "report.json", "predictions.json", "map.ppm"):
         assert runs["1", 0][name] == runs["2", 0][name], name
+
+
+@pytest.fixture
+def five_class_scene(tmp_path):
+    cube, gt = gaussian_scene(16, 16, 8, 5, seed=7)
+    cube_path = save_cube(cube, tmp_path / "scene5.hsih")
+    gt_path = save_ground_truth(gt, tmp_path / "scene5_gt.hsih")
+    return str(cube_path), str(gt_path)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {
+            "reduction": {"method": "pca", "components": 4},
+            "classifier": {"kind": "svm", "grid": {"c": [1, 100], "gamma": [0.5, 2], "folds": 2}},
+        },
+        {"reduction": {"method": "rpca", "components": 4, "oversampling": 2}},
+    ],
+    ids=["svm-pca-grid", "svm-rpca"],
+)
+def test_run_artifacts_identical_for_any_worker_count(
+    five_class_scene, tmp_path, monkeypatch, force_cpus, settings
+):
+    # 0 to 3 pool workers (1 to 4 CPUs); the output path is relative, so
+    # config.json can be compared too.
+    cube_path, gt_path = five_class_scene
+    config = tmp_path / "config.json"
+    paths = {"cube": cube_path, "ground_truth": gt_path, "output": "run"}
+    config.write_text(json.dumps({**paths, "seed": 1, **settings}))
+    runs = []
+    for cpus in (1, 2, 3, 4):
+        force_cpus(cpus)
+        (tmp_path / f"cpus{cpus}").mkdir()
+        monkeypatch.chdir(tmp_path / f"cpus{cpus}")
+        assert main(["run", "--config", str(config)]) == 0
+        runs.append(run_dir_bytes(Path("run")))
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+    assert runs[3] == runs[0]
+
+
+def test_run_dead_worker_exits_2_and_writes_nothing(
+    five_class_scene, tmp_path, monkeypatch, force_cpus, capsys
+):
+    cube_path, gt_path = five_class_scene
+    force_cpus(3)  # two pool workers, forked after the patch below
+    parent = os.getpid()
+    real = svm._smo_solve
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(*args)
+
+    monkeypatch.setattr(svm, "_smo_solve", dying)
+    out = tmp_path / "out"
+    code = main(["run", "--cube", cube_path, "--gt", gt_path, "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "stage 'train' failed: a worker process died" in err
+    assert not out.exists()
+    assert not list(tmp_path.rglob("*.tmp"))
+    # The broken pool is gone; the next run makes a new one.
+    assert svm._pool is None
+    monkeypatch.setattr(svm, "_smo_solve", real)
+    assert main(["run", "--cube", cube_path, "--gt", gt_path, "--output", str(out)]) == 0
+
+
+def test_import_leaves_out_the_process_pool_modules():
+    # The pool's modules are imported when the first pool is made; a run
+    # that never makes one does not pay for them.
+    code = (
+        "import sys, hsikit, hsikit.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    src = str(Path(hsikit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_failed_stage_leaves_no_artifacts(scene, tmp_path, capsys):
@@ -987,6 +1073,7 @@ def test_exit_code_mapping():
     assert exit_code_for(ValueError("x")) == 2
     assert exit_code_for(OSError("x")) == 2
     assert exit_code_for(MemoryError()) == 2
+    assert exit_code_for(WorkerError("x")) == 2
     assert exit_code_for(ConvergenceError("x")) == 3
     assert exit_code_for(FloatingPointError("x")) == 3
     # StageError defers to its cause.

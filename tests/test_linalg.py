@@ -56,8 +56,15 @@ def test_qr_rank_deficient_column():
     assert abs(abs(r[0, 0]) - 5.0) < 1e-12
     col = q[:, 0] * np.sign(q[0, 0])
     assert np.allclose(col, [0.6, 0.8], atol=1e-12)
-    # Zero second column: no reflection, zero row in R.
+    # Zero second column: no reflection, zero diagonal entry of R.
     assert abs(r[1, 1]) < 1e-12
+    # With a later column the rest of that row is not zero.
+    a = random_matrix(6, 3, 3)
+    a[:, 1] = 0.0
+    q, r = householder_qr(a)
+    assert r[1, 0] == 0.0 and abs(r[1, 1]) < 1e-12
+    assert abs(r[1, 2]) > 0.1
+    assert np.abs(q @ r - a).max() <= 1e-12
 
 
 def test_qr_reconstruction_and_orthonormality():

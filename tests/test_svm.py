@@ -1,5 +1,7 @@
 """Tests for the SMO-trained one-vs-one RBF SVM."""
 
+import multiprocessing
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -13,6 +15,7 @@ from _oracles import (
     rbf_gram,
     smo_reference,
 )
+from hsikit.classify import svm
 from hsikit.classify.svm import (
     BinarySvm,
     SvmModel,
@@ -317,6 +320,12 @@ def test_train_identical_rows_rejected():
     train = sample_set([[1.0, 2.0], [1.0, 2.0]], [1, 2])
     with pytest.raises(DegenerateDataError):
         svm_train(train)
+    # Classes 1 and 2 are each constant, on different rows; 2 and 3 share
+    # their one row, so the pair (2, 3) is the one named.
+    features = [[0.0, 0.0], [0.0, 0.0], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]
+    train = sample_set(features, [1, 1, 2, 3, 3])
+    with pytest.raises(DegenerateDataError, match="^classes 2 and 3 have identical feature rows$"):
+        svm_train(train)
 
 
 def test_train_param_validation():
@@ -359,10 +368,19 @@ def test_train_deterministic():
 def test_predict_support_vectors_their_own_label():
     train = two_blob_set(20, 3.0, seed=75)
     model = svm_train(train, SvmParams(c=600.0, gamma=0.5))
+    gamma = model.params.gamma
     for machine in model.machines:
         raw = machine.support_vectors * model.feature_range + model.feature_min
         pred = svm_predict(model, raw)
-        decided = machine.decision(machine.support_vectors, model.params.gamma)
+        sv = machine.support_vectors
+        decided = machine.decision(sv, gamma)
+        # Squared norms computed once per predict bin give the same bits
+        # as _rbf_cross computing them per machine.
+        expected = _rbf_cross(sv, sv, gamma) @ machine.dual_coef + machine.bias
+        assert np.array_equal(decided, expected)
+        assert np.array_equal(machine.decision(sv, gamma, (sv * sv).sum(axis=1)), expected)
+        (wins_pos,) = svm._wins_pos([machine], sv, gamma)
+        assert np.array_equal(wins_pos, expected > 0.0)
         for p, d, coef in zip(pred, decided, machine.dual_coef):
             # A margin support vector of the positive class sits at
             # decision >= +1; prediction must match its side.
@@ -496,3 +514,92 @@ def test_grid_degenerate_inputs():
         grid_search_cv(ok, c_grid=[], gamma_grid=[0.5])
     with pytest.raises(ValueError):
         grid_search_cv(ok, c_grid=[1.0], gamma_grid=[0.5], folds=1)
+
+
+# ------------------------------------------------------------------- pool
+
+
+def nine_class_set(seed):
+    rng = SplitMix64(seed)
+    blobs = [rng.normal_matrix(12 + 3 * k, 3) + 2.5 * k for k in range(9)]
+    labels = [k + 1 for k, blob in enumerate(blobs) for _ in range(len(blob))]
+    return sample_set(np.vstack(blobs), labels)
+
+
+def test_train_and_predict_identical_for_any_cpu_count(force_cpus):
+    # 36 pairs of 27 to 69 rows land in 1, 2, 3 or 5 bins; every pair
+    # and machine runs the same code wherever it runs.
+    train = nine_class_set(90)
+    x = SplitMix64(91).normal_matrix(200, 3) * 6.0 + 10.0
+    results = {}
+    for cpus in (1, 2, 3, 5):
+        force_cpus(cpus)
+        model = svm_train(train, SvmParams(c=10.0, gamma=0.5))
+        results[cpus] = (model.to_dict(), svm_predict(model, x).tolist())
+    assert results[2] == results[1]
+    assert results[3] == results[1]
+    assert results[5] == results[1]
+
+
+def test_pool_has_at_most_cpus_minus_one_processes(force_cpus):
+    train = nine_class_set(92)
+    for cpus in (3, 2, 1):
+        force_cpus(cpus)
+        svm_train(train)
+        # A one-CPU run makes no pool at all.
+        assert len(multiprocessing.active_children()) == cpus - 1
+        assert (svm._pool is None) == (cpus == 1)
+
+
+def test_one_pair_runs_without_a_pool(force_cpus):
+    force_cpus(2)
+    svm_train(two_blob_set(10, 3.0, seed=93))
+    assert svm._pool is None
+
+
+def _train_in_child(train):
+    """svm_train's model, and the processes the call left running."""
+    model = svm_train(train)
+    return model.to_dict(), len(multiprocessing.active_children())
+
+
+def _train_in_forked_child(train, conn):
+    conn.send(_train_in_child(train) + (svm._pool[0],))
+    conn.close()
+
+
+def test_train_in_a_daemonic_pool_worker_runs_serially(force_cpus):
+    # A daemonic process may not start children: the worker solves every
+    # pair itself and returns the model a pool would.
+    force_cpus(2)
+    train = nine_class_set(94)
+    expected = svm_train(train).to_dict()
+    svm._drop_pool()
+    with multiprocessing.get_context("fork").Pool(1) as workers:
+        model, children = workers.apply_async(_train_in_child, (train,)).get(timeout=60)
+    assert model == expected
+    assert children == 0
+
+
+def test_train_in_a_child_forked_after_the_pool_runs_serially(force_cpus):
+    # The owner's pool already fills the CPUs, so a child forked from it
+    # starts none of its own.
+    force_cpus(2)
+    train = nine_class_set(95)
+    expected = svm_train(train).to_dict()
+    owner = svm._pool[0]
+    assert owner == os.getpid()
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_train_in_forked_child, args=(train, send))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child returned nothing"
+        model, children, pool_owner = receive.recv()
+        child.join(timeout=60)
+    finally:
+        child.kill()
+    assert child.exitcode == 0
+    assert model == expected
+    assert children == 0
+    assert pool_owner == owner
