@@ -1,0 +1,104 @@
+"""Independent classifier work spread over the CPUs the process may use.
+
+``spread`` runs the class pairs of ``svm_train``, the machines of
+``svm_predict`` and the class trees of each ``gbdt_train`` round over
+the CPUs the process may run on (``os.sched_getaffinity``; ``taskset``
+limits them). The items go into one bin per CPU, heaviest first into
+the lightest bin. The calling process runs bin 0 and a pool of CPUs - 1
+``fork`` workers runs the others; the pool is made on first use, with
+``multiprocessing`` and ``concurrent.futures`` imported only then, and
+kept by the process that made it, so both classifiers share it. Every
+item runs the same code on the same inputs wherever it runs, so the
+results are bit-identical to a serial run, and with one CPU the same
+function runs in-process with no pool. A process forked from a pool's
+owner, and a daemonic multiprocessing worker (which may not start
+children), run serially. A worker that dies raises ``WorkerError``.
+"""
+
+import atexit
+import os
+import sys
+
+from ..errors import WorkerError
+
+__all__ = ["spread"]
+
+# (owner pid, workers, executor) of the process pool; None until first use.
+_current = None
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot tell."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _executor(workers: int):
+    """This process's pool of ``workers`` processes, or None to run serially.
+
+    A process forked from a pool's owner (one of the pool's own workers,
+    say) runs serially, as the owner's pool already fills the CPUs; so
+    does a daemonic multiprocessing worker, which may not start children.
+    A pool of another size, left by a change of the CPU set, is replaced.
+    """
+    global _current
+    if _current is not None and _current[0] != os.getpid():
+        return None
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None and multiprocessing.current_process().daemon:
+        return None
+    if _current is not None and _current[1] != workers:
+        _drop_pool()
+    if _current is None:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("fork")
+        _current = (os.getpid(), workers, ProcessPoolExecutor(workers, mp_context=context))
+    return _current[2]
+
+
+@atexit.register
+def _drop_pool() -> None:
+    """Shut down the pool this process made; the next ``_executor`` makes a
+    new one. Run at exit too, so the pool goes while its modules are whole."""
+    global _current
+    if _current is not None and _current[0] == os.getpid():
+        _current[2].shutdown(cancel_futures=True)
+        _current = None
+
+
+def spread(fn, items: list, weights: list, *args) -> list:
+    """``fn(bin, *args)`` over ``items`` split into one bin per CPU.
+
+    ``fn`` returns one result per item of its bin; ``spread`` returns
+    them in item order. Each item, heaviest first (first on ties), goes
+    to the bin of least weight so far (first on ties). This process runs
+    bin 0 while the pool runs the others; with one CPU or one item,
+    ``fn`` runs here once over all items.
+    """
+    cpus = _cpu_count()
+    n_bins = min(cpus, len(items))
+    executor = _executor(cpus - 1) if n_bins > 1 else None
+    if executor is None:
+        return fn(items, *args)
+    from concurrent.futures.process import BrokenProcessPool
+
+    bins = [[] for _ in range(n_bins)]
+    loads = [0] * n_bins
+    for k in sorted(range(len(items)), key=lambda k: -weights[k]):
+        b = loads.index(min(loads))
+        bins[b].append(k)
+        loads[b] += weights[k]
+    try:
+        futures = [executor.submit(fn, [items[k] for k in b], *args) for b in bins[1:]]
+        outputs = [fn([items[k] for k in bins[0]], *args)]
+        outputs += [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        _drop_pool()
+        raise WorkerError("a worker process died before returning its result") from exc
+    results = [None] * len(items)
+    for b, output in zip(bins, outputs):
+        for k, result in zip(b, output):
+            results[k] = result
+    return results

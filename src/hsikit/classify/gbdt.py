@@ -14,7 +14,9 @@ from all row indices at the root, each internal node splits its index
 array on one contiguous feature column (the features transposed once
 per call, or once per ensemble in ``GbdtModel.decision_scores``), and
 each leaf writes its value to the rows that reach it. Training updates
-its scores through the same routine after each tree is grown.
+its scores through the same routine on the binned features, each
+threshold replaced by the index of its bin edge plus one, which routes
+every row as the raw threshold does.
 
 Gradient-based one-side sampling (GOSS) keeps the top ``a * n`` rows
 by summed absolute gradient each round, samples ``b * n`` of the rest
@@ -22,9 +24,17 @@ uniformly, and amplifies the sampled small-gradient rows by
 (1 - a) / b so histogram sums stay unbiased in expectation. GOSS draws
 from ``SplitMix64(seed)``, ``seed`` being ``gbdt_train``'s argument; a
 run passes its run seed.
+
+A round's class trees are independent once its gradients and GOSS rows
+are fixed. Each tree grows on those rows alone, gathered in ascending
+order, so each histogram bin sums the same values in the same order as
+it would over all rows. The class columns, each tree with its score
+update, are spread over the CPUs the process may run on (see
+``hsikit.classify._pool``); the trees and scores are bit-identical
+however many there are.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Annotated
 
 import numpy as np
@@ -34,6 +44,7 @@ from ..hsi_data import SampleSet
 from ..linalg import as_matrix
 from ..records import Record, check_int_fields
 from ..rng import SplitMix64
+from ._pool import spread
 
 __all__ = [
     "GbdtParams",
@@ -169,11 +180,12 @@ def _bin_features(features: np.ndarray, num_bins: int):
 
     Bin b holds values v with edges[b-1] <= v < edges[b], so a split at
     boundary t (left = bins 0..t) is exactly the raw rule v < edges[t].
+    Bins are stored in the smallest unsigned type that holds them.
     """
     n, width = features.shape
     qs = np.arange(1, num_bins) / num_bins
     edges = []
-    binned = np.empty((n, width), dtype=np.int32)
+    binned = np.empty((n, width), dtype=np.min_scalar_type(num_bins - 1))
     for f in range(width):
         col = features[:, f]
         e = np.unique(np.quantile(col, qs))
@@ -222,15 +234,30 @@ class _Leaf:
     cut: int
 
 
-def _leaf_histograms(binned, rows, g, h, num_bins):
-    """Per-(feature, bin) sums of gradient, hessian, and row count, as
-    one (3, features, num_bins) array."""
-    width = binned.shape[1]
+def _offset_codes(binned_rows: np.ndarray, num_bins: int) -> np.ndarray:
+    """The rows' bins as one flat code per (row, feature): feature f's
+    bin b is code f * num_bins + b, row by row."""
+    width = binned_rows.shape[1]
+    return (binned_rows + np.arange(width, dtype=np.int32) * num_bins).ravel()
+
+
+def _histograms(codes, g, h, width, num_bins, counts=None):
+    """Per-(feature, bin) sums of gradient, hessian, and row count over
+    the rows coded by ``codes`` (``_offset_codes``) whose values are
+    ``g`` and ``h``, as one (3, width, num_bins) array. ``counts``, the
+    row-count sums, is counted here when not given."""
     size = width * num_bins
-    codes = (binned[rows] + np.arange(width, dtype=np.int32) * num_bins).ravel()
-    weights = (np.repeat(g[rows], width), np.repeat(h[rows], width), None)
-    hist = [np.bincount(codes, weights=w, minlength=size) for w in weights]
+    if counts is None:
+        counts = np.bincount(codes, minlength=size)
+    weights = (np.repeat(g, width), np.repeat(h, width))
+    hist = [np.bincount(codes, weights=w, minlength=size) for w in weights] + [counts]
     return np.array(hist, dtype=np.float64).reshape(3, width, num_bins)
+
+
+def _leaf_histograms(binned, rows, g, h, num_bins):
+    """``_histograms`` of the ``rows`` of ``binned``, ``g`` and ``h``."""
+    codes = _offset_codes(binned[rows], num_bins)
+    return _histograms(codes, g[rows], h[rows], binned.shape[1], num_bins)
 
 
 def _best_split(hists: np.ndarray, min_samples_leaf: int):
@@ -259,15 +286,16 @@ def _best_split(hists: np.ndarray, min_samples_leaf: int):
     return list(zip(best.tolist(), feature.tolist(), cut.tolist()))
 
 
-def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None):
-    """Grow one leaf-wise tree on pre-binned features.
+def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None, root=None):
+    """Grow one leaf-wise tree on the ``rows`` of pre-binned features.
 
     ``g`` and ``h`` are per-row (already amplified) gradient and
     hessian values for one class column. Each open leaf keeps one
     histogram array; a split builds the smaller child's and takes the
     sibling's as the difference, and searches both children's splits
-    in one call. When ``trace`` is a list, each expansion appends
-    (chosen leaf gain, gains of the other open leaves) for inspection.
+    in one call. ``root`` is the histogram of ``rows`` when the caller
+    has it. When ``trace`` is a list, each expansion appends (chosen
+    leaf gain, gains of the other open leaves) for inspection.
     """
     num_bins = params.num_bins
 
@@ -287,7 +315,9 @@ def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None):
     value = np.zeros(size)
     # Open leaves in creation order: max() takes the first of equal
     # gains, so ties go to the oldest leaf.
-    open_leaves = new_leaves([0], [rows], _leaf_histograms(binned, rows, g, h, num_bins)[None])
+    if root is None:
+        root = _leaf_histograms(binned, rows, g, h, num_bins)
+    open_leaves = new_leaves([0], [rows], root[None])
     while len(open_leaves) < params.max_leaves:
         leaf = max(open_leaves, key=lambda l: l.gain)
         if leaf.gain <= _MIN_GAIN:
@@ -321,6 +351,42 @@ def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None):
     )
 
 
+def _bin_tree(tree: Tree, edges) -> Tree:
+    """``tree`` with each threshold ``edges[f][cut]`` replaced by cut + 1.
+
+    On binned features it routes every row as ``tree`` does on the raw
+    ones: bin < cut + 1 exactly when the value is < edges[f][cut] (see
+    ``_bin_features``).
+    """
+    threshold = [
+        np.searchsorted(edges[f], t) + 1.0 if f >= 0 else 0.0
+        for f, t in zip(tree.feature.tolist(), tree.threshold.tolist())
+    ]
+    return replace(tree, threshold=np.array(threshold))
+
+
+def _grow_class_trees(class_columns: list, binned_columns, rows, edges, g, h, params) -> list:
+    """(tree, value at every training row) for each of ``class_columns``.
+
+    ``binned_columns`` holds every training row's bins (features x
+    rows). The round's trees grow on its GOSS ``rows``, gathered here
+    once, from those rows' ``g`` and ``h`` (class x row). The root's
+    offset codes and row counts are the same for every class, so they
+    are built once; each class adds only its gradient and hessian sums.
+    """
+    binned = np.ascontiguousarray(binned_columns[:, rows].T)
+    width = binned.shape[1]
+    codes = _offset_codes(binned, params.num_bins)
+    counts = np.bincount(codes, minlength=width * params.num_bins)
+    local = np.arange(len(rows))
+    grown = []
+    for c in class_columns:
+        root = _histograms(codes, g[c], h[c], width, params.num_bins, counts)
+        tree = _grow_tree(binned, edges, g[c], h[c], local, params, root=root)
+        grown.append((tree, _bin_tree(tree, edges).predict_columns(binned_columns)))
+    return grown
+
+
 def gbdt_train(train: SampleSet, params: GbdtParams | None = None, seed: int = 0) -> GbdtModel:
     """Boost ``num_trees`` rounds of per-class leaf-wise trees.
 
@@ -328,6 +394,8 @@ def gbdt_train(train: SampleSet, params: GbdtParams | None = None, seed: int = 0
     tree per class column to the softmax gradient/hessian, on the GOSS
     row subset when sampling is enabled. GOSS draws from
     ``SplitMix64(seed)``; without sampling ``seed`` changes nothing.
+    A round's trees are grown on every CPU the process may use (see the
+    module docstring).
     """
     params = params or GbdtParams()
     params.validate()
@@ -341,7 +409,7 @@ def gbdt_train(train: SampleSet, params: GbdtParams | None = None, seed: int = 0
     priors = np.log(onehot.mean(axis=0))
     scores = np.tile(priors, (n, 1))
     edges, binned = _bin_features(features, params.num_bins)
-    columns = np.ascontiguousarray(features.T)
+    binned_columns = np.ascontiguousarray(binned.T)
     rng = SplitMix64(seed)
     notes = []
     if params.goss_top_rate > 0 and n < 20:
@@ -350,16 +418,15 @@ def gbdt_train(train: SampleSet, params: GbdtParams | None = None, seed: int = 0
     for _ in range(params.num_trees):
         grad, hess = softmax_gradients(scores, onehot)
         rows, amplify = _goss_sample(grad, params, rng)
-        round_trees = []
-        for c in range(n_classes):
-            g = np.zeros(n)
-            h = np.zeros(n)
-            g[rows] = grad[rows, c] * amplify
-            h[rows] = hess[rows, c] * amplify
-            tree = _grow_tree(binned, edges, g, h, rows, params)
-            round_trees.append(tree)
-            scores[:, c] += tree.predict_columns(columns)
-        all_trees.append(round_trees)
+        g = np.ascontiguousarray(grad[rows].T) * amplify
+        h = np.ascontiguousarray(hess[rows].T) * amplify
+        grown = spread(
+            _grow_class_trees, list(range(n_classes)), [1] * n_classes,
+            binned_columns, rows, edges, g, h, params,
+        )
+        for c, (_, values) in enumerate(grown):
+            scores[:, c] += values
+        all_trees.append([tree for tree, _ in grown])
     return GbdtModel(
         classes=classes.astype(np.int64),
         priors=priors,

@@ -25,24 +25,11 @@ one-vs-one voting are broken by smallest index / smallest class id.
 
 The class pairs of ``svm_train`` and the machines of ``svm_predict`` are
 independent, so both are spread over the CPUs the process may run on
-(``os.sched_getaffinity``; ``taskset`` limits them). The items go into
-one bin per CPU, heaviest first into the lightest bin: pairs weighed by
-row count, machines by support-vector count. The calling process runs
-bin 0 and a pool of CPUs - 1 ``fork`` workers runs the others; the pool
-is made on first use, with ``multiprocessing`` and
-``concurrent.futures`` imported only then, and kept by the process that
-made it. Every item runs the same code on the same inputs wherever it
-runs, so the results are bit-identical to a serial run, and with one
-CPU the same function runs in-process with no pool. A process forked
-from a pool's owner, and a daemonic multiprocessing worker (which may
-not start children), run serially. A worker that dies raises
-``WorkerError``.
+(see ``hsikit.classify._pool``): pairs weighed by row count, machines
+by support-vector count. The results are bit-identical to a serial run.
 """
 
-import atexit
 import itertools
-import os
-import sys
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -50,10 +37,11 @@ from typing import Annotated
 
 import numpy as np
 
-from ..errors import DegenerateDataError, WorkerError
+from ..errors import DegenerateDataError
 from ..hsi_data import SampleSet, stratified_folds
 from ..linalg import as_matrix
 from ..records import Record, check_int_fields
+from ._pool import spread
 
 __all__ = [
     "SvmParams",
@@ -76,9 +64,6 @@ DEFAULT_FOLDS = 5
 # Memory for cached kernel columns per SMO solve: what a 4096-row Gram
 # matrix of float64 takes.
 _KERNEL_CACHE_BYTES = 4096 * 4096 * 8
-
-# (owner pid, workers, executor) of the process pool; None until first use.
-_pool = None
 
 
 @dataclass(frozen=True)
@@ -276,83 +261,6 @@ def _fit_scaling(features: np.ndarray):
     return fmin, frange
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot tell."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else 1
-
-
-def _executor(workers: int):
-    """This process's pool of ``workers`` processes, or None to run serially.
-
-    A process forked from a pool's owner (one of the pool's own workers,
-    say) runs serially, as the owner's pool already fills the CPUs; so
-    does a daemonic multiprocessing worker, which may not start children.
-    A pool of another size, left by a change of the CPU set, is replaced.
-    """
-    global _pool
-    if _pool is not None and _pool[0] != os.getpid():
-        return None
-    multiprocessing = sys.modules.get("multiprocessing")
-    if multiprocessing is not None and multiprocessing.current_process().daemon:
-        return None
-    if _pool is not None and _pool[1] != workers:
-        _drop_pool()
-    if _pool is None:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = multiprocessing.get_context("fork")
-        _pool = (os.getpid(), workers, ProcessPoolExecutor(workers, mp_context=context))
-    return _pool[2]
-
-
-@atexit.register
-def _drop_pool() -> None:
-    """Shut down the pool this process made; the next ``_executor`` makes a
-    new one. Run at exit too, so the pool goes while its modules are whole."""
-    global _pool
-    if _pool is not None and _pool[0] == os.getpid():
-        _pool[2].shutdown(cancel_futures=True)
-        _pool = None
-
-
-def _spread(fn, items: list, weights: list, *args) -> list:
-    """``fn(bin, *args)`` over ``items`` split into one bin per CPU.
-
-    ``fn`` returns one result per item of its bin; ``_spread`` returns
-    them in item order. Each item, heaviest first (first on ties), goes
-    to the bin of least weight so far (first on ties). This process runs
-    bin 0 while the pool runs the others; with one CPU or one item,
-    ``fn`` runs here once over all items.
-    """
-    cpus = _cpu_count()
-    n_bins = min(cpus, len(items))
-    executor = _executor(cpus - 1) if n_bins > 1 else None
-    if executor is None:
-        return fn(items, *args)
-    from concurrent.futures.process import BrokenProcessPool
-
-    bins = [[] for _ in range(n_bins)]
-    loads = [0] * n_bins
-    for k in sorted(range(len(items)), key=lambda k: -weights[k]):
-        b = loads.index(min(loads))
-        bins[b].append(k)
-        loads[b] += weights[k]
-    try:
-        futures = [executor.submit(fn, [items[k] for k in b], *args) for b in bins[1:]]
-        outputs = [fn([items[k] for k in bins[0]], *args)]
-        outputs += [future.result() for future in futures]
-    except BrokenProcessPool as exc:
-        _drop_pool()
-        raise WorkerError("a worker process died before returning its result") from exc
-    results = [None] * len(items)
-    for b, output in zip(bins, outputs):
-        for k, result in zip(b, output):
-            results[k] = result
-    return results
-
-
 def _fit_machines(pairs: list, scaled: np.ndarray, labels: np.ndarray, params) -> list:
     """The trained machine of each (class_pos, class_neg) pair.
 
@@ -414,7 +322,7 @@ def svm_train(train: SampleSet, params: SvmParams | None = None) -> SvmModel:
                 )
     count = dict(zip(classes.tolist(), counts.tolist()))
     weights = [count[cls_a] + count[cls_b] for cls_a, cls_b in pairs]
-    machines = _spread(_fit_machines, pairs, weights, scaled, train.labels, params)
+    machines = spread(_fit_machines, pairs, weights, scaled, train.labels, params)
     notes = [
         f"pair ({m.class_pos}, {m.class_neg}): iteration cap {params.max_iter} reached "
         f"(KKT violation {m.kkt_violation:.3e})"
@@ -448,7 +356,7 @@ def svm_predict(model: SvmModel, x) -> np.ndarray:
     x = as_matrix(x, "x", cols=model.n_features)
     scaled = (x - model.feature_min) / model.feature_range
     weights = [len(machine.dual_coef) for machine in model.machines]
-    wins = _spread(_wins_pos, model.machines, weights, scaled, model.params.gamma)
+    wins = spread(_wins_pos, model.machines, weights, scaled, model.params.gamma)
     class_index = {int(cls): idx for idx, cls in enumerate(model.classes)}
     votes = np.zeros((x.shape[0], len(model.classes)), dtype=np.int64)
     for machine, wins_pos in zip(model.machines, wins):

@@ -126,14 +126,16 @@ def _exact_binomial_p(b: int, c: int) -> float:
     """Two-sided p for b successes out of b + c fair coin flips.
 
     Sums C(n, k) / 2^n over all k at least as extreme as the observed
-    split, in exact integer arithmetic before the final division.
+    split, in exact integer arithmetic; the final integer division is
+    rounded once, so it holds for any n (a float 2^n overflows at
+    n = 1024).
     """
     n = b + c
     if n == 0:
         return 1.0
     observed = abs(b - c)
     total = sum(math.comb(n, k) for k in range(n + 1) if abs(2 * k - n) >= observed)
-    return total / float(2**n)
+    return total / 2**n
 
 
 def mcnemar(pred_a, pred_b, truth, exact_threshold: int = 25) -> McNemarResult:

@@ -2,20 +2,20 @@
 
 import pytest
 
-from hsikit.classify import svm
+from hsikit.classify import _pool as pool
 
 
 @pytest.fixture
 def force_cpus(monkeypatch):
-    """``force_cpus(n)`` makes the SVM pool see ``n`` CPUs.
+    """``force_cpus(n)`` makes the classifiers' pool see ``n`` CPUs.
 
     The pool is dropped at each call and at teardown, so the next pool is
     forked after every patch in place and none outlives the test.
     """
 
     def force(n):
-        svm._drop_pool()
-        monkeypatch.setattr(svm, "_cpu_count", lambda: n)
+        pool._drop_pool()
+        monkeypatch.setattr(pool, "_cpu_count", lambda: n)
 
     yield force
-    svm._drop_pool()
+    pool._drop_pool()

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import hsikit
-from hsikit.classify import GbdtModel, SvmModel, svm
+from hsikit.classify import GbdtModel, SvmModel, gbdt, svm
+from hsikit.classify import _pool as pool
 from hsikit.cli import (
     StageError,
     UsageError,
@@ -432,8 +433,12 @@ def five_class_scene(tmp_path):
             "classifier": {"kind": "svm", "grid": {"c": [1, 100], "gamma": [0.5, 2], "folds": 2}},
         },
         {"reduction": {"method": "rpca", "components": 4, "oversampling": 2}},
+        {
+            "reduction": {"method": "pca", "components": 4},
+            "classifier": {"kind": "gbdt", "params": {"num_trees": 5}},
+        },
     ],
-    ids=["svm-pca-grid", "svm-rpca"],
+    ids=["svm-pca-grid", "svm-rpca", "gbdt"],
 )
 def test_run_artifacts_identical_for_any_worker_count(
     five_class_scene, tmp_path, monkeypatch, force_cpus, settings
@@ -456,22 +461,23 @@ def test_run_artifacts_identical_for_any_worker_count(
     assert runs[3] == runs[0]
 
 
-def test_run_dead_worker_exits_2_and_writes_nothing(
-    five_class_scene, tmp_path, monkeypatch, force_cpus, capsys
-):
-    cube_path, gt_path = five_class_scene
+def dead_worker_run(scene, tmp_path, monkeypatch, force_cpus, capsys, module, name, flags):
+    """A run whose pool workers exit inside ``module.name`` exits 2 with
+    one stderr line and writes nothing; the next run makes a new pool."""
+    cube_path, gt_path = scene
     force_cpus(3)  # two pool workers, forked after the patch below
     parent = os.getpid()
-    real = svm._smo_solve
+    real = getattr(module, name)
 
-    def dying(*args):
+    def dying(*args, **kwargs):
         if os.getpid() != parent:
             os._exit(1)
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(svm, "_smo_solve", dying)
+    monkeypatch.setattr(module, name, dying)
     out = tmp_path / "out"
-    code = main(["run", "--cube", cube_path, "--gt", gt_path, "--output", str(out)])
+    argv = ["run", "--cube", cube_path, "--gt", gt_path, "--output", str(out), *flags]
+    code = main(argv)
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
@@ -479,9 +485,26 @@ def test_run_dead_worker_exits_2_and_writes_nothing(
     assert not out.exists()
     assert not list(tmp_path.rglob("*.tmp"))
     # The broken pool is gone; the next run makes a new one.
-    assert svm._pool is None
-    monkeypatch.setattr(svm, "_smo_solve", real)
-    assert main(["run", "--cube", cube_path, "--gt", gt_path, "--output", str(out)]) == 0
+    assert pool._current is None
+    monkeypatch.setattr(module, name, real)
+    assert main(argv) == 0
+
+
+def test_run_dead_worker_exits_2_and_writes_nothing(
+    five_class_scene, tmp_path, monkeypatch, force_cpus, capsys
+):
+    dead_worker_run(
+        five_class_scene, tmp_path, monkeypatch, force_cpus, capsys, svm, "_smo_solve", []
+    )
+
+
+def test_run_dead_gbdt_worker_exits_2_and_writes_nothing(
+    five_class_scene, tmp_path, monkeypatch, force_cpus, capsys
+):
+    dead_worker_run(
+        five_class_scene, tmp_path, monkeypatch, force_cpus, capsys,
+        gbdt, "_grow_tree", ["--classifier", "gbdt", "--gbdt-trees", "3"],
+    )
 
 
 def test_import_leaves_out_the_process_pool_modules():

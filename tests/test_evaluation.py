@@ -195,6 +195,21 @@ def test_mcnemar_exact_path_matches_enumeration():
             assert abs(result.p_value - expected) <= 1e-12
 
 
+def test_mcnemar_exact_path_beyond_float_range():
+    # 2^n overflows a float from n = 1024; the exact path divides
+    # integers, so a raised threshold still gives a p-value.
+    pred_a, pred_b, truth = paired_predictions(b=1100, c=1100)
+    tied = mcnemar(pred_a, pred_b, truth, exact_threshold=3000)
+    assert tied.method == "exact_binomial"
+    assert tied.p_value == 1.0
+    pred_a, pred_b, truth = paired_predictions(b=600, c=500)
+    exact = mcnemar(pred_a, pred_b, truth, exact_threshold=2000)
+    approx = mcnemar(pred_a, pred_b, truth)
+    assert (exact.method, approx.method) == ("exact_binomial", "chi_square")
+    assert 0.0 < exact.p_value < 0.05
+    assert abs(exact.p_value - approx.p_value) <= 0.01
+
+
 def test_mcnemar_symmetry():
     pred_a, pred_b, truth = paired_predictions(b=7, c=2)
     r_ab = mcnemar(pred_a, pred_b, truth)

@@ -1,9 +1,12 @@
 """Tests for the leaf-wise histogram GBDT with GOSS sampling."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from _oracles import tree_walk
+from hsikit.classify import _pool as pool
 from hsikit.classify.gbdt import (
     GbdtModel,
     GbdtParams,
@@ -558,6 +561,60 @@ def test_train_matches_reference_loop():
             for name in ("feature", "threshold", "left", "right", "value"):
                 assert np.array_equal(getattr(got, name), getattr(tree, name)), name
             scores[:, c] += tree_walk(tree, features)
+
+
+# --------------------------------------------------------------------- pool
+
+
+def five_class_set(n_per_class, seed):
+    rng = SplitMix64(seed)
+    labels = np.repeat([1, 2, 3, 4, 5], n_per_class)
+    features = rng.normal_matrix(len(labels), 3)
+    features[:, 0] += labels
+    return sample_set(features, labels)
+
+
+@pytest.mark.parametrize(
+    "n_per_class, goss, rows_kept",
+    [(40, {}, 60), (40, NO_GOSS, 200), (1, {}, 1)],
+    ids=["goss", "no-goss", "goss-keeps-1-row"],
+)
+def test_train_identical_for_any_cpu_count(force_cpus, n_per_class, goss, rows_kept):
+    # A round's 5 class trees land in 1 to 4 bins, and each grows from
+    # the round's gathered rows wherever it grows.
+    train = five_class_set(n_per_class, seed=120)
+    params = GbdtParams(num_trees=4, max_leaves=5, min_samples_leaf=1, num_bins=8, **goss)
+    rng = SplitMix64(0)
+    assert len(_goss_sample(np.ones((len(train), 5)), params, rng)[0]) == rows_kept
+    models = []
+    for cpus in (1, 2, 3, 4):
+        force_cpus(cpus)
+        models.append(gbdt_train(train, params, seed=5).to_dict())
+        assert (pool._current is None) == (cpus == 1)
+    assert models[1] == models[0]
+    assert models[2] == models[0]
+    assert models[3] == models[0]
+
+
+def _train_in_child(train, params):
+    """gbdt_train's model, and the processes the call left running."""
+    model = gbdt_train(train, params, seed=5)
+    return model.to_dict(), len(multiprocessing.active_children())
+
+
+def test_train_in_a_daemonic_pool_worker_runs_serially(force_cpus):
+    # A daemonic process may not start children: the worker grows every
+    # class tree itself and returns the model a pool would.
+    force_cpus(2)
+    train = five_class_set(40, seed=121)
+    params = GbdtParams(num_trees=3, max_leaves=5, min_samples_leaf=2, num_bins=8)
+    expected = gbdt_train(train, params, seed=5).to_dict()
+    assert pool._current is not None
+    pool._drop_pool()
+    with multiprocessing.get_context("fork").Pool(1) as workers:
+        model, children = workers.apply_async(_train_in_child, (train, params)).get(timeout=60)
+    assert model == expected
+    assert children == 0
 
 
 # --------------------------------------------------------------- prediction

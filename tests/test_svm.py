@@ -15,6 +15,7 @@ from _oracles import (
     rbf_gram,
     smo_reference,
 )
+from hsikit.classify import _pool as pool
 from hsikit.classify import svm
 from hsikit.classify.svm import (
     BinarySvm,
@@ -548,13 +549,13 @@ def test_pool_has_at_most_cpus_minus_one_processes(force_cpus):
         svm_train(train)
         # A one-CPU run makes no pool at all.
         assert len(multiprocessing.active_children()) == cpus - 1
-        assert (svm._pool is None) == (cpus == 1)
+        assert (pool._current is None) == (cpus == 1)
 
 
 def test_one_pair_runs_without_a_pool(force_cpus):
     force_cpus(2)
     svm_train(two_blob_set(10, 3.0, seed=93))
-    assert svm._pool is None
+    assert pool._current is None
 
 
 def _train_in_child(train):
@@ -564,7 +565,7 @@ def _train_in_child(train):
 
 
 def _train_in_forked_child(train, conn):
-    conn.send(_train_in_child(train) + (svm._pool[0],))
+    conn.send(_train_in_child(train) + (pool._current[0],))
     conn.close()
 
 
@@ -574,7 +575,7 @@ def test_train_in_a_daemonic_pool_worker_runs_serially(force_cpus):
     force_cpus(2)
     train = nine_class_set(94)
     expected = svm_train(train).to_dict()
-    svm._drop_pool()
+    pool._drop_pool()
     with multiprocessing.get_context("fork").Pool(1) as workers:
         model, children = workers.apply_async(_train_in_child, (train,)).get(timeout=60)
     assert model == expected
@@ -587,7 +588,7 @@ def test_train_in_a_child_forked_after_the_pool_runs_serially(force_cpus):
     force_cpus(2)
     train = nine_class_set(95)
     expected = svm_train(train).to_dict()
-    owner = svm._pool[0]
+    owner = pool._current[0]
     assert owner == os.getpid()
     context = multiprocessing.get_context("fork")
     receive, send = context.Pipe(duplex=False)
