@@ -27,6 +27,17 @@ The class pairs of ``svm_train`` and the machines of ``svm_predict`` are
 independent, so both are spread over the CPUs the process may run on
 (see ``hsikit.classify._pool``): pairs weighed by row count, machines
 by support-vector count. The results are bit-identical to a serial run.
+
+A machine's decision values are computed in blocks of test rows whose
+test x support-vector kernel fits ``_KERNEL_BLOCK_BYTES`` (one row when
+a row alone is larger), in two buffers reused from block to block, so
+prediction memory is bounded by that budget, not by the number of test
+rows times the support vectors. The block size depends only on the
+budget and the support-vector count, never on the CPU count. The BLAS
+may round a product of a few rows differently from one of many, so a
+decision value can move at rounding level with the block size;
+predictions read only its sign, which moves only for a decision within
+rounding of zero.
 """
 
 import itertools
@@ -65,6 +76,10 @@ DEFAULT_FOLDS = 5
 # matrix of float64 takes.
 _KERNEL_CACHE_BYTES = 4096 * 4096 * 8
 
+# Memory for one block of the test x support-vector kernel at predict
+# time: 2^16 float64, which stays in cache.
+_KERNEL_BLOCK_BYTES = 2**16 * 8
+
 
 @dataclass(frozen=True)
 class SvmParams:
@@ -100,9 +115,38 @@ class BinarySvm(Record):
 
     def decision(self, x_scaled: np.ndarray, gamma: float, sq_x=None) -> np.ndarray:
         """Decision values of the rows of ``x_scaled``; ``sq_x`` holds
-        their squared norms, computed here when not given."""
-        k = _rbf_cross(x_scaled, self.support_vectors, gamma, sq_x)
-        return k @ self.dual_coef + self.bias
+        their squared norms, computed here when not given.
+
+        The kernel K[i, j] = exp(-gamma * ||x_i - sv_j||^2) is formed in
+        blocks of ``max(1, _KERNEL_BLOCK_BYTES // (8 * n_sv))`` rows, in
+        two buffers reused from block to block, each block with the
+        operations of the whole-matrix formula in its order. A block's
+        row count can move a decision value at rounding level (see the
+        module docstring).
+        """
+        if sq_x is None:
+            sq_x = (x_scaled * x_scaled).sum(axis=1)
+        sv = self.support_vectors
+        sq_sv = (sv * sv).sum(axis=1)
+        n = len(x_scaled)
+        rows = max(1, _KERNEL_BLOCK_BYTES // (8 * max(1, len(sv))))
+        kernel = np.empty((min(rows, n), len(sv)))
+        cross = np.empty_like(kernel)
+        out = np.empty(n)
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            k = kernel[: stop - start]
+            xy = cross[: stop - start]
+            np.add(sq_x[start:stop, None], sq_sv[None, :], out=k)
+            np.matmul(x_scaled[start:stop], sv.T, out=xy)
+            xy *= 2.0
+            k -= xy
+            np.maximum(k, 0.0, out=k)
+            k *= -gamma
+            np.exp(k, out=k)
+            np.matmul(k, self.dual_coef, out=out[start:stop])
+        out += self.bias
+        return out
 
 
 @dataclass
@@ -131,19 +175,6 @@ def rbf_kernel(x, y, gamma: float) -> float:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     d = x - y
     return float(np.exp(-gamma * (d @ d)))
-
-
-def _rbf_cross(a: np.ndarray, b: np.ndarray, gamma: float, sq_a=None) -> np.ndarray:
-    """Kernel block K[i, j] = exp(-gamma * ||a_i - b_j||^2).
-
-    ``sq_a`` is ``(a * a).sum(axis=1)``, computed here when not given.
-    """
-    if sq_a is None:
-        sq_a = (a * a).sum(axis=1)
-    sq_b = (b * b).sum(axis=1)
-    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.exp(-gamma * d2)
 
 
 def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
@@ -360,8 +391,8 @@ def svm_predict(model: SvmModel, x) -> np.ndarray:
     class_index = {int(cls): idx for idx, cls in enumerate(model.classes)}
     votes = np.zeros((x.shape[0], len(model.classes)), dtype=np.int64)
     for machine, wins_pos in zip(model.machines, wins):
-        votes[wins_pos, class_index[machine.class_pos]] += 1
-        votes[~wins_pos, class_index[machine.class_neg]] += 1
+        votes[:, class_index[machine.class_pos]] += wins_pos
+        votes[:, class_index[machine.class_neg]] += ~wins_pos
     return model.classes[np.argmax(votes, axis=1)]
 
 

@@ -452,19 +452,22 @@ def _cmd_run(args) -> int:
 
 def _compared_run(run_dir) -> dict:
     """The predictions.json fields compare reads, and the report's
-    overall accuracy as ``accuracy``."""
+    overall accuracy as ``accuracy``; the method must be a string and
+    the accuracy a finite number, as compare prints both."""
     base = Path(run_dir)
     path = base / "predictions.json"
     try:
         predictions = _load_json(path)
         run = {
             key: predictions[key]
-            for key in ("dataset", "seed", "train_fraction", "method", "pixel_indices",
-                        "truth", "predicted")
+            for key in ("dataset", "seed", "train_fraction", "pixel_indices", "truth",
+                        "predicted")
         }
+        run["method"] = coerce(predictions["method"], str, "method")
         path = base / "report.json"
-        run["accuracy"] = _load_json(path)["evaluation"]["overall_accuracy"]
-    except (KeyError, TypeError) as exc:
+        accuracy = _load_json(path)["evaluation"]["overall_accuracy"]
+        run["accuracy"] = coerce(accuracy, float, "evaluation.overall_accuracy")
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: missing or malformed field ({exc!r})") from None
     return run
 

@@ -16,6 +16,21 @@ def dual_objective(alpha, q_matrix):
     return float(alpha.sum() - 0.5 * alpha @ q_matrix @ alpha)
 
 
+def rbf_cross(a, b, gamma, sq_a=None):
+    """Kernel matrix K[i, j] = exp(-gamma * ||a_i - b_j||^2), formed whole.
+
+    The unblocked reference for ``BinarySvm.decision``, which forms the
+    same matrix in blocks of rows. ``sq_a`` is ``(a * a).sum(axis=1)``,
+    computed here when not given.
+    """
+    if sq_a is None:
+        sq_a = (a * a).sum(axis=1)
+    sq_b = (b * b).sum(axis=1)
+    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T)
+    np.maximum(d2, 0.0, out=d2)
+    return np.exp(-gamma * d2)
+
+
 def rbf_gram(x, gamma):
     sq = (x * x).sum(axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * x @ x.T

@@ -764,6 +764,8 @@ def test_compare_missing_run_dir(tmp_path, capsys):
         ("predictions.json", lambda doc: doc.pop("predicted")),
         ("report.json", lambda doc: doc.pop("evaluation")),
         ("report.json", lambda doc: doc.update(evaluation=[0.9])),
+        ("report.json", lambda doc: doc["evaluation"].update(overall_accuracy=None)),
+        ("predictions.json", lambda doc: doc.update(method=["svm"])),
     ],
 )
 def test_compare_foreign_run_is_a_data_error(scene, tmp_path, capsys, name, mangle):
@@ -774,11 +776,13 @@ def test_compare_foreign_run_is_a_data_error(scene, tmp_path, capsys, name, mang
     doc = json.loads((out_b / name).read_text())
     mangle(doc)
     (out_b / name).write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["compare", str(out_a), str(out_b)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("data error:")
-    assert str(out_b / name) in err
+    for json_flag in ([], ["--json"]):
+        capsys.readouterr()
+        assert main(["compare", *json_flag, str(out_a), str(out_b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error:")
+        assert str(out_b / name) in captured.err
 
 
 def test_compare_non_utf8_run_file_is_a_data_error(scene, tmp_path, capsys):

@@ -12,6 +12,7 @@ from _oracles import (
     active_set_dual_max,
     dual_objective,
     lattice_dual_max,
+    rbf_cross,
     rbf_gram,
     smo_reference,
 )
@@ -21,7 +22,6 @@ from hsikit.classify.svm import (
     BinarySvm,
     SvmModel,
     SvmParams,
-    _rbf_cross,
     _smo_solve,
     grid_search_cv,
     rbf_kernel,
@@ -201,7 +201,7 @@ def test_smo_column_recompute_path_matches_full_gram(monkeypatch):
     assert bias_col == bias and violation_col == violation
     # Against the full Gram matrix: the violation and the bias follow
     # from the returned alpha.
-    grad = (np.outer(y, y) * _rbf_cross(x, x, params.gamma)) @ alpha - 1.0
+    grad = (np.outer(y, y) * rbf_cross(x, x, params.gamma)) @ alpha - 1.0
     score = -y * grad
     pos = y > 0
     up = (pos & (alpha < params.c)) | (~pos & (alpha > 0.0))
@@ -376,8 +376,8 @@ def test_predict_support_vectors_their_own_label():
         sv = machine.support_vectors
         decided = machine.decision(sv, gamma)
         # Squared norms computed once per predict bin give the same bits
-        # as _rbf_cross computing them per machine.
-        expected = _rbf_cross(sv, sv, gamma) @ machine.dual_coef + machine.bias
+        # as rbf_cross computing them per machine.
+        expected = rbf_cross(sv, sv, gamma) @ machine.dual_coef + machine.bias
         assert np.array_equal(decided, expected)
         assert np.array_equal(machine.decision(sv, gamma, (sv * sv).sum(axis=1)), expected)
         (wins_pos,) = svm._wins_pos([machine], sv, gamma)
@@ -433,6 +433,67 @@ def test_predict_dimension_mismatch():
     model = svm_train(train, SvmParams(c=1.0, gamma=0.5))
     with pytest.raises(ValueError, match="^x has 3 columns but the model was fit on 2$"):
         svm_predict(model, np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("case", ["several-blocks", "one-row-blocks", "no-test-rows"])
+def test_blocked_decisions_match_the_whole_kernel(case, monkeypatch, force_cpus):
+    # A block of a few rows may round a decision differently from the
+    # whole kernel matrix, by a few ulps; no prediction moves.
+    elements, n_test = {
+        "several-blocks": (100, 200),
+        "one-row-blocks": (16, 200),
+        "no-test-rows": (100, 0),
+    }[case]
+    force_cpus(1)
+    model = svm_train(nine_class_set(90), SvmParams(c=10.0, gamma=0.5))
+    x = SplitMix64(91).normal_matrix(n_test, 3) * 6.0 + 10.0
+    expected = svm_predict(model, x)
+    monkeypatch.setattr(svm, "_KERNEL_BLOCK_BYTES", 8 * elements)
+    n_sv = [len(machine.dual_coef) for machine in model.machines]
+    rows = [max(1, elements // n) for n in n_sv]
+    if case == "several-blocks":
+        # Every machine takes several blocks; some end in a partial one.
+        assert all(r < n_test for r in rows) and any(n_test % r for r in rows)
+    elif case == "one-row-blocks":
+        # These machines hold more support vectors than a block.
+        assert any(n > elements for n in n_sv)
+    scaled = (x - model.feature_min) / model.feature_range
+    gamma = model.params.gamma
+    for machine in model.machines:
+        decided = machine.decision(scaled, gamma)
+        whole = rbf_cross(scaled, machine.support_vectors, gamma) @ machine.dual_coef
+        assert decided.shape == (n_test,)
+        assert np.abs(decided - (whole + machine.bias)).max(initial=0.0) <= 1e-12
+    assert np.array_equal(svm_predict(model, x), expected)
+
+
+def test_predict_memory_is_bounded_by_the_block_budget(force_cpus):
+    # 10,000 test rows against 349 support vectors: the whole kernel
+    # matrix takes 26.6 MiB per temporary, a block's two buffers 1 MiB.
+    force_cpus(1)
+    model = svm_train(two_blob_set(200, 0.5, seed=7), SvmParams(c=1.0, gamma=0.5))
+    (machine,) = model.machines
+    assert len(machine.dual_coef) > 300
+    x = SplitMix64(8).normal_matrix(10_000, 2)
+    tracemalloc.start()
+    try:
+        svm_predict(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * svm._KERNEL_BLOCK_BYTES + 6 * x.nbytes
+
+
+def test_predict_machine_without_support_vectors():
+    # A tolerance above the first violation (2) stops SMO before its
+    # first step: no alpha moves, and the machine decides by its bias.
+    model = svm_train(two_blob_set(10, 3.0, seed=93), SvmParams(tolerance=3.0))
+    (machine,) = model.machines
+    assert len(machine.dual_coef) == 0
+    x = SplitMix64(94).normal_matrix(20, 2)
+    decided = machine.decision(x, model.params.gamma)
+    assert np.array_equal(decided, np.full(20, machine.bias))
+    assert np.array_equal(svm_predict(model, x), np.full(20, machine.class_neg))
 
 
 def test_model_dict_round_trip():
@@ -540,6 +601,28 @@ def test_train_and_predict_identical_for_any_cpu_count(force_cpus):
     assert results[2] == results[1]
     assert results[3] == results[1]
     assert results[5] == results[1]
+
+
+def _decisions(machines, x_scaled, gamma):
+    return [machine.decision(x_scaled, gamma) for machine in machines]
+
+
+def test_blocked_decisions_identical_for_any_cpu_count(monkeypatch, force_cpus):
+    # The budget is patched before each pool is forked, so the workers
+    # cut the same blocks as this process and round alike.
+    force_cpus(1)
+    model = svm_train(nine_class_set(90), SvmParams(c=10.0, gamma=0.5))
+    x = SplitMix64(91).normal_matrix(200, 3) * 6.0 + 10.0
+    scaled = (x - model.feature_min) / model.feature_range
+    weights = [len(machine.dual_coef) for machine in model.machines]
+    monkeypatch.setattr(svm, "_KERNEL_BLOCK_BYTES", 8 * 16)
+    results = {}
+    for cpus in (1, 2, 3):
+        force_cpus(cpus)
+        decisions = pool.spread(_decisions, model.machines, weights, scaled, model.params.gamma)
+        results[cpus] = (np.array(decisions).tobytes(), svm_predict(model, x).tolist())
+    assert results[2] == results[1]
+    assert results[3] == results[1]
 
 
 def test_pool_has_at_most_cpus_minus_one_processes(force_cpus):
