@@ -7,12 +7,15 @@ limits them). The items go into one bin per CPU, heaviest first into
 the lightest bin. The calling process runs bin 0 and a pool of CPUs - 1
 ``fork`` workers runs the others; the pool is made on first use, with
 ``multiprocessing`` and ``concurrent.futures`` imported only then, and
-kept by the process that made it, so both classifiers share it. Every
-item runs the same code on the same inputs wherever it runs, so the
-results are bit-identical to a serial run, and with one CPU the same
-function runs in-process with no pool. A process forked from a pool's
-owner, and a daemonic multiprocessing worker (which may not start
-children), run serially. A worker that dies raises ``WorkerError``.
+kept by the process that made it, so both classifiers share it. The
+pool keeps the size it was made with: should the CPU count change
+later, the bins follow the new count and the pool runs them with the
+workers it has. Every item runs the same code on the same inputs
+wherever it runs, so the results are bit-identical to a serial run, and
+with one CPU the same function runs in-process with no pool. A process
+forked from a pool's owner, and a daemonic multiprocessing worker (which
+may not start children), run serially. A worker that dies raises
+``WorkerError``.
 """
 
 import atexit
@@ -23,7 +26,7 @@ from ..errors import WorkerError
 
 __all__ = ["spread"]
 
-# (owner pid, workers, executor) of the process pool; None until first use.
+# (owner pid, executor) of the process pool; None until first use.
 _current = None
 
 
@@ -34,12 +37,12 @@ def _cpu_count() -> int:
 
 
 def _executor(workers: int):
-    """This process's pool of ``workers`` processes, or None to run serially.
+    """This process's pool, made with ``workers`` processes on first use,
+    or None to run serially.
 
     A process forked from a pool's owner (one of the pool's own workers,
     say) runs serially, as the owner's pool already fills the CPUs; so
     does a daemonic multiprocessing worker, which may not start children.
-    A pool of another size, left by a change of the CPU set, is replaced.
     """
     global _current
     if _current is not None and _current[0] != os.getpid():
@@ -47,15 +50,13 @@ def _executor(workers: int):
     multiprocessing = sys.modules.get("multiprocessing")
     if multiprocessing is not None and multiprocessing.current_process().daemon:
         return None
-    if _current is not None and _current[1] != workers:
-        _drop_pool()
     if _current is None:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         context = multiprocessing.get_context("fork")
-        _current = (os.getpid(), workers, ProcessPoolExecutor(workers, mp_context=context))
-    return _current[2]
+        _current = (os.getpid(), ProcessPoolExecutor(workers, mp_context=context))
+    return _current[1]
 
 
 @atexit.register
@@ -64,7 +65,7 @@ def _drop_pool() -> None:
     new one. Run at exit too, so the pool goes while its modules are whole."""
     global _current
     if _current is not None and _current[0] == os.getpid():
-        _current[2].shutdown(cancel_futures=True)
+        _current[1].shutdown(cancel_futures=True)
         _current = None
 
 

@@ -8,11 +8,13 @@ min/max (the RBF width is scale sensitive); the scaling is recorded in
 the model and reapplied at prediction time.
 
 Kernel columns are computed on demand, as SMO steps ask for them, and
-kept in a least-recently-used cache bounded by ``_KERNEL_CACHE_BYTES``;
-no Gram matrix is ever formed, so training memory per class pair grows
-with the cache budget and the columns touched, not with n^2. An evicted
-column is recomputed bit for bit, so the budget and the eviction order
-never change a result.
+kept in a least-recently-used cache (``functools.lru_cache``) of as many
+columns as ``_KERNEL_CACHE_BYTES`` holds; no Gram matrix is ever formed,
+so training memory per class pair grows with the cache budget and the
+columns touched, not with n^2. A full cache evicts only after a missed
+column is computed, so it holds one column over its budget while a miss
+is computed. An evicted column is recomputed bit for bit, so the budget
+and the eviction order never change a result.
 
 Each SMO step selects from two masked copies of the scores, one with
 -inf where a row's alpha cannot move along +y and one with +inf where
@@ -30,19 +32,19 @@ by support-vector count. The results are bit-identical to a serial run.
 
 A machine's decision values are computed in blocks of test rows whose
 test x support-vector kernel fits ``_KERNEL_BLOCK_BYTES`` (one row when
-a row alone is larger), in two buffers reused from block to block, so
-prediction memory is bounded by that budget, not by the number of test
-rows times the support vectors. The block size depends only on the
-budget and the support-vector count, never on the CPU count. The BLAS
+a row alone is larger), with at most two block-sized arrays alive at a
+time, so prediction memory is bounded by that budget, not by the number
+of test rows times the support vectors. The block size depends only on
+the budget and the support-vector count, never on the CPU count. The BLAS
 may round a product of a few rows differently from one of many, so a
 decision value can move at rounding level with the block size;
 predictions read only its sign, which moves only for a decision within
 rounding of zero.
 """
 
+import functools
 import itertools
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Annotated
 
@@ -118,10 +120,12 @@ class BinarySvm(Record):
         their squared norms, computed here when not given.
 
         The kernel K[i, j] = exp(-gamma * ||x_i - sv_j||^2) is formed in
-        blocks of ``max(1, _KERNEL_BLOCK_BYTES // (8 * n_sv))`` rows, in
-        two buffers reused from block to block, each block with the
-        operations of the whole-matrix formula in its order. A block's
-        row count can move a decision value at rounding level (see the
+        blocks of ``max(1, _KERNEL_BLOCK_BYTES // (8 * n_sv))`` rows, each
+        block with the operations of the whole-matrix formula in its
+        order: the block's x @ sv^T is doubled in place and subtracted,
+        in place, from the sum of squared norms, so the product and that
+        sum are the only block-sized arrays alive at once. A block's row
+        count can move a decision value at rounding level (see the
         module docstring).
         """
         if sq_x is None:
@@ -130,17 +134,12 @@ class BinarySvm(Record):
         sq_sv = (sv * sv).sum(axis=1)
         n = len(x_scaled)
         rows = max(1, _KERNEL_BLOCK_BYTES // (8 * max(1, len(sv))))
-        kernel = np.empty((min(rows, n), len(sv)))
-        cross = np.empty_like(kernel)
         out = np.empty(n)
         for start in range(0, n, rows):
             stop = min(start + rows, n)
-            k = kernel[: stop - start]
-            xy = cross[: stop - start]
-            np.add(sq_x[start:stop, None], sq_sv[None, :], out=k)
-            np.matmul(x_scaled[start:stop], sv.T, out=xy)
-            xy *= 2.0
-            k -= xy
+            k = x_scaled[start:stop] @ sv.T
+            k *= 2.0
+            np.subtract(sq_x[start:stop, None] + sq_sv, k, out=k)
             np.maximum(k, 0.0, out=k)
             k *= -gamma
             np.exp(k, out=k)
@@ -190,39 +189,34 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
     -y, of which a step changes entries i and j alone. The score is held
     twice, as ``s_up`` (-inf outside ``up``) and ``s_low`` (+inf outside
     ``low``), so selection is ``s_up.argmax()`` and ``s_low.argmin()``,
-    first extremum on ties. A step writes ``ki - kj`` into one buffer,
-    scales it by the step and subtracts it from both arrays: the same
-    IEEE operations, in the same order, as updating a single score
-    array, and -inf and +inf stay as they are. When i or j changes mask,
-    its score is read from the array that held it (every row is in
-    ``up`` or ``low``, since C > 0) and written where the new mask
-    holds. The scores are therefore bit-identical to a single array's,
-    and so is every choice. Scalars and the per-row alpha, label and
-    mask values are Python floats and bools; the single score array is
-    rebuilt once, after the loop, for the bias.
+    first extremum on ties, and the violation is ``s_up[i] - s_low[j]``.
+    Neither mask is ever empty: ``up`` empty would put every +1 row at C
+    and every -1 row at 0, and ``low`` empty the reverse, either way
+    breaking sum(y * alpha) = 0 with both labels present. A step writes
+    ``ki - kj`` into one buffer, scales it by the step and subtracts it
+    from both arrays: the same IEEE operations, in the same order, as
+    updating a single score array, and -inf and +inf stay as they are.
+    When i or j changes mask, its score is read from the array that held
+    it (every row is in ``up`` or ``low``, since C > 0) and written where
+    the new mask holds. The scores are therefore bit-identical to a
+    single array's, and so is every choice. Scalars and the per-row
+    alpha, label and mask values are Python floats and bools.
 
-    Kernel columns are computed on demand into an LRU cache of at most
-    ``_KERNEL_CACHE_BYTES`` (and never fewer than the two columns a step
-    reads). A column is a pure function of x and its index, so eviction
-    never changes the result.
+    Kernel columns are computed on demand into an LRU cache of as many
+    columns as ``_KERNEL_CACHE_BYTES`` holds, and never fewer than the
+    two a step reads; a miss on a full cache holds one column more until
+    the oldest is evicted. A column is a pure function of x and its
+    index, so eviction never changes the result.
     """
     n = len(y)
     c = float(params.c)
     sq = (x * x).sum(axis=1)
-    capacity = max(2, _KERNEL_CACHE_BYTES // (8 * n))
-    cache = OrderedDict()
 
+    @functools.lru_cache(maxsize=max(2, _KERNEL_CACHE_BYTES // (8 * n)))
     def col(i):
-        column = cache.get(i)
-        if column is None:
-            if len(cache) == capacity:
-                cache.popitem(last=False)
-            d2 = sq + sq[i] - 2.0 * (x @ x[i])
-            np.maximum(d2, 0.0, out=d2)
-            column = cache[i] = np.exp(-params.gamma * d2)
-        else:
-            cache.move_to_end(i)
-        return column
+        d2 = sq + sq[i] - 2.0 * (x @ x[i])
+        np.maximum(d2, 0.0, out=d2)
+        return np.exp(-params.gamma * d2)
 
     score = np.array(y, dtype=np.float64)  # -y * gradient; the gradient is -1 at alpha = 0
     pos = score > 0
@@ -240,7 +234,7 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
     while True:
         i = int(s_up.argmax())
         j = int(s_low.argmin())
-        violation = (s_up if up[i] else s_low).item(i) - (s_low if low[j] else s_up).item(j)
+        violation = s_up.item(i) - s_low.item(j)
         if violation <= tolerance or n_iter == max_iter:
             break
         ki = col(i)
@@ -275,13 +269,11 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
                 up[k] = up_k
                 low[k] = low_k
         n_iter += 1
-    # Bias: mean score over the free vectors (those in both up and low),
-    # else the midpoint of the final maximal violating pair.
-    up = np.array(up)
-    low = np.array(low)
-    score = np.where(up, s_up, s_low)
-    free = up & low
-    bias = score[free].mean() if free.any() else (score[i] + score[j]) / 2.0
+    # Bias: mean score over the free vectors (those in both up and low,
+    # whose score s_up holds), else the midpoint of the final maximal
+    # violating pair.
+    free = np.array(up) & np.array(low)
+    bias = s_up[free].mean() if free.any() else (s_up.item(i) + s_low.item(j)) / 2.0
     return np.array(alpha), float(bias), n_iter, n_iter < max_iter, violation
 
 

@@ -179,11 +179,8 @@ def resolve_config(file_config: dict, overrides: dict) -> dict:
                 raise UsageError(f"reduction.components must be >= 1, got {k}")
             out["reduction"] = {"method": method, "components": k}
             if method == "rpca":
-                settings = {
-                    key: value
-                    for key, value in reduction.items()
-                    if key not in ("method", "components")
-                }
+                settings = dict(reduction)
+                del settings["method"], settings["components"]
                 sketch = _params(RandomizedSvdParams, settings, "reduction", k=k, seed=out["seed"])
                 sketch.validate(math.inf, math.inf)  # the data's size is checked once it is read
                 out["reduction"]["oversampling"] = sketch.oversampling
@@ -265,21 +262,17 @@ def run_pipeline(config: dict) -> dict:
         del samples
 
         begin("reduce")
-        reduction = config["reduction"]
-        if reduction["method"] == "none":
+        settings = dict(config["reduction"])  # less method and components: rpca's sketch
+        method = settings.pop("method")
+        if method == "none":
             pca_model = None
             train_x, test_x = train_set.features, test_set.features
         else:
-            if reduction["method"] == "pca":
-                pca_model = fit_pca(train_set.features, reduction["components"])
+            k = settings.pop("components")
+            if method == "pca":
+                pca_model = fit_pca(train_set.features, k)
             else:
-                pca_model = fit_rpca(
-                    train_set.features,
-                    reduction["components"],
-                    oversampling=reduction["oversampling"],
-                    power_iterations=reduction["power_iterations"],
-                    seed=config["seed"],
-                )
+                pca_model = fit_rpca(train_set.features, k, seed=config["seed"], **settings)
             train_x = transform(pca_model, train_set.features)
             test_x = transform(pca_model, test_set.features)
 
@@ -464,6 +457,8 @@ def _compared_run(run_dir) -> dict:
                         "predicted")
         }
         run["method"] = coerce(predictions["method"], str, "method")
+        for key in ("truth", "predicted"):
+            run[key] = [coerce(label, int, key) for label in run[key]]
         path = base / "report.json"
         accuracy = _load_json(path)["evaluation"]["overall_accuracy"]
         run["accuracy"] = coerce(accuracy, float, "evaluation.overall_accuracy")
@@ -482,11 +477,7 @@ def _cmd_compare(args) -> int:
             )
     if run_a["pixel_indices"] != run_b["pixel_indices"] or run_a["truth"] != run_b["truth"]:
         raise DataFormatError("runs are not comparable: test splits differ")
-    result = mcnemar(
-        np.asarray(run_a["predicted"], dtype=np.int64),
-        np.asarray(run_b["predicted"], dtype=np.int64),
-        np.asarray(run_a["truth"], dtype=np.int64),
-    )
+    result = mcnemar(run_a["predicted"], run_b["predicted"], run_a["truth"])
     row = {
         "a": {"method": run_a["method"], "accuracy": run_a["accuracy"]},
         "b": {"method": run_b["method"], "accuracy": run_b["accuracy"]},

@@ -19,7 +19,7 @@ from typing import Annotated
 import numpy as np
 
 from .hsi_data import GroundTruth
-from .records import Record
+from .records import Record, coerce
 
 __all__ = [
     "PALETTE",
@@ -67,10 +67,15 @@ class EvalReport(Record):
     num_classes: int
 
 
-def _check_labels(arr, name, num_classes):
-    arr = np.asarray(arr)
+def _check_labels(labels, name, num_classes):
+    """``labels`` as int64 labels in 1..num_classes. Anything but an integer
+    array is checked entry by entry by coerce's int rule, as numpy would
+    turn a fraction or a bool into a label."""
+    arr = np.asarray(labels)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+    if not (isinstance(labels, np.ndarray) and arr.dtype.kind in "iu"):
+        arr = np.array([coerce(v, int, name) for v in labels], dtype=np.int64)
     arr = arr.astype(np.int64)
     if len(arr) and (arr.min() < 1 or arr.max() > num_classes):
         raise ValueError(f"{name} has labels outside 1..{num_classes}")

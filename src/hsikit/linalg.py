@@ -105,8 +105,6 @@ def householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Flip each singular vector pair so the largest-magnitude entry of
     # every column of U is positive; keeps factorizations comparable.
-    if u.shape[1] == 0:
-        return u, vt
     lead = np.abs(u).argmax(axis=0)
     signs = np.sign(u[lead, np.arange(u.shape[1])])
     signs[signs == 0] = 1.0

@@ -5,6 +5,8 @@ the array dtypes and the schema tag are each written once, in the class:
 
 - an array field declares its dtype in the annotation, e.g.
   ``Annotated[np.ndarray, np.int32]``, and is stored as nested lists;
+  each entry of an integer array is checked by :func:`coerce`'s int
+  rule on the way back;
 - a dataclass field is stored as a dict of its own fields;
 - ``list[...]`` fields nest, ``dict`` fields are copied;
 - ``int``, ``float``, ``bool`` and ``str`` fields are stored as they
@@ -27,16 +29,16 @@ _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false
 def coerce(value, kind: type, name: str):
     """``value`` as ``kind`` (int, float, bool or str), when nothing is lost.
 
-    Numbers must be finite, bools do not count as numbers, and an int
-    accepts an integral float such as ``10.0``. Raises ValueError
-    naming ``name`` otherwise.
+    Numbers, numpy's scalars among them, must be finite, bools do not
+    count as numbers, and an int accepts an integral float such as
+    ``10.0``. Raises ValueError naming ``name`` otherwise.
     """
     if kind is bool or kind is str:
         if isinstance(value, kind):
             return value
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        if kind is int and isinstance(value, int):
-            return value
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if kind is int and isinstance(value, numbers.Integral):
+            return int(value)
         try:
             number = float(value)
         except OverflowError:
@@ -68,10 +70,18 @@ def _encode(value):
     return value
 
 
+def _integers(value, name: str):
+    """Nested lists ``value`` with each entry checked as an int by coerce."""
+    if isinstance(value, list):
+        return [_integers(v, name) for v in value]
+    return coerce(value, int, name)
+
+
 def _decode(value, hint, name: str):
     origin = get_origin(hint)
     if origin is Annotated:
-        return np.asarray(value, dtype=get_args(hint)[1])
+        dtype = np.dtype(get_args(hint)[1])
+        return np.asarray(_integers(value, name) if dtype.kind in "iu" else value, dtype=dtype)
     if is_dataclass(hint):
         return _fields_from_dict(hint, value)
     if origin is list:

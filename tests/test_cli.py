@@ -590,8 +590,9 @@ def test_run_bad_config_is_usage_error_before_loading(tmp_path, capsys):
         ("truncated.json", b'{"seed": 1,'),
         ("latin1.json", '{"output": "caf\xe9"}'.encode("latin-1")),
         ("missing.json", None),
+        ("list.json", b'["cube", "gt"]'),
     ],
-    ids=["not-json", "not-utf8", "missing"],
+    ids=["not-json", "not-utf8", "missing", "not-an-object"],
 )
 def test_run_unreadable_config_is_usage_error(tmp_path, capsys, name, content):
     config_file = tmp_path / name
@@ -752,6 +753,21 @@ def test_compare_mismatched_seeds_rejected(scene, tmp_path, capsys):
     assert "not comparable" in capsys.readouterr().err
 
 
+def test_compare_different_test_splits_rejected(scene, tmp_path, capsys):
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    make_run(scene, out_a)
+    make_run(scene, out_b)
+    doc = json.loads((out_b / "predictions.json").read_text())
+    doc["pixel_indices"].reverse()
+    (out_b / "predictions.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["compare", str(out_a), str(out_b)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "runs are not comparable: test splits differ" in captured.err
+
+
 def test_compare_missing_run_dir(tmp_path, capsys):
     code = main(["compare", str(tmp_path / "x"), str(tmp_path / "y")])
     assert code == 2
@@ -766,6 +782,8 @@ def test_compare_missing_run_dir(tmp_path, capsys):
         ("report.json", lambda doc: doc.update(evaluation=[0.9])),
         ("report.json", lambda doc: doc["evaluation"].update(overall_accuracy=None)),
         ("predictions.json", lambda doc: doc.update(method=["svm"])),
+        ("predictions.json", lambda doc: doc["predicted"].__setitem__(0, 1.5)),
+        ("predictions.json", lambda doc: doc["predicted"].__setitem__(0, "1")),
     ],
 )
 def test_compare_foreign_run_is_a_data_error(scene, tmp_path, capsys, name, mangle):
@@ -839,6 +857,34 @@ def test_convert_ground_truth_with_names(tmp_path, capsys):
     gt = load_ground_truth(out.with_suffix(".hsih"))
     assert np.array_equal(gt.labels, labels.astype(np.uint16))
     assert gt.class_names == ["water", "trees"]
+
+
+def test_convert_ground_truth_default_names(tmp_path, capsys):
+    raw = tmp_path / "gt.bin"
+    raw.write_bytes(np.array([[0, 3], [1, 0]], dtype="<u2").tobytes())
+    out = tmp_path / "gt"
+    code = main(
+        ["convert", "--input", str(raw), "--height", "2", "--width", "2", "--bands", "1",
+         "--dtype", "u16", "--output", str(out)]
+    )
+    assert code == 0
+    assert load_ground_truth(out.with_suffix(".hsih")).class_names == [
+        "class_1", "class_2", "class_3"
+    ]
+
+
+@pytest.mark.parametrize("dims", [("0", "1", "1"), ("1", "-1", "1"), ("1", "1", "0")])
+def test_convert_non_positive_dimensions_rejected(tmp_path, capsys, dims):
+    raw = tmp_path / "one.bin"
+    raw.write_bytes(np.array([2.5], dtype="<f4").tobytes())
+    height, width, bands = dims
+    code = main(
+        ["convert", "--input", str(raw), "--height", height, "--width", width,
+         "--bands", bands, "--dtype", "f32", "--output", str(tmp_path / "x")]
+    )
+    assert code == 1
+    assert "--height, --width, --bands must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "x.hsih").exists()
 
 
 def test_convert_single_pixel_cube(tmp_path):

@@ -93,6 +93,17 @@ def test_evaluate_validation():
         evaluate([], [], num_classes=2)
     with pytest.raises(ValueError):
         evaluate([1], [1], num_classes=0)
+    with pytest.raises(ValueError, match="predicted must be 1-D"):
+        evaluate([[1, 2]], [1, 2], num_classes=2)
+    # numpy would read 1.5 and true as the label 1; the check does not.
+    with pytest.raises(ValueError, match="predicted must be an integer, got 1.5"):
+        evaluate([1.5, 2], [1, 2], num_classes=2)
+    with pytest.raises(ValueError, match="truth must be an integer, got True"):
+        evaluate([1, 2], [True, 2], num_classes=2)
+    with pytest.raises(ValueError, match="truth must be an integer"):
+        evaluate([1, 2], np.array([True, False]), num_classes=2)
+    report = evaluate([1.0, np.int32(2)], np.array([1, 2], dtype=np.uint8), num_classes=2)
+    assert report.overall_accuracy == 1.0
 
 
 def test_eval_report_round_trip():

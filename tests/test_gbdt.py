@@ -424,6 +424,8 @@ def test_train_param_validation():
         dict(goss_top_rate=-0.1),
         dict(goss_top_rate=0.5, goss_other_rate=0.0),
         dict(goss_top_rate=0.6, goss_other_rate=0.4),
+        dict(goss_other_rate=1.0),
+        dict(goss_other_rate=-0.1),
     ):
         with pytest.raises(ValueError):
             GbdtParams(**bad).validate()
@@ -733,6 +735,19 @@ def test_model_dict_round_trip():
     for tree in (t for round_trees in back.trees for t in round_trees):
         assert tree.feature.dtype == tree.left.dtype == tree.right.dtype == np.int32
         assert tree.threshold.dtype == tree.value.dtype == np.float64
+
+
+@pytest.mark.parametrize("field", ["feature", "left", "right"])
+@pytest.mark.parametrize("value", [1.5, True, "1", None])
+def test_tree_dict_rejects_a_non_integer_index(field, value):
+    # An integral float is an integer; a fraction, a bool or a string is not,
+    # though numpy would read 1.5 and true as 1.
+    d = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+         "right": [2, -1, -1], "value": [0.0, -1.0, 1.0]}
+    assert Tree.from_dict(dict(d, **{field: [1.0, -1, -1]})).to_dict()[field] == [1, -1, -1]
+    d[field] = [value, -1, -1]
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        Tree.from_dict(d)
 
 
 def test_model_dict_rejects_unknown_schema():

@@ -299,6 +299,11 @@ def test_cube_validates_shape_and_finiteness():
         HsiCube(1, 1, 1, bad)
 
 
+def test_ground_truth_validates_shape():
+    with pytest.raises(ValueError, match=r"labels shape \(2, 3\) != \(3, 2\)"):
+        GroundTruth(3, 2, np.zeros((2, 3), dtype=np.uint16))
+
+
 # --------------------------------------------------------- extract_labeled
 
 

@@ -635,6 +635,22 @@ def test_pool_has_at_most_cpus_minus_one_processes(force_cpus):
         assert (pool._current is None) == (cpus == 1)
 
 
+def test_pool_outlives_a_change_of_cpu_count(monkeypatch, force_cpus):
+    # The pool keeps the size it was made with: the bins follow the new
+    # count, the same pool runs them, and every result stays the same.
+    train = nine_class_set(96)
+    force_cpus(1)
+    expected = svm_train(train).to_dict()
+    force_cpus(3)
+    assert svm_train(train).to_dict() == expected
+    executor = pool._current[1]
+    for cpus in (2, 5, 3):
+        monkeypatch.setattr(pool, "_cpu_count", lambda n=cpus: n)
+        assert svm_train(train).to_dict() == expected
+        assert pool._current[1] is executor
+        assert len(multiprocessing.active_children()) == 2
+
+
 def test_one_pair_runs_without_a_pool(force_cpus):
     force_cpus(2)
     svm_train(two_blob_set(10, 3.0, seed=93))
