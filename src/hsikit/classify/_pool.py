@@ -1,11 +1,12 @@
 """Independent classifier work spread over the CPUs the process may use.
 
-``spread`` runs the class pairs of ``svm_train``, the machines of
-``svm_predict`` and the class trees of each ``gbdt_train`` round over
-the CPUs the process may run on (``os.sched_getaffinity``; ``taskset``
-limits them). The items go into one bin per CPU, heaviest first into
-the lightest bin. The calling process runs bin 0 and a pool of CPUs - 1
-``fork`` workers runs the others; the pool is made on first use, with
+``spread`` runs the (C, gamma, fold) fits of ``grid_search_cv``, the
+class pairs of ``svm_train``, the machines of ``svm_predict`` and the
+class trees of each ``gbdt_train`` round over the CPUs the process may
+run on (``os.sched_getaffinity``; ``taskset`` limits them). The items
+go into one bin per CPU, heaviest first into the lightest bin. The
+calling process runs bin 0 and a pool of CPUs - 1 ``fork`` workers runs
+the others; the pool is made on first use, with
 ``multiprocessing`` and ``concurrent.futures`` imported only then, and
 kept by the process that made it, so both classifiers share it. The
 pool keeps the size it was made with: should the CPU count change
@@ -14,7 +15,10 @@ workers it has. Every item runs the same code on the same inputs
 wherever it runs, so the results are bit-identical to a serial run, and
 with one CPU the same function runs in-process with no pool. A process
 forked from a pool's owner, and a daemonic multiprocessing worker (which
-may not start children), run serially. A worker that dies raises
+may not start children), run serially. So does a ``spread`` called
+while this process runs its own bin 0 (a grid fit's pairs, say): the
+pool's workers are busy with the outer call's other bins, and bins
+handed to them would only queue behind those. A worker that dies raises
 ``WorkerError``.
 """
 
@@ -29,6 +33,9 @@ __all__ = ["spread"]
 # (owner pid, executor) of the process pool; None until first use.
 _current = None
 
+# True while this process runs bin 0 of a spread.
+_in_own_bin = False
+
 
 def _cpu_count() -> int:
     """The CPUs this process may run on; 1 where the platform cannot tell."""
@@ -42,10 +49,12 @@ def _executor(workers: int):
 
     A process forked from a pool's owner (one of the pool's own workers,
     say) runs serially, as the owner's pool already fills the CPUs; so
-    does a daemonic multiprocessing worker, which may not start children.
+    does this process while it runs its own bin of a spread, whose other
+    bins fill the pool; so does a daemonic multiprocessing worker, which
+    may not start children.
     """
     global _current
-    if _current is not None and _current[0] != os.getpid():
+    if _in_own_bin or (_current is not None and _current[0] != os.getpid()):
         return None
     multiprocessing = sys.modules.get("multiprocessing")
     if multiprocessing is not None and multiprocessing.current_process().daemon:
@@ -75,9 +84,11 @@ def spread(fn, items: list, weights: list, *args) -> list:
     ``fn`` returns one result per item of its bin; ``spread`` returns
     them in item order. Each item, heaviest first (first on ties), goes
     to the bin of least weight so far (first on ties). This process runs
-    bin 0 while the pool runs the others; with one CPU or one item,
-    ``fn`` runs here once over all items.
+    bin 0 while the pool runs the others; with one CPU or one item, or
+    when called from inside this process's bin 0, ``fn`` runs here once
+    over all items.
     """
+    global _in_own_bin
     cpus = _cpu_count()
     n_bins = min(cpus, len(items))
     executor = _executor(cpus - 1) if n_bins > 1 else None
@@ -93,11 +104,14 @@ def spread(fn, items: list, weights: list, *args) -> list:
         loads[b] += weights[k]
     try:
         futures = [executor.submit(fn, [items[k] for k in b], *args) for b in bins[1:]]
+        _in_own_bin = True
         outputs = [fn([items[k] for k in bins[0]], *args)]
         outputs += [future.result() for future in futures]
     except BrokenProcessPool as exc:
         _drop_pool()
         raise WorkerError("a worker process died before returning its result") from exc
+    finally:
+        _in_own_bin = False
     results = [None] * len(items)
     for b, output in zip(bins, outputs):
         for k, result in zip(b, output):

@@ -28,7 +28,11 @@ one-vs-one voting are broken by smallest index / smallest class id.
 The class pairs of ``svm_train`` and the machines of ``svm_predict`` are
 independent, so both are spread over the CPUs the process may run on
 (see ``hsikit.classify._pool``): pairs weighed by row count, machines
-by support-vector count. The results are bit-identical to a serial run.
+by support-vector count. So are the (C, gamma, fold) fits of
+``grid_search_cv``, all weighed alike: an item trains one fold, predicts
+its held-out rows and returns only the fold's accuracy, and its pairs
+and machines run serially where it runs. The results are bit-identical
+to a serial run.
 
 A machine's decision values are computed in blocks of test rows whose
 test x support-vector kernel fits ``_KERNEL_BLOCK_BYTES`` (one row when
@@ -388,6 +392,18 @@ def svm_predict(model: SvmModel, x) -> np.ndarray:
     return model.classes[np.argmax(votes, axis=1)]
 
 
+def _fold_accuracies(fits: list, fold_sets: list, params: SvmParams) -> list:
+    """The held-out accuracy, a float, of each (C, gamma, fold) fit, each
+    trained with ``params`` with its own C and gamma put in."""
+    accuracies = []
+    for c, gamma, fold in fits:
+        fold_train, fold_test = fold_sets[fold]
+        model = svm_train(fold_train, replace(params, c=c, gamma=gamma))
+        predicted = svm_predict(model, fold_test.features)
+        accuracies.append(float(np.mean(predicted == fold_test.labels)))
+    return accuracies
+
+
 def grid_search_cv(
     train: SampleSet,
     c_grid=DEFAULT_C_GRID,
@@ -406,7 +422,8 @@ def grid_search_cv(
     The winning cell maximizes mean fold accuracy; ties prefer smaller
     C, then smaller gamma. When a class has fewer samples than
     ``folds``, the fold count is reduced (with a warning) so every fold
-    sees every class; below 2 usable folds this is an error.
+    sees every class; below 2 usable folds this is an error. The fits
+    run on every CPU the process may use (see the module docstring).
     """
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
@@ -435,18 +452,14 @@ def grid_search_cv(
         in_fold = np.ones(len(train), dtype=bool)
         in_fold[held_out] = False
         fold_sets.append((train.take(in_fold), train.take(held_out)))
+    cells = list(itertools.product(c_grid, gamma_grid))
+    fits = [(c, gamma, fold) for c, gamma in cells for fold in range(folds)]
+    accuracies = spread(_fold_accuracies, fits, [1] * len(fits), fold_sets, params)
     table = []
     best = None
-    for c in c_grid:
-        for gamma in gamma_grid:
-            cell = replace(params, c=c, gamma=gamma)
-            accuracies = []
-            for fold_train, fold_test in fold_sets:
-                model = svm_train(fold_train, cell)
-                predicted = svm_predict(model, fold_test.features)
-                accuracies.append(float(np.mean(predicted == fold_test.labels)))
-            cv_accuracy = float(np.mean(accuracies))
-            table.append({"c": c, "gamma": gamma, "cv_accuracy": cv_accuracy})
-            if best is None or cv_accuracy > best[0]:
-                best = (cv_accuracy, c, gamma)
+    for k, (c, gamma) in enumerate(cells):
+        cv_accuracy = float(np.mean(accuracies[k * folds : (k + 1) * folds]))
+        table.append({"c": c, "gamma": gamma, "cv_accuracy": cv_accuracy})
+        if best is None or cv_accuracy > best[0]:
+            best = (cv_accuracy, c, gamma)
     return best[1], best[2], table

@@ -446,7 +446,8 @@ def _cmd_run(args) -> int:
 def _compared_run(run_dir) -> dict:
     """The predictions.json fields compare reads, and the report's
     overall accuracy as ``accuracy``; the method must be a string and
-    the accuracy a finite number, as compare prints both."""
+    the accuracy a finite number, as compare prints both, and truth,
+    predicted and pixel_indices must be of one length."""
     base = Path(run_dir)
     path = base / "predictions.json"
     try:
@@ -459,6 +460,9 @@ def _compared_run(run_dir) -> dict:
         run["method"] = coerce(predictions["method"], str, "method")
         for key in ("truth", "predicted"):
             run[key] = [coerce(label, int, key) for label in run[key]]
+        lengths = [len(run[key]) for key in ("truth", "predicted", "pixel_indices")]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"truth, predicted and pixel_indices lengths differ: {lengths}")
         path = base / "report.json"
         accuracy = _load_json(path)["evaluation"]["overall_accuracy"]
         run["accuracy"] = coerce(accuracy, float, "evaluation.overall_accuracy")

@@ -67,16 +67,21 @@ class EvalReport(Record):
     num_classes: int
 
 
-def _check_labels(labels, name, num_classes):
-    """``labels`` as int64 labels in 1..num_classes. Anything but an integer
-    array is checked entry by entry by coerce's int rule, as numpy would
-    turn a fraction or a bool into a label."""
-    arr = np.asarray(labels)
+def _check_ints(values, name):
+    """``values`` as a 1-D int64 array. Anything but an integer array is
+    checked entry by entry by coerce's int rule, as numpy would turn a
+    fraction or a bool into an integer."""
+    arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if not (isinstance(labels, np.ndarray) and arr.dtype.kind in "iu"):
-        arr = np.array([coerce(v, int, name) for v in labels], dtype=np.int64)
-    arr = arr.astype(np.int64)
+    if not (isinstance(values, np.ndarray) and arr.dtype.kind in "iu"):
+        arr = np.array([coerce(v, int, name) for v in values], dtype=np.int64)
+    return arr.astype(np.int64)
+
+
+def _check_labels(labels, name, num_classes):
+    """``labels`` as int64 labels in 1..num_classes (see ``_check_ints``)."""
+    arr = _check_ints(labels, name)
     if len(arr) and (arr.min() < 1 or arr.max() > num_classes):
         raise ValueError(f"{name} has labels outside 1..{num_classes}")
     return arr
@@ -189,12 +194,12 @@ def render_map(gt: GroundTruth, predictions, pixel_indices) -> np.ndarray:
 
     Pixels not covered by ``pixel_indices`` stay black (background).
     """
-    predictions = np.asarray(predictions).astype(np.int64)
-    pixel_indices = np.asarray(pixel_indices).astype(np.int64)
-    if predictions.shape != pixel_indices.shape or predictions.ndim != 1:
+    predictions = _check_ints(predictions, "predictions")
+    pixel_indices = _check_ints(pixel_indices, "pixel_indices")
+    if len(predictions) != len(pixel_indices):
         raise ValueError(
-            f"predictions {predictions.shape} and pixel_indices {pixel_indices.shape} "
-            "must be aligned 1-D arrays"
+            f"predictions ({len(predictions)}) and pixel_indices ({len(pixel_indices)}) "
+            "must be aligned"
         )
     n_pixels = gt.height * gt.width
     if len(pixel_indices) and (pixel_indices.min() < 0 or pixel_indices.max() >= n_pixels):

@@ -498,6 +498,16 @@ def test_run_dead_worker_exits_2_and_writes_nothing(
     )
 
 
+def test_run_dead_grid_worker_exits_2_and_writes_nothing(
+    five_class_scene, tmp_path, monkeypatch, force_cpus, capsys
+):
+    # The workers die in the first grid fit they train.
+    dead_worker_run(
+        five_class_scene, tmp_path, monkeypatch, force_cpus, capsys, svm, "svm_train",
+        ["--svm-grid"],
+    )
+
+
 def test_run_dead_gbdt_worker_exits_2_and_writes_nothing(
     five_class_scene, tmp_path, monkeypatch, force_cpus, capsys
 ):
@@ -784,6 +794,8 @@ def test_compare_missing_run_dir(tmp_path, capsys):
         ("predictions.json", lambda doc: doc.update(method=["svm"])),
         ("predictions.json", lambda doc: doc["predicted"].__setitem__(0, 1.5)),
         ("predictions.json", lambda doc: doc["predicted"].__setitem__(0, "1")),
+        ("predictions.json", lambda doc: doc["predicted"].pop()),
+        ("predictions.json", lambda doc: doc["pixel_indices"].pop()),
     ],
 )
 def test_compare_foreign_run_is_a_data_error(scene, tmp_path, capsys, name, mangle):

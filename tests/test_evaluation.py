@@ -308,6 +308,13 @@ def test_render_validation():
         render_map(gt, [0], [0])  # class labels start at 1
     with pytest.raises(ValueError):
         render_map(gt, [1, 2], [0])
+    # numpy would paint 1.5 and true as class 1, and 1.9 at pixel 1.
+    with pytest.raises(ValueError, match="predictions must be an integer, got 1.5"):
+        render_map(gt, [1.5, 2], [0, 1])
+    with pytest.raises(ValueError, match="predictions must be an integer, got True"):
+        render_map(gt, [1, True], [0, 1])
+    with pytest.raises(ValueError, match="pixel_indices must be an integer, got 1.9"):
+        render_map(gt, [1, 2], [0, 1.9])
 
 
 def test_write_ppm_validation(tmp_path):

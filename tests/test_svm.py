@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -601,6 +602,72 @@ def test_train_and_predict_identical_for_any_cpu_count(force_cpus):
     assert results[2] == results[1]
     assert results[3] == results[1]
     assert results[5] == results[1]
+
+
+def uneven_set(seed):
+    """Three classes of 3, 12 and 15 rows: five folds reduce to three."""
+    rng = SplitMix64(seed)
+    blobs = [rng.normal_matrix(n, 3) + 2.0 * k for k, n in enumerate((3, 12, 15))]
+    labels = [k + 1 for k, blob in enumerate(blobs) for _ in range(len(blob))]
+    return sample_set(np.vstack(blobs), labels)
+
+
+@pytest.mark.parametrize(
+    "train, folds, notes",
+    [
+        (nine_class_set(97), 3, []),
+        (uneven_set(98), 5, ["reducing folds from 5 to 3 so every fold sees every class"]),
+    ],
+    ids=["plain", "reduced-folds"],
+)
+def test_grid_identical_for_any_cpu_count(force_cpus, train, folds, notes):
+    # 18 equal-weight (C, gamma, fold) fits land in 1, 2, 3 or 5 bins,
+    # and each fit solves its pairs serially wherever its bin runs. The
+    # fold-reduction warning is raised once, here in the caller.
+    results = {}
+    for cpus in (1, 2, 3, 5):
+        force_cpus(cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results[cpus] = grid_search_cv(
+                train, c_grid=[1.0, 10.0, 100.0], gamma_grid=[0.1, 1.0], folds=folds, seed=4
+            )
+        assert [str(w.message) for w in caught] == notes
+        assert all(w.filename == __file__ for w in caught)
+    assert results[2] == results[1]
+    assert results[3] == results[1]
+    assert results[5] == results[1]
+
+
+def _pids(items):
+    return [os.getpid() for _ in items]
+
+
+def _inner_pids(items):
+    """For each item, the pids that ran a spread of two items."""
+    return [pool.spread(_pids, [0, 1], [1, 1]) for _ in items]
+
+
+def test_spread_inside_the_callers_bin_runs_in_process(monkeypatch, force_cpus):
+    # The pool's two workers hold the outer bins 1 and 2, so the spread
+    # inside bin 0 runs here and submits nothing; the workers' inner
+    # spreads run serially too, as they are forked from the owner.
+    force_cpus(3)
+    pool.spread(_pids, [0, 1, 2], [1, 1, 1])
+    executor = pool._current[1]
+    submitted = []
+    submit = executor.submit
+    monkeypatch.setattr(
+        executor, "submit", lambda fn, *args: submitted.append(fn) or submit(fn, *args)
+    )
+    outer = pool.spread(_inner_pids, [0, 1, 2], [1, 1, 1])
+    assert submitted == [_inner_pids, _inner_pids]
+    assert outer[0] == [os.getpid()] * 2
+    for inner in outer[1:]:
+        assert inner[0] == inner[1] != os.getpid()
+    # Once the outer call returns, a spread uses the pool again.
+    assert pool.spread(_pids, [0, 1, 2], [1, 1, 1])[1] != os.getpid()
+    assert len(submitted) == 4
 
 
 def _decisions(machines, x_scaled, gamma):
