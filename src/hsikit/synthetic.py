@@ -9,7 +9,15 @@ pipeline tests have a known accuracy ceiling close to 1.
 Everything is derived from a single SplitMix64 stream in a fixed
 order (means, then pixel noise, then the unlabeled mask), so a seed
 pins the whole scene byte for byte.
+
+The float32 cube is allocated once and filled in blocks of whole
+(band, row) rows, each drawn on its own from the counter-based noise
+stream (``SplitMix64.normal_blocks``). The bytes equal those of the
+whole-array fill, and memory is the cube plus the float64 temporaries
+of one block of ``_BLOCK`` values.
 """
+
+import numbers
 
 import numpy as np
 
@@ -17,6 +25,10 @@ from .hsi_data import GroundTruth, HsiCube
 from .rng import SplitMix64
 
 __all__ = ["gaussian_scene"]
+
+# Noise variates per block: 256 KiB of float64, so a block's temporaries
+# stay in cache (2**13 and 2**17 both filled the Pavia-sized cube slower).
+_BLOCK = 2**15
 
 
 def gaussian_scene(
@@ -37,6 +49,10 @@ def gaussian_scene(
     pixels is relabeled 0 at random (their spectra keep the stripe's
     class mean).
     """
+    sizes = {"height": height, "width": width, "bands": bands, "num_classes": num_classes}
+    for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if height < 1 or width < 1 or bands < 1:
         raise ValueError(f"scene dimensions must be positive, got {height}x{width}x{bands}")
     if num_classes < 1:
@@ -45,8 +61,10 @@ def gaussian_scene(
         raise ValueError(f"width {width} cannot hold {num_classes} stripes")
     if not 0.0 <= unlabeled_fraction < 1.0:
         raise ValueError(f"unlabeled_fraction must be in [0, 1), got {unlabeled_fraction}")
-    if not noise > 0:
-        raise ValueError(f"noise must be > 0, got {noise}")
+    if not 0 < noise < np.inf:
+        raise ValueError(f"noise must be > 0 and finite, got {noise}")
+    if not 0 <= separation < np.inf:
+        raise ValueError(f"separation must be >= 0 and finite, got {separation}")
     if class_names is None:
         class_names = [f"class_{c}" for c in range(1, num_classes + 1)]
     elif len(class_names) != num_classes:
@@ -59,21 +77,23 @@ def gaussian_scene(
     stripe = (np.arange(width) * num_classes) // width  # class - 1 per column
     labels = np.tile(stripe + 1, (height, 1)).astype(np.uint16)
 
-    clean = means[stripe].T[:, None, :]  # bands x 1 x width
-    values = clean + noise * rng.normal_matrix(bands * height, width).reshape(
-        bands, height, width
-    )
+    # Row r of the (bands * height, width) noise stream lies in band r // height.
+    clean = means[stripe].T  # bands x width
+    values = np.empty((bands, height, width), dtype=np.float32)
+    rows = values.reshape(bands * height, width)
+    step = max(1, _BLOCK // width)
+    step += step * width % 2  # whole pairs per block
+    blocks = rng.normal_blocks(rows.size, step * width)
+    for r0, z in zip(range(0, len(rows), step), blocks):
+        z = z.reshape(-1, width)
+        band = np.arange(r0, r0 + len(z)) // height
+        rows[r0 : r0 + len(z)] = clean[band] + noise * z
 
     if unlabeled_fraction > 0.0:
         drop = rng.uniforms(height * width).reshape(height, width) < unlabeled_fraction
         labels[drop] = 0
 
-    cube = HsiCube(
-        height=height,
-        width=width,
-        bands=bands,
-        values=values.astype(np.float32),
-    )
+    cube = HsiCube(height=height, width=width, bands=bands, values=values)
     gt = GroundTruth(
         height=height,
         width=width,

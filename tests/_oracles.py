@@ -7,6 +7,8 @@ test that compares against these is a genuine two-route check.
 
 import numpy as np
 
+from hsikit.rng import SplitMix64
+
 
 # --- SVM dual oracles ----------------------------------------------------
 
@@ -267,3 +269,33 @@ def tree_walk(tree, x):
             node = tree.left[node] if goes_left else tree.right[node]
         out[i] = tree.value[node]
     return out
+
+
+# --- Synthetic scene, filled as whole arrays ------------------------------
+
+
+def gaussian_scene_values(height, width, bands, num_classes, seed=0, noise=1.0,
+                          separation=10.0, unlabeled_fraction=0.05):
+    """(values, labels) of ``gaussian_scene``, built as whole arrays.
+
+    The unblocked reference for ``gaussian_scene``, which draws the same
+    noise stream in blocks and stores each block into a float32 cube:
+    here all ``bands * height * width`` normals are drawn in one call,
+    the float64 scene is formed whole and then cast to float32.
+    """
+    rng = SplitMix64(seed)
+    scale = separation * noise / np.sqrt(2.0 * bands)
+    means = rng.normal_matrix(num_classes, bands) * scale
+
+    stripe = (np.arange(width) * num_classes) // width
+    labels = np.tile(stripe + 1, (height, 1)).astype(np.uint16)
+
+    clean = means[stripe].T[:, None, :]
+    values = clean + noise * rng.normal_matrix(bands * height, width).reshape(
+        bands, height, width
+    )
+
+    if unlabeled_fraction > 0.0:
+        drop = rng.uniforms(height * width).reshape(height, width) < unlabeled_fraction
+        labels[drop] = 0
+    return values.astype(np.float32), labels

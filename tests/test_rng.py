@@ -39,6 +39,12 @@ def test_negative_block_size_rejected():
 
     with pytest.raises(ValueError):
         SplitMix64(0).u64_block(-1)
+    # Box-Muller rounds n up to pairs; no negative n may round to zero.
+    for n in (-1, -2, -3):
+        with pytest.raises(ValueError, match="block size must be non-negative"):
+            SplitMix64(0).normals(n)
+        with pytest.raises(ValueError, match="block size must be non-negative"):
+            SplitMix64(0).normal_blocks(n, 4)
 
 
 def test_uniforms_in_half_open_unit_interval():
@@ -67,6 +73,31 @@ def test_normals_odd_count():
     w = SplitMix64(9).normals(8)
     assert z.shape == (7,)
     assert np.array_equal(z, w[:7])
+
+
+def test_normal_blocks_match_normals():
+    # 1001 variates in blocks of 64 (which does not divide 1001): the
+    # blocks join into normals(1001), and the stream moves on at the call,
+    # before any block is read, exactly as normals(1001) moves it.
+    whole_rng = SplitMix64(31)
+    whole = whole_rng.normals(1001)
+    after_whole = whole_rng.uniforms(5)
+
+    rng = SplitMix64(31)
+    blocks = rng.normal_blocks(1001, 64)
+    after_blocks = rng.uniforms(5)
+    parts = list(blocks)
+    assert [len(b) for b in parts] == [64] * 15 + [41]
+    assert np.array_equal(np.concatenate(parts), whole)
+    assert np.array_equal(after_blocks, after_whole)
+
+
+def test_normal_blocks_reject_odd_or_empty_block():
+    import pytest
+
+    for block in (0, 3, -2):
+        with pytest.raises(ValueError, match="block must be a positive even number"):
+            SplitMix64(0).normal_blocks(10, block)
 
 
 def test_normal_matrix_row_major_fill():
