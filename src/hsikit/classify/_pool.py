@@ -4,7 +4,9 @@
 class pairs of ``svm_train``, the machines of ``svm_predict`` and the
 class trees of each ``gbdt_train`` round over the CPUs the process may
 run on (``os.sched_getaffinity``; ``taskset`` limits them). The items
-go into one bin per CPU, heaviest first into the lightest bin. The
+are dealt in turn into one bin per CPU, with no cost model: timed pair
+by pair, the SVM's slowest bin trained faster dealt than packed by row
+count, and predicted as fast as when packed by support-vector count. The
 calling process runs bin 0 and a pool of CPUs - 1 ``fork`` workers runs
 the others; the pool is made on first use, with
 ``multiprocessing`` and ``concurrent.futures`` imported only then, and
@@ -78,15 +80,14 @@ def _drop_pool() -> None:
         _current = None
 
 
-def spread(fn, items: list, weights: list, *args) -> list:
-    """``fn(bin, *args)`` over ``items`` split into one bin per CPU.
+def spread(fn, items: list, *args) -> list:
+    """``fn(bin, *args)`` over ``items`` dealt into one bin per CPU.
 
     ``fn`` returns one result per item of its bin; ``spread`` returns
-    them in item order. Each item, heaviest first (first on ties), goes
-    to the bin of least weight so far (first on ties). This process runs
-    bin 0 while the pool runs the others; with one CPU or one item, or
-    when called from inside this process's bin 0, ``fn`` runs here once
-    over all items.
+    them in item order. With ``n`` bins, bin ``b`` is ``items[b::n]``.
+    This process runs bin 0 while the pool runs the others; with one CPU
+    or one item, or when called from inside this process's bin 0, ``fn``
+    runs here once over all items.
     """
     global _in_own_bin
     cpus = _cpu_count()
@@ -96,16 +97,10 @@ def spread(fn, items: list, weights: list, *args) -> list:
         return fn(items, *args)
     from concurrent.futures.process import BrokenProcessPool
 
-    bins = [[] for _ in range(n_bins)]
-    loads = [0] * n_bins
-    for k in sorted(range(len(items)), key=lambda k: -weights[k]):
-        b = loads.index(min(loads))
-        bins[b].append(k)
-        loads[b] += weights[k]
     try:
-        futures = [executor.submit(fn, [items[k] for k in b], *args) for b in bins[1:]]
+        futures = [executor.submit(fn, items[b::n_bins], *args) for b in range(1, n_bins)]
         _in_own_bin = True
-        outputs = [fn([items[k] for k in bins[0]], *args)]
+        outputs = [fn(items[::n_bins], *args)]
         outputs += [future.result() for future in futures]
     except BrokenProcessPool as exc:
         _drop_pool()
@@ -113,7 +108,6 @@ def spread(fn, items: list, weights: list, *args) -> list:
     finally:
         _in_own_bin = False
     results = [None] * len(items)
-    for b, output in zip(bins, outputs):
-        for k, result in zip(b, output):
-            results[k] = result
+    for b, output in enumerate(outputs):
+        results[b::n_bins] = output
     return results

@@ -421,8 +421,7 @@ def gbdt_train(train: SampleSet, params: GbdtParams | None = None, seed: int = 0
         g = np.ascontiguousarray(grad[rows].T) * amplify
         h = np.ascontiguousarray(hess[rows].T) * amplify
         grown = spread(
-            _grow_class_trees, list(range(n_classes)), [1] * n_classes,
-            binned_columns, rows, edges, g, h, params,
+            _grow_class_trees, list(range(n_classes)), binned_columns, rows, edges, g, h, params
         )
         for c, (_, values) in enumerate(grown):
             scores[:, c] += values

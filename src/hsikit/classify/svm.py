@@ -26,13 +26,12 @@ Training is fully deterministic: ties in working-set selection and in
 one-vs-one voting are broken by smallest index / smallest class id.
 
 The class pairs of ``svm_train`` and the machines of ``svm_predict`` are
-independent, so both are spread over the CPUs the process may run on
-(see ``hsikit.classify._pool``): pairs weighed by row count, machines
-by support-vector count. So are the (C, gamma, fold) fits of
-``grid_search_cv``, all weighed alike: an item trains one fold, predicts
-its held-out rows and returns only the fold's accuracy, and its pairs
-and machines run serially where it runs. The results are bit-identical
-to a serial run.
+independent, so both are dealt over the CPUs the process may run on
+(see ``hsikit.classify._pool``). So are the (C, gamma, fold) fits of
+``grid_search_cv``: an item trains one fold, predicts its held-out
+rows and returns only the fold's accuracy, and its pairs and machines
+run serially where it runs. The results are bit-identical to a serial
+run.
 
 A machine's decision values are computed in blocks of test rows whose
 test x support-vector kernel fits ``_KERNEL_BLOCK_BYTES`` (one row when
@@ -328,7 +327,7 @@ def svm_train(train: SampleSet, params: SvmParams | None = None) -> SvmModel:
     params = params or SvmParams()
     params.validate()
     features = as_matrix(train.features, "train.features")
-    classes, counts = np.unique(train.labels, return_counts=True)
+    classes = np.unique(train.labels)
     if len(classes) < 2:
         raise DegenerateDataError("SVM training needs at least 2 classes")
     fmin, frange = _fit_scaling(features)
@@ -347,9 +346,7 @@ def svm_train(train: SampleSet, params: SvmParams | None = None) -> SvmModel:
                 raise DegenerateDataError(
                     f"classes {cls_a} and {cls_b} have identical feature rows"
                 )
-    count = dict(zip(classes.tolist(), counts.tolist()))
-    weights = [count[cls_a] + count[cls_b] for cls_a, cls_b in pairs]
-    machines = spread(_fit_machines, pairs, weights, scaled, train.labels, params)
+    machines = spread(_fit_machines, pairs, scaled, train.labels, params)
     notes = [
         f"pair ({m.class_pos}, {m.class_neg}): iteration cap {params.max_iter} reached "
         f"(KKT violation {m.kkt_violation:.3e})"
@@ -382,8 +379,7 @@ def svm_predict(model: SvmModel, x) -> np.ndarray:
     """
     x = as_matrix(x, "x", cols=model.n_features)
     scaled = (x - model.feature_min) / model.feature_range
-    weights = [len(machine.dual_coef) for machine in model.machines]
-    wins = spread(_wins_pos, model.machines, weights, scaled, model.params.gamma)
+    wins = spread(_wins_pos, model.machines, scaled, model.params.gamma)
     class_index = {int(cls): idx for idx, cls in enumerate(model.classes)}
     votes = np.zeros((x.shape[0], len(model.classes)), dtype=np.int64)
     for machine, wins_pos in zip(model.machines, wins):
@@ -454,7 +450,7 @@ def grid_search_cv(
         fold_sets.append((train.take(in_fold), train.take(held_out)))
     cells = list(itertools.product(c_grid, gamma_grid))
     fits = [(c, gamma, fold) for c, gamma in cells for fold in range(folds)]
-    accuracies = spread(_fold_accuracies, fits, [1] * len(fits), fold_sets, params)
+    accuracies = spread(_fold_accuracies, fits, fold_sets, params)
     table = []
     best = None
     for k, (c, gamma) in enumerate(cells):

@@ -296,8 +296,10 @@ def save_cube(cube: HsiCube, header_path) -> Path:
 def save_ground_truth(gt: GroundTruth, header_path) -> Path:
     """Write the ``.hsih``/``.hsir`` pair for a label raster."""
     for name in gt.class_names:
-        if "," in name:
-            raise ValueError(f"class name {name!r} may not contain commas")
+        # The header is read with str.splitlines, so any line boundary it
+        # splits on would end the class_names line.
+        if "," in name or "".join(name.splitlines()) != name:
+            raise ValueError(f"class name {name!r} may not contain commas or line breaks")
     names = [f"class_names: {', '.join(gt.class_names)}"] if gt.class_names else []
     return _save(header_path, gt.labels[np.newaxis], "u16", *names)
 

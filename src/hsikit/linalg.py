@@ -59,7 +59,6 @@ class SvdResult:
     u: np.ndarray
     s: np.ndarray
     vt: np.ndarray
-    rank: int
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def exact_svd(a, k: int) -> SvdResult:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
     u, s, vt = u[:, :k], s[:k], vt[:k, :]
     u, vt = _fix_signs(u, vt)
-    return SvdResult(u=u, s=s, vt=vt, rank=k)
+    return SvdResult(u=u, s=s, vt=vt)
 
 
 def randomized_range_finder(a, l: int, power_iterations: int, seed: int) -> np.ndarray:
@@ -171,4 +170,4 @@ def randomized_svd(a, params: RandomizedSvdParams) -> SvdResult:
     inner = exact_svd(b, params.k)
     u = q @ inner.u
     u, vt = _fix_signs(u, inner.vt)
-    return SvdResult(u=u, s=inner.s.copy(), vt=vt, rank=params.k)
+    return SvdResult(u=u, s=inner.s.copy(), vt=vt)

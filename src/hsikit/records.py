@@ -21,7 +21,7 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-__all__ = ["Record", "coerce", "check_int_fields"]
+__all__ = ["Record", "coerce", "check_int", "check_int_fields"]
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
@@ -48,14 +48,20 @@ def coerce(value, kind: type, name: str):
     raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
+def check_int(value, name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer,
+    numpy's among them; bools do not count, and neither does an integral
+    float such as ``10.0`` or a string such as ``"3"``, since nothing
+    converts it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_int_fields(obj) -> None:
-    """Raise ValueError naming the first ``int`` field of dataclass ``obj``
-    that holds anything but an integer; bools do not count, and neither
-    does an integral float such as ``10.0``, since nothing converts it."""
+    """``check_int`` on each ``int`` field of dataclass ``obj``."""
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.type is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type is int:
+            check_int(getattr(obj, f.name), f.name)
 
 
 def _encode(value):

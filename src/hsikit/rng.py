@@ -22,6 +22,8 @@ Conventions, fixed here so results are reproducible:
 
 import numpy as np
 
+from .records import check_int
+
 __all__ = ["SplitMix64"]
 
 _MASK = (1 << 64) - 1
@@ -41,9 +43,11 @@ def _unit(raw):
 
 
 class SplitMix64:
-    """Counter-based SplitMix64 generator with a 64-bit seed."""
+    """Counter-based SplitMix64 generator with a 64-bit seed: any integer,
+    taken modulo 2**64; a bool, float or string raises ValueError."""
 
     def __init__(self, seed: int):
+        check_int(seed, "seed")
         self._base = int(seed) & _MASK
         self._count = 0
 

@@ -17,11 +17,10 @@ whole-array fill, and memory is the cube plus the float64 temporaries
 of one block of ``_BLOCK`` values.
 """
 
-import numbers
-
 import numpy as np
 
 from .hsi_data import GroundTruth, HsiCube
+from .records import check_int
 from .rng import SplitMix64
 
 __all__ = ["gaussian_scene"]
@@ -51,8 +50,7 @@ def gaussian_scene(
     """
     sizes = {"height": height, "width": width, "bands": bands, "num_classes": num_classes}
     for name, value in sizes.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_int(value, name)
     if height < 1 or width < 1 or bands < 1:
         raise ValueError(f"scene dimensions must be positive, got {height}x{width}x{bands}")
     if num_classes < 1:

@@ -98,6 +98,15 @@ def test_class_name_comma_rejected(tmp_path):
         save_ground_truth(gt, tmp_path / "gt.hsih")
 
 
+@pytest.mark.parametrize("name", ["a\nb", "x\x0cy", "x\u2028y", "a\r"])
+def test_class_name_line_break_rejected(tmp_path, name):
+    # Each of these ends the header line where str.splitlines reads it.
+    gt = GroundTruth(1, 1, np.array([[1]], dtype=np.uint16), class_names=[name])
+    with pytest.raises(ValueError, match="line breaks"):
+        save_ground_truth(gt, tmp_path / "gt.hsih")
+    assert not (tmp_path / "gt.hsih").exists()
+
+
 def test_parse_header_fields(tmp_path):
     path = save_cube(tiny_cube(), tmp_path / "scene.hsih")
     fields = parse_header(path)

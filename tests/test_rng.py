@@ -1,6 +1,7 @@
 """Tests for the counter-based SplitMix64 generator."""
 
 import numpy as np
+import pytest
 
 from hsikit.rng import SplitMix64
 
@@ -15,6 +16,20 @@ def test_different_seeds_differ():
     a = SplitMix64(1).u64_block(64)
     b = SplitMix64(2).u64_block(64)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [2.7, 2.0, "3", True, None])
+def test_non_integer_seed_rejected(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SplitMix64(seed)
+
+
+def test_numpy_and_negative_integer_seeds_accepted():
+    # Any integer seed is taken modulo 2**64.
+    expected = SplitMix64(2**64 - 5).u64_block(8)
+    for seed in (-5, np.int64(-5), np.uint64(2**64 - 5), 2**128 - 5):
+        assert np.array_equal(SplitMix64(seed).u64_block(8), expected)
+    assert np.array_equal(SplitMix64(np.int32(7)).u64_block(8), SplitMix64(7).u64_block(8))
 
 
 def test_block_matches_scalar_draws():
@@ -35,8 +50,6 @@ def test_split_blocks_match_one_block():
 
 
 def test_negative_block_size_rejected():
-    import pytest
-
     with pytest.raises(ValueError):
         SplitMix64(0).u64_block(-1)
     # Box-Muller rounds n up to pairs; no negative n may round to zero.
@@ -93,8 +106,6 @@ def test_normal_blocks_match_normals():
 
 
 def test_normal_blocks_reject_odd_or_empty_block():
-    import pytest
-
     for block in (0, 3, -2):
         with pytest.raises(ValueError, match="block must be a positive even number"):
             SplitMix64(0).normal_blocks(10, block)

@@ -621,7 +621,7 @@ def uneven_set(seed):
     ids=["plain", "reduced-folds"],
 )
 def test_grid_identical_for_any_cpu_count(force_cpus, train, folds, notes):
-    # 18 equal-weight (C, gamma, fold) fits land in 1, 2, 3 or 5 bins,
+    # 18 (C, gamma, fold) fits are dealt into 1, 2, 3 or 5 bins,
     # and each fit solves its pairs serially wherever its bin runs. The
     # fold-reduction warning is raised once, here in the caller.
     results = {}
@@ -643,9 +643,24 @@ def _pids(items):
     return [os.getpid() for _ in items]
 
 
+def _tagged(items):
+    return [(item, os.getpid()) for item in items]
+
+
+def test_spread_deals_items_in_turn(force_cpus):
+    # Bin b is items[b::3]: this process runs bin 0, and each other bin
+    # runs whole in one worker; the results come back in item order.
+    force_cpus(3)
+    items, pids = zip(*pool.spread(_tagged, list("abcdefg")))
+    assert items == tuple("abcdefg")
+    assert pids[0] == pids[3] == pids[6] == os.getpid()
+    assert pids[1] == pids[4] != os.getpid()
+    assert pids[2] == pids[5] != os.getpid()
+
+
 def _inner_pids(items):
     """For each item, the pids that ran a spread of two items."""
-    return [pool.spread(_pids, [0, 1], [1, 1]) for _ in items]
+    return [pool.spread(_pids, [0, 1]) for _ in items]
 
 
 def test_spread_inside_the_callers_bin_runs_in_process(monkeypatch, force_cpus):
@@ -653,20 +668,20 @@ def test_spread_inside_the_callers_bin_runs_in_process(monkeypatch, force_cpus):
     # inside bin 0 runs here and submits nothing; the workers' inner
     # spreads run serially too, as they are forked from the owner.
     force_cpus(3)
-    pool.spread(_pids, [0, 1, 2], [1, 1, 1])
+    pool.spread(_pids, [0, 1, 2])
     executor = pool._current[1]
     submitted = []
     submit = executor.submit
     monkeypatch.setattr(
         executor, "submit", lambda fn, *args: submitted.append(fn) or submit(fn, *args)
     )
-    outer = pool.spread(_inner_pids, [0, 1, 2], [1, 1, 1])
+    outer = pool.spread(_inner_pids, [0, 1, 2])
     assert submitted == [_inner_pids, _inner_pids]
     assert outer[0] == [os.getpid()] * 2
     for inner in outer[1:]:
         assert inner[0] == inner[1] != os.getpid()
     # Once the outer call returns, a spread uses the pool again.
-    assert pool.spread(_pids, [0, 1, 2], [1, 1, 1])[1] != os.getpid()
+    assert pool.spread(_pids, [0, 1, 2])[1] != os.getpid()
     assert len(submitted) == 4
 
 
@@ -681,12 +696,11 @@ def test_blocked_decisions_identical_for_any_cpu_count(monkeypatch, force_cpus):
     model = svm_train(nine_class_set(90), SvmParams(c=10.0, gamma=0.5))
     x = SplitMix64(91).normal_matrix(200, 3) * 6.0 + 10.0
     scaled = (x - model.feature_min) / model.feature_range
-    weights = [len(machine.dual_coef) for machine in model.machines]
     monkeypatch.setattr(svm, "_KERNEL_BLOCK_BYTES", 8 * 16)
     results = {}
     for cpus in (1, 2, 3):
         force_cpus(cpus)
-        decisions = pool.spread(_decisions, model.machines, weights, scaled, model.params.gamma)
+        decisions = pool.spread(_decisions, model.machines, scaled, model.params.gamma)
         results[cpus] = (np.array(decisions).tobytes(), svm_predict(model, x).tolist())
     assert results[2] == results[1]
     assert results[3] == results[1]
