@@ -6,6 +6,25 @@ the exact factorization for :func:`hsikit.linalg.randomized_svd` and is
 otherwise identical. Models are immutable after fit and record how they
 were produced.
 
+Neither fit factors the n x B centered matrix A itself. Both form the
+band Gram matrix G = A^T A (B x B, one pass over the data), take its
+eigenpairs (lambda_i, v_i) in descending order and factor the B x B
+matrix S whose row i is sqrt(lambda_i) v_i^T. Since
+S^T S = A^T A, A = O S for some O with orthonormal columns. So A and S
+share their singular values and right singular vectors, and every
+product the randomized range finder takes with A or A^T equals one
+with S or S^T up to O: the same seed and power iterations give the
+same singular values and axes in exact arithmetic. Every factorization
+then runs on B-sized matrices. Squaring A costs precision at the bottom
+of the spectrum: variances below about eps * lambda_1 (eps = 2.2e-16)
+come out as rounding noise or zero, and their axes are not resolved.
+
+Signs are fixed on the data's own scores A @ components^T: the
+largest-magnitude entry of each column is made positive. For exact PCA
+the scores are U diag(s), so this is the rule ``exact_svd`` applies to
+A. Randomized SVD of A applies it to the sketch's estimate of U
+instead; the two agree wherever the sketch resolves the component.
+
 Only centering is applied, never per-band standardization: spectral
 bands share units, so PCA on the covariance matrix is the intended
 behavior. Pre-scale the input yourself if you want correlation-matrix
@@ -17,7 +36,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .errors import DegenerateDataError
+from .errors import ConvergenceError, DegenerateDataError
 from .linalg import RandomizedSvdParams, as_matrix, exact_svd, randomized_svd
 from .records import Record
 
@@ -59,19 +78,37 @@ class PcaModel(Record):
 
 
 def _fit(x, k: int, method: str, factor, **method_params) -> PcaModel:
-    """Center the rows of ``x``, factor them with ``factor(centered)``
-    and record the top ``k`` axes as a model made by ``method``."""
+    """Center the rows of ``x``, factor the B x B factor S of their
+    Gram matrix (see the module docstring) with ``factor(S)`` and
+    record the top ``k`` axes as a model made by ``method``."""
     x = as_matrix(x, "x")
     n, b = x.shape
     if n < 2:
         raise DegenerateDataError(f"PCA needs at least 2 samples, got {n}")
     if not 1 <= k <= min(n, b):
         raise ValueError(f"k must satisfy 1 <= k <= min(n, B) = {min(n, b)}, got {k}")
-    mean = x.mean(axis=0)
-    svd = factor(x - mean)
+    # The randomized sketch has k + oversampling columns; exact PCA has none extra.
+    oversampling = method_params.get("oversampling", 0)
+    if k + oversampling > min(n, b):
+        raise ValueError(
+            f"{k} components + {oversampling} oversampling = {k + oversampling} exceeds "
+            f"min(pixels, bands) = min({n}, {b}) = {min(n, b)}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the result
+        mean = x.mean(axis=0)
+        centered = x - mean
+        gram = centered.T @ centered
+    if not np.isfinite(gram).all():
+        raise ConvergenceError("the band covariance overflows float64; rescale the data")
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)  # ascending: S takes them reversed
+    svd = factor(np.sqrt(np.maximum(eigenvalues[::-1], 0.0))[:, None] * eigenvectors[:, ::-1].T)
+    # The largest-magnitude score along each axis is made positive.
+    scores = centered @ svd.vt.T
+    signs = np.sign(scores[np.abs(scores).argmax(axis=0), np.arange(k)])
+    signs[signs == 0] = 1.0
     return PcaModel(
         mean=mean,
-        components=svd.vt,
+        components=svd.vt * signs[:, None],
         explained_variance=svd.s**2 / (n - 1),
         method=method,
         n_fit_samples=n,
@@ -85,7 +122,7 @@ def fit_pca(x, k: int) -> PcaModel:
     explained_variance[i] is s_i^2 / (n - 1), the sample-covariance
     eigenvalue along component i.
     """
-    return _fit(x, k, "exact", lambda centered: exact_svd(centered, k))
+    return _fit(x, k, "exact", lambda s: exact_svd(s, k))
 
 
 def fit_rpca(
@@ -95,8 +132,9 @@ def fit_rpca(
     power_iterations: int = RandomizedSvdParams.power_iterations,
     seed: int = 0,
 ) -> PcaModel:
-    """Fit PCA like :func:`fit_pca` but factor the centered matrix with
-    the randomized SVD; the sketch settings are recorded in the model."""
+    """Fit PCA like :func:`fit_pca` but factor with the randomized SVD;
+    the sketch settings are recorded in the model. The sketch's
+    ``k + oversampling`` columns must not exceed min(pixels, bands)."""
     params = RandomizedSvdParams(
         k=k, oversampling=oversampling, power_iterations=power_iterations, seed=seed
     )
@@ -104,7 +142,7 @@ def fit_rpca(
         x,
         k,
         "randomized",
-        lambda centered: randomized_svd(centered, params),
+        lambda s: randomized_svd(s, params),
         seed=seed,
         oversampling=oversampling,
         power_iterations=power_iterations,

@@ -7,6 +7,7 @@ test that compares against these is a genuine two-route check.
 
 import numpy as np
 
+from hsikit.linalg import exact_svd, householder_qr, randomized_svd
 from hsikit.rng import SplitMix64
 
 
@@ -218,6 +219,35 @@ def jacobi_eigenvalues(sym, max_sweeps=100):
                 a[:, p] = cs * col_p - sn * col_q
                 a[:, q] = sn * col_p + cs * col_q
     return np.sort(np.diag(a))[::-1]
+
+
+# --- PCA by factoring the centered pixel matrix itself -------------------
+
+
+def decaying_test_matrices(count=20, m=500, n=200):
+    """(index, matrix) pairs: deterministic m x n matrices with singular
+    values 10 * 0.8^i, the inputs of acceptance criteria 1 and 2."""
+    s = 10.0 * 0.8 ** np.arange(n)
+    for idx in range(count):
+        u, _ = householder_qr(SplitMix64(2000 + idx).normal_matrix(m, n))
+        v, _ = householder_qr(SplitMix64(3000 + idx).normal_matrix(n, n))
+        yield idx, u @ (s[:, None] * v.T)
+
+
+def pca_by_row_factorization(x, k, params=None):
+    """(components, explained_variance) of PCA on rows of ``x`` by the
+    n-row route: factor ``x - mean`` itself with ``exact_svd``, or with
+    ``randomized_svd(., params)`` when sketch params are given, and keep
+    the signs those fix on its U. The reference for ``fit_pca`` and
+    ``fit_rpca``, which factor a B x B factor of the band covariance and
+    take signs from the data's scores. With sketch params the signs here
+    come from the sketch's estimate of U, so they match only where the
+    sketch resolves the component, as it does on the criterion-2
+    matrices."""
+    x = np.asarray(x, dtype=np.float64)
+    centered = x - x.mean(axis=0)
+    svd = exact_svd(centered, k) if params is None else randomized_svd(centered, params)
+    return svd.vt, svd.s**2 / (x.shape[0] - 1)
 
 
 # --- chi-square(1) tail by numerical integration -------------------------

@@ -13,6 +13,7 @@ import numpy as np
 
 from _oracles import (
     active_set_dual_max,
+    decaying_test_matrices,
     dual_objective,
     lattice_dual_max,
     mcnemar_exact_enumeration,
@@ -36,12 +37,7 @@ from hsikit.hsi_data import (
     save_ground_truth,
     stratified_split,
 )
-from hsikit.linalg import (
-    RandomizedSvdParams,
-    exact_svd,
-    householder_qr,
-    randomized_svd,
-)
+from hsikit.linalg import RandomizedSvdParams, exact_svd, randomized_svd
 from hsikit.rng import SplitMix64
 from hsikit.synthetic import gaussian_scene
 
@@ -53,15 +49,6 @@ def _report(criterion: int, ok: bool, detail: str = ""):
     assert ok, f"criterion {criterion} failed{suffix}"
 
 
-def _decaying_test_matrices(count=20, m=500, n=200):
-    """Deterministic matrices with singular values 10 * 0.8^i."""
-    s = 10.0 * 0.8 ** np.arange(n)
-    for idx in range(count):
-        u, _ = householder_qr(SplitMix64(2000 + idx).normal_matrix(m, n))
-        v, _ = householder_qr(SplitMix64(3000 + idx).normal_matrix(n, n))
-        yield idx, u @ (s[:, None] * v.T)
-
-
 def test_criterion_1_randomized_svd_accuracy():
     # 20 matrices, 500 x 200, spectrum 10 * 0.8^i: randomized_svd with
     # k=30, oversampling 10, 2 power iterations recovers the top 30
@@ -69,7 +56,7 @@ def test_criterion_1_randomized_svd_accuracy():
     worst = 0.0
     exact_seconds = 0.0
     randomized_seconds = 0.0
-    for idx, a in _decaying_test_matrices():
+    for idx, a in decaying_test_matrices():
         t0 = time.perf_counter()
         reference = exact_svd(a, 30)
         exact_seconds += time.perf_counter() - t0
@@ -93,7 +80,7 @@ def test_criterion_2_pca_vs_rpca_subspaces():
     # randomized PCA agree on the 20-dimensional principal subspace to
     # within 1e-2 radians in every principal angle.
     worst = 0.0
-    for idx, x in _decaying_test_matrices():
+    for idx, x in decaying_test_matrices():
         exact = fit_pca(x, 20)
         rand = fit_rpca(x, 20, oversampling=10, power_iterations=2, seed=idx)
         angles = principal_angles(exact.components, rand.components)

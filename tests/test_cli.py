@@ -380,6 +380,21 @@ def test_run_with_rpca_records_sketch(scene, tmp_path):
     assert model["reduction"]["method_params"]["oversampling"] == 4
 
 
+def test_run_rpca_sketch_wider_than_the_bands(scene, tmp_path, capsys):
+    # 8 bands cannot hold a sketch of 5 components + 10 oversampling.
+    cube_path, gt_path = scene
+    out = tmp_path / "out"
+    argv = ["run", "--cube", cube_path, "--gt", gt_path, "--output", str(out)]
+    assert main(argv + ["--reduction", "rpca", "--components", "5"]) == 2
+    err = capsys.readouterr().err
+    assert re.search(
+        r"stage 'reduce' failed: 5 components \+ 10 oversampling = 15 exceeds "
+        r"min\(pixels, bands\) = min\(\d+, 8\) = 8\n$",
+        err,
+    ), err
+    assert not out.exists()
+
+
 def test_run_determinism_across_blas_threads(tmp_path):
     # The determinism contract: with one BLAS thread count every
     # deterministic artifact repeats byte for byte; across 1 and 2

@@ -1,9 +1,11 @@
 """Tests for exact and randomized PCA."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from _oracles import jacobi_eigenvalues
+from _oracles import decaying_test_matrices, jacobi_eigenvalues, pca_by_row_factorization
 from hsikit.dimred import (
     PcaModel,
     explained_variance_ratio,
@@ -12,8 +14,8 @@ from hsikit.dimred import (
     principal_angles,
     transform,
 )
-from hsikit.errors import DegenerateDataError
-from hsikit.linalg import householder_qr
+from hsikit.errors import ConvergenceError, DegenerateDataError
+from hsikit.linalg import RandomizedSvdParams, householder_qr
 from hsikit.rng import SplitMix64
 
 
@@ -142,12 +144,73 @@ def test_fit_rpca_deterministic():
 
 def test_fit_rpca_sketch_budget_validation():
     x = random_matrix(20, 8, 45)
-    with pytest.raises(ValueError):
-        # k + oversampling = 13 > min(n, B) = 8.
+    message = (
+        r"^3 components \+ 10 oversampling = 13 exceeds "
+        r"min\(pixels, bands\) = min\(20, 8\) = 8$"
+    )
+    with pytest.raises(ValueError, match=message):
         fit_rpca(x, k=3)
     # An explicit smaller sketch fits.
     model = fit_rpca(x, k=3, oversampling=5)
     assert model.n_components == 3
+
+
+# ------------------------------------- against the n-row factorization
+
+
+def test_fits_match_the_n_row_factorization():
+    # Factoring the B x B factor S of A^T A gives, to round-off, what
+    # factoring the centered pixel matrix A does: the same components
+    # with the same signs and the same variances, for both methods.
+    worst_components = worst_variance = 0.0
+    for idx, x in decaying_test_matrices():
+        params = RandomizedSvdParams(k=20, oversampling=10, power_iterations=2, seed=idx)
+        for model, reference in (
+            (fit_pca(x, 20), pca_by_row_factorization(x, 20)),
+            (fit_rpca(x, 20, seed=idx), pca_by_row_factorization(x, 20, params)),
+        ):
+            components, variance = reference
+            worst_components = max(worst_components, np.abs(model.components - components).max())
+            rel = np.abs(model.explained_variance - variance) / variance
+            worst_variance = max(worst_variance, rel.max())
+    assert worst_components <= 1e-10
+    assert worst_variance <= 1e-10
+
+
+def _constant_band():
+    x = random_matrix(40, 8, 70)
+    x[:, 3] = 5.0
+    return x
+
+
+@pytest.mark.parametrize(
+    "x, k, oversampling",
+    [
+        (_constant_band(), 8, 0),
+        (random_matrix(6, 12, 71), 5, 1),
+        (decaying_matrix(60, 12, rank=2, ratio=0.5, seed=72), 3, 4),
+        (np.repeat(random_matrix(5, 7, 73), 4, axis=0), 6, 1),
+    ],
+    ids=["constant-band", "fewer-pixels-than-bands", "rank-2-k-3", "repeated-rows"],
+)
+def test_fits_stay_well_formed_on_degenerate_data(x, k, oversampling):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        models = [fit_pca(x, k), fit_rpca(x, k, oversampling=oversampling)]
+    for model in models:
+        c = model.components
+        assert np.abs(c @ c.T - np.eye(len(c))).max() <= 1e-12
+        v = model.explained_variance
+        assert np.isfinite(v).all() and (v >= 0.0).all() and (np.diff(v) <= 0.0).all()
+
+
+def test_fit_rejects_a_covariance_that_overflows():
+    # Finite data whose band covariance overflows: an error, not
+    # infinite variances written to model.json as JSON Infinity.
+    x = random_matrix(200, 12, 74) * 1e200
+    for fit in (fit_pca, fit_rpca):
+        with pytest.raises(ConvergenceError, match="overflows float64"):
+            fit(x, 2)
 
 
 # ---------------------------------------------------------------- transform
