@@ -56,7 +56,7 @@ from .classify import (
     svm_predict,
     svm_train,
 )
-from .dimred import fit_pca, fit_rpca, transform
+from .dimred import fit_transform, transform
 from .errors import ConvergenceError, DataFormatError, HsikitError
 from .evaluation import evaluate, mcnemar, render_map, write_ppm
 from .hsi_data import (
@@ -64,17 +64,20 @@ from .hsi_data import (
     INTERLEAVES,
     GroundTruth,
     HsiCube,
-    extract_labeled,
-    load_cube,
+    cube_bands,
     load_ground_truth,
+    load_split,
     parse_header,
     read_raw,
     save_cube,
     save_ground_truth,
-    stratified_split,
 )
 from .linalg import RandomizedSvdParams
 from .records import coerce
+
+# Unused here: hsibench/pipeline.py wraps them by name until ROADMAP item 1, step 3.
+from .dimred import fit_pca, fit_rpca  # noqa: F401
+from .hsi_data import extract_labeled, load_cube, stratified_split  # noqa: F401
 
 __all__ = ["main", "run_pipeline", "UsageError", "StageError"]
 
@@ -240,8 +243,10 @@ def run_pipeline(config: dict) -> dict:
     """Execute a resolved config and write artifacts; returns the report.
 
     Raises StageError around any failing stage; artifacts are only
-    written once every stage has succeeded. The cube is let go once its
-    labeled pixels are extracted, and those once they are split.
+    written once every stage has succeeded. The cube is never held
+    whole: the load stage splits the ground truth's labels, then reads
+    the cube band by band into the train and test sets, so a run holds
+    its labeled samples plus one band.
     """
     out_dir = Path(config["output"])
     starts = [("load", time.perf_counter())]  # (stage, start time) in run order
@@ -250,16 +255,10 @@ def run_pipeline(config: dict) -> dict:
         starts.append((stage, time.perf_counter()))
 
     try:
-        cube = load_cube(config["cube"])
         gt = load_ground_truth(config["ground_truth"])
-        samples = extract_labeled(cube, gt)
-        del cube
-
-        begin("split")
-        train_set, test_set = stratified_split(
-            samples, config["train_fraction"], config["seed"]
+        train_set, test_set = load_split(
+            config["cube"], gt, config["train_fraction"], config["seed"]
         )
-        del samples
 
         begin("reduce")
         settings = dict(config["reduction"])  # less method and components: rpca's sketch
@@ -270,10 +269,11 @@ def run_pipeline(config: dict) -> dict:
         else:
             k = settings.pop("components")
             if method == "pca":
-                pca_model = fit_pca(train_set.features, k)
+                pca_model, train_x = fit_transform(train_set.features, k)
             else:
-                pca_model = fit_rpca(train_set.features, k, seed=config["seed"], **settings)
-            train_x = transform(pca_model, train_set.features)
+                pca_model, train_x = fit_transform(
+                    train_set.features, k, "randomized", seed=config["seed"], **settings
+                )
             test_x = transform(pca_model, test_set.features)
 
         begin("train")
@@ -530,17 +530,22 @@ def _cmd_inspect(args) -> int:
     for path in args.paths:
         base = Path(path)
         if parse_header(base)["dtype"] == "f32":
-            values = load_cube(base).values
-            bands, height, width = values.shape
-            # float64 sums band by band, so no full-size temporary is made.
-            mean = sum(band.sum(dtype=np.float64) for band in values) / values.size
-            deviations = (band.astype(np.float64).ravel() - mean for band in values)
-            std = math.sqrt(sum(d @ d for d in deviations) / values.size)
-            print(f"{base}: hyperspectral cube {height} x {width} pixels, {bands} bands")
+            # Two passes over the bands, so the cube is never held whole;
+            # float64 sums band by band, as the mean and std always were.
+            fields, bands = cube_bands(base)
+            size = fields["height"] * fields["width"] * fields["bands"]
+            low, high, total = math.inf, -math.inf, 0.0
+            for band in bands:
+                low, high = min(low, band.min()), max(high, band.max())
+                total += band.sum(dtype=np.float64)
+            mean = total / size
+            deviations = (band.astype(np.float64).ravel() - mean for band in cube_bands(base)[1])
+            std = math.sqrt(sum(d @ d for d in deviations) / size)
             print(
-                f"  values: min {values.min():.4f} max {values.max():.4f} "
-                f"mean {mean:.4f} std {std:.4f}"
+                f"{base}: hyperspectral cube {fields['height']} x {fields['width']} pixels, "
+                f"{fields['bands']} bands"
             )
+            print(f"  values: min {low:.4f} max {high:.4f} mean {mean:.4f} std {std:.4f}")
         else:
             gt = load_ground_truth(base)
             labeled = int(np.sum(gt.labels > 0))

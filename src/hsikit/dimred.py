@@ -44,6 +44,7 @@ __all__ = [
     "PcaModel",
     "fit_pca",
     "fit_rpca",
+    "fit_transform",
     "transform",
     "explained_variance_ratio",
     "principal_angles",
@@ -77,10 +78,11 @@ class PcaModel(Record):
         return self.components.shape[1]
 
 
-def _fit(x, k: int, method: str, factor, **method_params) -> PcaModel:
+def _fit(x, k: int, method: str, factor, **method_params) -> tuple[PcaModel, np.ndarray]:
     """Center the rows of ``x``, factor the B x B factor S of their
     Gram matrix (see the module docstring) with ``factor(S)`` and
-    record the top ``k`` axes as a model made by ``method``."""
+    record the top ``k`` axes as a model made by ``method``. Returns the
+    model and the rows' signed scores, ``transform(model, x)``."""
     x = as_matrix(x, "x")
     n, b = x.shape
     if n < 2:
@@ -106,13 +108,40 @@ def _fit(x, k: int, method: str, factor, **method_params) -> PcaModel:
     scores = centered @ svd.vt.T
     signs = np.sign(scores[np.abs(scores).argmax(axis=0), np.arange(k)])
     signs[signs == 0] = 1.0
-    return PcaModel(
+    model = PcaModel(
         mean=mean,
         components=svd.vt * signs[:, None],
         explained_variance=svd.s**2 / (n - 1),
         method=method,
         n_fit_samples=n,
         method_params=method_params,
+    )
+    # A sign flip is exact, so these are transform(model, x)'s bytes.
+    return model, scores * signs
+
+
+def fit_transform(x, k: int, method: str = "exact", **sketch) -> tuple[PcaModel, np.ndarray]:
+    """Fit PCA with ``k`` components on rows of ``x`` (n x B) and project
+    them: returns the model and ``transform(model, x)``, the n x k scores
+    the fit computes anyway, so the rows are projected once.
+
+    ``method`` "exact" fits as :func:`fit_pca`; "randomized" fits as
+    :func:`fit_rpca`, with its ``oversampling``, ``power_iterations``
+    and ``seed`` keywords as ``sketch``.
+    """
+    if method == "exact" and not sketch:
+        return _fit(x, k, method, lambda s: exact_svd(s, k))
+    if method != "randomized":
+        raise ValueError(f"method must be 'exact' (no sketch) or 'randomized', got {method!r}")
+    params = RandomizedSvdParams(k=k, **sketch)
+    return _fit(
+        x,
+        k,
+        method,
+        lambda s: randomized_svd(s, params),
+        seed=params.seed,
+        oversampling=params.oversampling,
+        power_iterations=params.power_iterations,
     )
 
 
@@ -122,7 +151,7 @@ def fit_pca(x, k: int) -> PcaModel:
     explained_variance[i] is s_i^2 / (n - 1), the sample-covariance
     eigenvalue along component i.
     """
-    return _fit(x, k, "exact", lambda s: exact_svd(s, k))
+    return fit_transform(x, k)[0]
 
 
 def fit_rpca(
@@ -135,18 +164,9 @@ def fit_rpca(
     """Fit PCA like :func:`fit_pca` but factor with the randomized SVD;
     the sketch settings are recorded in the model. The sketch's
     ``k + oversampling`` columns must not exceed min(pixels, bands)."""
-    params = RandomizedSvdParams(
-        k=k, oversampling=oversampling, power_iterations=power_iterations, seed=seed
-    )
-    return _fit(
-        x,
-        k,
-        "randomized",
-        lambda s: randomized_svd(s, params),
-        seed=seed,
-        oversampling=oversampling,
-        power_iterations=power_iterations,
-    )
+    return fit_transform(
+        x, k, "randomized", oversampling=oversampling, power_iterations=power_iterations, seed=seed
+    )[0]
 
 
 def transform(model: PcaModel, x) -> np.ndarray:

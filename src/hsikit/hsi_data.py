@@ -3,6 +3,9 @@ extraction, and the two seeded per-class partitions of labeled samples:
 ``stratified_split`` (train/test) and ``stratified_folds`` (the
 cross-validation folds of ``grid_search_cv``). Both shuffle each class's
 positions, in ascending class order, from one SplitMix64 stream.
+``load_split`` gives ``stratified_split``'s train and test sets straight
+from a cube file: it splits the labels first, then reads the cube one
+band at a time into the two sets, so it never holds the whole cube.
 
 Container format
 ----------------
@@ -26,15 +29,17 @@ height x width x bands values, band-sequential (all of band 0 in raster
 order, then band 1, ...). Class names may not contain commas.
 
 Every fact about these bytes lives here: ``DTYPES`` maps header dtypes
-to little-endian numpy types, ``read_raw`` is the one payload reader and
-``save_cube``/``save_ground_truth`` share one writer. ``read_raw`` checks
-a file's size before it reads anything, then reads the payload once;
-``hsikit convert`` reads bsq, bil and bip dumps through it too.
+to little-endian numpy types, ``read_raw`` reads a whole payload,
+``cube_bands`` reads a cube's one band at a time, and
+``save_cube``/``save_ground_truth`` share one writer. Both readers check
+a file's size before they read anything; ``hsikit convert`` reads bsq,
+bil and bip dumps through ``read_raw``.
 """
 
 import math
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,12 +56,14 @@ __all__ = [
     "INTERLEAVES",
     "parse_header",
     "read_raw",
+    "cube_bands",
     "load_cube",
     "save_cube",
     "load_ground_truth",
     "save_ground_truth",
     "extract_labeled",
     "stratified_split",
+    "load_split",
     "stratified_folds",
 ]
 
@@ -86,10 +93,15 @@ class HsiCube:
         expected = (self.bands, self.height, self.width)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
-        # min and max carry any NaN or infinity without a per-value mask,
-        # so the check allocates nothing beside the cube.
-        if self.values.size and not np.isfinite([self.values.min(), self.values.max()]).all():
-            raise ValueError("cube contains non-finite values")
+        _check_finite(self.values)
+
+
+def _check_finite(values: np.ndarray) -> None:
+    """Raise ValueError if cube ``values`` hold a NaN or an infinity."""
+    # min and max carry any NaN or infinity without a per-value mask,
+    # so the check allocates nothing beside the values.
+    if values.size and not np.isfinite([values.min(), values.max()]).all():
+        raise ValueError("cube contains non-finite values")
 
 
 @dataclass
@@ -193,6 +205,26 @@ def parse_header(header_path) -> dict:
     return fields
 
 
+@contextmanager
+def _open_payload(path, dtype: str, height: int, width: int, bands: int):
+    """The payload file at ``path``, open for reading once its size is
+    checked to be height x width x bands ``dtype`` values. A size
+    mismatch, or a failed open or read in the block, raises
+    DataFormatError."""
+    expected = height * width * bands * np.dtype(DTYPES[dtype]).itemsize
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise DataFormatError(
+                    f"{path}: payload is {size} bytes, expected {expected} "
+                    f"({height}x{width}x{bands} {dtype})"
+                )
+            yield fh
+    except OSError as exc:
+        raise DataFormatError(f"cannot read payload {path}: {exc}") from exc
+
+
 def read_raw(path, dtype: str, height: int, width: int, bands: int, order="bsq") -> np.ndarray:
     """A raw little-endian payload as a (bands, height, width) array.
 
@@ -201,27 +233,16 @@ def read_raw(path, dtype: str, height: int, width: int, bands: int, order="bsq")
     then read once, and a bil or bip payload comes back as a transposed
     view of it. Raises DataFormatError on a size mismatch or a failed read.
     """
-    np_dtype = np.dtype(DTYPES[dtype])
     axes = INTERLEAVES[order]
     shape = (bands, height, width)
-    count = math.prod(shape)
-    try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size != count * np_dtype.itemsize:
-                raise DataFormatError(
-                    f"{path}: payload is {size} bytes, expected {count * np_dtype.itemsize} "
-                    f"({height}x{width}x{bands} {dtype})"
-                )
-            values = np.fromfile(fh, dtype=np_dtype, count=count)
-    except OSError as exc:
-        raise DataFormatError(f"cannot read payload {path}: {exc}") from exc
+    with _open_payload(path, dtype, height, width, bands) as fh:
+        values = np.fromfile(fh, dtype=DTYPES[dtype], count=math.prod(shape))
     return values.reshape([shape[axis] for axis in axes]).transpose(np.argsort(axes))
 
 
-def _load(header_path, kind: str, dtype: str, bands: int | None = None):
-    """The header fields and the (bands, height, width) payload of a
-    container that must hold ``dtype`` and, if given, ``bands`` bands."""
+def _fields(header_path, kind: str, dtype: str, bands: int | None = None) -> dict:
+    """The header fields of a container that must hold ``dtype`` and, if
+    given, ``bands`` bands."""
     fields = parse_header(header_path)
     if fields["dtype"] != dtype:
         raise DataFormatError(
@@ -229,6 +250,13 @@ def _load(header_path, kind: str, dtype: str, bands: int | None = None):
         )
     if bands is not None and fields["bands"] != bands:
         raise DataFormatError(f"{header_path}: {kind} must have bands: {bands}")
+    return fields
+
+
+def _load(header_path, kind: str, dtype: str, bands: int | None = None):
+    """The header fields and the (bands, height, width) payload of a
+    container that must hold ``dtype`` and, if given, ``bands`` bands."""
+    fields = _fields(header_path, kind, dtype, bands)
     values = read_raw(
         _payload_path(header_path), dtype, fields["height"], fields["width"], fields["bands"]
     )
@@ -243,6 +271,31 @@ def load_cube(header_path) -> HsiCube:
         return HsiCube(fields["height"], fields["width"], fields["bands"], values)
     except ValueError as exc:
         raise DataFormatError(f"{header_path}: {exc}") from exc
+
+
+def cube_bands(header_path):
+    """The header fields of a ``dtype: f32`` cube, and an iterator that
+    reads its payload one band at a time, in band order.
+
+    Each band comes as a (height, width) float32 array. The iterator
+    checks the payload's size before it reads the first band, and each
+    band for non-finite values as it reads it. Every failure, of the
+    header or of the payload, raises DataFormatError naming the file.
+    """
+    fields = _fields(header_path, "cube", "f32")
+    height, width, bands = fields["height"], fields["width"], fields["bands"]
+
+    def read():
+        with _open_payload(_payload_path(header_path), "f32", height, width, bands) as fh:
+            for _ in range(bands):
+                band = np.fromfile(fh, dtype=DTYPES["f32"], count=height * width)
+                try:
+                    _check_finite(band)
+                except ValueError as exc:
+                    raise DataFormatError(f"{header_path}: {exc}") from exc
+                yield band.reshape(height, width)
+
+    return fields, read()
 
 
 def load_ground_truth(header_path) -> GroundTruth:
@@ -334,6 +387,24 @@ def _class_shuffles(labels: np.ndarray, seed: int):
         yield cls, positions[rng.permutation(len(positions))]
 
 
+def _train_mask(labels: np.ndarray, train_fraction: float, seed: int) -> np.ndarray:
+    """Which of ``labels``' positions go to train, by the per-class rule
+    of ``stratified_split``."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    in_train = np.zeros(len(labels), dtype=bool)
+    for cls, perm in _class_shuffles(labels, seed):
+        n_c = len(perm)
+        if n_c == 1:
+            warnings.warn(
+                f"class {int(cls)} has a single sample; assigning it to train",
+                stacklevel=3,
+            )
+        n_train = max(min(int(np.floor(train_fraction * n_c + 0.5)), n_c - 1), 1)
+        in_train[perm[:n_train]] = True
+    return in_train
+
+
 def stratified_split(
     samples: SampleSet, train_fraction: float, seed: int
 ) -> tuple[SampleSet, SampleSet]:
@@ -344,19 +415,40 @@ def stratified_split(
     class; a single-sample class goes entirely to train with a warning.
     Selection shuffles within each class; both outputs keep raster order.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    in_train = np.zeros(len(samples), dtype=bool)
-    for cls, perm in _class_shuffles(samples.labels, seed):
-        n_c = len(perm)
-        if n_c == 1:
-            warnings.warn(
-                f"class {int(cls)} has a single sample; assigning it to train",
-                stacklevel=2,
-            )
-        n_train = max(min(int(np.floor(train_fraction * n_c + 0.5)), n_c - 1), 1)
-        in_train[perm[:n_train]] = True
+    in_train = _train_mask(samples.labels, train_fraction, seed)
     return samples.take(in_train), samples.take(~in_train)
+
+
+def load_split(
+    cube_header, gt: GroundTruth, train_fraction: float, seed: int
+) -> tuple[SampleSet, SampleSet]:
+    """``stratified_split(extract_labeled(load_cube(cube_header), gt),
+    train_fraction, seed)``, with the same bytes, read band by band.
+
+    The labels are split first; each band of the cube is then read,
+    checked for non-finite values (unlabeled pixels included) and its
+    train and test pixels are written into their own float64 matrices.
+    So the cube is never held whole: the peak is the labeled samples
+    plus one band. Raises DataFormatError, naming the cube's file, on
+    any fault ``load_cube`` rejects or on a size that differs from the
+    ground truth's.
+    """
+    fields, bands = cube_bands(cube_header)
+    if (fields["height"], fields["width"]) != (gt.height, gt.width):
+        raise DataFormatError(
+            f"{cube_header}: cube is {fields['height']}x{fields['width']} but ground "
+            f"truth is {gt.height}x{gt.width}"
+        )
+    flat_labels = gt.labels.reshape(-1)
+    indices = np.nonzero(flat_labels)[0]
+    in_train = _train_mask(flat_labels[indices], train_fraction, seed)
+    rows = (indices[in_train], indices[~in_train])
+    features = [np.empty((len(r), fields["bands"]), dtype=np.float64) for r in rows]
+    for b, band in enumerate(bands):
+        for r, f in zip(rows, features):
+            f[:, b] = band.reshape(-1)[r]
+    train, test = (SampleSet(f, flat_labels[r], r) for r, f in zip(rows, features))
+    return train, test
 
 
 def stratified_folds(labels, folds: int, seed: int) -> list[np.ndarray]:

@@ -11,6 +11,7 @@ from hsikit.dimred import (
     explained_variance_ratio,
     fit_pca,
     fit_rpca,
+    fit_transform,
     principal_angles,
     transform,
 )
@@ -214,6 +215,30 @@ def test_fit_rejects_a_covariance_that_overflows():
 
 
 # ---------------------------------------------------------------- transform
+
+
+@pytest.mark.parametrize("k", [1, 10, 20])
+@pytest.mark.parametrize("method", ["exact", "randomized"])
+def test_fit_transform_projects_the_fit_rows_once(method, k):
+    # The fit's own scores, sign-corrected, are transform's bytes, so the
+    # run need not project its training rows a second time.
+    x = decaying_matrix(700, 40, 30, 0.8, seed=12) + 3.0
+    sketch = {"seed": 4, "oversampling": 6} if method == "randomized" else {}
+    model, scores = fit_transform(x, k, method, **sketch)
+    assert scores.shape == (700, k)
+    assert scores.tobytes() == transform(model, x).tobytes()
+    if method == "exact":
+        assert model.to_dict() == fit_pca(x, k).to_dict()
+    else:
+        assert model.to_dict() == fit_rpca(x, k, oversampling=6, seed=4).to_dict()
+
+
+def test_fit_transform_rejects_an_unknown_method():
+    x = random_matrix(20, 5, seed=1)
+    with pytest.raises(ValueError, match="method"):
+        fit_transform(x, 2, "sparse")
+    with pytest.raises(ValueError, match="method"):
+        fit_transform(x, 2, "exact", seed=3)
 
 
 def test_transform_mean_row_maps_to_origin():

@@ -14,6 +14,7 @@ from hsikit.hsi_data import (
     extract_labeled,
     load_cube,
     load_ground_truth,
+    load_split,
     parse_header,
     read_raw,
     save_cube,
@@ -458,6 +459,39 @@ def test_split_fraction_validation():
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             stratified_split(samples, bad, seed=0)
+
+
+def test_load_split_single_sample_class_warns_at_its_caller(tmp_path):
+    path = save_cube(tiny_cube(), tmp_path / "scene.hsih")
+    gt = GroundTruth(2, 2, np.array([[1, 1], [1, 2]], dtype=np.uint16))
+    with pytest.warns(UserWarning, match="class 2 has a single sample") as seen:
+        train, test = load_split(path, gt, 0.5, seed=0)
+    assert seen[0].filename == __file__
+    assert list(train.labels).count(2) == 1 and 2 not in test.labels
+
+
+def test_load_split_holds_the_samples_and_a_few_bands(tmp_path):
+    # A 40 x 50 x 500 cube, a 4 MB payload, with one pixel in five labeled
+    # as on the 610 x 340 scene: the samples take 1.6 MB as float64.
+    values = SplitMix64(7).normal_matrix(500, 40 * 50).astype(np.float32)
+    path = save_cube(HsiCube(40, 50, 500, values.reshape(500, 40, 50)), tmp_path / "big")
+    payload_bytes = path.with_suffix(".hsir").stat().st_size
+    del values
+    labels = np.zeros(40 * 50, dtype=np.uint16)
+    labels[::5] = np.arange(400) % 4 + 1
+    gt = GroundTruth(40, 50, labels.reshape(40, 50))
+    load_split(path, gt, 0.7, seed=3)  # numpy sets up its sort and unique once
+    tracemalloc.start()
+    try:
+        train, test = load_split(path, gt, 0.7, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    samples_bytes = train.features.nbytes + test.features.nbytes
+    assert samples_bytes == 400 * 500 * 8
+    band_bytes = 40 * 50 * 4
+    assert peak < samples_bytes + 4 * band_bytes + 2**14
+    assert peak < 0.5 * payload_bytes
 
 
 def test_sample_set_validation():

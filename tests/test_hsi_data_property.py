@@ -2,10 +2,11 @@
 validated fields or raises DataFormatError, whatever bytes the header
 file holds, save_cube -> load_cube returns the cube it was given, and
 `hsikit convert` reads raw bsq, bil and bip payloads back in (band, row,
-column) order, and stratified_folds deals each class out evenly over
-disjoint folds."""
+column) order, stratified_folds deals each class out evenly over
+disjoint folds, and load_split gives the bytes of the whole-cube path."""
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,17 @@ from hypothesis.extra import numpy as hnp
 
 from hsikit.cli import main
 from hsikit.errors import DataFormatError
-from hsikit.hsi_data import HsiCube, load_cube, parse_header, save_cube, stratified_folds
+from hsikit.hsi_data import (
+    GroundTruth,
+    HsiCube,
+    extract_labeled,
+    load_cube,
+    load_split,
+    parse_header,
+    save_cube,
+    stratified_folds,
+    stratified_split,
+)
 
 VALID = {
     "height": "3",
@@ -135,3 +146,40 @@ def test_stratified_folds_partition_each_class_evenly(labels, folds, seed):
         assert max(counts) - min(counts) <= 1
     again = stratified_folds(labels, folds, seed)
     assert all(np.array_equal(a, b) for a, b in zip(parts, again))
+
+
+def _split_with_warnings(split):
+    """``split()``'s (train, test) and the messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        sides = split()
+    return sides, [str(w.message) for w in seen]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    values=CUBES,
+    data=st.data(),
+    singleton=st.booleans(),
+    fraction=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_load_split_matches_the_whole_cube_path(values, data, singleton, fraction, seed):
+    bands, height, width = values.shape
+    labels = data.draw(hnp.arrays(np.uint16, (height, width), elements=st.integers(0, 4)))
+    if singleton:
+        labels.flat[data.draw(st.integers(0, labels.size - 1))] = 5  # one pixel of class 5
+    gt = GroundTruth(height, width, labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save_cube(HsiCube(height, width, bands, values), Path(tmp) / "scene.hsih")
+        expected, expected_warnings = _split_with_warnings(
+            lambda: stratified_split(extract_labeled(load_cube(path), gt), fraction, seed)
+        )
+        got, got_warnings = _split_with_warnings(lambda: load_split(path, gt, fraction, seed))
+    assert got_warnings == expected_warnings
+    if singleton:
+        assert "class 5 has a single sample; assigning it to train" in got_warnings
+    for want, have in zip(expected, got):
+        for name in ("features", "labels", "pixel_indices"):
+            a, b = getattr(want, name), getattr(have, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
