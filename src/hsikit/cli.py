@@ -65,6 +65,7 @@ from .hsi_data import (
     GroundTruth,
     HsiCube,
     cube_bands,
+    default_class_names,
     load_ground_truth,
     load_split,
     parse_header,
@@ -520,7 +521,7 @@ def _cmd_convert(args) -> int:
         if len(names) < top:
             raise UsageError(f"labels go up to {top} but only {len(names)} class names given")
     else:
-        names = [f"class_{c}" for c in range(1, top + 1)]
+        names = default_class_names(top)
     header = save_ground_truth(GroundTruth(args.height, args.width, labels, names), args.output)
     print(f"wrote ground truth {header}")
     return 0
@@ -554,7 +555,7 @@ def _cmd_inspect(args) -> int:
                 f"{gt.num_classes} classes, {labeled} labeled pixels"
             )
             counts = np.bincount(gt.labels.ravel(), minlength=gt.num_classes + 1)
-            names = gt.class_names or [f"class_{c}" for c in range(1, gt.num_classes + 1)]
+            names = gt.class_names or default_class_names(gt.num_classes)
             for cls in range(1, gt.num_classes + 1):
                 print(f"  {cls} {names[cls - 1]}: {counts[cls]}")
     return 0

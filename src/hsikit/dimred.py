@@ -1,29 +1,34 @@
 """Exact and randomized PCA over pixel-by-band matrices.
 
 Fitting centers the data by column means and takes the top right
-singular vectors of the centered matrix; the randomized variant swaps
-the exact factorization for :func:`hsikit.linalg.randomized_svd` and is
-otherwise identical. Models are immutable after fit and record how they
-were produced.
+singular vectors of the centered n x B matrix A, and its squared
+singular values over n - 1 as the explained variances. Models are
+immutable after fit and record how they were produced.
 
-Neither fit factors the n x B centered matrix A itself. Both form the
-band Gram matrix G = A^T A (B x B, one pass over the data), take its
-eigenpairs (lambda_i, v_i) in descending order and factor the B x B
-matrix S whose row i is sqrt(lambda_i) v_i^T. Since
-S^T S = A^T A, A = O S for some O with orthonormal columns. So A and S
-share their singular values and right singular vectors, and every
-product the randomized range finder takes with A or A^T equals one
-with S or S^T up to O: the same seed and power iterations give the
-same singular values and axes in exact arithmetic. Every factorization
-then runs on B-sized matrices. Squaring A costs precision at the bottom
-of the spectrum: variances below about eps * lambda_1 (eps = 2.2e-16)
-come out as rounding noise or zero, and their axes are not resolved.
+Neither fit factors A itself. Both form the band Gram matrix
+G = A^T A (B x B, one pass over the data) and take its eigenpairs
+(lambda_i, v_i) in descending order. These are A's singular pairs:
+s_i = sqrt(lambda_i), and v_i is the right singular vector. Exact PCA
+reads its top k axes and variances straight from them, so no SVD runs.
 
-Signs are fixed on the data's own scores A @ components^T: the
-largest-magnitude entry of each column is made positive. For exact PCA
-the scores are U diag(s), so this is the rule ``exact_svd`` applies to
-A. Randomized SVD of A applies it to the sketch's estimate of U
-instead; the two agree wherever the sketch resolves the component.
+Randomized PCA runs :func:`hsikit.linalg.randomized_svd` on the B x B
+matrix S whose row i is sqrt(lambda_i) v_i^T. Since S^T S = A^T A,
+A = O S for some O with orthonormal columns. So A and S share their
+singular values and right singular vectors, and every product the
+randomized range finder takes with A or A^T equals one with S or S^T
+up to O: the same seed and power iterations give the same singular
+values and axes as a sketch of A, in exact arithmetic, at B-sized cost.
+
+Squaring A costs precision at the bottom of the spectrum: variances
+below about eps * lambda_1 (eps = 2.2e-16) come out as rounding noise
+or zero, and their axes are not resolved.
+
+Both fits fix signs with :func:`hsikit.linalg.fix_signs` on the data's
+own scores A @ components^T: the largest-magnitude entry of each column
+is made positive. For exact PCA the scores are U diag(s), so this is
+the rule ``exact_svd`` applies to A. Randomized SVD of A applies it to
+the sketch's estimate of U instead; the two agree wherever the sketch
+resolves the component.
 
 Only centering is applied, never per-band standardization: spectral
 bands share units, so PCA on the covariance matrix is the intended
@@ -37,8 +42,11 @@ from typing import Annotated
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDataError
-from .linalg import RandomizedSvdParams, as_matrix, exact_svd, randomized_svd
+from .linalg import RandomizedSvdParams, as_matrix, fix_signs, randomized_svd
 from .records import Record
+
+# Unused here: hsibench/pipeline.py wraps it by name until ROADMAP item 1, step 3.
+from .linalg import exact_svd  # noqa: F401
 
 __all__ = [
     "PcaModel",
@@ -78,11 +86,23 @@ class PcaModel(Record):
         return self.components.shape[1]
 
 
-def _fit(x, k: int, method: str, factor, **method_params) -> tuple[PcaModel, np.ndarray]:
-    """Center the rows of ``x``, factor the B x B factor S of their
-    Gram matrix (see the module docstring) with ``factor(S)`` and
-    record the top ``k`` axes as a model made by ``method``. Returns the
-    model and the rows' signed scores, ``transform(model, x)``."""
+def fit_transform(x, k: int, method: str = "exact", **sketch) -> tuple[PcaModel, np.ndarray]:
+    """Fit PCA with ``k`` components on rows of ``x`` (n x B) and project
+    them: returns the model and ``transform(model, x)``, the n x k scores
+    the fit computes anyway, so the rows are projected once.
+
+    ``method`` "exact" fits as :func:`fit_pca`; "randomized" fits as
+    :func:`fit_rpca`, with its ``oversampling``, ``power_iterations``
+    and ``seed`` keywords as ``sketch``.
+    """
+    method_params = {}
+    if method == "randomized":
+        params = RandomizedSvdParams(k=k, **sketch)
+        method_params = {
+            key: getattr(params, key) for key in ("seed", "oversampling", "power_iterations")
+        }
+    elif method != "exact" or sketch:
+        raise ValueError(f"method must be 'exact' (no sketch) or 'randomized', got {method!r}")
     x = as_matrix(x, "x")
     n, b = x.shape
     if n < 2:
@@ -102,47 +122,24 @@ def _fit(x, k: int, method: str, factor, **method_params) -> tuple[PcaModel, np.
         gram = centered.T @ centered
     if not np.isfinite(gram).all():
         raise ConvergenceError("the band covariance overflows float64; rescale the data")
-    eigenvalues, eigenvectors = np.linalg.eigh(gram)  # ascending: S takes them reversed
-    svd = factor(np.sqrt(np.maximum(eigenvalues[::-1], 0.0))[:, None] * eigenvectors[:, ::-1].T)
-    # The largest-magnitude score along each axis is made positive.
-    scores = centered @ svd.vt.T
-    signs = np.sign(scores[np.abs(scores).argmax(axis=0), np.arange(k)])
-    signs[signs == 0] = 1.0
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)  # ascending
+    s = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
+    # C order, so the fit's scores and transform's product take one BLAS path.
+    vt = np.ascontiguousarray(eigenvectors[:, ::-1].T)
+    if method == "randomized":
+        svd = randomized_svd(s[:, None] * vt, params)
+        s, vt = svd.s, svd.vt
+    # The scores are transform(model, x)'s bytes: a sign flip is exact.
+    scores, components = fix_signs(centered @ vt[:k].T, vt[:k])
     model = PcaModel(
         mean=mean,
-        components=svd.vt * signs[:, None],
-        explained_variance=svd.s**2 / (n - 1),
+        components=components,
+        explained_variance=s[:k] ** 2 / (n - 1),
         method=method,
         n_fit_samples=n,
         method_params=method_params,
     )
-    # A sign flip is exact, so these are transform(model, x)'s bytes.
-    return model, scores * signs
-
-
-def fit_transform(x, k: int, method: str = "exact", **sketch) -> tuple[PcaModel, np.ndarray]:
-    """Fit PCA with ``k`` components on rows of ``x`` (n x B) and project
-    them: returns the model and ``transform(model, x)``, the n x k scores
-    the fit computes anyway, so the rows are projected once.
-
-    ``method`` "exact" fits as :func:`fit_pca`; "randomized" fits as
-    :func:`fit_rpca`, with its ``oversampling``, ``power_iterations``
-    and ``seed`` keywords as ``sketch``.
-    """
-    if method == "exact" and not sketch:
-        return _fit(x, k, method, lambda s: exact_svd(s, k))
-    if method != "randomized":
-        raise ValueError(f"method must be 'exact' (no sketch) or 'randomized', got {method!r}")
-    params = RandomizedSvdParams(k=k, **sketch)
-    return _fit(
-        x,
-        k,
-        method,
-        lambda s: randomized_svd(s, params),
-        seed=params.seed,
-        oversampling=params.oversampling,
-        power_iterations=params.power_iterations,
-    )
+    return model, scores
 
 
 def fit_pca(x, k: int) -> PcaModel:

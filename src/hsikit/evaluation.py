@@ -19,7 +19,7 @@ from typing import Annotated
 import numpy as np
 
 from .hsi_data import GroundTruth
-from .records import Record, coerce
+from .records import Record, int_array
 
 __all__ = [
     "PALETTE",
@@ -68,15 +68,11 @@ class EvalReport(Record):
 
 
 def _check_ints(values, name):
-    """``values`` as a 1-D int64 array. Anything but an integer array is
-    checked entry by entry by coerce's int rule, as numpy would turn a
-    fraction or a bool into an integer."""
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if not (isinstance(values, np.ndarray) and arr.dtype.kind in "iu"):
-        arr = np.array([coerce(v, int, name) for v in values], dtype=np.int64)
-    return arr.astype(np.int64)
+    """``values`` as a 1-D int64 array, checked by ``int_array``."""
+    shape = np.shape(values)
+    if len(shape) != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {shape}")
+    return int_array(values, np.int64, name)
 
 
 def _check_labels(labels, name, num_classes):

@@ -26,7 +26,8 @@ header's first line is the magic ``hsih 1``; the remaining lines are
 Cubes use ``dtype: f32``; ground truth uses ``dtype: u16`` with
 ``bands: 1`` and label 0 meaning "unlabeled". The payload is exactly
 height x width x bands values, band-sequential (all of band 0 in raster
-order, then band 1, ...). Class names may not contain commas.
+order, then band 1, ...). Class names are non-empty and may not
+contain commas or line breaks, or start or end with whitespace.
 
 Every fact about these bytes lives here: ``DTYPES`` maps header dtypes
 to little-endian numpy types, ``read_raw`` reads a whole payload,
@@ -46,12 +47,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError
+from .records import int_array
 from .rng import SplitMix64
 
 __all__ = [
     "HsiCube",
     "GroundTruth",
     "SampleSet",
+    "default_class_names",
     "DTYPES",
     "INTERLEAVES",
     "parse_header",
@@ -106,7 +109,10 @@ def _check_finite(values: np.ndarray) -> None:
 
 @dataclass
 class GroundTruth:
-    """Per-pixel class labels on an H x W grid; 0 marks unlabeled pixels."""
+    """Per-pixel class labels on an H x W grid; 0 marks unlabeled pixels.
+
+    Labels are stored as uint16: a label that is not an integer in
+    0..65535 raises ValueError (see ``records.int_array``)."""
 
     height: int
     width: int
@@ -114,7 +120,7 @@ class GroundTruth:
     class_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.uint16)
+        self.labels = int_array(self.labels, np.uint16, "labels")
         if self.labels.shape != (self.height, self.width):
             raise ValueError(
                 f"labels shape {self.labels.shape} != {(self.height, self.width)}"
@@ -133,10 +139,17 @@ class GroundTruth:
         return int(self.labels.max()) if self.labels.size else 0
 
 
+def default_class_names(num_classes: int) -> list[str]:
+    """The names of ``num_classes`` classes that were given none:
+    ``class_1`` through ``class_<num_classes>``."""
+    return [f"class_{c}" for c in range(1, num_classes + 1)]
+
+
 @dataclass
 class SampleSet:
     """Labeled pixels: features (n x B), labels in 1..C, and the flat
-    raster offset of each pixel for map rendering."""
+    raster offset of each pixel for map rendering. Labels and offsets
+    are stored as int64 and checked by ``records.int_array``."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -144,8 +157,8 @@ class SampleSet:
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        self.pixel_indices = np.ascontiguousarray(self.pixel_indices, dtype=np.int64)
+        self.labels = int_array(self.labels, np.int64, "labels")
+        self.pixel_indices = int_array(self.pixel_indices, np.int64, "pixel_indices")
         n = self.features.shape[0]
         if self.labels.shape != (n,) or self.pixel_indices.shape != (n,):
             raise ValueError("features, labels and pixel_indices must align")
@@ -327,7 +340,8 @@ def _save(header_path, values: np.ndarray, dtype: str, *extra_lines: str) -> Pat
         "byteorder: le",
         *extra_lines,
     ]
-    header.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # Encoded before the file is opened: a name UTF-8 cannot hold writes nothing.
+    header.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
     payload = values.astype(DTYPES[dtype], copy=False)
     # A contiguous payload goes out in one call. A transposed view goes
     # band by band: one tofile call would walk it value by value, and a
@@ -349,10 +363,14 @@ def save_cube(cube: HsiCube, header_path) -> Path:
 def save_ground_truth(gt: GroundTruth, header_path) -> Path:
     """Write the ``.hsih``/``.hsir`` pair for a label raster."""
     for name in gt.class_names:
-        # The header is read with str.splitlines, so any line boundary it
-        # splits on would end the class_names line.
-        if "," in name or "".join(name.splitlines()) != name:
-            raise ValueError(f"class name {name!r} may not contain commas or line breaks")
+        # The reader splits the header with str.splitlines, the names on
+        # commas, and strips each name; any name those steps would change
+        # does not come back as written.
+        if not name or name != name.strip() or "," in name or "".join(name.splitlines()) != name:
+            raise ValueError(
+                f"class name {name!r} must be non-empty and hold no commas, line breaks, "
+                "or leading or trailing whitespace"
+            )
     names = [f"class_names: {', '.join(gt.class_names)}"] if gt.class_names else []
     return _save(header_path, gt.labels[np.newaxis], "u16", *names)
 

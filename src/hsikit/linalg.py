@@ -23,6 +23,7 @@ __all__ = [
     "as_matrix",
     "householder_qr",
     "exact_svd",
+    "fix_signs",
     "randomized_range_finder",
     "randomized_svd",
     "SvdResult",
@@ -101,9 +102,11 @@ def householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.qr(a)
 
 
-def _fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Flip each singular vector pair so the largest-magnitude entry of
-    # every column of U is positive; keeps factorizations comparable.
+def fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``u`` and ``vt`` with each pair (column i of ``u``, row i of
+    ``vt``) flipped so that the column's largest-magnitude entry is
+    positive; a zero column keeps its sign. The one sign convention of
+    every factorization here, so their results compare entry by entry."""
     lead = np.abs(u).argmax(axis=0)
     signs = np.sign(u[lead, np.arange(u.shape[1])])
     signs[signs == 0] = 1.0
@@ -127,7 +130,7 @@ def exact_svd(a, k: int) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
     u, s, vt = u[:, :k], s[:k], vt[:k, :]
-    u, vt = _fix_signs(u, vt)
+    u, vt = fix_signs(u, vt)
     return SvdResult(u=u, s=s, vt=vt)
 
 
@@ -169,5 +172,5 @@ def randomized_svd(a, params: RandomizedSvdParams) -> SvdResult:
     b = q.T @ a
     inner = exact_svd(b, params.k)
     u = q @ inner.u
-    u, vt = _fix_signs(u, inner.vt)
+    u, vt = fix_signs(u, inner.vt)
     return SvdResult(u=u, s=inner.s.copy(), vt=vt)

@@ -5,8 +5,7 @@ the array dtypes and the schema tag are each written once, in the class:
 
 - an array field declares its dtype in the annotation, e.g.
   ``Annotated[np.ndarray, np.int32]``, and is stored as nested lists;
-  each entry of an integer array is checked by :func:`coerce`'s int
-  rule on the way back;
+  an integer array comes back through :func:`int_array`;
 - a dataclass field is stored as a dict of its own fields;
 - ``list[...]`` fields nest, ``dict`` fields are copied;
 - ``int``, ``float``, ``bool`` and ``str`` fields are stored as they
@@ -21,7 +20,7 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-__all__ = ["Record", "coerce", "check_int", "check_int_fields"]
+__all__ = ["Record", "coerce", "int_array", "check_int", "check_int_fields"]
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
@@ -46,6 +45,27 @@ def coerce(value, kind: type, name: str):
         if math.isfinite(number) and (kind is float or number.is_integer()):
             return kind(number)
     raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def int_array(values, dtype, name: str) -> np.ndarray:
+    """``values`` as a C-ordered array of integer ``dtype``, when nothing
+    is lost.
+
+    An integer ndarray is taken as it is. Anything else goes entry by
+    entry through :func:`coerce`'s int rule, since numpy would turn a
+    fraction or a bool into an integer. Every entry must then fit
+    ``dtype``. Raises ValueError naming ``name`` otherwise.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        entries = np.asarray(values, dtype=object)
+        values = np.array([coerce(v, int, name) for v in entries.flat], dtype=object)
+        values = values.reshape(entries.shape)
+    if values.size and not np.can_cast(values.dtype, dtype):
+        info = np.iinfo(dtype)
+        for value in (int(values.min()), int(values.max())):
+            if not info.min <= value <= info.max:
+                raise ValueError(f"{name} must lie in {info.min}..{info.max}, got {value}")
+    return np.ascontiguousarray(values, dtype=dtype)
 
 
 def check_int(value, name: str) -> None:
@@ -76,18 +96,11 @@ def _encode(value):
     return value
 
 
-def _integers(value, name: str):
-    """Nested lists ``value`` with each entry checked as an int by coerce."""
-    if isinstance(value, list):
-        return [_integers(v, name) for v in value]
-    return coerce(value, int, name)
-
-
 def _decode(value, hint, name: str):
     origin = get_origin(hint)
     if origin is Annotated:
         dtype = np.dtype(get_args(hint)[1])
-        return np.asarray(_integers(value, name) if dtype.kind in "iu" else value, dtype=dtype)
+        return int_array(value, dtype, name) if dtype.kind in "iu" else np.asarray(value, dtype)
     if is_dataclass(hint):
         return _fields_from_dict(hint, value)
     if origin is list:

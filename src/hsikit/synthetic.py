@@ -19,7 +19,7 @@ of one block of ``_BLOCK`` values.
 
 import numpy as np
 
-from .hsi_data import GroundTruth, HsiCube
+from .hsi_data import GroundTruth, HsiCube, default_class_names
 from .records import check_int
 from .rng import SplitMix64
 
@@ -64,7 +64,7 @@ def gaussian_scene(
     if not 0 <= separation < np.inf:
         raise ValueError(f"separation must be >= 0 and finite, got {separation}")
     if class_names is None:
-        class_names = [f"class_{c}" for c in range(1, num_classes + 1)]
+        class_names = default_class_names(num_classes)
     elif len(class_names) != num_classes:
         raise ValueError(f"expected {num_classes} class names, got {len(class_names)}")
 

@@ -233,6 +233,22 @@ def test_fit_transform_projects_the_fit_rows_once(method, k):
         assert model.to_dict() == fit_rpca(x, k, oversampling=6, seed=4).to_dict()
 
 
+def test_exact_fits_factor_once(monkeypatch):
+    # Exact PCA reads its axes and variances from the eigenpairs of the
+    # band Gram matrix, so no SVD runs after them.
+    x = decaying_matrix(200, 12, 10, 0.7, seed=13)
+    expected = fit_pca(x, 5)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("exact PCA ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert fit_pca(x, 5).to_dict() == expected.to_dict()
+    model, scores = fit_transform(x, 5)
+    assert model.to_dict() == expected.to_dict()
+    assert scores.tobytes() == transform(model, x).tobytes()
+
+
 def test_fit_transform_rejects_an_unknown_method():
     x = random_matrix(20, 5, seed=1)
     with pytest.raises(ValueError, match="method"):

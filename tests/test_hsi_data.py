@@ -1,6 +1,7 @@
 """Tests for the container format, labeled-pixel extraction, and the
 stratified split."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -106,6 +107,24 @@ def test_class_name_line_break_rejected(tmp_path, name):
     with pytest.raises(ValueError, match="line breaks"):
         save_ground_truth(gt, tmp_path / "gt.hsih")
     assert not (tmp_path / "gt.hsih").exists()
+
+
+@pytest.mark.parametrize("names", [[" a", "b"], ["a", "b\t"], [""], ["a", ""], [" "]])
+def test_class_name_that_would_load_back_changed_rejected(tmp_path, names):
+    # The reader strips each name, and a blank list reads as no names:
+    # [" a", "b"] would load as ["a", "b"], and [""] as [], which takes an
+    # all-zero raster's num_classes from 1 to 0.
+    gt = GroundTruth(1, 1, np.array([[0]], dtype=np.uint16), class_names=names)
+    with pytest.raises(ValueError, match="non-empty.*whitespace"):
+        save_ground_truth(gt, tmp_path / "gt.hsih")
+    assert not (tmp_path / "gt.hsih").exists()
+
+
+def test_class_name_utf8_cannot_encode_writes_nothing(tmp_path):
+    gt = GroundTruth(1, 1, np.array([[1]], dtype=np.uint16), class_names=["a\udc80"])
+    with pytest.raises(UnicodeEncodeError):
+        save_ground_truth(gt, tmp_path / "gt.hsih")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parse_header_fields(tmp_path):
@@ -312,6 +331,44 @@ def test_cube_validates_shape_and_finiteness():
 def test_ground_truth_validates_shape():
     with pytest.raises(ValueError, match=r"labels shape \(2, 3\) != \(3, 2\)"):
         GroundTruth(3, 2, np.zeros((2, 3), dtype=np.uint16))
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (np.array([[1, -1]]), "labels must lie in 0..65535, got -1"),
+        ([[1, 70000]], "labels must lie in 0..65535, got 70000"),
+        ([[1.0, 2.7]], "labels must be an integer, got 2.7"),
+        ([[1, True]], "labels must be an integer, got True"),
+    ],
+)
+def test_ground_truth_rejects_labels_a_uint16_cast_would_change(labels, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GroundTruth(1, 2, labels)
+
+
+@pytest.mark.parametrize(
+    "labels, indices, field",
+    [
+        ([1.5, 2.9], [0, 7], "labels"),
+        ([1, 2], [0.2, 7.8], "pixel_indices"),
+        ([1, True], [0, 1], "labels"),
+        ([1, 2], np.array([0, 2**63], dtype=np.uint64), "pixel_indices"),
+    ],
+)
+def test_sample_set_rejects_values_an_int64_cast_would_change(labels, indices, field):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        SampleSet(np.zeros((2, 3)), labels, indices)
+
+
+def test_containers_keep_integral_values_and_integer_arrays():
+    assert GroundTruth(1, 2, [[1.0, 2]]).labels.tolist() == [[1, 2]]
+    # An integer array of the container's dtype is kept, with no entry-wise pass.
+    labels = np.array([[0, 65535]], dtype=np.uint16)
+    assert GroundTruth(1, 2, labels).labels is labels
+    rows = np.array([3, 9])
+    samples = SampleSet(np.zeros((2, 3)), rows, rows)
+    assert samples.labels is rows and samples.pixel_indices is rows
 
 
 # --------------------------------------------------------- extract_labeled

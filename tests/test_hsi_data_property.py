@@ -1,6 +1,7 @@
 """Property tests for the container format: parse_header either returns
 validated fields or raises DataFormatError, whatever bytes the header
-file holds, save_cube -> load_cube returns the cube it was given, and
+file holds, save_cube -> load_cube returns the cube it was given, a
+ground truth that saves loads back with its class names, and
 `hsikit convert` reads raw bsq, bil and bip payloads back in (band, row,
 column) order, stratified_folds deals each class out evenly over
 disjoint folds, and load_split gives the bytes of the whole-cube path."""
@@ -21,9 +22,11 @@ from hsikit.hsi_data import (
     HsiCube,
     extract_labeled,
     load_cube,
+    load_ground_truth,
     load_split,
     parse_header,
     save_cube,
+    save_ground_truth,
     stratified_folds,
     stratified_split,
 )
@@ -104,6 +107,32 @@ def test_save_cube_load_cube_round_trip(values):
     assert (back.height, back.width, back.bands) == (height, width, bands)
     assert back.values.dtype == np.float32
     assert back.values.tobytes() == values.tobytes()
+
+
+# Mostly arbitrary text, with the blank, padded, comma, line-break and
+# non-UTF-8 names the writer must reject drawn often.
+CLASS_NAMES = st.lists(
+    st.text(max_size=6) | st.sampled_from(["", " ", " a", "b\t", "a,b", "x\ny", "a b", "\udc80"]),
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(names=CLASS_NAMES, data=st.data())
+def test_ground_truth_that_saves_loads_back_its_names(names, data):
+    top = len(names) if names else 3
+    labels = data.draw(hnp.arrays(np.uint16, (2, 3), elements=st.integers(0, top)))
+    gt = GroundTruth(2, 3, labels, names)
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            path = save_ground_truth(gt, Path(tmp) / "gt.hsih")
+        except ValueError:  # UnicodeEncodeError among them
+            assert list(Path(tmp).iterdir()) == []
+            return
+        back = load_ground_truth(path)
+    assert back.class_names == names
+    assert back.num_classes == gt.num_classes
+    assert back.labels.tobytes() == labels.tobytes()
 
 
 # Raw payload axes of each interleave, as a transpose of (band, row, column).
