@@ -56,7 +56,7 @@ import numpy as np
 from ..errors import DegenerateDataError
 from ..hsi_data import SampleSet, stratified_folds
 from ..linalg import as_matrix
-from ..records import Record, check_int_fields
+from ..records import Record, check_int, check_int_fields
 from ._pool import spread
 
 __all__ = [
@@ -421,8 +421,7 @@ def grid_search_cv(
     sees every class; below 2 usable folds this is an error. The fits
     run on every CPU the process may use (see the module docstring).
     """
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
+    check_int(folds, "folds", 2)
     if params is None:
         params = SvmParams()
     c_grid = sorted(set(float(v) for v in c_grid))

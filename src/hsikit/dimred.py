@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DegenerateDataError
 from .linalg import RandomizedSvdParams, as_matrix, fix_signs, randomized_svd
-from .records import Record
+from .records import Record, check_int
 
 # Unused here: hsibench/pipeline.py wraps it by name until ROADMAP item 1, step 3.
 from .linalg import exact_svd  # noqa: F401
@@ -95,6 +95,7 @@ def fit_transform(x, k: int, method: str = "exact", **sketch) -> tuple[PcaModel,
     :func:`fit_rpca`, with its ``oversampling``, ``power_iterations``
     and ``seed`` keywords as ``sketch``.
     """
+    check_int(k, "k")
     method_params = {}
     if method == "randomized":
         params = RandomizedSvdParams(k=k, **sketch)

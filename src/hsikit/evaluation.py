@@ -19,7 +19,7 @@ from typing import Annotated
 import numpy as np
 
 from .hsi_data import GroundTruth
-from .records import Record, int_array
+from .records import Record, check_int, int_array
 
 __all__ = [
     "PALETTE",
@@ -88,8 +88,7 @@ def evaluate(predicted, truth, num_classes: int) -> EvalReport:
 
     Classes absent from the test set get recall 0.0 by convention.
     """
-    if num_classes < 1:
-        raise ValueError(f"num_classes must be >= 1, got {num_classes}")
+    check_int(num_classes, "num_classes", 1)
     predicted = _check_labels(predicted, "predicted", num_classes)
     truth = _check_labels(truth, "truth", num_classes)
     if len(predicted) != len(truth):
@@ -113,7 +112,7 @@ def evaluate(predicted, truth, num_classes: int) -> EvalReport:
 
 def chi_square_sf(x: float) -> float:
     """Survival function of chi-square with 1 degree of freedom."""
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"chi_square_sf needs x >= 0, got {x}")
     return math.erfc(math.sqrt(x / 2.0))
 
@@ -151,9 +150,9 @@ def mcnemar(pred_a, pred_b, truth, exact_threshold: int = 25) -> McNemarResult:
     below ``exact_threshold``, the continuity-corrected chi-square
     approximation otherwise. Significance is judged at the 0.05 level.
     """
-    pred_a = np.asarray(pred_a)
-    pred_b = np.asarray(pred_b)
-    truth = np.asarray(truth)
+    pred_a = _check_ints(pred_a, "pred_a")
+    pred_b = _check_ints(pred_b, "pred_b")
+    truth = _check_ints(truth, "truth")
     if not (len(pred_a) == len(pred_b) == len(truth)):
         raise ValueError(
             f"length mismatch: {len(pred_a)}, {len(pred_b)}, {len(truth)}"

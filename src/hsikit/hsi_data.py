@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError
-from .records import int_array
+from .records import check_int, int_array
 from .rng import SplitMix64
 
 __all__ = [
@@ -157,6 +157,8 @@ class SampleSet:
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
+        if self.features.ndim != 2:
+            raise ValueError(f"features must be a 2-D matrix, got ndim={self.features.ndim}")
         self.labels = int_array(self.labels, np.int64, "labels")
         self.pixel_indices = int_array(self.pixel_indices, np.int64, "pixel_indices")
         n = self.features.shape[0]
@@ -477,6 +479,7 @@ def stratified_folds(labels, folds: int, seed: int) -> list[np.ndarray]:
     chunks (``np.array_split``), so a class's count differs by at most 1
     between folds.
     """
+    check_int(folds, "folds", 1)
     labels = np.asarray(labels)
     fold_of = np.empty(len(labels), dtype=np.int64)
     for _, perm in _class_shuffles(labels, seed):

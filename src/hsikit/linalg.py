@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
+from .records import check_int_fields
 from .rng import SplitMix64
 
 __all__ = [
@@ -74,6 +75,7 @@ class RandomizedSvdParams:
     seed: int = 0
 
     def validate(self, rows: int, cols: int):
+        check_int_fields(self)
         if self.k < 1:
             raise ValueError(f"target rank must be >= 1, got {self.k}")
         if self.oversampling < 0 or self.power_iterations < 0:

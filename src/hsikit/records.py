@@ -68,13 +68,15 @@ def int_array(values, dtype, name: str) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=dtype)
 
 
-def check_int(value, name: str) -> None:
+def check_int(value, name: str, minimum: int | None = None) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is an integer,
-    numpy's among them; bools do not count, and neither does an integral
-    float such as ``10.0`` or a string such as ``"3"``, since nothing
-    converts it."""
+    numpy's among them, of at least ``minimum`` when one is given; bools
+    do not count, and neither does an integral float such as ``10.0`` or
+    a string such as ``"3"``, since nothing converts it."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def check_int_fields(obj) -> None:

@@ -481,7 +481,7 @@ def dead_worker_run(scene, tmp_path, monkeypatch, force_cpus, capsys, module, na
     """A run whose pool workers exit inside ``module.name`` exits 2 with
     one stderr line and writes nothing; the next run makes a new pool."""
     cube_path, gt_path = scene
-    force_cpus(3)  # two pool workers, forked after the patch below
+    force_cpus(3)  # three pool workers, forked after the patch below
     parent = os.getpid()
     real = getattr(module, name)
 

@@ -85,6 +85,21 @@ def test_fit_pca_validation():
         fit_pca(random_matrix(5, 3, 0), k=4)
 
 
+def test_fits_take_only_integer_sizes():
+    # numpy would fit one component for True and fail on 2.0 with its
+    # own TypeError; each size is checked and named.
+    x = random_matrix(30, 20, 1)
+    with pytest.raises(ValueError, match="k must be an integer, got True"):
+        fit_pca(x, True)
+    with pytest.raises(ValueError, match="k must be an integer, got 2.0"):
+        fit_pca(x, 2.0)
+    with pytest.raises(ValueError, match="oversampling must be an integer, got True"):
+        fit_rpca(x, 2, oversampling=True)
+    with pytest.raises(ValueError, match="power_iterations must be an integer, got 2.0"):
+        fit_rpca(x, 2, power_iterations=2.0)
+    assert fit_rpca(x, np.int64(2), oversampling=np.int32(3)).method_params["oversampling"] == 3
+
+
 def test_fit_pca_scaling_covariance():
     # Scaling the data by c scales eigenvalues by c^2 and keeps the
     # axes (up to sign).

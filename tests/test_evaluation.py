@@ -106,6 +106,11 @@ def test_evaluate_validation():
     assert report.overall_accuracy == 1.0
 
 
+def test_evaluate_rejects_a_non_integer_class_count():
+    with pytest.raises(ValueError, match="num_classes must be an integer, got 2.0"):
+        evaluate([1], [1], 2.0)
+
+
 def test_eval_report_round_trip():
     report = evaluate([1, 2, 2, 1], [1, 2, 2, 2], num_classes=2)
     back = EvalReport.from_dict(report.to_dict())
@@ -134,6 +139,11 @@ def test_chi_square_sf_basics():
     assert chi_square_sf(1e9) < 1e-12
     with pytest.raises(ValueError):
         chi_square_sf(-1.0)
+
+
+def test_chi_square_sf_rejects_nan():
+    with pytest.raises(ValueError, match="needs x >= 0, got nan"):
+        chi_square_sf(float("nan"))
 
 
 # -------------------------------------------------------------------- mcnemar
@@ -245,6 +255,18 @@ def test_mcnemar_validation():
         mcnemar([1, 2], [1], [1, 2])
     with pytest.raises(ValueError):
         mcnemar([], [], [])
+
+
+def test_mcnemar_takes_only_integer_labels():
+    # numpy would count 1.5 as a wrong prediction and compare 2-D or
+    # string labels; the check rejects each.
+    with pytest.raises(ValueError, match="pred_a must be an integer, got 1.5"):
+        mcnemar([1.5, 2], [1, 2], [1, 2])
+    with pytest.raises(ValueError, match="pred_b must be 1-D"):
+        mcnemar([1, 2], [[1, 2]], [1, 2])
+    with pytest.raises(ValueError, match="truth must be an integer, got 'a'"):
+        mcnemar([1, 2], [1, 2], ["a", "b"])
+    assert mcnemar([1.0, 2], np.array([1, 2], dtype=np.uint8), [1, 2]).b == 0
 
 
 def test_mcnemar_result_dict():

@@ -20,6 +20,7 @@ from hsikit.hsi_data import (
     read_raw,
     save_cube,
     save_ground_truth,
+    stratified_folds,
     stratified_split,
 )
 from hsikit.rng import SplitMix64
@@ -556,3 +557,17 @@ def test_sample_set_validation():
         SampleSet(np.zeros((2, 3)), np.array([0, 1]), np.array([0, 1]))
     with pytest.raises(ValueError):
         SampleSet(np.zeros((2, 3)), np.array([1]), np.array([0, 1]))
+
+
+def test_sample_set_rejects_one_dimensional_features():
+    with pytest.raises(ValueError, match="features must be a 2-D matrix, got ndim=1"):
+        SampleSet(np.arange(4.0), [1, 1, 2, 2], np.arange(4))
+
+
+def test_stratified_folds_take_an_integer_count_of_at_least_one():
+    labels = [1, 1, 2, 2]
+    with pytest.raises(ValueError, match="folds must be an integer, got 1.5"):
+        stratified_folds(labels, 1.5, 0)
+    with pytest.raises(ValueError, match="folds must be >= 1, got 0"):
+        stratified_folds(labels, 0, 0)
+    assert [part.tolist() for part in stratified_folds(labels, 1, 0)] == [[0, 1, 2, 3]]

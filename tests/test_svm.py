@@ -579,6 +579,12 @@ def test_grid_degenerate_inputs():
         grid_search_cv(ok, c_grid=[1.0], gamma_grid=[0.5], folds=1)
 
 
+def test_grid_takes_an_integer_fold_count():
+    ok = sample_set([[0.0], [0.1], [0.2], [1.0], [1.1], [1.2]], [1, 1, 1, 2, 2, 2])
+    with pytest.raises(ValueError, match="folds must be an integer, got 2.5"):
+        grid_search_cv(ok, c_grid=[1.0], gamma_grid=[0.5], folds=2.5)
+
+
 # ------------------------------------------------------------------- pool
 
 
@@ -648,25 +654,27 @@ def _tagged(items):
 
 
 def test_spread_deals_items_in_turn(force_cpus):
-    # Bin b is items[b::3]: this process runs bin 0, and each other bin
-    # runs whole in one worker; the results come back in item order.
+    # Bin b is items[b::3]: each bin runs whole in one of the pool's
+    # workers, none in this process, and the results come back in item
+    # order.
     force_cpus(3)
     items, pids = zip(*pool.spread(_tagged, list("abcdefg")))
     assert items == tuple("abcdefg")
-    assert pids[0] == pids[3] == pids[6] == os.getpid()
-    assert pids[1] == pids[4] != os.getpid()
-    assert pids[2] == pids[5] != os.getpid()
+    assert os.getpid() not in pids
+    assert pids[0] == pids[3] == pids[6]
+    assert pids[1] == pids[4]
+    assert pids[2] == pids[5]
 
 
 def _inner_pids(items):
-    """For each item, the pids that ran a spread of two items."""
-    return [pool.spread(_pids, [0, 1]) for _ in items]
+    """For each item, the pid that ran it and the pids that ran a spread
+    of two items inside it."""
+    return [(os.getpid(), pool.spread(_pids, [0, 1])) for _ in items]
 
 
-def test_spread_inside_the_callers_bin_runs_in_process(monkeypatch, force_cpus):
-    # The pool's two workers hold the outer bins 1 and 2, so the spread
-    # inside bin 0 runs here and submits nothing; the workers' inner
-    # spreads run serially too, as they are forked from the owner.
+def test_spread_inside_a_workers_bin_runs_in_that_worker(monkeypatch, force_cpus):
+    # A worker is forked from the pool's owner, so the spread inside its
+    # bin runs there, serially, and submits nothing to the pool.
     force_cpus(3)
     pool.spread(_pids, [0, 1, 2])
     executor = pool._current[1]
@@ -676,13 +684,10 @@ def test_spread_inside_the_callers_bin_runs_in_process(monkeypatch, force_cpus):
         executor, "submit", lambda fn, *args: submitted.append(fn) or submit(fn, *args)
     )
     outer = pool.spread(_inner_pids, [0, 1, 2])
-    assert submitted == [_inner_pids, _inner_pids]
-    assert outer[0] == [os.getpid()] * 2
-    for inner in outer[1:]:
-        assert inner[0] == inner[1] != os.getpid()
-    # Once the outer call returns, a spread uses the pool again.
-    assert pool.spread(_pids, [0, 1, 2])[1] != os.getpid()
-    assert len(submitted) == 4
+    assert submitted == [_inner_pids] * 3
+    for worker, inner in outer:
+        assert inner == [worker, worker]
+        assert worker != os.getpid()
 
 
 def _decisions(machines, x_scaled, gamma):
@@ -706,13 +711,13 @@ def test_blocked_decisions_identical_for_any_cpu_count(monkeypatch, force_cpus):
     assert results[3] == results[1]
 
 
-def test_pool_has_at_most_cpus_minus_one_processes(force_cpus):
+def test_pool_has_one_process_per_cpu(force_cpus):
     train = nine_class_set(92)
     for cpus in (3, 2, 1):
         force_cpus(cpus)
         svm_train(train)
         # A one-CPU run makes no pool at all.
-        assert len(multiprocessing.active_children()) == cpus - 1
+        assert len(multiprocessing.active_children()) == (cpus if cpus > 1 else 0)
         assert (pool._current is None) == (cpus == 1)
 
 
@@ -729,7 +734,7 @@ def test_pool_outlives_a_change_of_cpu_count(monkeypatch, force_cpus):
         monkeypatch.setattr(pool, "_cpu_count", lambda n=cpus: n)
         assert svm_train(train).to_dict() == expected
         assert pool._current[1] is executor
-        assert len(multiprocessing.active_children()) == 2
+        assert len(multiprocessing.active_children()) == 3
 
 
 def test_one_pair_runs_without_a_pool(force_cpus):
