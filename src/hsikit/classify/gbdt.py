@@ -32,6 +32,9 @@ it would over all rows. The class columns, each tree with its score
 update, are spread over the CPUs the process may run on (see
 ``hsikit.classify._pool``); the trees and scores are bit-identical
 however many there are.
+
+``GbdtParams`` checks its fields when it is built, so every object that
+exists is valid and training does not check them again.
 """
 
 from dataclasses import dataclass, field, replace
@@ -42,7 +45,7 @@ import numpy as np
 from ..errors import DegenerateDataError
 from ..hsi_data import SampleSet
 from ..linalg import as_matrix
-from ..records import Record, check_int_fields
+from ..records import Record, check_int
 from ..rng import SplitMix64
 from ._pool import spread
 
@@ -66,6 +69,9 @@ _MIN_GAIN = 1e-12
 
 @dataclass(frozen=True)
 class GbdtParams:
+    """Boosting settings. Building one with a bad field raises
+    ValueError naming it."""
+
     num_trees: int = 200
     learning_rate: float = 0.1
     max_leaves: int = 31
@@ -74,18 +80,13 @@ class GbdtParams:
     goss_top_rate: float = 0.2
     goss_other_rate: float = 0.1
 
-    def validate(self):
-        check_int_fields(self)
-        if self.num_trees < 1:
-            raise ValueError(f"num_trees must be >= 1, got {self.num_trees}")
+    def __post_init__(self):
+        check_int(self.num_trees, "num_trees", 1)
+        check_int(self.max_leaves, "max_leaves", 2)
+        check_int(self.min_samples_leaf, "min_samples_leaf", 1)
+        check_int(self.num_bins, "num_bins", 2)
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.max_leaves < 2:
-            raise ValueError(f"max_leaves must be >= 2, got {self.max_leaves}")
-        if self.min_samples_leaf < 1:
-            raise ValueError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
-        if self.num_bins < 2:
-            raise ValueError(f"num_bins must be >= 2, got {self.num_bins}")
         if not 0.0 <= self.goss_top_rate < 1.0:
             raise ValueError(f"goss_top_rate must be in [0, 1), got {self.goss_top_rate}")
         if not 0.0 <= self.goss_other_rate < 1.0:
@@ -365,14 +366,15 @@ def _bin_tree(tree: Tree, edges) -> Tree:
     return replace(tree, threshold=np.array(threshold))
 
 
-def _grow_class_trees(class_columns: list, binned_columns, rows, edges, g, h, params) -> list:
-    """(tree, value at every training row) for each of ``class_columns``.
+def _grow_class_trees(class_gh: list, binned_columns, rows, edges, params) -> list:
+    """(tree, value at every training row) for each class's ``(g, h)``
+    in ``class_gh``, its GOSS rows' gradients and hessians.
 
     ``binned_columns`` holds every training row's bins (features x
     rows). The round's trees grow on its GOSS ``rows``, gathered here
-    once, from those rows' ``g`` and ``h`` (class x row). The root's
-    offset codes and row counts are the same for every class, so they
-    are built once; each class adds only its gradient and hessian sums.
+    once. The root's offset codes and row counts are the same for every
+    class, so they are built once; each class adds only its gradient and
+    hessian sums.
     """
     binned = np.ascontiguousarray(binned_columns[:, rows].T)
     width = binned.shape[1]
@@ -380,9 +382,9 @@ def _grow_class_trees(class_columns: list, binned_columns, rows, edges, g, h, pa
     counts = np.bincount(codes, minlength=width * params.num_bins)
     local = np.arange(len(rows))
     grown = []
-    for c in class_columns:
-        root = _histograms(codes, g[c], h[c], width, params.num_bins, counts)
-        tree = _grow_tree(binned, edges, g[c], h[c], local, params, root=root)
+    for g, h in class_gh:
+        root = _histograms(codes, g, h, width, params.num_bins, counts)
+        tree = _grow_tree(binned, edges, g, h, local, params, root=root)
         grown.append((tree, _bin_tree(tree, edges).predict_columns(binned_columns)))
     return grown
 
@@ -398,12 +400,10 @@ def gbdt_train(train: SampleSet, params: GbdtParams | None = None, seed: int = 0
     module docstring).
     """
     params = params or GbdtParams()
-    params.validate()
     features = as_matrix(train.features, "train.features")
     classes = np.unique(train.labels)
     n, width = features.shape
-    n_classes = len(classes)
-    if n_classes < 2:
+    if len(classes) < 2:
         raise DegenerateDataError("GBDT training needs at least 2 classes")
     onehot = (train.labels[:, None] == classes[None, :]).astype(np.float64)
     priors = np.log(onehot.mean(axis=0))
@@ -420,9 +420,8 @@ def gbdt_train(train: SampleSet, params: GbdtParams | None = None, seed: int = 0
         rows, amplify = _goss_sample(grad, params, rng)
         g = np.ascontiguousarray(grad[rows].T) * amplify
         h = np.ascontiguousarray(hess[rows].T) * amplify
-        grown = spread(
-            _grow_class_trees, list(range(n_classes)), binned_columns, rows, edges, g, h, params
-        )
+        # Each class's own rows, so a bin receives only its classes' g and h.
+        grown = spread(_grow_class_trees, list(zip(g, h)), binned_columns, rows, edges, params)
         for c, (_, values) in enumerate(grown):
             scores[:, c] += values
         all_trees.append([tree for tree, _ in grown])

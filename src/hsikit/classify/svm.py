@@ -5,7 +5,9 @@ binary machine whose dual is solved by SMO with first-order maximal
 violating pair selection, the smaller class id playing the +1 role.
 Features are rescaled to [0, 1] per dimension from the training
 min/max (the RBF width is scale sensitive); the scaling is recorded in
-the model and reapplied at prediction time.
+the model and reapplied at prediction time. ``SvmParams`` checks its
+fields when it is built, so every object that exists is valid; a grid
+cell's settings are checked as ``replace`` builds them.
 
 Kernel columns are computed on demand, as SMO steps ask for them, and
 kept in a least-recently-used cache (``functools.lru_cache``) of as many
@@ -56,7 +58,7 @@ import numpy as np
 from ..errors import DegenerateDataError
 from ..hsi_data import SampleSet, stratified_folds
 from ..linalg import as_matrix
-from ..records import Record, check_int, check_int_fields
+from ..records import Record, check_int
 from ._pool import spread
 
 __all__ = [
@@ -88,21 +90,20 @@ _KERNEL_BLOCK_BYTES = 2**16 * 8
 
 @dataclass(frozen=True)
 class SvmParams:
+    """SMO settings: box bound ``c``, RBF width ``gamma``, KKT
+    ``tolerance`` and iteration cap ``max_iter``. Building one with a
+    bad field raises ValueError naming it."""
+
     c: float = 600.0
     gamma: float = 0.5
     tolerance: float = 1e-3
     max_iter: int = 100_000
 
-    def validate(self):
-        check_int_fields(self)
-        if not self.c > 0:
-            raise ValueError(f"c must be > 0, got {self.c}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+    def __post_init__(self):
+        for name, value in (("c", self.c), ("gamma", self.gamma), ("tolerance", self.tolerance)):
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        check_int(self.max_iter, "max_iter", 1)
 
 
 @dataclass
@@ -325,7 +326,6 @@ def svm_train(train: SampleSet, params: SvmParams | None = None) -> SvmModel:
     process may use (see the module docstring).
     """
     params = params or SvmParams()
-    params.validate()
     features = as_matrix(train.features, "train.features")
     classes = np.unique(train.labels)
     if len(classes) < 2:

@@ -74,7 +74,7 @@ from .hsi_data import (
     save_ground_truth,
 )
 from .linalg import RandomizedSvdParams
-from .records import coerce
+from .records import check_int, coerce
 
 # Unused here: hsibench/pipeline.py wraps them by name until ROADMAP item 1, step 3.
 from .dimred import fit_pca, fit_rpca  # noqa: F401
@@ -130,15 +130,14 @@ def _svm_grid(grid, params: SvmParams) -> dict | None:
         grid = {}
     _check_keys(grid, "classifier.grid", ("c", "gamma", "folds"))
     out = {"folds": coerce(grid.get("folds", DEFAULT_FOLDS), int, "classifier.grid.folds")}
-    if out["folds"] < 2:
-        raise UsageError(f"classifier.grid.folds must be >= 2, got {out['folds']}")
+    check_int(out["folds"], "classifier.grid.folds", 2)
     for key, default in (("c", DEFAULT_C_GRID), ("gamma", DEFAULT_GAMMA_GRID)):
         values = grid.get(key, default)
         if not isinstance(values, (list, tuple)) or not values:
             raise UsageError(f"classifier.grid.{key} must be a non-empty list, got {values!r}")
         out[key] = [coerce(v, float, f"classifier.grid.{key}") for v in values]
     for c, gamma in itertools.product(out["c"], out["gamma"]):
-        replace(params, c=c, gamma=gamma).validate()
+        replace(params, c=c, gamma=gamma)  # builds, so checks, each cell's settings
     return out
 
 
@@ -179,14 +178,13 @@ def resolve_config(file_config: dict, overrides: dict) -> dict:
             out["reduction"] = {"method": "none"}
         elif method in ("pca", "rpca"):
             k = coerce(reduction.get("components"), int, "reduction.components")
-            if k < 1:
-                raise UsageError(f"reduction.components must be >= 1, got {k}")
+            check_int(k, "reduction.components", 1)
             out["reduction"] = {"method": method, "components": k}
             if method == "rpca":
                 settings = dict(reduction)
                 del settings["method"], settings["components"]
+                # Built, so checked; its fit to the data is checked once that is read.
                 sketch = _params(RandomizedSvdParams, settings, "reduction", k=k, seed=out["seed"])
-                sketch.validate(math.inf, math.inf)  # the data's size is checked once it is read
                 out["reduction"]["oversampling"] = sketch.oversampling
                 out["reduction"]["power_iterations"] = sketch.power_iterations
         else:
@@ -203,7 +201,6 @@ def resolve_config(file_config: dict, overrides: dict) -> dict:
         _check_keys(classifier, "classifier", allowed)
         params_cls = SvmParams if kind == "svm" else GbdtParams
         params = _params(params_cls, classifier.get("params", {}), "classifier.params")
-        params.validate()
         out["classifier"] = {"kind": kind, "params": asdict(params)}
         if kind == "svm":
             out["classifier"]["grid"] = _svm_grid(classifier.get("grid"), params)

@@ -377,19 +377,23 @@ def save_ground_truth(gt: GroundTruth, header_path) -> Path:
     return _save(header_path, gt.labels[np.newaxis], "u16", *names)
 
 
+def _labeled_pixels(height: int, width: int, gt: GroundTruth):
+    """(flat labels, flat offsets of the labeled pixels) of ``gt``, the
+    ground truth of a ``height`` x ``width`` cube; raises ValueError when
+    the two sizes differ."""
+    if (height, width) != (gt.height, gt.width):
+        raise ValueError(f"cube is {height}x{width} but ground truth is {gt.height}x{gt.width}")
+    flat_labels = gt.labels.reshape(-1)
+    return flat_labels, np.nonzero(flat_labels)[0]
+
+
 def extract_labeled(cube: HsiCube, gt: GroundTruth) -> SampleSet:
     """One sample per labeled pixel, in raster order.
 
     Features are the pixel's band vector (float64), labels the ground
     truth class ids, pixel_indices the flat ``y * width + x`` offsets.
     """
-    if (cube.height, cube.width) != (gt.height, gt.width):
-        raise ValueError(
-            f"cube is {cube.height}x{cube.width} but ground truth is "
-            f"{gt.height}x{gt.width}"
-        )
-    flat_labels = gt.labels.reshape(-1)
-    indices = np.nonzero(flat_labels)[0]
+    flat_labels, indices = _labeled_pixels(cube.height, cube.width, gt)
     # SampleSet casts each array to its dtype and C order; a cast here would copy twice.
     return SampleSet(
         features=cube.values.reshape(cube.bands, -1)[:, indices].T,
@@ -454,13 +458,10 @@ def load_split(
     ground truth's.
     """
     fields, bands = cube_bands(cube_header)
-    if (fields["height"], fields["width"]) != (gt.height, gt.width):
-        raise DataFormatError(
-            f"{cube_header}: cube is {fields['height']}x{fields['width']} but ground "
-            f"truth is {gt.height}x{gt.width}"
-        )
-    flat_labels = gt.labels.reshape(-1)
-    indices = np.nonzero(flat_labels)[0]
+    try:
+        flat_labels, indices = _labeled_pixels(fields["height"], fields["width"], gt)
+    except ValueError as exc:
+        raise DataFormatError(f"{cube_header}: {exc}") from exc
     in_train = _train_mask(flat_labels[indices], train_fraction, seed)
     rows = (indices[in_train], indices[~in_train])
     features = [np.empty((len(r), fields["bands"]), dtype=np.float64) for r in rows]

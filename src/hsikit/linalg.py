@@ -10,6 +10,8 @@ multiply by a seeded Gaussian test matrix, orthonormalize, optionally
 sharpen with power iterations (re-orthonormalizing after every
 application of A or A^T), then factor the small projected matrix
 exactly. Results are deterministic functions of (matrix, params, seed).
+Its settings, ``RandomizedSvdParams``, are checked when they are built;
+``randomized_svd`` adds only the check that the sketch fits the matrix.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .records import check_int_fields
+from .records import check_int
 from .rng import SplitMix64
 
 __all__ = [
@@ -67,19 +69,22 @@ class SvdResult:
 class RandomizedSvdParams:
     """Sketch configuration: target rank ``k``, extra sketch columns
     ``oversampling``, ``power_iterations`` passes of A A^T, and the
-    stream seed."""
+    stream seed. Each field is checked when the object is built, so an
+    invalid one cannot exist; :meth:`validate` checks only that the
+    sketch fits a matrix of the given size."""
 
     k: int
     oversampling: int = 10
     power_iterations: int = 2
     seed: int = 0
 
+    def __post_init__(self):
+        check_int(self.k, "k", 1)
+        check_int(self.oversampling, "oversampling", 0)
+        check_int(self.power_iterations, "power_iterations", 0)
+        check_int(self.seed, "seed")
+
     def validate(self, rows: int, cols: int):
-        check_int_fields(self)
-        if self.k < 1:
-            raise ValueError(f"target rank must be >= 1, got {self.k}")
-        if self.oversampling < 0 or self.power_iterations < 0:
-            raise ValueError("oversampling and power_iterations must be >= 0")
         if self.k + self.oversampling > min(rows, cols):
             raise ValueError(
                 f"k + oversampling = {self.k + self.oversampling} exceeds "
@@ -148,8 +153,7 @@ def randomized_range_finder(a, l: int, power_iterations: int, seed: int) -> np.n
     m, n = a.shape
     if not 1 <= l <= min(m, n):
         raise ValueError(f"l must satisfy 1 <= l <= min(m, n) = {min(m, n)}, got {l}")
-    if power_iterations < 0:
-        raise ValueError("power_iterations must be >= 0")
+    check_int(power_iterations, "power_iterations", 0)
     omega = SplitMix64(seed).normal_matrix(n, l)
     q, _ = householder_qr(a @ omega)
     for _ in range(power_iterations):

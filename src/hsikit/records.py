@@ -20,7 +20,7 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-__all__ = ["Record", "coerce", "int_array", "check_int", "check_int_fields"]
+__all__ = ["Record", "coerce", "int_array", "check_int"]
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
@@ -77,13 +77,6 @@ def check_int(value, name: str, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
-
-
-def check_int_fields(obj) -> None:
-    """``check_int`` on each ``int`` field of dataclass ``obj``."""
-    for f in fields(obj):
-        if f.type is int:
-            check_int(getattr(obj, f.name), f.name)
 
 
 def _encode(value):

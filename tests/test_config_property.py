@@ -46,7 +46,6 @@ BASES = (
                 "num_bins": 64,
                 "goss_top_rate": 0.2,
                 "goss_other_rate": 0.1,
-                "seed": 0,
             },
         },
     },
@@ -67,6 +66,14 @@ def _paths(node, prefix=()):
 
 
 CASES = [(base, path) for base in BASES for path in _paths(base)]
+
+
+@pytest.mark.parametrize("base", BASES)
+def test_every_base_resolves(base):
+    # A base that resolve_config rejects would leave the properties below
+    # checking only rejections.
+    snapshot = resolve_config(base, {})
+    assert resolve_config(json.loads(json.dumps(snapshot)), {}) == snapshot
 
 
 @settings(max_examples=600, deadline=None, database=None)

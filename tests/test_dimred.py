@@ -97,6 +97,9 @@ def test_fits_take_only_integer_sizes():
         fit_rpca(x, 2, oversampling=True)
     with pytest.raises(ValueError, match="power_iterations must be an integer, got 2.0"):
         fit_rpca(x, 2, power_iterations=2.0)
+    # A string must not reach the size check's sum, where it raises TypeError.
+    with pytest.raises(ValueError, match="oversampling must be an integer, got '3'"):
+        fit_rpca(x, 2, oversampling="3")
     assert fit_rpca(x, np.int64(2), oversampling=np.int32(3)).method_params["oversampling"] == 3
 
 

@@ -428,7 +428,7 @@ def test_train_param_validation():
         dict(goss_other_rate=-0.1),
     ):
         with pytest.raises(ValueError):
-            GbdtParams(**bad).validate()
+            GbdtParams(**bad)
     for name, value in (
         ("num_trees", 2.5),
         ("max_leaves", 3.5),
@@ -437,7 +437,7 @@ def test_train_param_validation():
         ("num_bins", True),
     ):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            GbdtParams(**{name: value}).validate()
+            GbdtParams(**{name: value})
 
 
 def test_train_priors_are_log_frequencies():

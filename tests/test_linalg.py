@@ -207,8 +207,10 @@ def test_range_finder_validation():
         randomized_range_finder(a, l=0, power_iterations=0, seed=0)
     with pytest.raises(ValueError):
         randomized_range_finder(a, l=6, power_iterations=0, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^power_iterations must be >= 0, got -1$"):
         randomized_range_finder(a, l=2, power_iterations=-1, seed=0)
+    with pytest.raises(ValueError, match="^power_iterations must be an integer, got 1.5$"):
+        randomized_range_finder(a, l=2, power_iterations=1.5, seed=0)
 
 
 # ------------------------------------------------------------ randomized_svd
@@ -280,13 +282,16 @@ def test_rsvd_sign_convention():
 
 
 def test_rsvd_params_validation():
+    # Each field is checked when the params are built ...
+    for bad, message in (
+        (dict(k=0), "k must be >= 1, got 0"),
+        (dict(k=2, oversampling=-1), "oversampling must be >= 0, got -1"),
+        (dict(k=2, power_iterations=-1), "power_iterations must be >= 0, got -1"),
+        (dict(k=2, seed=1.5), "seed must be an integer, got 1.5"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RandomizedSvdParams(**bad)
+    # ... and randomized_svd checks that the sketch fits the matrix.
     a = random_matrix(10, 8, 20)
-    with pytest.raises(ValueError):
-        randomized_svd(a, RandomizedSvdParams(k=0))
-    with pytest.raises(ValueError):
-        # k + oversampling exceeds min(m, n).
+    with pytest.raises(ValueError, match="k \\+ oversampling = 9 exceeds"):
         randomized_svd(a, RandomizedSvdParams(k=4, oversampling=5))
-    with pytest.raises(ValueError):
-        randomized_svd(a, RandomizedSvdParams(k=2, oversampling=-1))
-    with pytest.raises(ValueError):
-        randomized_svd(a, RandomizedSvdParams(k=2, power_iterations=-1))

@@ -331,19 +331,22 @@ def test_train_identical_rows_rejected():
 
 
 def test_train_param_validation():
-    train = sample_set([[0.0], [1.0]], [1, 2])
-    for bad in (
-        SvmParams(c=0.0),
-        SvmParams(gamma=-1.0),
-        SvmParams(tolerance=0.0),
-        SvmParams(max_iter=0),
+    # Settings are checked when built, so svm_train never sees a bad one;
+    # replace builds a new object, so each grid cell is checked too.
+    for bad, message in (
+        (dict(c=0.0), "c must be > 0, got 0.0"),
+        (dict(gamma=-1.0), "gamma must be > 0, got -1.0"),
+        (dict(gamma=float("nan")), "gamma must be > 0, got nan"),
+        (dict(tolerance=0.0), "tolerance must be > 0, got 0.0"),
+        (dict(max_iter=0), "max_iter must be >= 1, got 0"),
     ):
-        with pytest.raises(ValueError):
-            svm_train(train, bad)
+        for build in (SvmParams, lambda **kw: replace(SvmParams(), **kw)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(**bad)
     # A non-integral cap would never equal the iteration count.
     for value in (5.5, 5.0, True):
         with pytest.raises(ValueError, match="max_iter must be an integer"):
-            svm_train(train, SvmParams(max_iter=value))
+            SvmParams(max_iter=value)
 
 
 def test_train_iteration_cap_warns_in_model():
@@ -507,6 +510,14 @@ def test_model_dict_round_trip():
     assert back.to_dict() == model.to_dict()
     assert back.classes.dtype == np.int64
     assert all(m.support_vectors.dtype == np.float64 for m in back.machines)
+
+
+def test_model_dict_rejects_invalid_params():
+    train = sample_set([[0.0], [1.0]], [1, 2])
+    d = svm_train(train, SvmParams(c=1.0, gamma=1.0)).to_dict()
+    d["params"]["max_iter"] = 0
+    with pytest.raises(ValueError, match=r"^max_iter must be >= 1, got 0$"):
+        SvmModel.from_dict(d)
 
 
 def test_model_dict_rejects_unknown_schema():
