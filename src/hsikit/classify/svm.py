@@ -16,13 +16,25 @@ so training memory per class pair grows with the cache budget and the
 columns touched, not with n^2. A full cache evicts only after a missed
 column is computed, so it holds one column over its budget while a miss
 is computed. An evicted column is recomputed bit for bit, so the budget
-and the eviction order never change a result.
+and the eviction order never change a result. While a pair is shrunk,
+the gathers of its columns over the active rows are kept as well, at
+most as many as the same budget holds at the active size.
 
 Each SMO step selects from two masked copies of the scores, one with
 -inf where a row's alpha cannot move along +y and one with +inf where
 it cannot move along -y, both updated in place: a step allocates no
 n-length array, and the two hold bit for bit the values one score
 array would.
+
+A class pair of at least ``_SHRINK_ROWS`` rows is shrunk: every
+``_SHRINK_EVERY`` iterations the rows at a bound that cannot form a
+violating pair leave both copies, so selection and the update run over
+the active rows only, and a step reads its two columns as gathers over
+those rows. Once the active rows converge, the shrunk rows' scores are
+rebuilt once and checked; the solve takes the same path as an unshrunk
+one unless a shrunk row then violates, in which case it goes on over
+all rows (see ``_smo_solve``). Smaller pairs, such as a grid search's
+folds, are never shrunk.
 
 Training is fully deterministic: ties in working-set selection and in
 one-vs-one voting are broken by smallest index / smallest class id.
@@ -82,6 +94,12 @@ DEFAULT_FOLDS = 5
 # Memory for cached kernel columns per SMO solve: what a 4096-row Gram
 # matrix of float64 takes.
 _KERNEL_CACHE_BYTES = 4096 * 4096 * 8
+
+# Shrinking: a class pair of at least _SHRINK_ROWS rows drops, every
+# _SHRINK_EVERY SMO iterations, the bound rows that cannot violate now.
+# Below that size the checks cost more than they save.
+_SHRINK_EVERY = 100
+_SHRINK_ROWS = 2000
 
 # Memory for one block of the test x support-vector kernel at predict
 # time: 2^16 float64, which stays in cache.
@@ -206,11 +224,30 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
     single array's, and so is every choice. Scalars and the per-row
     alpha, label and mask values are Python floats and bools.
 
+    Shrinking: a problem of at least ``_SHRINK_ROWS`` rows is checked
+    every ``_SHRINK_EVERY`` iterations for bound rows that cannot form a
+    violating pair now: rows only in ``up`` scoring below ``min(s_low)``
+    and rows only in ``low`` scoring above ``max(s_up)``. They leave the
+    score arrays, so selection and the update run over the active rows
+    only; free rows never leave. The maximal violating pair of a step
+    never leaves, and the active rows' scores keep their bits, so a solve
+    whose shrunk rows never come back takes the unshrunk path step for
+    step. When the active rows converge, or the cap is reached, the
+    shrunk rows' scores are rebuilt once from the kernel columns of the
+    nonzero alphas and selection runs over all rows again. If a rebuilt
+    row then violates, the solve continues over all rows, unshrunk for
+    good: that is the one way it leaves the unshrunk path, and the
+    rebuilt scores differ from the updated ones at rounding level.
+
     Kernel columns are computed on demand into an LRU cache of as many
     columns as ``_KERNEL_CACHE_BYTES`` holds, and never fewer than the
     two a step reads; a miss on a full cache holds one column more until
     the oldest is evicted. A column is a pure function of x and its
-    index, so eviction never changes the result.
+    index, so eviction never changes the result. While rows are shrunk,
+    a step reads its columns as gathers over the active rows, kept in a
+    dict of as many as ``_KERNEL_CACHE_BYTES`` holds at the active size
+    (oldest out first). A shrink keeps the gathers of the rows that stay,
+    re-indexed; the rebuild reads one full column at a time.
     """
     n = len(y)
     c = float(params.c)
@@ -221,6 +258,14 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
         d2 = sq + sq[i] - 2.0 * (x @ x[i])
         np.maximum(d2, 0.0, out=d2)
         return np.exp(-params.gamma * d2)
+
+    def gather(i):
+        g = gathers.get(i)
+        if g is None:
+            if len(gathers) >= max(2, _KERNEL_CACHE_BYTES // (8 * len(active))):
+                del gathers[next(iter(gathers))]
+            g = gathers[i] = col(i)[active]
+        return g
 
     score = np.array(y, dtype=np.float64)  # -y * gradient; the gradient is -1 at alpha = 0
     pos = score > 0
@@ -234,16 +279,63 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
     alpha = [0.0] * n
     tolerance = params.tolerance
     max_iter = params.max_iter
+    # The score arrays hold the rows ``active`` (``rows`` as a sequence),
+    # whose columns ``column`` reads: all rows and ``col`` until a shrink,
+    # then the active rows and their gathers.
+    active = np.arange(n)
+    rows = range(n)
+    column = col
+    gathers = {}
+    next_shrink = _SHRINK_EVERY if n >= _SHRINK_ROWS else -1
     n_iter = 0
     while True:
-        i = int(s_up.argmax())
-        j = int(s_low.argmin())
-        violation = s_up.item(i) - s_low.item(j)
+        if n_iter == next_shrink:
+            next_shrink += _SHRINK_EVERY
+            top = s_up.max()
+            bottom = s_low.min()
+            drop = ((s_up < bottom) & (s_low == np.inf)) | ((s_low > top) & (s_up == -np.inf))
+            if top - bottom > tolerance and drop.any():
+                keep = ~drop
+                s_up = s_up[keep]
+                s_low = s_low[keep]
+                diff = np.empty(len(s_up))
+                if gathers:
+                    for k in active[drop].tolist():
+                        gathers.pop(k, None)
+                    for k, g in gathers.items():
+                        gathers[k] = g[keep]
+                active = active[keep]
+                rows = active.tolist()
+                column = gather
+        ci = int(s_up.argmax())
+        cj = int(s_low.argmin())
+        violation = s_up.item(ci) - s_low.item(cj)
         if violation <= tolerance or n_iter == max_iter:
-            break
-        ki = col(i)
-        kj = col(j)
-        quad = ki.item(i) + kj.item(j) - 2.0 * ki.item(j)
+            if column is col:
+                break
+            shrunk = np.setdiff1d(np.arange(n), active, assume_unique=True)
+            rebuilt = score[shrunk]  # the scores at alpha = 0
+            for k in np.flatnonzero(alpha).tolist():
+                rebuilt -= (alpha[k] * y[k]) * col(k)[shrunk]
+            in_up = np.array(up)[shrunk]
+            full_up = np.full(n, -np.inf)
+            full_low = np.full(n, np.inf)
+            full_up[active] = s_up
+            full_low[active] = s_low
+            full_up[shrunk[in_up]] = rebuilt[in_up]
+            full_low[shrunk[~in_up]] = rebuilt[~in_up]
+            s_up, s_low, diff = full_up, full_low, np.empty(n)
+            active = np.arange(n)
+            rows = range(n)
+            column = col
+            gathers.clear()
+            next_shrink = -1
+            continue
+        i = rows[ci]
+        j = rows[cj]
+        ki = column(i)
+        kj = column(j)
+        quad = ki.item(ci) + kj.item(cj) - 2.0 * ki.item(cj)
         step = violation / max(quad, 1e-12)
         a_i = alpha[i]
         a_j = alpha[j]
@@ -262,14 +354,14 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
         diff *= step
         s_up -= diff
         s_low -= diff
-        for k in (i, j):
+        for k, ck in ((i, ci), (j, cj)):
             a = alpha[k]
             up_k = a < c if pos[k] else a > 0.0
             low_k = a > 0.0 if pos[k] else a < c
             if up_k != up[k] or low_k != low[k]:
-                s = (s_up if up[k] else s_low).item(k)
-                s_up[k] = s if up_k else -np.inf
-                s_low[k] = s if low_k else np.inf
+                s = (s_up if up[k] else s_low).item(ck)
+                s_up[ck] = s if up_k else -np.inf
+                s_low[ck] = s if low_k else np.inf
                 up[k] = up_k
                 low[k] = low_k
         n_iter += 1
@@ -277,7 +369,7 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
     # whose score s_up holds), else the midpoint of the final maximal
     # violating pair.
     free = np.array(up) & np.array(low)
-    bias = s_up[free].mean() if free.any() else (s_up.item(i) + s_low.item(j)) / 2.0
+    bias = s_up[free].mean() if free.any() else (s_up.item(ci) + s_low.item(cj)) / 2.0
     return np.array(alpha), float(bias), n_iter, n_iter < max_iter, violation
 
 

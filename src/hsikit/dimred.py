@@ -110,13 +110,8 @@ def fit_transform(x, k: int, method: str = "exact", **sketch) -> tuple[PcaModel,
         raise DegenerateDataError(f"PCA needs at least 2 samples, got {n}")
     if not 1 <= k <= min(n, b):
         raise ValueError(f"k must satisfy 1 <= k <= min(n, B) = {min(n, b)}, got {k}")
-    # The randomized sketch has k + oversampling columns; exact PCA has none extra.
-    oversampling = method_params.get("oversampling", 0)
-    if k + oversampling > min(n, b):
-        raise ValueError(
-            f"{k} components + {oversampling} oversampling = {k + oversampling} exceeds "
-            f"min(pixels, bands) = min({n}, {b}) = {min(n, b)}"
-        )
+    if method == "randomized":
+        params.validate(n, b)
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the result
         mean = x.mean(axis=0)
         centered = x - mean

@@ -87,8 +87,9 @@ class RandomizedSvdParams:
     def validate(self, rows: int, cols: int):
         if self.k + self.oversampling > min(rows, cols):
             raise ValueError(
-                f"k + oversampling = {self.k + self.oversampling} exceeds "
-                f"min(rows, cols) = {min(rows, cols)}"
+                f"{self.k} components + {self.oversampling} oversampling = "
+                f"{self.k + self.oversampling} exceeds "
+                f"min(rows, cols) = min({rows}, {cols}) = {min(rows, cols)}"
             )
 
 

@@ -390,7 +390,7 @@ def test_run_rpca_sketch_wider_than_the_bands(scene, tmp_path, capsys):
     err = capsys.readouterr().err
     assert re.search(
         r"stage 'reduce' failed: 5 components \+ 10 oversampling = 15 exceeds "
-        r"min\(pixels, bands\) = min\(\d+, 8\) = 8\n$",
+        r"min\(rows, cols\) = min\(\d+, 8\) = 8\n$",
         err,
     ), err
     assert not out.exists()

@@ -165,7 +165,7 @@ def test_fit_rpca_sketch_budget_validation():
     x = random_matrix(20, 8, 45)
     message = (
         r"^3 components \+ 10 oversampling = 13 exceeds "
-        r"min\(pixels, bands\) = min\(20, 8\) = 8$"
+        r"min\(rows, cols\) = min\(20, 8\) = 8$"
     )
     with pytest.raises(ValueError, match=message):
         fit_rpca(x, k=3)

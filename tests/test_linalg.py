@@ -293,5 +293,6 @@ def test_rsvd_params_validation():
             RandomizedSvdParams(**bad)
     # ... and randomized_svd checks that the sketch fits the matrix.
     a = random_matrix(10, 8, 20)
-    with pytest.raises(ValueError, match="k \\+ oversampling = 9 exceeds"):
+    message = r"^4 components \+ 5 oversampling = 9 exceeds min\(rows, cols\) = min\(10, 8\) = 8$"
+    with pytest.raises(ValueError, match=message):
         randomized_svd(a, RandomizedSvdParams(k=4, oversampling=5))

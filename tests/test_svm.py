@@ -211,12 +211,15 @@ def test_smo_column_recompute_path_matches_full_gram(monkeypatch):
     assert abs(score[free].mean() - bias) <= 1e-9
 
 
-@pytest.mark.parametrize("case", ["rows-at-c", "iteration-cap", "duplicate-rows", "two-column-cache"])
+@pytest.mark.parametrize(
+    "case", ["rows-at-c", "iteration-cap", "duplicate-rows", "two-column-cache", "shrinking"]
+)
 def test_smo_matches_reference_loop(case, monkeypatch):
     # The solver keeps masked score arrays and Python scalars; the
     # reference keeps one score array and numpy scalars. Each step does
     # the same IEEE operations in the same order, so every returned
-    # value is equal, not merely close.
+    # value is equal, not merely close. Shrinking keeps that as long as
+    # no shrunk row comes back, as on this problem at this cadence.
     x = SplitMix64(505).normal_matrix(300, 3)
     y = np.where(x[:, 0] + 0.5 * SplitMix64(506).normals(300) > 0, 1.0, -1.0)
     params = SvmParams(c=10.0, gamma=0.5, tolerance=1e-3)
@@ -230,6 +233,9 @@ def test_smo_matches_reference_loop(case, monkeypatch):
         y = np.concatenate([[1.0], y])
     elif case == "two-column-cache":
         monkeypatch.setattr("hsikit.classify.svm._KERNEL_CACHE_BYTES", 2 * 8 * len(y))
+    elif case == "shrinking":
+        monkeypatch.setattr(svm, "_SHRINK_ROWS", len(y))
+        monkeypatch.setattr(svm, "_SHRINK_EVERY", 50)
     expected = smo_reference(x, y, params)
     alpha, bias, n_iter, converged, violation = _smo_solve(x, y, params)
     assert np.array_equal(alpha, expected[0])
@@ -241,20 +247,54 @@ def test_smo_matches_reference_loop(case, monkeypatch):
     assert converged == (case != "iteration-cap")
 
 
+@pytest.mark.parametrize("max_iter", [100_000, 1000])
+def test_smo_shrunk_rows_that_come_back_are_solved_over_all_rows(max_iter, monkeypatch):
+    # At this seed the reference loop selects a row the solver has shrunk,
+    # so the paths part, and a shrunk row violates once the active rows
+    # converge, so the solve finishes over all rows; a cap of 1000 stops
+    # it while rows are still shrunk. Either way the violation and the
+    # bias it returns must follow from alpha over the full Gram matrix.
+    x = SplitMix64(511).normal_matrix(300, 3)
+    y = np.where(x[:, 0] + 0.5 * SplitMix64(512).normals(300) > 0, 1.0, -1.0)
+    params = SvmParams(c=10.0, gamma=0.5, tolerance=1e-3, max_iter=max_iter)
+    monkeypatch.setattr(svm, "_SHRINK_ROWS", len(y))
+    monkeypatch.setattr(svm, "_SHRINK_EVERY", 50)
+    result = _smo_solve(x, y, params)
+    alpha, bias, n_iter, converged, violation = result
+    assert converged == (n_iter < max_iter) == (max_iter > 1000)
+    assert converged == (violation <= params.tolerance)
+    assert not np.array_equal(alpha, smo_reference(x, y, params)[0])
+    grad = (np.outer(y, y) * rbf_cross(x, x, params.gamma)) @ alpha - 1.0
+    score = -y * grad
+    pos = y > 0
+    up = (pos & (alpha < params.c)) | (~pos & (alpha > 0.0))
+    low = (pos & (alpha > 0.0)) | (~pos & (alpha < params.c))
+    free = up & low
+    assert free.any() and (alpha == params.c).any()
+    assert abs(score[up].max() - score[low].min() - violation) <= 1e-9
+    assert abs(score[free].mean() - bias) <= 1e-9
+    # Evicted gathers and columns are recomputed bit for bit.
+    monkeypatch.setattr(svm, "_KERNEL_CACHE_BYTES", 2 * 8 * len(y))
+    recomputed = _smo_solve(x, y, params)
+    assert np.array_equal(recomputed[0], alpha) and recomputed[1:] == result[1:]
+
+
 def test_smo_memory_is_bounded_below_the_gram_matrix():
     # A separable 2000-row pair touches few distinct kernel columns, so
-    # the solve must hold far less than the n x n Gram matrix.
+    # the solve must hold far less than the n x n Gram matrix, with its
+    # rows shrunk, their columns gathered and the shrunk scores rebuilt.
     n = 2000
     x = SplitMix64(505).normal_matrix(n, 5)
     y = np.where(x[:, 0] > 0, 1.0, -1.0)
     params = SvmParams(c=10.0, gamma=0.5)
     tracemalloc.start()
     try:
-        _, _, _, converged, _ = _smo_solve(x, y, params)
+        _, _, n_iter, converged, _ = _smo_solve(x, y, params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert converged
+    assert n >= svm._SHRINK_ROWS and n_iter > svm._SHRINK_EVERY
     assert peak < n * n * 8 / 4
 
 
