@@ -14,9 +14,10 @@ from all row indices at the root, each internal node splits its index
 array on one contiguous feature column (the features transposed once
 per call, or once per ensemble in ``GbdtModel.decision_scores``), and
 each leaf writes its value to the rows that reach it. Training updates
-its scores through the same routine on the binned features, each
-threshold replaced by the index of its bin edge plus one, which routes
-every row as the raw threshold does.
+its scores through the same routine on the binned features: each split
+keeps its bin, the index of its edge plus one, as the threshold of a
+bin-space copy of the tree, which routes every row as the raw
+threshold does.
 
 Gradient-based one-side sampling (GOSS) keeps the top ``a * n`` rows
 by summed absolute gradient each round, samples ``b * n`` of the rest
@@ -177,7 +178,8 @@ def softmax_gradients(scores: np.ndarray, onehot: np.ndarray):
 
 
 def _bin_features(features: np.ndarray, num_bins: int):
-    """Quantile bin edges per feature and the binned feature matrix.
+    """Quantile bin edges per feature and the binned features, feature
+    major (features x rows, so each feature's bins are contiguous).
 
     Bin b holds values v with edges[b-1] <= v < edges[b], so a split at
     boundary t (left = bins 0..t) is exactly the raw rule v < edges[t].
@@ -186,12 +188,12 @@ def _bin_features(features: np.ndarray, num_bins: int):
     n, width = features.shape
     qs = np.arange(1, num_bins) / num_bins
     edges = []
-    binned = np.empty((n, width), dtype=np.min_scalar_type(num_bins - 1))
+    binned = np.empty((width, n), dtype=np.min_scalar_type(num_bins - 1))
     for f in range(width):
         col = features[:, f]
         e = np.unique(np.quantile(col, qs))
         edges.append(e)
-        binned[:, f] = np.searchsorted(e, col, side="right")
+        binned[f] = np.searchsorted(e, col, side="right")
     return edges, binned
 
 
@@ -288,10 +290,14 @@ def _best_split(hists: np.ndarray, min_samples_leaf: int):
 
 
 def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None, root=None):
-    """Grow one leaf-wise tree on the ``rows`` of pre-binned features.
+    """Grow one leaf-wise tree on the ``rows`` of pre-binned features
+    (rows x features); returns the tree and its bin-space copy.
 
     ``g`` and ``h`` are per-row (already amplified) gradient and
-    hessian values for one class column. Each open leaf keeps one
+    hessian values for one class column. A split at boundary ``cut``
+    keeps its raw threshold ``edges[f][cut]`` and its bin ``cut + 1``,
+    so the bin-space copy routes the binned rows as the tree routes the
+    raw ones (see ``_bin_features``). Each open leaf keeps one
     histogram array; a split builds the smaller child's and takes the
     sibling's as the difference, and searches both children's splits
     in one call. ``root`` is the histogram of ``rows`` when the caller
@@ -311,6 +317,7 @@ def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None, root=N
     size = 2 * params.max_leaves - 1
     feature = np.full(size, -1, dtype=np.int32)
     threshold = np.zeros(size)
+    bin_threshold = np.zeros(size)
     left = np.full(size, -1, dtype=np.int32)
     right = np.full(size, -1, dtype=np.int32)
     value = np.zeros(size)
@@ -336,6 +343,7 @@ def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None, root=N
         node_l = 2 * (len(open_leaves) + 1) - 1  # nodes so far: the open leaves and this one
         feature[leaf.node] = leaf.feature
         threshold[leaf.node] = edges[leaf.feature][leaf.cut]
+        bin_threshold[leaf.node] = leaf.cut + 1
         left[leaf.node] = node_l
         right[leaf.node] = node_l + 1
         open_leaves += new_leaves((node_l, node_l + 1), children, hists)
@@ -343,27 +351,14 @@ def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None, root=N
         g_sum, h_sum = leaf.hist[:2, 0].sum(axis=1)
         value[leaf.node] = -params.learning_rate * g_sum / (h_sum + _LAMBDA)
     n_nodes = 2 * len(open_leaves) - 1
-    return Tree(
+    tree = Tree(
         feature=feature[:n_nodes],
         threshold=threshold[:n_nodes],
         left=left[:n_nodes],
         right=right[:n_nodes],
         value=value[:n_nodes],
     )
-
-
-def _bin_tree(tree: Tree, edges) -> Tree:
-    """``tree`` with each threshold ``edges[f][cut]`` replaced by cut + 1.
-
-    On binned features it routes every row as ``tree`` does on the raw
-    ones: bin < cut + 1 exactly when the value is < edges[f][cut] (see
-    ``_bin_features``).
-    """
-    threshold = [
-        np.searchsorted(edges[f], t) + 1.0 if f >= 0 else 0.0
-        for f, t in zip(tree.feature.tolist(), tree.threshold.tolist())
-    ]
-    return replace(tree, threshold=np.array(threshold))
+    return tree, replace(tree, threshold=bin_threshold[:n_nodes])
 
 
 def _grow_class_trees(class_gh: list, binned_columns, rows, edges, params) -> list:
@@ -384,8 +379,8 @@ def _grow_class_trees(class_gh: list, binned_columns, rows, edges, params) -> li
     grown = []
     for g, h in class_gh:
         root = _histograms(codes, g, h, width, params.num_bins, counts)
-        tree = _grow_tree(binned, edges, g, h, local, params, root=root)
-        grown.append((tree, _bin_tree(tree, edges).predict_columns(binned_columns)))
+        tree, bin_tree = _grow_tree(binned, edges, g, h, local, params, root=root)
+        grown.append((tree, bin_tree.predict_columns(binned_columns)))
     return grown
 
 
@@ -408,8 +403,7 @@ def gbdt_train(train: SampleSet, params: GbdtParams | None = None, seed: int = 0
     onehot = (train.labels[:, None] == classes[None, :]).astype(np.float64)
     priors = np.log(onehot.mean(axis=0))
     scores = np.tile(priors, (n, 1))
-    edges, binned = _bin_features(features, params.num_bins)
-    binned_columns = np.ascontiguousarray(binned.T)
+    edges, binned_columns = _bin_features(features, params.num_bins)
     rng = SplitMix64(seed)
     notes = []
     if params.goss_top_rate > 0 and n < 20:

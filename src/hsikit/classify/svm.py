@@ -17,8 +17,9 @@ columns touched, not with n^2. A full cache evicts only after a missed
 column is computed, so it holds one column over its budget while a miss
 is computed. An evicted column is recomputed bit for bit, so the budget
 and the eviction order never change a result. While a pair is shrunk,
-the gathers of its columns over the active rows are kept as well, at
-most as many as the same budget holds at the active size.
+the gathers of its columns over the active rows are kept in a second
+LRU cache, under the same budget at the active size. Each shrink starts
+a new one, so no gather is ever re-indexed.
 
 Each SMO step selects from two masked copies of the scores, one with
 -inf where a row's alpha cannot move along +y and one with +inf where
@@ -244,9 +245,9 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
     two a step reads; a miss on a full cache holds one column more until
     the oldest is evicted. A column is a pure function of x and its
     index, so eviction never changes the result. While rows are shrunk,
-    a step reads its columns as gathers over the active rows, kept in a
-    dict of as many as ``_KERNEL_CACHE_BYTES`` holds at the active size
-    (oldest out first). A shrink keeps the gathers of the rows that stay,
+    a step reads its columns as gathers over the active rows, kept in an
+    LRU cache of as many as ``_KERNEL_CACHE_BYTES`` holds at the active
+    size. Each shrink that drops rows starts a new one, and no gather is
     re-indexed; the rebuild reads one full column at a time.
     """
     n = len(y)
@@ -258,14 +259,6 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
         d2 = sq + sq[i] - 2.0 * (x @ x[i])
         np.maximum(d2, 0.0, out=d2)
         return np.exp(-params.gamma * d2)
-
-    def gather(i):
-        g = gathers.get(i)
-        if g is None:
-            if len(gathers) >= max(2, _KERNEL_CACHE_BYTES // (8 * len(active))):
-                del gathers[next(iter(gathers))]
-            g = gathers[i] = col(i)[active]
-        return g
 
     score = np.array(y, dtype=np.float64)  # -y * gradient; the gradient is -1 at alpha = 0
     pos = score > 0
@@ -281,11 +274,10 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
     max_iter = params.max_iter
     # The score arrays hold the rows ``active`` (``rows`` as a sequence),
     # whose columns ``column`` reads: all rows and ``col`` until a shrink,
-    # then the active rows and their gathers.
+    # then the active rows and the shrink's cache of gathers.
     active = np.arange(n)
     rows = range(n)
     column = col
-    gathers = {}
     next_shrink = _SHRINK_EVERY if n >= _SHRINK_ROWS else -1
     n_iter = 0
     while True:
@@ -299,14 +291,13 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
                 s_up = s_up[keep]
                 s_low = s_low[keep]
                 diff = np.empty(len(s_up))
-                if gathers:
-                    for k in active[drop].tolist():
-                        gathers.pop(k, None)
-                    for k, g in gathers.items():
-                        gathers[k] = g[keep]
                 active = active[keep]
                 rows = active.tolist()
-                column = gather
+
+                @functools.lru_cache(maxsize=max(2, _KERNEL_CACHE_BYTES // (8 * len(active))))
+                def column(i):
+                    return col(i)[active]
+
         ci = int(s_up.argmax())
         cj = int(s_low.argmin())
         violation = s_up.item(ci) - s_low.item(cj)
@@ -328,7 +319,6 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
             active = np.arange(n)
             rows = range(n)
             column = col
-            gathers.clear()
             next_shrink = -1
             continue
         i = rows[ci]

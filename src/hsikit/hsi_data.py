@@ -47,7 +47,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError
-from .records import check_int, int_array
+from .linalg import as_matrix
+from .records import check_finite, check_int, int_array
 from .rng import SplitMix64
 
 __all__ = [
@@ -96,15 +97,7 @@ class HsiCube:
         expected = (self.bands, self.height, self.width)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
-        _check_finite(self.values)
-
-
-def _check_finite(values: np.ndarray) -> None:
-    """Raise ValueError if cube ``values`` hold a NaN or an infinity."""
-    # min and max carry any NaN or infinity without a per-value mask,
-    # so the check allocates nothing beside the values.
-    if values.size and not np.isfinite([values.min(), values.max()]).all():
-        raise ValueError("cube contains non-finite values")
+        check_finite(self.values, "cube")
 
 
 @dataclass
@@ -148,17 +141,16 @@ def default_class_names(num_classes: int) -> list[str]:
 @dataclass
 class SampleSet:
     """Labeled pixels: features (n x B), labels in 1..C, and the flat
-    raster offset of each pixel for map rendering. Labels and offsets
-    are stored as int64 and checked by ``records.int_array``."""
+    raster offset of each pixel for map rendering. Features pass the
+    real-matrix gate ``linalg.as_matrix``; labels and offsets are stored
+    as int64 and checked by ``records.int_array``."""
 
     features: np.ndarray
     labels: np.ndarray
     pixel_indices: np.ndarray
 
     def __post_init__(self):
-        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be a 2-D matrix, got ndim={self.features.ndim}")
+        self.features = as_matrix(self.features, "features")
         self.labels = int_array(self.labels, np.int64, "labels")
         self.pixel_indices = int_array(self.pixel_indices, np.int64, "pixel_indices")
         n = self.features.shape[0]
@@ -305,7 +297,7 @@ def cube_bands(header_path):
             for _ in range(bands):
                 band = np.fromfile(fh, dtype=DTYPES["f32"], count=height * width)
                 try:
-                    _check_finite(band)
+                    check_finite(band, "cube")
                 except ValueError as exc:
                     raise DataFormatError(f"{header_path}: {exc}") from exc
                 yield band.reshape(height, width)

@@ -2,8 +2,10 @@
 and the randomized range finder / randomized SVD used for fast PCA.
 
 Matrices are plain two-dimensional float64 numpy arrays; every public
-entry point runs them through :func:`as_matrix`, which rejects NaN/Inf
-and anything that is not a real 2-D array.
+entry point runs them through :func:`as_matrix`, the toolkit's one gate
+for real-valued matrices: it rejects anything that is not a 2-D array
+of integers or floats (bools, strings and complex values among them)
+and any NaN or infinity.
 
 The randomized scheme is the standard Gaussian-sketch prototype:
 multiply by a seeded Gaussian test matrix, orthonormalize, optionally
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .records import check_int
+from .records import check_finite, check_int
 from .rng import SplitMix64
 
 __all__ = [
@@ -37,18 +39,22 @@ __all__ = [
 def as_matrix(a, name: str = "a", cols: int | None = None) -> np.ndarray:
     """Validate and convert ``a`` to a 2-D float64 C-ordered array.
 
-    Rejects non-2-D input and any non-finite entry; this is the single
-    gate that upholds the all-finite invariant for the whole toolkit.
-    A fitted model passes its width as ``cols``, and any other column
-    count is rejected.
+    Rejects entries that are not integers or floats, non-2-D input and
+    any non-finite entry (``records.check_finite``), each with a
+    ValueError naming ``name``; this is the single gate that upholds
+    the real, all-finite invariant for the whole toolkit. A fitted
+    model passes its width as ``cols``, and any other column count is
+    rejected.
     """
-    out = np.ascontiguousarray(a, dtype=np.float64)
+    out = np.asarray(a)
+    if out.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold integers or floats, got dtype {out.dtype}")
+    out = np.ascontiguousarray(out, dtype=np.float64)
     if out.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got ndim={out.ndim}")
     if cols is not None and out.shape[1] != cols:
         raise ValueError(f"{name} has {out.shape[1]} columns but the model was fit on {cols}")
-    if out.size and not np.isfinite(out).all():
-        raise ValueError(f"{name} contains NaN or Inf entries")
+    check_finite(out, name)
     return out
 
 

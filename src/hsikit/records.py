@@ -20,7 +20,7 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-__all__ = ["Record", "coerce", "int_array", "check_int"]
+__all__ = ["Record", "coerce", "int_array", "check_int", "check_finite"]
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
@@ -77,6 +77,15 @@ def check_int(value, name: str, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_finite(values: np.ndarray, name: str) -> None:
+    """Raise ValueError naming ``name`` if the float array ``values``
+    holds a NaN or an infinity."""
+    # min and max carry any NaN or infinity without a per-value mask,
+    # so the check allocates nothing beside the values.
+    if values.size and not np.isfinite([values.min(), values.max()]).all():
+        raise ValueError(f"{name} contains non-finite values")
 
 
 def _encode(value):

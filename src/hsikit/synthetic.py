@@ -50,11 +50,7 @@ def gaussian_scene(
     """
     sizes = {"height": height, "width": width, "bands": bands, "num_classes": num_classes}
     for name, value in sizes.items():
-        check_int(value, name)
-    if height < 1 or width < 1 or bands < 1:
-        raise ValueError(f"scene dimensions must be positive, got {height}x{width}x{bands}")
-    if num_classes < 1:
-        raise ValueError(f"num_classes must be >= 1, got {num_classes}")
+        check_int(value, name, 1)
     if width < num_classes:
         raise ValueError(f"width {width} cannot hold {num_classes} stripes")
     if not 0.0 <= unlabeled_fraction < 1.0:

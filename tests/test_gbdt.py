@@ -173,7 +173,7 @@ def test_bin_boundary_matches_raw_rule():
     col = SplitMix64(93).uniforms(100)
     edges, binned = _bin_features(col[:, None], num_bins=8)
     for t, edge in enumerate(edges[0]):
-        assert np.array_equal(binned[:, 0] <= t, col < edge)
+        assert np.array_equal(binned[0] <= t, col < edge)
 
 
 # --------------------------------------------------------------------- goss
@@ -310,7 +310,7 @@ def test_leaf_wise_growth_expands_best_leaf_first():
     )
     edges, binned = _bin_features(features, params.num_bins)
     trace = []
-    tree = _grow_tree(binned, edges, g, h, np.arange(300), params, trace=trace)
+    tree, _ = _grow_tree(binned.T, edges, g, h, np.arange(300), params, trace=trace)
     assert len(trace) >= 3
     for chosen, others in trace:
         assert all(chosen >= other - 1e-12 for other in others)
@@ -331,7 +331,7 @@ def test_leaf_wise_growth_ties_go_to_the_older_leaf():
     )
     edges, binned = _bin_features(np.column_stack([x0, x1]), params.num_bins)
     trace = []
-    tree = _grow_tree(binned, edges, g, h, np.arange(16), params, trace=trace)
+    tree, _ = _grow_tree(binned.T, edges, g, h, np.arange(16), params, trace=trace)
     assert len(trace) == 2
     chosen, others = trace[1]
     assert others == [chosen]
@@ -353,7 +353,7 @@ def test_grown_tree_structure(max_leaves, min_samples_leaf, grown_leaves):
         num_bins=16, **NO_GOSS
     )
     edges, binned = _bin_features(features, params.num_bins)
-    tree = _grow_tree(binned, edges, g, h, np.arange(200), params)
+    tree, _ = _grow_tree(binned.T, edges, g, h, np.arange(200), params)
     if grown_leaves is None:
         assert 1 < tree.n_leaves < max_leaves
     else:
@@ -384,7 +384,7 @@ def test_grown_leaf_values_include_shrinkage():
         learning_rate=0.3, **NO_GOSS
     )
     edges, binned = _bin_features(x[:, None], params.num_bins)
-    tree = _grow_tree(binned, edges, g, h, np.arange(4), params)
+    tree, _ = _grow_tree(binned.T, edges, g, h, np.arange(4), params)
     # Leaf value is -lr * G / (H + 1).
     expect_left = -0.3 * (-1.0) / (0.5 + 1.0)
     expect_right = -0.3 * (1.0) / (0.5 + 1.0)
@@ -401,8 +401,30 @@ def test_no_split_below_min_samples():
         num_trees=1, max_leaves=8, min_samples_leaf=4, num_bins=4, **NO_GOSS
     )
     edges, binned = _bin_features(x[:, None], params.num_bins)
-    tree = _grow_tree(binned, edges, g, h, np.arange(4), params)
+    tree, _ = _grow_tree(binned.T, edges, g, h, np.arange(4), params)
     assert tree.n_leaves == 1
+
+
+def test_bin_space_tree_routes_binned_rows_as_the_tree_routes_raw_rows():
+    # Features on a 0.5 grid put many values exactly on bin edges, where
+    # a threshold off by one bin would route them the other way.
+    features = grid_features(300, 4, seed=116)
+    params = GbdtParams(
+        num_trees=1, max_leaves=17, min_samples_leaf=4, num_bins=16, **NO_GOSS
+    )
+    edges, binned = _bin_features(features, params.num_bins)
+    rng = SplitMix64(117)
+    tree, bin_tree = _grow_tree(
+        binned.T, edges, rng.normals(300), np.full(300, 0.25), np.arange(300), params
+    )
+    assert tree.n_leaves == params.max_leaves
+    inner = tree.feature >= 0
+    cuts = zip(tree.feature[inner], tree.threshold[inner])
+    on_edge = [(features[:, f] == t).any() for f, t in cuts]
+    assert sum(on_edge) > len(on_edge) // 2
+    for name in ("feature", "left", "right", "value"):
+        assert np.array_equal(getattr(bin_tree, name), getattr(tree, name)), name
+    assert np.array_equal(bin_tree.predict_columns(binned), tree.predict(features))
 
 
 # ----------------------------------------------------------------- training
@@ -559,7 +581,7 @@ def test_train_matches_reference_loop():
             h = np.zeros(n)
             g[rows] = grad[rows, c] * amplify
             h[rows] = hess[rows, c] * amplify
-            tree = _grow_tree(binned, edges, g, h, rows, params)
+            tree, _ = _grow_tree(binned.T, edges, g, h, rows, params)
             for name in ("feature", "threshold", "left", "right", "value"):
                 assert np.array_equal(getattr(got, name), getattr(tree, name)), name
             scores[:, c] += tree_walk(tree, features)
@@ -694,8 +716,8 @@ def test_predict_matches_tree_walk_on_grown_trees(max_leaves):
         num_trees=1, max_leaves=max_leaves, min_samples_leaf=4, num_bins=16, **NO_GOSS
     )
     edges, binned = _bin_features(features, params.num_bins)
-    tree = _grow_tree(
-        binned, edges, rng.normals(300), np.full(300, 0.25), np.arange(300), params
+    tree, _ = _grow_tree(
+        binned.T, edges, rng.normals(300), np.full(300, 0.25), np.arange(300), params
     )
     assert tree.n_leaves == max_leaves
     assert (features[:, tree.feature[0]] == tree.threshold[0]).any()  # ties at the root

@@ -4,6 +4,7 @@ range finder / SVD pair."""
 import numpy as np
 import pytest
 
+from hsikit.hsi_data import SampleSet
 from hsikit.linalg import (
     RandomizedSvdParams,
     as_matrix,
@@ -39,6 +40,15 @@ def test_as_matrix_rejects_non_finite():
         as_matrix([[1.0, np.nan]])
     with pytest.raises(ValueError):
         as_matrix([[np.inf, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [[["1.5", "2"]], [[True, False]], [[1.0 + 2.0j, 0.0]]])
+def test_as_matrix_and_sample_set_reject_entries_that_are_not_real_numbers(bad):
+    # numpy would cast strings, bools and complex values to floats.
+    with pytest.raises(ValueError, match="a must hold integers or floats, got dtype"):
+        as_matrix(bad)
+    with pytest.raises(ValueError, match="features must hold integers or floats, got dtype"):
+        SampleSet(bad, [1], [0])
 
 
 def test_as_matrix_converts_lists():

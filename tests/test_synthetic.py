@@ -12,9 +12,9 @@ from hsikit.synthetic import _BLOCK, gaussian_scene
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"height": 0}, "scene dimensions must be positive"),
-        ({"width": 0}, "scene dimensions must be positive"),
-        ({"bands": 0}, "scene dimensions must be positive"),
+        ({"height": 0}, "height must be >= 1, got 0"),
+        ({"width": 0}, "width must be >= 1, got 0"),
+        ({"bands": 0}, "bands must be >= 1, got 0"),
         ({"num_classes": 0}, "num_classes must be >= 1"),
         ({"width": 2}, "width 2 cannot hold 3 stripes"),
         ({"unlabeled_fraction": 1.0}, r"unlabeled_fraction must be in \[0, 1\)"),
