@@ -395,15 +395,14 @@ def gbdt_train(train: SampleSet, params: GbdtParams | None = None, seed: int = 0
     module docstring).
     """
     params = params or GbdtParams()
-    features = as_matrix(train.features, "train.features")
     classes = np.unique(train.labels)
-    n, width = features.shape
+    n, width = train.features.shape
     if len(classes) < 2:
         raise DegenerateDataError("GBDT training needs at least 2 classes")
     onehot = (train.labels[:, None] == classes[None, :]).astype(np.float64)
     priors = np.log(onehot.mean(axis=0))
     scores = np.tile(priors, (n, 1))
-    edges, binned_columns = _bin_features(features, params.num_bins)
+    edges, binned_columns = _bin_features(train.features, params.num_bins)
     rng = SplitMix64(seed)
     notes = []
     if params.goss_top_rate > 0 and n < 20:

@@ -371,15 +371,21 @@ def _fit_scaling(features: np.ndarray):
 
 
 def _fit_machines(pairs: list, scaled: np.ndarray, labels: np.ndarray, params) -> list:
-    """The trained machine of each (class_pos, class_neg) pair.
+    """The trained machine of each (class_pos, class_neg) pair, or None
+    for a pair whose rows are all one row.
 
     A pair's rows are gathered from ``scaled`` only while it is solved,
-    so one pair's copy is held at a time, here and in each worker.
+    so one pair's copy is held at a time, here and in each worker. A
+    degenerate pair is found on those rows and left to the caller, which
+    names the first in pair order whatever bin it fell in.
     """
     machines = []
     for cls_a, cls_b in pairs:
         mask = (labels == cls_a) | (labels == cls_b)
         x_pair = scaled[mask]
+        if (x_pair == x_pair[0]).all():
+            machines.append(None)
+            continue
         y_pair = np.where(labels[mask] == cls_a, 1.0, -1.0)
         alpha, bias, n_iter, converged, violation = _smo_solve(x_pair, y_pair, params)
         sv = alpha > 0.0
@@ -405,30 +411,21 @@ def svm_train(train: SampleSet, params: SvmParams | None = None) -> SvmModel:
     or a class pair consists of identical feature rows with conflicting
     labels. A machine that hits the iteration cap is kept, with a
     warning recorded in the model. The pairs are solved on every CPU the
-    process may use (see the module docstring).
+    process may use (see the module docstring); a pair of identical rows
+    is found as its rows are gathered for the solve, and the first such
+    pair in pair order is the one named, on any CPU count.
     """
     params = params or SvmParams()
-    features = as_matrix(train.features, "train.features")
     classes = np.unique(train.labels)
     if len(classes) < 2:
         raise DegenerateDataError("SVM training needs at least 2 classes")
-    fmin, frange = _fit_scaling(features)
-    scaled = (features - fmin) / frange
-    # The rows of a pair are all one row when both its classes are
-    # constant with the same row.
-    constant = {}
-    for cls in classes.tolist():
-        rows = scaled[train.labels == cls]
-        if np.all(rows == rows[0]):
-            constant[cls] = rows[0]
+    fmin, frange = _fit_scaling(train.features)
+    scaled = (train.features - fmin) / frange
     pairs = list(itertools.combinations(classes.tolist(), 2))
-    for cls_a, cls_b in pairs:
-        if cls_a in constant and cls_b in constant:
-            if np.array_equal(constant[cls_a], constant[cls_b]):
-                raise DegenerateDataError(
-                    f"classes {cls_a} and {cls_b} have identical feature rows"
-                )
     machines = spread(_fit_machines, pairs, scaled, train.labels, params)
+    for (cls_a, cls_b), machine in zip(pairs, machines):
+        if machine is None:
+            raise DegenerateDataError(f"classes {cls_a} and {cls_b} have identical feature rows")
     notes = [
         f"pair ({m.class_pos}, {m.class_neg}): iteration cap {params.max_iter} reached "
         f"(KKT violation {m.kkt_violation:.3e})"
@@ -504,8 +501,7 @@ def grid_search_cv(
     run on every CPU the process may use (see the module docstring).
     """
     check_int(folds, "folds", 2)
-    if params is None:
-        params = SvmParams()
+    params = params or SvmParams()
     c_grid = sorted(set(float(v) for v in c_grid))
     gamma_grid = sorted(set(float(v) for v in gamma_grid))
     if not c_grid or not gamma_grid:
@@ -533,10 +529,10 @@ def grid_search_cv(
     fits = [(c, gamma, fold) for c, gamma in cells for fold in range(folds)]
     accuracies = spread(_fold_accuracies, fits, fold_sets, params)
     table = []
-    best = None
     for k, (c, gamma) in enumerate(cells):
         cv_accuracy = float(np.mean(accuracies[k * folds : (k + 1) * folds]))
         table.append({"c": c, "gamma": gamma, "cv_accuracy": cv_accuracy})
-        if best is None or cv_accuracy > best[0]:
-            best = (cv_accuracy, c, gamma)
-    return best[1], best[2], table
+    # The table is in ascending (C, gamma) order, and max keeps the first
+    # maximum: ties go to the smaller C, then the smaller gamma.
+    best = max(table, key=lambda row: row["cv_accuracy"])
+    return best["c"], best["gamma"], table

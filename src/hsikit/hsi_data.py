@@ -30,11 +30,13 @@ order, then band 1, ...). Class names are non-empty and may not
 contain commas or line breaks, or start or end with whitespace.
 
 Every fact about these bytes lives here: ``DTYPES`` maps header dtypes
-to little-endian numpy types, ``read_raw`` reads a whole payload,
-``cube_bands`` reads a cube's one band at a time, and
+to little-endian numpy types, ``cube_bands`` reads a cube one band at a
+time, ``read_raw`` reads a whole payload, and
 ``save_cube``/``save_ground_truth`` share one writer. Both readers check
-a file's size before they read anything; ``hsikit convert`` reads bsq,
-bil and bip dumps through ``read_raw``.
+a file's size before they read anything. ``load_cube``, ``load_split``
+and ``hsikit inspect`` read cubes through ``cube_bands``;
+``load_ground_truth`` and ``hsikit convert`` (bsq, bil and bip dumps)
+read through ``read_raw``.
 """
 
 import math
@@ -48,7 +50,7 @@ import numpy as np
 
 from .errors import DataFormatError
 from .linalg import as_matrix
-from .records import check_finite, check_int, int_array
+from .records import check_finite, check_int, int_array, real_array
 from .rng import SplitMix64
 
 __all__ = [
@@ -84,7 +86,10 @@ INTERLEAVES = {"bsq": (0, 1, 2), "bil": (1, 0, 2), "bip": (1, 2, 0)}
 
 @dataclass
 class HsiCube:
-    """H x W x B raster held band-sequential as a (B, H, W) float32 array."""
+    """H x W x B raster held band-sequential as a (B, H, W) float32 array.
+
+    Values follow ``records.real_array``'s rule: integers or floats, all
+    finite as float32."""
 
     height: int
     width: int
@@ -93,11 +98,10 @@ class HsiCube:
 
     def __post_init__(self):
         # A transposed view stays a view; the writer walks it band by band.
-        self.values = np.asarray(self.values, dtype=np.float32)
+        self.values = real_array(self.values, np.float32, "cube", order="K")
         expected = (self.bands, self.height, self.width)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
-        check_finite(self.values, "cube")
 
 
 @dataclass
@@ -260,24 +264,15 @@ def _fields(header_path, kind: str, dtype: str, bands: int | None = None) -> dic
     return fields
 
 
-def _load(header_path, kind: str, dtype: str, bands: int | None = None):
-    """The header fields and the (bands, height, width) payload of a
-    container that must hold ``dtype`` and, if given, ``bands`` bands."""
-    fields = _fields(header_path, kind, dtype, bands)
-    values = read_raw(
-        _payload_path(header_path), dtype, fields["height"], fields["width"], fields["bands"]
-    )
-    return fields, values
-
-
 def load_cube(header_path) -> HsiCube:
-    """Load a ``dtype: f32`` scene; raises DataFormatError on a malformed
-    header, a size mismatch, or non-finite values."""
-    fields, values = _load(header_path, "cube", "f32")
-    try:
-        return HsiCube(fields["height"], fields["width"], fields["bands"], values)
-    except ValueError as exc:
-        raise DataFormatError(f"{header_path}: {exc}") from exc
+    """Load a ``dtype: f32`` scene, read into one float32 array through
+    ``cube_bands``; raises DataFormatError on a malformed header, a size
+    mismatch, or non-finite values."""
+    fields, bands = cube_bands(header_path)
+    values = np.empty((fields["bands"], fields["height"], fields["width"]), dtype=np.float32)
+    for b, band in enumerate(bands):
+        values[b] = band
+    return HsiCube(fields["height"], fields["width"], fields["bands"], values)
 
 
 def cube_bands(header_path):
@@ -307,7 +302,8 @@ def cube_bands(header_path):
 
 def load_ground_truth(header_path) -> GroundTruth:
     """Load a ``dtype: u16`` single-band label raster."""
-    fields, values = _load(header_path, "ground truth", "u16", bands=1)
+    fields = _fields(header_path, "ground truth", "u16", bands=1)
+    values = read_raw(_payload_path(header_path), "u16", fields["height"], fields["width"], 1)
     names = []
     if fields.get("class_names"):
         names = [s.strip() for s in fields["class_names"].split(",")]

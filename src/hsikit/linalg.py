@@ -3,9 +3,10 @@ and the randomized range finder / randomized SVD used for fast PCA.
 
 Matrices are plain two-dimensional float64 numpy arrays; every public
 entry point runs them through :func:`as_matrix`, the toolkit's one gate
-for real-valued matrices: it rejects anything that is not a 2-D array
-of integers or floats (bools, strings and complex values among them)
-and any NaN or infinity.
+for real-valued matrices. It applies ``records.real_array``, the rule
+every real-valued array follows (integers or floats only, so no bools,
+strings or complex values, and no NaN or infinity), and rejects
+anything that is not 2-D.
 
 The randomized scheme is the standard Gaussian-sketch prototype:
 multiply by a seeded Gaussian test matrix, orthonormalize, optionally
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .records import check_finite, check_int
+from .records import check_int, real_array
 from .rng import SplitMix64
 
 __all__ = [
@@ -39,22 +40,16 @@ __all__ = [
 def as_matrix(a, name: str = "a", cols: int | None = None) -> np.ndarray:
     """Validate and convert ``a`` to a 2-D float64 C-ordered array.
 
-    Rejects entries that are not integers or floats, non-2-D input and
-    any non-finite entry (``records.check_finite``), each with a
-    ValueError naming ``name``; this is the single gate that upholds
-    the real, all-finite invariant for the whole toolkit. A fitted
-    model passes its width as ``cols``, and any other column count is
-    rejected.
+    Rejects entries that are not integers or floats or not finite
+    (``records.real_array``) and non-2-D input, each with a ValueError
+    naming ``name``. A fitted model passes its width as ``cols``, and
+    any other column count is rejected.
     """
-    out = np.asarray(a)
-    if out.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must hold integers or floats, got dtype {out.dtype}")
-    out = np.ascontiguousarray(out, dtype=np.float64)
+    out = real_array(a, np.float64, name)
     if out.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got ndim={out.ndim}")
     if cols is not None and out.shape[1] != cols:
         raise ValueError(f"{name} has {out.shape[1]} columns but the model was fit on {cols}")
-    check_finite(out, name)
     return out
 
 

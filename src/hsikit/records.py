@@ -8,6 +8,8 @@ the array dtypes and the schema tag are each written once, in the class:
   an integer array comes back through :func:`int_array`;
 - a dataclass field is stored as a dict of its own fields;
 - ``list[...]`` fields nest, ``dict`` fields are copied;
+- a float array comes back through :func:`real_array`, the toolkit's
+  one rule for real-valued arrays;
 - ``int``, ``float``, ``bool`` and ``str`` fields are stored as they
   are and checked by :func:`coerce` on the way back;
 - a class that sets ``SCHEMA`` gets a ``"schema"`` key, checked on decode.
@@ -20,7 +22,7 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-__all__ = ["Record", "coerce", "int_array", "check_int", "check_finite"]
+__all__ = ["Record", "coerce", "int_array", "real_array", "check_int", "check_finite"]
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
@@ -68,6 +70,25 @@ def int_array(values, dtype, name: str) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=dtype)
 
 
+def real_array(values, dtype, name: str, order: str = "C") -> np.ndarray:
+    """``values`` as an array of float ``dtype`` in ``order`` ("C", or
+    "K" to keep a view of values that already hold ``dtype``).
+
+    The one rule for real-valued arrays: entries must be integers or
+    floats, since numpy would turn strings, bools and complex values
+    into floats, and all finite (:func:`check_finite`); each fault
+    raises ValueError naming ``name``. The cast is the only copy made,
+    and a value it overflows to infinity fails the finite check.
+    """
+    out = np.asarray(values)
+    if out.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold integers or floats, got dtype {out.dtype}")
+    with np.errstate(over="ignore"):
+        out = np.asarray(out, dtype=dtype, order=order)
+    check_finite(out, name)
+    return out
+
+
 def check_int(value, name: str, minimum: int | None = None) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is an integer,
     numpy's among them, of at least ``minimum`` when one is given; bools
@@ -104,7 +125,8 @@ def _decode(value, hint, name: str):
     origin = get_origin(hint)
     if origin is Annotated:
         dtype = np.dtype(get_args(hint)[1])
-        return int_array(value, dtype, name) if dtype.kind in "iu" else np.asarray(value, dtype)
+        read = int_array if dtype.kind in "iu" else real_array
+        return read(value, dtype, name)
     if is_dataclass(hint):
         return _fields_from_dict(hint, value)
     if origin is list:

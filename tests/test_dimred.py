@@ -403,6 +403,23 @@ def test_model_dict_round_trip():
     assert back.components.dtype == np.float64
 
 
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("mean", ["0", "1", "2"], "mean must hold integers or floats, got dtype <U1"),
+        ("explained_variance", [1.0, np.nan], "explained_variance contains non-finite values"),
+        ("components", [[True] * 3] * 2, "components must hold integers or floats, got dtype bool"),
+    ],
+    ids=["strings", "nan", "bools"],
+)
+def test_model_dict_rejects_arrays_that_are_not_real_numbers(name, value, message):
+    # numpy would read the strings and the bools as floats.
+    d = fit_pca(random_matrix(10, 3, 63), k=2).to_dict()
+    d[name] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PcaModel.from_dict(d)
+
+
 def test_model_dict_rejects_unknown_schema():
     model = fit_pca(random_matrix(10, 3, 62), k=2)
     d = model.to_dict()

@@ -231,6 +231,15 @@ def test_cube_rejects_each_kind_of_non_finite_value(bad):
         HsiCube(height=2, width=2, bands=3, values=values)
 
 
+def test_cube_rejects_a_value_float32_cannot_hold():
+    # The cast to float32 makes it infinite; the finite check, not an
+    # overflow warning, reports it.
+    values = np.zeros((3, 2, 2))
+    values[2, 1, 0] = -1e300
+    with pytest.raises(ValueError, match="^cube contains non-finite values$"):
+        HsiCube(height=2, width=2, bands=3, values=values)
+
+
 def test_load_cube_holds_the_payload_once(tmp_path):
     # 40 x 50 x 500 f32 is a 4 MB payload; reading, converting and
     # checking it must not hold a second copy (or a per-value mask).

@@ -4,7 +4,7 @@ range finder / SVD pair."""
 import numpy as np
 import pytest
 
-from hsikit.hsi_data import SampleSet
+from hsikit.hsi_data import HsiCube, SampleSet
 from hsikit.linalg import (
     RandomizedSvdParams,
     as_matrix,
@@ -49,6 +49,8 @@ def test_as_matrix_and_sample_set_reject_entries_that_are_not_real_numbers(bad):
         as_matrix(bad)
     with pytest.raises(ValueError, match="features must hold integers or floats, got dtype"):
         SampleSet(bad, [1], [0])
+    with pytest.raises(ValueError, match="cube must hold integers or floats, got dtype"):
+        HsiCube(1, 2, 1, [bad])
 
 
 def test_as_matrix_converts_lists():

@@ -358,7 +358,7 @@ def test_train_single_class_rejected():
         svm_train(sample_set([[0.0], [1.0]], [1, 1]))
 
 
-def test_train_identical_rows_rejected():
+def test_train_identical_rows_rejected(force_cpus):
     train = sample_set([[1.0, 2.0], [1.0, 2.0]], [1, 2])
     with pytest.raises(DegenerateDataError):
         svm_train(train)
@@ -368,6 +368,15 @@ def test_train_identical_rows_rejected():
     train = sample_set(features, [1, 1, 2, 3, 3])
     with pytest.raises(DegenerateDataError, match="^classes 2 and 3 have identical feature rows$"):
         svm_train(train)
+    # Classes 1 and 3 share one row and 2 and 4 another. On 2 CPUs the
+    # pair (2, 4) falls in the first bin and (1, 3) in the second; the
+    # first degenerate pair in pair order is named on any CPU count.
+    features = [[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [1.0, 2.0]]
+    train = sample_set(features, [1, 2, 3, 4, 1, 2])
+    for cpus in (1, 2, 3):
+        force_cpus(cpus)
+        with pytest.raises(DegenerateDataError, match="^classes 1 and 3 have identical"):
+            svm_train(train)
 
 
 def test_train_param_validation():
@@ -557,6 +566,27 @@ def test_model_dict_rejects_invalid_params():
     d = svm_train(train, SvmParams(c=1.0, gamma=1.0)).to_dict()
     d["params"]["max_iter"] = 0
     with pytest.raises(ValueError, match=r"^max_iter must be >= 1, got 0$"):
+        SvmModel.from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("feature_min", ["0.5", "1"], "feature_min must hold integers or floats, got dtype <U3"),
+        ("feature_range", [1.0, np.nan], "feature_range contains non-finite values"),
+        (
+            "feature_range",
+            [True, True],
+            "feature_range must hold integers or floats, got dtype bool",
+        ),
+    ],
+    ids=["strings", "nan", "bools"],
+)
+def test_model_dict_rejects_scaling_that_is_not_real_numbers(name, value, message):
+    # numpy would read the strings and the bools as floats.
+    d = svm_train(two_blob_set(5, 3.0, seed=79)).to_dict()
+    d[name] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
         SvmModel.from_dict(d)
 
 
