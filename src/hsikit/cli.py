@@ -181,8 +181,7 @@ def resolve_config(file_config: dict, overrides: dict) -> dict:
             check_int(k, "reduction.components", 1)
             out["reduction"] = {"method": method, "components": k}
             if method == "rpca":
-                settings = dict(reduction)
-                del settings["method"], settings["components"]
+                settings = {key: v for key, v in reduction.items() if key not in out["reduction"]}
                 # Built, so checked; its fit to the data is checked once that is read.
                 sketch = _params(RandomizedSvdParams, settings, "reduction", k=k, seed=out["seed"])
                 out["reduction"]["oversampling"] = sketch.oversampling
@@ -259,19 +258,17 @@ def run_pipeline(config: dict) -> dict:
         )
 
         begin("reduce")
-        settings = dict(config["reduction"])  # less method and components: rpca's sketch
-        method = settings.pop("method")
-        if method == "none":
+        reduction = config["reduction"]
+        if reduction["method"] == "none":
             pca_model = None
             train_x, test_x = train_set.features, test_set.features
         else:
-            k = settings.pop("components")
-            if method == "pca":
-                pca_model, train_x = fit_transform(train_set.features, k)
-            else:
-                pca_model, train_x = fit_transform(
-                    train_set.features, k, "randomized", seed=config["seed"], **settings
+            fit = reduction["components"]
+            if reduction["method"] == "rpca":
+                fit = RandomizedSvdParams(
+                    fit, reduction["oversampling"], reduction["power_iterations"], config["seed"]
                 )
+            pca_model, train_x = fit_transform(train_set.features, fit)
             test_x = transform(pca_model, test_set.features)
 
         begin("train")

@@ -36,7 +36,7 @@ behavior. Pre-scale the input yourself if you want correlation-matrix
 PCA.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Annotated
 
 import numpy as np
@@ -86,24 +86,22 @@ class PcaModel(Record):
         return self.components.shape[1]
 
 
-def fit_transform(x, k: int, method: str = "exact", **sketch) -> tuple[PcaModel, np.ndarray]:
-    """Fit PCA with ``k`` components on rows of ``x`` (n x B) and project
-    them: returns the model and ``transform(model, x)``, the n x k scores
-    the fit computes anyway, so the rows are projected once.
+def fit_transform(x, fit: int | RandomizedSvdParams) -> tuple[PcaModel, np.ndarray]:
+    """Fit PCA on rows of ``x`` (n x B) and project them: returns the
+    model and ``transform(model, x)``, the n x k scores the fit computes
+    anyway, so the rows are projected once.
 
-    ``method`` "exact" fits as :func:`fit_pca`; "randomized" fits as
-    :func:`fit_rpca`, with its ``oversampling``, ``power_iterations``
-    and ``seed`` keywords as ``sketch``.
+    ``fit`` says what to fit. An integer ``k`` fits exact PCA with k
+    components, as :func:`fit_pca`. A :class:`RandomizedSvdParams` fits
+    randomized PCA with its ``k``, oversampling, power iterations and
+    seed, as :func:`fit_rpca`; the model records all but ``k`` in
+    ``method_params``. Anything else raises ValueError naming ``k``.
     """
+    k, method, method_params = fit, "exact", {}
+    if isinstance(fit, RandomizedSvdParams):
+        method, method_params = "randomized", asdict(fit)
+        k = method_params.pop("k")
     check_int(k, "k")
-    method_params = {}
-    if method == "randomized":
-        params = RandomizedSvdParams(k=k, **sketch)
-        method_params = {
-            key: getattr(params, key) for key in ("seed", "oversampling", "power_iterations")
-        }
-    elif method != "exact" or sketch:
-        raise ValueError(f"method must be 'exact' (no sketch) or 'randomized', got {method!r}")
     x = as_matrix(x, "x")
     n, b = x.shape
     if n < 2:
@@ -111,7 +109,7 @@ def fit_transform(x, k: int, method: str = "exact", **sketch) -> tuple[PcaModel,
     if not 1 <= k <= min(n, b):
         raise ValueError(f"k must satisfy 1 <= k <= min(n, B) = {min(n, b)}, got {k}")
     if method == "randomized":
-        params.validate(n, b)
+        fit.validate(n, b)
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the result
         mean = x.mean(axis=0)
         centered = x - mean
@@ -123,7 +121,7 @@ def fit_transform(x, k: int, method: str = "exact", **sketch) -> tuple[PcaModel,
     # C order, so the fit's scores and transform's product take one BLAS path.
     vt = np.ascontiguousarray(eigenvectors[:, ::-1].T)
     if method == "randomized":
-        svd = randomized_svd(s[:, None] * vt, params)
+        svd = randomized_svd(s[:, None] * vt, fit)
         s, vt = svd.s, svd.vt
     # The scores are transform(model, x)'s bytes: a sign flip is exact.
     scores, components = fix_signs(centered @ vt[:k].T, vt[:k])
@@ -152,14 +150,13 @@ def fit_rpca(
     k: int,
     oversampling: int = RandomizedSvdParams.oversampling,
     power_iterations: int = RandomizedSvdParams.power_iterations,
-    seed: int = 0,
+    seed: int = RandomizedSvdParams.seed,
 ) -> PcaModel:
-    """Fit PCA like :func:`fit_pca` but factor with the randomized SVD;
-    the sketch settings are recorded in the model. The sketch's
-    ``k + oversampling`` columns must not exceed min(pixels, bands)."""
-    return fit_transform(
-        x, k, "randomized", oversampling=oversampling, power_iterations=power_iterations, seed=seed
-    )[0]
+    """Fit PCA like :func:`fit_pca` but factor with the randomized SVD
+    of one ``RandomizedSvdParams``, whose defaults these are; the model
+    records its sketch settings. The sketch's ``k + oversampling``
+    columns must not exceed min(pixels, bands)."""
+    return fit_transform(x, RandomizedSvdParams(k, oversampling, power_iterations, seed))[0]
 
 
 def transform(model: PcaModel, x) -> np.ndarray:

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import DataFormatError
 from .linalg import as_matrix
-from .records import check_finite, check_int, int_array, real_array
+from .records import check_int, int_array, real_array
 from .rng import SplitMix64
 
 __all__ = [
@@ -281,8 +281,9 @@ def cube_bands(header_path):
 
     Each band comes as a (height, width) float32 array. The iterator
     checks the payload's size before it reads the first band, and each
-    band for non-finite values as it reads it. Every failure, of the
-    header or of the payload, raises DataFormatError naming the file.
+    band for non-finite values, through ``records.real_array``, as it
+    reads it. Every failure, of the header or of the payload, raises
+    DataFormatError naming the file.
     """
     fields = _fields(header_path, "cube", "f32")
     height, width, bands = fields["height"], fields["width"], fields["bands"]
@@ -292,7 +293,7 @@ def cube_bands(header_path):
             for _ in range(bands):
                 band = np.fromfile(fh, dtype=DTYPES["f32"], count=height * width)
                 try:
-                    check_finite(band, "cube")
+                    real_array(band, np.float32, "cube")
                 except ValueError as exc:
                     raise DataFormatError(f"{header_path}: {exc}") from exc
                 yield band.reshape(height, width)

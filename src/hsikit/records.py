@@ -7,11 +7,13 @@ the array dtypes and the schema tag are each written once, in the class:
   ``Annotated[np.ndarray, np.int32]``, and is stored as nested lists;
   an integer array comes back through :func:`int_array`;
 - a dataclass field is stored as a dict of its own fields;
-- ``list[...]`` fields nest, ``dict`` fields are copied;
+- ``list[...]`` fields nest, ``dict`` fields are copied, their values
+  encoded like fields;
 - a float array comes back through :func:`real_array`, the toolkit's
-  one rule for real-valued arrays;
-- ``int``, ``float``, ``bool`` and ``str`` fields are stored as they
-  are and checked by :func:`coerce` on the way back;
+  one rule for real-valued arrays, which also holds their finite check;
+- ``int``, ``float``, ``bool`` and ``str`` fields are stored as Python
+  values, a numpy scalar as its ``.item()``, and checked by
+  :func:`coerce` on the way back;
 - a class that sets ``SCHEMA`` gets a ``"schema"`` key, checked on decode.
 """
 
@@ -22,7 +24,7 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-__all__ = ["Record", "coerce", "int_array", "real_array", "check_int", "check_finite"]
+__all__ = ["Record", "coerce", "int_array", "real_array", "check_int"]
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
@@ -74,18 +76,25 @@ def real_array(values, dtype, name: str, order: str = "C") -> np.ndarray:
     """``values`` as an array of float ``dtype`` in ``order`` ("C", or
     "K" to keep a view of values that already hold ``dtype``).
 
-    The one rule for real-valued arrays: entries must be integers or
-    floats, since numpy would turn strings, bools and complex values
-    into floats, and all finite (:func:`check_finite`); each fault
-    raises ValueError naming ``name``. The cast is the only copy made,
-    and a value it overflows to infinity fails the finite check.
+    The one rule for real-valued arrays, the finite check included:
+    entries must be integers or floats, since numpy would turn strings,
+    bools and complex values into floats, and all finite; each fault
+    raises ValueError naming ``name``. An ndarray's dtype decides; any
+    other input is also looked at entry by entry, as numpy reads
+    ``[True, 0.5]`` as float64. The cast is the only copy made, and a
+    value it overflows to infinity fails the finite check.
     """
     out = np.asarray(values)
-    if out.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must hold integers or floats, got dtype {out.dtype}")
+    entries = () if isinstance(values, np.ndarray) else np.asarray(values, dtype=object).flat
+    found = np.dtype(bool) if {bool, np.bool_} & set(map(type, entries)) else out.dtype
+    if found.kind not in "iuf":
+        raise ValueError(f"{name} must hold integers or floats, got dtype {found}")
     with np.errstate(over="ignore"):
         out = np.asarray(out, dtype=dtype, order=order)
-    check_finite(out, name)
+    # min and max carry any NaN or infinity without a per-value mask,
+    # so the check allocates nothing beside the values.
+    if out.size and not np.isfinite([out.min(), out.max()]).all():
+        raise ValueError(f"{name} contains non-finite values")
     return out
 
 
@@ -100,24 +109,17 @@ def check_int(value, name: str, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
-def check_finite(values: np.ndarray, name: str) -> None:
-    """Raise ValueError naming ``name`` if the float array ``values``
-    holds a NaN or an infinity."""
-    # min and max carry any NaN or infinity without a per-value mask,
-    # so the check allocates nothing beside the values.
-    if values.size and not np.isfinite([values.min(), values.max()]).all():
-        raise ValueError(f"{name} contains non-finite values")
-
-
 def _encode(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
+    if isinstance(value, np.generic):  # a numpy scalar, as settings accept
+        return value.item()
     if is_dataclass(value):
         return _fields_to_dict(value)
     if isinstance(value, list):
         return [_encode(item) for item in value]
     if isinstance(value, dict):
-        return dict(value)
+        return {key: _encode(item) for key, item in value.items()}
     return value
 
 

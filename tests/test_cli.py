@@ -180,6 +180,8 @@ def test_resolve_config_empty_grid_object_is_the_default_grid():
         {"classifier": {"kind": "svm", "grid": ""}},
         # The run seed is the only seed.
         {"classifier": {"kind": "gbdt", "params": {"seed": 1}}},
+        # An integer too large for a float is not a finite number.
+        {"train_fraction": 10**400},
     ],
 )
 def test_resolve_config_rejects(mutation):

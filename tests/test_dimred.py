@@ -241,8 +241,8 @@ def test_fit_transform_projects_the_fit_rows_once(method, k):
     # The fit's own scores, sign-corrected, are transform's bytes, so the
     # run need not project its training rows a second time.
     x = decaying_matrix(700, 40, 30, 0.8, seed=12) + 3.0
-    sketch = {"seed": 4, "oversampling": 6} if method == "randomized" else {}
-    model, scores = fit_transform(x, k, method, **sketch)
+    fit = RandomizedSvdParams(k, oversampling=6, seed=4) if method == "randomized" else k
+    model, scores = fit_transform(x, fit)
     assert scores.shape == (700, k)
     assert scores.tobytes() == transform(model, x).tobytes()
     if method == "exact":
@@ -268,11 +268,11 @@ def test_exact_fits_factor_once(monkeypatch):
 
 
 def test_fit_transform_rejects_an_unknown_method():
+    # What to fit is an integer k or a RandomizedSvdParams, nothing else.
     x = random_matrix(20, 5, seed=1)
-    with pytest.raises(ValueError, match="method"):
-        fit_transform(x, 2, "sparse")
-    with pytest.raises(ValueError, match="method"):
-        fit_transform(x, 2, "exact", seed=3)
+    for fit in ("randomized", 2.0, True):
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            fit_transform(x, fit)
 
 
 def test_transform_mean_row_maps_to_origin():

@@ -4,6 +4,7 @@ range finder / SVD pair."""
 import numpy as np
 import pytest
 
+from hsikit.errors import ConvergenceError
 from hsikit.hsi_data import HsiCube, SampleSet
 from hsikit.linalg import (
     RandomizedSvdParams,
@@ -42,9 +43,12 @@ def test_as_matrix_rejects_non_finite():
         as_matrix([[np.inf, 0.0]])
 
 
-@pytest.mark.parametrize("bad", [[["1.5", "2"]], [[True, False]], [[1.0 + 2.0j, 0.0]]])
+@pytest.mark.parametrize(
+    "bad", [[["1.5", "2"]], [[True, False]], [[1.0 + 2.0j, 0.0]], [[True, 0.5]]]
+)
 def test_as_matrix_and_sample_set_reject_entries_that_are_not_real_numbers(bad):
-    # numpy would cast strings, bools and complex values to floats.
+    # numpy would cast strings, bools and complex values to floats, and
+    # reads a list that mixes bools and floats as float64.
     with pytest.raises(ValueError, match="a must hold integers or floats, got dtype"):
         as_matrix(bad)
     with pytest.raises(ValueError, match="features must hold integers or floats, got dtype"):
@@ -164,6 +168,15 @@ def test_exact_svd_k_validation():
         exact_svd(a, k=0)
     with pytest.raises(ValueError):
         exact_svd(a, k=5)
+
+
+def test_exact_svd_reports_a_backend_failure_as_convergence_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(ConvergenceError, match="^SVD did not converge: SVD did not converge$"):
+        exact_svd(np.eye(4), k=2)
 
 
 def test_exact_svd_reconstruction_full_rank():
