@@ -371,21 +371,24 @@ def _fit_scaling(features: np.ndarray):
 
 
 def _fit_machines(pairs: list, scaled: np.ndarray, labels: np.ndarray, params) -> list:
-    """The trained machine of each (class_pos, class_neg) pair, or None
-    for a pair whose rows are all one row.
+    """The trained machine of each (class_pos, class_neg) pair, in order,
+    up to the first pair whose rows are all one row; that pair and the
+    rest of ``pairs`` come back as None, unsolved.
 
     A pair's rows are gathered from ``scaled`` only while it is solved,
     so one pair's copy is held at a time, here and in each worker. A
     degenerate pair is found on those rows and left to the caller, which
-    names the first in pair order whatever bin it fell in.
+    names the first None in pair order: each bin holds its pairs in pair
+    order, so a None that pads a bin follows a degenerate pair of that
+    bin, and the first None is the first degenerate pair, whatever bin
+    it fell in.
     """
     machines = []
     for cls_a, cls_b in pairs:
         mask = (labels == cls_a) | (labels == cls_b)
         x_pair = scaled[mask]
         if (x_pair == x_pair[0]).all():
-            machines.append(None)
-            continue
+            return machines + [None] * (len(pairs) - len(machines))
         y_pair = np.where(labels[mask] == cls_a, 1.0, -1.0)
         alpha, bias, n_iter, converged, violation = _smo_solve(x_pair, y_pair, params)
         sv = alpha > 0.0
@@ -412,8 +415,9 @@ def svm_train(train: SampleSet, params: SvmParams | None = None) -> SvmModel:
     labels. A machine that hits the iteration cap is kept, with a
     warning recorded in the model. The pairs are solved on every CPU the
     process may use (see the module docstring); a pair of identical rows
-    is found as its rows are gathered for the solve, and the first such
-    pair in pair order is the one named, on any CPU count.
+    is found as its rows are gathered for the solve, its bin stops there,
+    and the first such pair in pair order is the one named, on any CPU
+    count.
     """
     params = params or SvmParams()
     classes = np.unique(train.labels)

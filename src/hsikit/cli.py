@@ -13,10 +13,13 @@ and writes six fixed-name artifacts into its output directory:
 Everything except timings.json is a pure function of (config, seed)
 for a fixed numpy/BLAS build and BLAS thread count, so two identical
 runs produce byte-identical artifacts; timings.json is the documented
-canonicalization cut. The six files are written to temporary names
-only after the whole pipeline has succeeded, and renamed into place only
-once all six are written and no target is a directory, so neither a
-failed stage nor a failed write leaves a mix of old and new artifacts.
+canonicalization cut. A run reads the cube band by band into its train
+and test samples and, when it reduces them, holds only their
+projections from the reduce stage on. The six files are written to
+temporary names only after the whole pipeline has succeeded, and
+renamed into place only once all six are written and no target is a
+directory, so neither a failed stage nor a failed write leaves a mix of
+old and new artifacts.
 
 Exit codes: 0 success, 1 usage (bad flags or config), 2 data error
 (unreadable or malformed inputs, degenerate datasets, mismatched
@@ -74,7 +77,7 @@ from .hsi_data import (
     save_ground_truth,
 )
 from .linalg import RandomizedSvdParams
-from .records import check_int, coerce
+from .records import check_int, coerce, int_array
 
 # Unused here: hsibench/pipeline.py wraps them by name until ROADMAP item 1, step 3.
 from .dimred import fit_pca, fit_rpca  # noqa: F401
@@ -102,6 +105,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 # --- configuration -----------------------------------------------------
+
+# The settings class of each classifier kind.
+_CLASSIFIER_PARAMS = {"svm": SvmParams, "gbdt": GbdtParams}
+
 
 def _check_keys(raw, name: str, allowed) -> None:
     """Raise UsageError unless ``raw`` is an object whose keys are all in
@@ -194,11 +201,12 @@ def resolve_config(file_config: dict, overrides: dict) -> dict:
         if not isinstance(classifier, dict) or "kind" not in classifier:
             raise UsageError("config field 'classifier' must be an object with a 'kind'")
         kind = classifier["kind"]
-        if kind not in ("svm", "gbdt"):
+        # Tested as a string first: a kind such as [] cannot be hashed.
+        if not isinstance(kind, str) or kind not in _CLASSIFIER_PARAMS:
             raise UsageError(f"unknown classifier kind {kind!r} (expected svm, gbdt)")
         allowed = ("kind", "params", "grid") if kind == "svm" else ("kind", "params")
         _check_keys(classifier, "classifier", allowed)
-        params_cls = SvmParams if kind == "svm" else GbdtParams
+        params_cls = _CLASSIFIER_PARAMS[kind]
         params = _params(params_cls, classifier.get("params", {}), "classifier.params")
         out["classifier"] = {"kind": kind, "params": asdict(params)}
         if kind == "svm":
@@ -242,8 +250,10 @@ def run_pipeline(config: dict) -> dict:
     Raises StageError around any failing stage; artifacts are only
     written once every stage has succeeded. The cube is never held
     whole: the load stage splits the ground truth's labels, then reads
-    the cube band by band into the train and test sets, so a run holds
-    its labeled samples plus one band.
+    the cube band by band into the train and test sets, so loading holds
+    the labeled samples plus one band. A reduction replaces both sets
+    with their projections, so the full-band samples are freed before
+    training starts and the later stages hold only the reduced ones.
     """
     out_dir = Path(config["output"])
     starts = [("load", time.perf_counter())]  # (stage, start time) in run order
@@ -258,28 +268,27 @@ def run_pipeline(config: dict) -> dict:
         )
 
         begin("reduce")
+        bands = train_set.features.shape[1]
         reduction = config["reduction"]
-        if reduction["method"] == "none":
-            pca_model = None
-            train_x, test_x = train_set.features, test_set.features
-        else:
+        pca_model = None
+        if reduction["method"] != "none":
             fit = reduction["components"]
             if reduction["method"] == "rpca":
                 fit = RandomizedSvdParams(
                     fit, reduction["oversampling"], reduction["power_iterations"], config["seed"]
                 )
-            pca_model, train_x = fit_transform(train_set.features, fit)
-            test_x = transform(pca_model, test_set.features)
+            pca_model, scores = fit_transform(train_set.features, fit)
+            train_set = replace(train_set, features=scores)
+            test_set = replace(test_set, features=transform(pca_model, test_set.features))
 
         begin("train")
         clf = config["classifier"]
         grid_record = None
-        reduced_train = replace(train_set, features=train_x)
+        params = _CLASSIFIER_PARAMS[clf["kind"]](**clf["params"])
         if clf["kind"] == "svm":
-            params = SvmParams(**clf["params"])
             if clf["grid"]:
                 best_c, best_gamma, table = grid_search_cv(
-                    reduced_train,
+                    train_set,
                     c_grid=clf["grid"]["c"],
                     gamma_grid=clf["grid"]["gamma"],
                     folds=clf["grid"]["folds"],
@@ -288,15 +297,14 @@ def run_pipeline(config: dict) -> dict:
                 )
                 params = replace(params, c=best_c, gamma=best_gamma)
                 grid_record = {"best": {"c": best_c, "gamma": best_gamma}, "table": table}
-            model = svm_train(reduced_train, params)
+            model = svm_train(train_set, params)
             predictor = svm_predict
         else:
-            params = GbdtParams(**clf["params"])
-            model = gbdt_train(reduced_train, params, seed=config["seed"])
+            model = gbdt_train(train_set, params, seed=config["seed"])
             predictor = gbdt_predict
 
         begin("predict")
-        predicted = predictor(model, test_x)
+        predicted = predictor(model, test_set.features)
 
         begin("evaluate")
         report = evaluate(predicted, test_set.labels, gt.num_classes)
@@ -316,7 +324,7 @@ def run_pipeline(config: dict) -> dict:
     }
     predictions_doc = {
         "schema": "hsikit/predictions/1",
-        "dataset": {"height": gt.height, "width": gt.width, "bands": train_set.features.shape[1]},
+        "dataset": {"height": gt.height, "width": gt.width, "bands": bands},
         "seed": config["seed"],
         "train_fraction": config["train_fraction"],
         "method": label,
@@ -334,22 +342,14 @@ def run_pipeline(config: dict) -> dict:
     # place, so a failed write leaves the previous run's artifacts as they
     # were. Files are renamed one by one, not swapped in as a directory,
     # because the output directory may hold files that are not the run's.
-    staged = []  # temporary paths, each listed before it is opened
-
-    def staged_path(name):
-        staged.append(out_dir / f"{name}.tmp")
-        return staged[-1]
-
+    names = ("config.json", "report.json", "predictions.json", "model.json", "map.ppm",
+             "timings.json")
+    *doc_paths, map_path, timings_path = staged = [out_dir / f"{name}.tmp" for name in names]
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        for name, doc in (
-            ("config.json", config),
-            ("report.json", report_doc),
-            ("predictions.json", predictions_doc),
-            ("model.json", model_doc),
-        ):
-            staged_path(name).write_bytes(_canonical_json(doc))
-        write_ppm(image, staged_path("map.ppm"))
+        for path, doc in zip(doc_paths, (config, report_doc, predictions_doc, model_doc)):
+            path.write_bytes(_canonical_json(doc))
+        write_ppm(image, map_path)
         # Each stage runs until the next begins; the last until now. total_ms
         # is the wall clock from entry, up to the writes it cannot time: its
         # own file and the renames.
@@ -358,7 +358,7 @@ def run_pipeline(config: dict) -> dict:
         for (stage, start), (_, end) in zip(starts, starts[1:]):
             timings_doc[f"{stage}_ms"] = round((end - start) * 1000.0, 3)
         timings_doc["total_ms"] = round((starts[-1][1] - starts[0][1]) * 1000.0, 3)
-        staged_path("timings.json").write_bytes(_canonical_json(timings_doc))
+        timings_path.write_bytes(_canonical_json(timings_doc))
         # A directory in a target's place would fail its rename after the
         # ones before it had succeeded.
         for tmp in staged:
@@ -442,7 +442,8 @@ def _compared_run(run_dir) -> dict:
     """The predictions.json fields compare reads, and the report's
     overall accuracy as ``accuracy``; the method must be a string and
     the accuracy a finite number, as compare prints both, and truth,
-    predicted and pixel_indices must be of one length."""
+    predicted and pixel_indices must be lists of one length. The labels
+    are read once, into int64 arrays."""
     base = Path(run_dir)
     path = base / "predictions.json"
     try:
@@ -454,10 +455,10 @@ def _compared_run(run_dir) -> dict:
         }
         run["method"] = coerce(predictions["method"], str, "method")
         for key in ("truth", "predicted"):
-            run[key] = [coerce(label, int, key) for label in run[key]]
-        lengths = [len(run[key]) for key in ("truth", "predicted", "pixel_indices")]
-        if len(set(lengths)) > 1:
-            raise ValueError(f"truth, predicted and pixel_indices lengths differ: {lengths}")
+            run[key] = int_array(run[key], np.int64, key)
+        shapes = [np.shape(run[key]) for key in ("truth", "predicted", "pixel_indices")]
+        if len(set(shapes)) > 1 or len(shapes[0]) != 1:
+            raise ValueError(f"truth, predicted, pixel_indices must share one 1-D shape: {shapes}")
         path = base / "report.json"
         accuracy = _load_json(path)["evaluation"]["overall_accuracy"]
         run["accuracy"] = coerce(accuracy, float, "evaluation.overall_accuracy")
@@ -474,7 +475,9 @@ def _cmd_compare(args) -> int:
                 f"runs are not comparable: {field} differs "
                 f"({run_a[field]!r} vs {run_b[field]!r})"
             )
-    if run_a["pixel_indices"] != run_b["pixel_indices"] or run_a["truth"] != run_b["truth"]:
+    if run_a["pixel_indices"] != run_b["pixel_indices"] or not np.array_equal(
+        run_a["truth"], run_b["truth"]
+    ):
         raise DataFormatError("runs are not comparable: test splits differ")
     result = mcnemar(run_a["predicted"], run_b["predicted"], run_a["truth"])
     row = {

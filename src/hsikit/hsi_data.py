@@ -33,8 +33,8 @@ Every fact about these bytes lives here: ``DTYPES`` maps header dtypes
 to little-endian numpy types, ``cube_bands`` reads a cube one band at a
 time, ``read_raw`` reads a whole payload, and
 ``save_cube``/``save_ground_truth`` share one writer. Both readers check
-a file's size before they read anything. ``load_cube``, ``load_split``
-and ``hsikit inspect`` read cubes through ``cube_bands``;
+a file's size before they read anything. ``load_split`` and ``hsikit
+inspect`` read cubes through ``cube_bands``; ``load_cube``,
 ``load_ground_truth`` and ``hsikit convert`` (bsq, bil and bip dumps)
 read through ``read_raw``.
 """
@@ -266,13 +266,15 @@ def _fields(header_path, kind: str, dtype: str, bands: int | None = None) -> dic
 
 def load_cube(header_path) -> HsiCube:
     """Load a ``dtype: f32`` scene, read into one float32 array through
-    ``cube_bands``; raises DataFormatError on a malformed header, a size
-    mismatch, or non-finite values."""
-    fields, bands = cube_bands(header_path)
-    values = np.empty((fields["bands"], fields["height"], fields["width"]), dtype=np.float32)
-    for b, band in enumerate(bands):
-        values[b] = band
-    return HsiCube(fields["height"], fields["width"], fields["bands"], values)
+    ``read_raw`` and checked once, by ``HsiCube``; raises DataFormatError
+    on a malformed header, a size mismatch, or non-finite values."""
+    fields = _fields(header_path, "cube", "f32")
+    shape = fields["height"], fields["width"], fields["bands"]
+    values = read_raw(_payload_path(header_path), "f32", *shape)
+    try:
+        return HsiCube(*shape, values)
+    except ValueError as exc:
+        raise DataFormatError(f"{header_path}: {exc}") from exc
 
 
 def cube_bands(header_path):

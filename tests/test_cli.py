@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +362,28 @@ def test_run_with_pca_and_gbdt(scene, tmp_path):
     assert model["reduction"]["schema"] == "hsikit/pca-model/1"
     assert model["classifier"]["model"]["schema"] == "hsikit/gbdt-model/1"
     assert model["reduction"]["method"] == "exact"
+
+
+def test_run_frees_the_full_band_samples_before_training(scene, tmp_path, monkeypatch):
+    # A reduced run trains and predicts on the projections alone, so the
+    # float64 band matrices load_split returned are gone before training.
+    real_load_split, real_svm_train = hsikit.cli.load_split, hsikit.cli.svm_train
+    loaded, alive = [], []
+
+    def recording_load_split(*args, **kwargs):
+        sets = real_load_split(*args, **kwargs)
+        loaded.extend(weakref.ref(s.features) for s in sets)
+        return sets
+
+    def checking_svm_train(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in loaded))
+        return real_svm_train(*args, **kwargs)
+
+    monkeypatch.setattr("hsikit.cli.load_split", recording_load_split)
+    monkeypatch.setattr("hsikit.cli.svm_train", checking_svm_train)
+    make_run(scene, tmp_path / "out", ["--reduction", "pca", "--components", "3"])
+    assert len(loaded) == 2
+    assert alive == [0]
 
 
 def test_run_with_rpca_records_sketch(scene, tmp_path):
@@ -861,6 +884,7 @@ def test_compare_missing_run_dir(tmp_path, capsys):
         ("predictions.json", lambda doc: doc["predicted"].__setitem__(0, 1.5)),
         ("predictions.json", lambda doc: doc["predicted"].__setitem__(0, "1")),
         ("predictions.json", lambda doc: doc["predicted"].pop()),
+        ("predictions.json", lambda doc: doc.update(truth=[[t] for t in doc["truth"]])),
         ("predictions.json", lambda doc: doc["pixel_indices"].pop()),
     ],
 )

@@ -379,6 +379,24 @@ def test_train_identical_rows_rejected(force_cpus):
             svm_train(train)
 
 
+def test_train_stops_a_bin_at_its_first_degenerate_pair(force_cpus, monkeypatch):
+    # Classes 1 and 3 share one row. On one CPU the pairs run in order,
+    # (1, 2), (1, 3), (1, 4), ...: only (1, 2) is solved before the error.
+    features = [[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [3.0, 1.0], [0.5, 0.5], [2.0, 2.0]]
+    train = sample_set(features, [1, 2, 3, 4, 2, 4])
+    force_cpus(1)
+    solved = []
+
+    def counting(x, y, params):
+        solved.append(len(y))
+        return _smo_solve(x, y, params)
+
+    monkeypatch.setattr(svm, "_smo_solve", counting)
+    with pytest.raises(DegenerateDataError, match="^classes 1 and 3 have identical"):
+        svm_train(train)
+    assert solved == [3]
+
+
 def test_train_param_validation():
     # Settings are checked when built, so svm_train never sees a bad one;
     # replace builds a new object, so each grid cell is checked too.
