@@ -5,9 +5,10 @@ binary machine whose dual is solved by SMO with first-order maximal
 violating pair selection, the smaller class id playing the +1 role.
 Features are rescaled to [0, 1] per dimension from the training
 min/max (the RBF width is scale sensitive); the scaling is recorded in
-the model and reapplied at prediction time. ``SvmParams`` checks its
-fields when it is built, so every object that exists is valid; a grid
-cell's settings are checked as ``replace`` builds them.
+the model and reapplied at prediction time. ``SvmParams`` and
+``SvmGrid`` check their fields when they are built, so every object that
+exists is valid; a grid's entries are checked by ``SvmParams``'s rule
+when the grid is built, so every cell of a valid grid is valid.
 
 Kernel columns are computed on demand, as SMO steps ask for them, and
 kept in a least-recently-used cache (``functools.lru_cache``) of as many
@@ -71,26 +72,18 @@ import numpy as np
 from ..errors import DegenerateDataError
 from ..hsi_data import SampleSet, stratified_folds
 from ..linalg import as_matrix
-from ..records import Record, check_int
+from ..records import Record, check_int, coerce
 from ._pool import spread
 
 __all__ = [
     "SvmParams",
+    "SvmGrid",
     "SvmModel",
     "BinarySvm",
-    "rbf_kernel",
     "svm_train",
     "svm_predict",
     "grid_search_cv",
-    "DEFAULT_C_GRID",
-    "DEFAULT_GAMMA_GRID",
-    "DEFAULT_FOLDS",
 ]
-
-# Grid centered on the defaults C=600, gamma=0.5.
-DEFAULT_C_GRID = (1.0, 10.0, 100.0, 600.0, 1000.0)
-DEFAULT_GAMMA_GRID = (0.01, 0.1, 0.5, 1.0, 2.0)
-DEFAULT_FOLDS = 5
 
 # Memory for cached kernel columns per SMO solve: what a 4096-row Gram
 # matrix of float64 takes.
@@ -123,6 +116,31 @@ class SvmParams:
             if not value > 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
         check_int(self.max_iter, "max_iter", 1)
+
+
+@dataclass(frozen=True)
+class SvmGrid:
+    """Grid search settings: the ``c`` and ``gamma`` values to try and the
+    number of cross-validation ``folds``. The default grid is centered on
+    ``SvmParams``'s C=600, gamma=0.5. ``c`` and ``gamma`` are non-empty
+    lists whose entries are stored as floats, each passing ``SvmParams``'s
+    rule; ``folds`` is an integer >= 2. Building one with a bad field
+    raises ValueError naming it."""
+
+    c: list[float] = field(default_factory=lambda: [1.0, 10.0, 100.0, 600.0, 1000.0])
+    gamma: list[float] = field(default_factory=lambda: [0.01, 0.1, 0.5, 1.0, 2.0])
+    folds: int = 5
+
+    def __post_init__(self):
+        for name in ("c", "gamma"):
+            values = getattr(self, name)
+            if not isinstance(values, list) or not values:
+                raise ValueError(f"{name} must be a non-empty list, got {values!r}")
+            values = [coerce(v, float, name) for v in values]
+            for value in values:
+                SvmParams(**{name: value})
+            object.__setattr__(self, name, values)
+        check_int(self.folds, "folds", 2)
 
 
 @dataclass
@@ -185,18 +203,6 @@ class SvmModel(Record):
     @property
     def n_features(self) -> int:
         return self.feature_min.shape[0]
-
-
-def rbf_kernel(x, y, gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2) for two equal-length vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"rbf_kernel needs equal-length vectors, got {x.shape} and {y.shape}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    d = x - y
-    return float(np.exp(-gamma * (d @ d)))
 
 
 def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
@@ -371,24 +377,15 @@ def _fit_scaling(features: np.ndarray):
 
 
 def _fit_machines(pairs: list, scaled: np.ndarray, labels: np.ndarray, params) -> list:
-    """The trained machine of each (class_pos, class_neg) pair, in order,
-    up to the first pair whose rows are all one row; that pair and the
-    rest of ``pairs`` come back as None, unsolved.
+    """The trained machine of each (class_pos, class_neg) pair, in order.
 
     A pair's rows are gathered from ``scaled`` only while it is solved,
-    so one pair's copy is held at a time, here and in each worker. A
-    degenerate pair is found on those rows and left to the caller, which
-    names the first None in pair order: each bin holds its pairs in pair
-    order, so a None that pads a bin follows a degenerate pair of that
-    bin, and the first None is the first degenerate pair, whatever bin
-    it fell in.
+    so one pair's copy is held at a time, here and in each worker.
     """
     machines = []
     for cls_a, cls_b in pairs:
         mask = (labels == cls_a) | (labels == cls_b)
         x_pair = scaled[mask]
-        if (x_pair == x_pair[0]).all():
-            return machines + [None] * (len(pairs) - len(machines))
         y_pair = np.where(labels[mask] == cls_a, 1.0, -1.0)
         alpha, bias, n_iter, converged, violation = _smo_solve(x_pair, y_pair, params)
         sv = alpha > 0.0
@@ -412,12 +409,10 @@ def svm_train(train: SampleSet, params: SvmParams | None = None) -> SvmModel:
 
     Raises DegenerateDataError when fewer than two classes are present
     or a class pair consists of identical feature rows with conflicting
-    labels. A machine that hits the iteration cap is kept, with a
+    labels; the first such pair in pair order is named before any pair
+    is solved. A machine that hits the iteration cap is kept, with a
     warning recorded in the model. The pairs are solved on every CPU the
-    process may use (see the module docstring); a pair of identical rows
-    is found as its rows are gathered for the solve, its bin stops there,
-    and the first such pair in pair order is the one named, on any CPU
-    count.
+    process may use (see the module docstring).
     """
     params = params or SvmParams()
     classes = np.unique(train.labels)
@@ -426,10 +421,17 @@ def svm_train(train: SampleSet, params: SvmParams | None = None) -> SvmModel:
     fmin, frange = _fit_scaling(train.features)
     scaled = (train.features - fmin) / frange
     pairs = list(itertools.combinations(classes.tolist(), 2))
-    machines = spread(_fit_machines, pairs, scaled, train.labels, params)
-    for (cls_a, cls_b), machine in zip(pairs, machines):
-        if machine is None:
+    # A pair's rows are all one row iff each of its classes is one row and
+    # the two rows are equal.
+    one_row = {}
+    for cls in classes.tolist():
+        rows = scaled[train.labels == cls]
+        if (rows == rows[0]).all():
+            one_row[cls] = rows[0]
+    for cls_a, cls_b in pairs:
+        if cls_a in one_row and cls_b in one_row and (one_row[cls_a] == one_row[cls_b]).all():
             raise DegenerateDataError(f"classes {cls_a} and {cls_b} have identical feature rows")
+    machines = spread(_fit_machines, pairs, scaled, train.labels, params)
     notes = [
         f"pair ({m.class_pos}, {m.class_neg}): iteration cap {params.max_iter} reached "
         f"(KKT violation {m.kkt_violation:.3e})"
@@ -485,16 +487,17 @@ def _fold_accuracies(fits: list, fold_sets: list, params: SvmParams) -> list:
 
 def grid_search_cv(
     train: SampleSet,
-    c_grid=DEFAULT_C_GRID,
-    gamma_grid=DEFAULT_GAMMA_GRID,
-    folds: int = DEFAULT_FOLDS,
+    grid: SvmGrid | None = None,
     seed: int = 0,
     params: SvmParams | None = None,
 ):
-    """Stratified k-fold grid search over (C, gamma).
+    """Stratified k-fold grid search over the (C, gamma) cells of ``grid``
+    (default ``SvmGrid()``), its ``folds`` folds drawn with ``seed``.
 
     Each cell trains with ``params`` (default ``SvmParams()``) with its
-    own C and gamma put in.
+    own C and gamma put in. The cells are the sorted, distinct values of
+    ``grid.c`` and ``grid.gamma``, so their order in the grid does not
+    matter.
 
     Returns (best_c, best_gamma, table) where table rows are
     ``{"c", "gamma", "cv_accuracy"}`` in ascending (C, gamma) order.
@@ -504,12 +507,9 @@ def grid_search_cv(
     sees every class; below 2 usable folds this is an error. The fits
     run on every CPU the process may use (see the module docstring).
     """
-    check_int(folds, "folds", 2)
+    grid = grid or SvmGrid()
     params = params or SvmParams()
-    c_grid = sorted(set(float(v) for v in c_grid))
-    gamma_grid = sorted(set(float(v) for v in gamma_grid))
-    if not c_grid or not gamma_grid:
-        raise ValueError("c_grid and gamma_grid must be non-empty")
+    folds = grid.folds
     classes, counts = np.unique(train.labels, return_counts=True)
     if len(classes) < 2:
         raise DegenerateDataError("grid search needs at least 2 classes")
@@ -529,7 +529,7 @@ def grid_search_cv(
         in_fold = np.ones(len(train), dtype=bool)
         in_fold[held_out] = False
         fold_sets.append((train.take(in_fold), train.take(held_out)))
-    cells = list(itertools.product(c_grid, gamma_grid))
+    cells = list(itertools.product(sorted(set(grid.c)), sorted(set(grid.gamma))))
     fits = [(c, gamma, fold) for c, gamma in cells for fold in range(folds)]
     accuracies = spread(_fold_accuracies, fits, fold_sets, params)
     table = []

@@ -35,7 +35,6 @@ any level, is a usage error that names the config field.
 """
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -48,10 +47,8 @@ import numpy as np
 
 from . import __version__
 from .classify import (
-    DEFAULT_C_GRID,
-    DEFAULT_FOLDS,
-    DEFAULT_GAMMA_GRID,
     GbdtParams,
+    SvmGrid,
     SvmParams,
     gbdt_predict,
     gbdt_train,
@@ -128,24 +125,17 @@ def _params(cls, raw, name: str, **fixed):
     return cls(**fixed, **{key: coerce(v, types[key], f"{name}.{key}") for key, v in raw.items()})
 
 
-def _svm_grid(grid, params: SvmParams) -> dict | None:
-    """The resolved grid: null or false is none, true or an object a grid
-    whose missing keys take their defaults; any other value is an error."""
+def _svm_grid(grid) -> dict | None:
+    """The resolved grid: null or false is none, true or an object an
+    ``SvmGrid`` whose missing keys take their defaults; any other value is
+    an error. The lists keep the order given."""
     if grid is None or grid is False:
         return None
-    if grid is True:
-        grid = {}
-    _check_keys(grid, "classifier.grid", ("c", "gamma", "folds"))
-    out = {"folds": coerce(grid.get("folds", DEFAULT_FOLDS), int, "classifier.grid.folds")}
-    check_int(out["folds"], "classifier.grid.folds", 2)
-    for key, default in (("c", DEFAULT_C_GRID), ("gamma", DEFAULT_GAMMA_GRID)):
-        values = grid.get(key, default)
-        if not isinstance(values, (list, tuple)) or not values:
-            raise UsageError(f"classifier.grid.{key} must be a non-empty list, got {values!r}")
-        out[key] = [coerce(v, float, f"classifier.grid.{key}") for v in values]
-    for c, gamma in itertools.product(out["c"], out["gamma"]):
-        replace(params, c=c, gamma=gamma)  # builds, so checks, each cell's settings
-    return out
+    grid = {} if grid is True else grid
+    _check_keys(grid, "classifier.grid", [f.name for f in fields(SvmGrid)])
+    if "folds" in grid:  # JSON may write an integer as 3.0
+        grid = {**grid, "folds": coerce(grid["folds"], int, "classifier.grid.folds")}
+    return asdict(SvmGrid(**grid))
 
 
 def resolve_config(file_config: dict, overrides: dict) -> dict:
@@ -203,14 +193,15 @@ def resolve_config(file_config: dict, overrides: dict) -> dict:
         kind = classifier["kind"]
         # Tested as a string first: a kind such as [] cannot be hashed.
         if not isinstance(kind, str) or kind not in _CLASSIFIER_PARAMS:
-            raise UsageError(f"unknown classifier kind {kind!r} (expected svm, gbdt)")
+            kinds = ", ".join(_CLASSIFIER_PARAMS)
+            raise UsageError(f"unknown classifier kind {kind!r} (expected {kinds})")
         allowed = ("kind", "params", "grid") if kind == "svm" else ("kind", "params")
         _check_keys(classifier, "classifier", allowed)
         params_cls = _CLASSIFIER_PARAMS[kind]
         params = _params(params_cls, classifier.get("params", {}), "classifier.params")
         out["classifier"] = {"kind": kind, "params": asdict(params)}
         if kind == "svm":
-            out["classifier"]["grid"] = _svm_grid(classifier.get("grid"), params)
+            out["classifier"]["grid"] = _svm_grid(classifier.get("grid"))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _check_keys(cfg, "top-level config", out)  # out has every top-level key
@@ -288,12 +279,7 @@ def run_pipeline(config: dict) -> dict:
         if clf["kind"] == "svm":
             if clf["grid"]:
                 best_c, best_gamma, table = grid_search_cv(
-                    train_set,
-                    c_grid=clf["grid"]["c"],
-                    gamma_grid=clf["grid"]["gamma"],
-                    folds=clf["grid"]["folds"],
-                    seed=config["seed"],
-                    params=params,
+                    train_set, SvmGrid(**clf["grid"]), seed=config["seed"], params=params
                 )
                 params = replace(params, c=best_c, gamma=best_gamma)
                 grid_record = {"best": {"c": best_c, "gamma": best_gamma}, "table": table}
@@ -388,7 +374,7 @@ _RUN_FLAGS = (
     ("--components", "reduction.components", {"type": int}),
     ("--oversampling", "reduction.oversampling", {"type": int}),
     ("--power-iterations", "reduction.power_iterations", {"type": int}),
-    ("--classifier", "classifier.kind", {"choices": ["svm", "gbdt"]}),
+    ("--classifier", "classifier.kind", {"choices": list(_CLASSIFIER_PARAMS)}),
     ("--svm-c", "classifier.params.c", {"type": float}),
     ("--svm-gamma", "classifier.params.gamma", {"type": float}),
     ("--svm-grid", "classifier.grid", {"action": "store_const", "const": True}),
@@ -422,10 +408,12 @@ def _cmd_run(args) -> int:
             for section in sections:
                 node = node.setdefault(section, {})
             node[key] = value
+    # Without --classifier, the first kind whose settings a flag sets.
     classifier = overrides.get("classifier")
     if classifier is not None and "kind" not in classifier:
-        gbdt_fields = {f.name for f in fields(GbdtParams)}
-        classifier["kind"] = "gbdt" if gbdt_fields & set(classifier.get("params", {})) else "svm"
+        given = set(classifier.get("params", {}))
+        kinds = [k for k, cls in _CLASSIFIER_PARAMS.items() if given & {f.name for f in fields(cls)}]
+        classifier["kind"] = kinds[0] if kinds else "svm"
     config = resolve_config(file_config, overrides)
     report_doc = run_pipeline(config)
     ev = report_doc["evaluation"]

@@ -1,0 +1,47 @@
+"""``tools/artifact_diff.py`` tells a source tree that makes the same
+artifacts from one that does not, on a tiny scene and without git."""
+
+import shutil
+from pathlib import Path
+
+import pytest
+
+from hsikit import gaussian_scene, save_cube, save_ground_truth
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG = {"reduction": {"method": "pca", "components": 3}, "classifier": {"kind": "svm"}}
+
+
+@pytest.fixture
+def artifact_diff(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import artifact_diff
+
+    return artifact_diff
+
+
+@pytest.fixture
+def scenes(tmp_path):
+    cube, gt = gaussian_scene(12, 12, 8, 3, seed=5)
+    scene_dir = tmp_path / "scene"
+    scene_dir.mkdir()
+    save_cube(cube, scene_dir / "scene")
+    save_ground_truth(gt, scene_dir / "scene_gt")
+    return {"tiny": (scene_dir, CONFIG)}
+
+
+def test_a_tree_against_itself_makes_the_same_artifacts(artifact_diff, scenes, tmp_path):
+    rows = artifact_diff.compare(ROOT, ROOT, scenes, tmp_path / "runs", seeds=(1,))
+    assert rows == [("tiny", 1, name, True) for name in artifact_diff.ARTIFACTS]
+
+
+def test_a_changed_constant_shows_in_the_model(artifact_diff, scenes, tmp_path):
+    changed = tmp_path / "changed"
+    shutil.copytree(ROOT / "src", changed / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    svm_py = changed / "src" / "hsikit" / "classify" / "svm.py"
+    source = svm_py.read_text(encoding="utf-8")
+    assert source.count("    c: float = 600.0\n") == 1
+    svm_py.write_text(source.replace("    c: float = 600.0\n", "    c: float = 0.5\n"))
+    rows = artifact_diff.compare(ROOT, changed, scenes, tmp_path / "runs", seeds=(1,))
+    assert [name for name, seed, _, _ in rows] == ["tiny"] * len(artifact_diff.ARTIFACTS)
+    assert ("tiny", 1, "model.json", False) in rows

@@ -11,13 +11,14 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hsikit
-from hsikit.classify import GbdtModel, SvmModel, gbdt, svm
+from hsikit.classify import GbdtModel, SvmGrid, SvmModel, gbdt, svm
 from hsikit.classify import _pool as pool
 from hsikit.cli import (
     StageError,
@@ -123,6 +124,8 @@ def test_resolve_config_grid_true_fills_defaults():
     assert grid["c"] == [1.0, 10.0, 100.0, 600.0, 1000.0]
     assert grid["gamma"] == [0.01, 0.1, 0.5, 1.0, 2.0]
     assert grid["folds"] == 5
+    # SvmGrid's defaults are the config's, lists and all.
+    assert grid == asdict(SvmGrid())
 
 
 def test_resolve_config_empty_grid_object_is_the_default_grid():
@@ -207,6 +210,12 @@ def test_resolve_config_accepts_integral_numbers():
     assert config["classifier"]["params"]["num_trees"] == 10
     assert config["classifier"]["params"]["learning_rate"] == 1.0
     assert isinstance(config["classifier"]["params"]["learning_rate"], float)
+    grid = {"c": [1, 10.0], "gamma": [2], "folds": 3.0}
+    config = resolve_config(
+        {"cube": "a", "ground_truth": "b", "classifier": {"kind": "svm", "grid": grid}}, {}
+    )
+    assert config["classifier"]["grid"] == {"c": [1.0, 10.0], "gamma": [2.0], "folds": 3}
+    assert isinstance(config["classifier"]["grid"]["folds"], int)
 
 
 def test_method_label():

@@ -21,11 +21,11 @@ from hsikit.classify import _pool as pool
 from hsikit.classify import svm
 from hsikit.classify.svm import (
     BinarySvm,
+    SvmGrid,
     SvmModel,
     SvmParams,
     _smo_solve,
     grid_search_cv,
-    rbf_kernel,
     svm_predict,
     svm_train,
 )
@@ -49,37 +49,6 @@ def two_blob_set(n_per_class, separation, seed):
     a = rng.normal_matrix(n_per_class, 2)
     b = rng.normal_matrix(n_per_class, 2) + separation
     return sample_set(np.vstack([a, b]), [1] * n_per_class + [2] * n_per_class)
-
-
-# --------------------------------------------------------------- rbf_kernel
-
-
-def test_rbf_identical_points():
-    assert rbf_kernel([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], gamma=0.5) == 1.0
-
-
-def test_rbf_known_value():
-    # ||x - y||^2 = 2, gamma = 0.5: exp(-1).
-    val = rbf_kernel([1.0, 0.0], [0.0, 1.0], gamma=0.5)
-    assert abs(val - np.exp(-1.0)) < 1e-12
-    assert abs(val - 0.367879441171442) < 1e-12
-
-
-def test_rbf_symmetry_and_range():
-    rng = SplitMix64(70)
-    for _ in range(20):
-        x = rng.normals(4)
-        y = rng.normals(4)
-        k_xy = rbf_kernel(x, y, gamma=0.8)
-        assert k_xy == rbf_kernel(y, x, gamma=0.8)
-        assert 0.0 < k_xy <= 1.0
-
-
-def test_rbf_validation():
-    with pytest.raises(ValueError):
-        rbf_kernel([1.0], [1.0, 2.0], gamma=0.5)
-    with pytest.raises(ValueError):
-        rbf_kernel([1.0], [1.0], gamma=0.0)
 
 
 # ---------------------------------------------------------------- smo core
@@ -380,21 +349,21 @@ def test_train_identical_rows_rejected(force_cpus):
 
 
 def test_train_stops_a_bin_at_its_first_degenerate_pair(force_cpus, monkeypatch):
-    # Classes 1 and 3 share one row. On one CPU the pairs run in order,
-    # (1, 2), (1, 3), (1, 4), ...: only (1, 2) is solved before the error.
+    # Classes 1 and 3 share one row. The pair is named before any pair is
+    # solved, on one CPU and on two. On two, each bin runs in a pool
+    # worker, whose calls a count in this process would miss, so a solve
+    # raises instead, and the pool hands its error back here.
     features = [[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [3.0, 1.0], [0.5, 0.5], [2.0, 2.0]]
     train = sample_set(features, [1, 2, 3, 4, 2, 4])
-    force_cpus(1)
-    solved = []
 
-    def counting(x, y, params):
-        solved.append(len(y))
-        return _smo_solve(x, y, params)
+    def solve(x, y, params):
+        raise AssertionError(f"a pair of {len(y)} rows was solved")
 
-    monkeypatch.setattr(svm, "_smo_solve", counting)
-    with pytest.raises(DegenerateDataError, match="^classes 1 and 3 have identical"):
-        svm_train(train)
-    assert solved == [3]
+    monkeypatch.setattr(svm, "_smo_solve", solve)
+    for cpus in (1, 2):
+        force_cpus(cpus)
+        with pytest.raises(DegenerateDataError, match="^classes 1 and 3 have identical"):
+            svm_train(train)
 
 
 def test_train_param_validation():
@@ -621,7 +590,7 @@ def test_model_dict_rejects_unknown_schema():
 
 def test_grid_single_cell():
     train = two_blob_set(10, 3.0, seed=80)
-    c, gamma, table = grid_search_cv(train, c_grid=[2.0], gamma_grid=[0.5], folds=2)
+    c, gamma, table = grid_search_cv(train, SvmGrid(c=[2.0], gamma=[0.5], folds=2))
     assert (c, gamma) == (2.0, 0.5)
     assert len(table) == 1
     assert table[0]["c"] == 2.0 and table[0]["gamma"] == 0.5
@@ -630,17 +599,15 @@ def test_grid_single_cell():
 
 def test_grid_easy_set_prefers_default_cell():
     train = two_blob_set(20, 5.0, seed=81)
-    c, gamma, table = grid_search_cv(
-        train, c_grid=[600.0], gamma_grid=[0.5], folds=5, seed=0
-    )
+    c, gamma, table = grid_search_cv(train, SvmGrid(c=[600.0], gamma=[0.5], folds=5), seed=0)
     assert (c, gamma) == (600.0, 0.5)
     assert table[0]["cv_accuracy"] == 1.0
 
 
 def test_grid_table_order_and_determinism():
     train = two_blob_set(12, 2.0, seed=82)
-    out1 = grid_search_cv(train, c_grid=[10.0, 1.0], gamma_grid=[1.0, 0.1], folds=3)
-    out2 = grid_search_cv(train, c_grid=[1.0, 10.0], gamma_grid=[0.1, 1.0], folds=3)
+    out1 = grid_search_cv(train, SvmGrid(c=[10.0, 1.0], gamma=[1.0, 0.1], folds=3))
+    out2 = grid_search_cv(train, SvmGrid(c=[1.0, 10.0], gamma=[0.1, 1.0], folds=3))
     # Grids are sorted internally, so argument order is irrelevant.
     assert out1 == out2
     cells = [(row["c"], row["gamma"]) for row in out1[2]]
@@ -650,9 +617,7 @@ def test_grid_table_order_and_determinism():
 def test_grid_tie_breaks_to_smaller_c_then_gamma():
     train = two_blob_set(20, 6.0, seed=83)
     # Trivially easy data: every cell reaches accuracy 1.0.
-    c, gamma, table = grid_search_cv(
-        train, c_grid=[600.0, 1.0], gamma_grid=[0.5, 0.1], folds=2
-    )
+    c, gamma, table = grid_search_cv(train, SvmGrid(c=[600.0, 1.0], gamma=[0.5, 0.1], folds=2))
     assert all(row["cv_accuracy"] == 1.0 for row in table)
     assert (c, gamma) == (1.0, 0.1)
 
@@ -661,27 +626,49 @@ def test_grid_reduces_folds_with_warning():
     features = np.array([[0.0], [0.1], [0.2], [1.0], [1.1], [1.2], [1.3]])
     train = sample_set(features, [1, 1, 1, 2, 2, 2, 2])
     with pytest.warns(UserWarning, match="reducing folds"):
-        grid_search_cv(train, c_grid=[1.0], gamma_grid=[0.5], folds=5)
+        grid_search_cv(train, SvmGrid(c=[1.0], gamma=[0.5], folds=5))
 
 
 def test_grid_degenerate_inputs():
+    grid = SvmGrid(c=[1.0], gamma=[0.5])
     single = sample_set([[0.0], [1.0]], [1, 1])
     with pytest.raises(DegenerateDataError):
-        grid_search_cv(single, c_grid=[1.0], gamma_grid=[0.5])
+        grid_search_cv(single, grid)
     starved = sample_set([[0.0], [1.0], [2.0]], [1, 1, 2])
     with pytest.raises(DegenerateDataError):
-        grid_search_cv(starved, c_grid=[1.0], gamma_grid=[0.5])
-    ok = sample_set([[0.0], [0.1], [1.0], [1.1]], [1, 1, 2, 2])
-    with pytest.raises(ValueError):
-        grid_search_cv(ok, c_grid=[], gamma_grid=[0.5])
-    with pytest.raises(ValueError):
-        grid_search_cv(ok, c_grid=[1.0], gamma_grid=[0.5], folds=1)
+        grid_search_cv(starved, grid)
 
 
-def test_grid_takes_an_integer_fold_count():
-    ok = sample_set([[0.0], [0.1], [0.2], [1.0], [1.1], [1.2]], [1, 1, 1, 2, 2, 2])
-    with pytest.raises(ValueError, match="folds must be an integer, got 2.5"):
-        grid_search_cv(ok, c_grid=[1.0], gamma_grid=[0.5], folds=2.5)
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(c=[]), "c must be a non-empty list, got []"),
+        (dict(gamma=[]), "gamma must be a non-empty list, got []"),
+        (dict(c=5.0), "c must be a non-empty list, got 5.0"),
+        (dict(gamma=(0.5,)), "gamma must be a non-empty list, got (0.5,)"),
+        (dict(c="10"), "c must be a non-empty list, got '10'"),
+        (dict(folds=1), "folds must be >= 2, got 1"),
+        (dict(folds=2.5), "folds must be an integer, got 2.5"),
+        (dict(folds=True), "folds must be an integer, got True"),
+        (dict(c=[10.0, 0.0]), "c must be > 0, got 0.0"),
+        (dict(gamma=[-1]), "gamma must be > 0, got -1.0"),
+        (dict(c=[float("nan")]), "c must be a finite number, got nan"),
+        (dict(gamma=[0.5, float("nan")]), "gamma must be a finite number, got nan"),
+        (dict(c=["x"]), "c must be a finite number, got 'x'"),
+        (dict(gamma=[True]), "gamma must be a finite number, got True"),
+    ],
+    ids=[
+        "c-empty", "gamma-empty", "c-number", "gamma-tuple", "c-string", "folds-1", "folds-2.5",
+        "folds-true", "c-zero", "gamma-negative", "c-nan", "gamma-nan", "c-string-entry",
+        "gamma-bool-entry",
+    ],
+)
+def test_grid_rejects_a_bad_field(bad, message):
+    # The grid's one rule: SvmGrid checks itself when built, and each
+    # entry with SvmParams's rule.
+    with pytest.raises(ValueError) as caught:
+        SvmGrid(**bad)
+    assert str(caught.value) == message
 
 
 # ------------------------------------------------------------------- pool
@@ -735,7 +722,7 @@ def test_grid_identical_for_any_cpu_count(force_cpus, train, folds, notes):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             results[cpus] = grid_search_cv(
-                train, c_grid=[1.0, 10.0, 100.0], gamma_grid=[0.1, 1.0], folds=folds, seed=4
+                train, SvmGrid(c=[1.0, 10.0, 100.0], gamma=[0.1, 1.0], folds=folds), seed=4
             )
         assert [str(w.message) for w in caught] == notes
         assert all(w.filename == __file__ for w in caught)
