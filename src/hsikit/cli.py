@@ -31,7 +31,14 @@ Each `run` flag sets one config field, which its help text names, and
 overrides the file's value; the flags of one section replace the file's
 whole `reduction` or `classifier` object. `resolve_config` is the one
 check on the merged settings: a bad value or a key it does not know, at
-any level, is a usage error that names the config field.
+any level, is a usage error that names the config field, e.g.
+`classifier.grid.c must be > 0, got -2.0`. The `reduction` and
+`classifier` sections become settings objects in one place, `_settings`,
+which builds the reduce stage's fit (None, an int k or a
+`RandomizedSvdParams`), the classifier kind's params and the optional
+`SvmGrid`; `resolve_config` writes config.json's sections from those
+objects, and `run_pipeline` builds its own from the config it is given,
+before any data is read.
 """
 
 import argparse
@@ -42,6 +49,7 @@ import sys
 import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import get_origin
 
 import numpy as np
 
@@ -117,25 +125,69 @@ def _check_keys(raw, name: str, allowed) -> None:
         raise UsageError(f"unknown {name} fields {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
-def _params(cls, raw, name: str, **fixed):
-    """``cls`` built from a config object. Its settable keys, their
-    defaults and their types are the dataclass fields not in ``fixed``."""
+def _params(cls, raw, name: str, other=(), **fixed):
+    """``cls`` built from the config object ``raw`` at ``name``, whose keys
+    are the ``other`` keys, which are skipped, and the dataclass fields not
+    in ``fixed``. A scalar field's value is coerced to its type; a list
+    field's is left to ``cls``. A rule ``cls`` breaks raises UsageError
+    prefixed with ``name``, so the message's first word, a field of
+    ``cls``, reads as its config path; a rule on two fields, such as
+    GbdtParams's ``goss_top_rate + goss_other_rate must be < 1``, names
+    only the first by its path. The caller checks ``fixed`` itself."""
     types = {f.name: f.type for f in fields(cls) if f.name not in fixed}
-    _check_keys(raw, name, types)
-    return cls(**fixed, **{key: coerce(v, types[key], f"{name}.{key}") for key, v in raw.items()})
+    _check_keys(raw, name, [*other, *types])
+    try:
+        return cls(**fixed, **{
+            key: v if get_origin(types[key]) is list else coerce(v, types[key], key)
+            for key, v in raw.items() if key not in other
+        })
+    except ValueError as exc:
+        raise UsageError(f"{name}.{exc}") from None
 
 
-def _svm_grid(grid) -> dict | None:
-    """The resolved grid: null or false is none, true or an object an
-    ``SvmGrid`` whose missing keys take their defaults; any other value is
-    an error. The lists keep the order given."""
+def _settings(config: dict, seed: int):
+    """The settings objects of ``config``'s ``reduction`` and
+    ``classifier`` sections, as (fit, params, grid): ``fit`` is None, an
+    int k (exact PCA) or a ``RandomizedSvdParams`` with ``seed``;
+    ``params`` the kind's settings class; ``grid`` an ``SvmGrid``, or None
+    for a null or false grid (true is ``{}``, all defaults). A bad value or
+    a key a section does not take raises UsageError naming its config
+    field. A sketch's fit to the data is checked once that is read."""
+    reduction = config["reduction"]
+    if not isinstance(reduction, dict) or "method" not in reduction:
+        raise UsageError("config field 'reduction' must be an object with a 'method'")
+    method = reduction["method"]
+    if method not in ("none", "pca", "rpca"):
+        raise UsageError(f"unknown reduction method {method!r} (expected none, pca, rpca)")
+    fit = None
+    if method != "none":
+        try:
+            fit = coerce(reduction.get("components"), int, "reduction.components")
+            check_int(fit, "reduction.components", 1)
+            check_int(seed, "seed")  # a sketch's, named as the top-level field
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    keys = ["method"] if fit is None else ["method", "components"]
+    if method == "rpca":  # the whole section, so an unknown key's error lists every allowed one
+        fit = _params(RandomizedSvdParams, reduction, "reduction", keys, k=fit, seed=seed)
+    else:
+        _check_keys(reduction, "reduction", keys)
+
+    classifier = config["classifier"]
+    if not isinstance(classifier, dict) or "kind" not in classifier:
+        raise UsageError("config field 'classifier' must be an object with a 'kind'")
+    kind = classifier["kind"]
+    # Tested as a string first: a kind such as [] cannot be hashed.
+    if not isinstance(kind, str) or kind not in _CLASSIFIER_PARAMS:
+        kinds = ", ".join(_CLASSIFIER_PARAMS)
+        raise UsageError(f"unknown classifier kind {kind!r} (expected {kinds})")
+    allowed = ("kind", "params", "grid") if kind == "svm" else ("kind", "params")
+    _check_keys(classifier, "classifier", allowed)
+    params = _params(_CLASSIFIER_PARAMS[kind], classifier.get("params", {}), "classifier.params")
+    grid = classifier.get("grid")
     if grid is None or grid is False:
-        return None
-    grid = {} if grid is True else grid
-    _check_keys(grid, "classifier.grid", [f.name for f in fields(SvmGrid)])
-    if "folds" in grid:  # JSON may write an integer as 3.0
-        grid = {**grid, "folds": coerce(grid["folds"], int, "classifier.grid.folds")}
-    return asdict(SvmGrid(**grid))
+        return fit, params, None
+    return fit, params, _params(SvmGrid, {} if grid is True else grid, "classifier.grid")
 
 
 def resolve_config(file_config: dict, overrides: dict) -> dict:
@@ -145,65 +197,35 @@ def resolve_config(file_config: dict, overrides: dict) -> dict:
     win over file values, file values win over defaults. Every value is
     checked here, and a key this function does not know, at any level, is
     rejected, so a config that cannot run as written raises UsageError
-    before any data is read.
+    before any data is read. The grid's lists keep the order given.
     """
-    cfg = dict(file_config)
+    cfg = {"reduction": {"method": "none"}, "classifier": {"kind": "svm"}, **file_config}
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
-    for required in ("cube", "ground_truth"):
-        if not cfg.get(required):
-            raise UsageError(f"missing required config field '{required}'")
+    paths = (("cube", None), ("ground_truth", None), ("output", "hsikit_run"))
     try:
-        out = {
-            "cube": coerce(cfg["cube"], str, "cube"),
-            "ground_truth": coerce(cfg["ground_truth"], str, "ground_truth"),
-            "output": coerce(cfg.get("output", "hsikit_run"), str, "output"),
-            "train_fraction": coerce(cfg.get("train_fraction", 0.7), float, "train_fraction"),
-            "seed": coerce(cfg.get("seed", 0), int, "seed"),
-        }
-        if not out["output"]:  # Path("") is the working directory
-            raise UsageError("config field 'output' must be a non-empty path")
-        if not 0.0 < out["train_fraction"] < 1.0:
-            raise UsageError(f"train_fraction must be in (0, 1), got {out['train_fraction']}")
-
-        reduction = cfg.get("reduction", {"method": "none"})
-        if not isinstance(reduction, dict) or "method" not in reduction:
-            raise UsageError("config field 'reduction' must be an object with a 'method'")
-        method = reduction["method"]
-        if method == "none":
-            out["reduction"] = {"method": "none"}
-        elif method in ("pca", "rpca"):
-            k = coerce(reduction.get("components"), int, "reduction.components")
-            check_int(k, "reduction.components", 1)
-            out["reduction"] = {"method": method, "components": k}
-            if method == "rpca":
-                settings = {key: v for key, v in reduction.items() if key not in out["reduction"]}
-                # Built, so checked; its fit to the data is checked once that is read.
-                sketch = _params(RandomizedSvdParams, settings, "reduction", k=k, seed=out["seed"])
-                out["reduction"]["oversampling"] = sketch.oversampling
-                out["reduction"]["power_iterations"] = sketch.power_iterations
-        else:
-            raise UsageError(f"unknown reduction method {method!r} (expected none, pca, rpca)")
-        _check_keys(reduction, "reduction", out["reduction"])  # the keys its method takes
-
-        classifier = cfg.get("classifier", {"kind": "svm"})
-        if not isinstance(classifier, dict) or "kind" not in classifier:
-            raise UsageError("config field 'classifier' must be an object with a 'kind'")
-        kind = classifier["kind"]
-        # Tested as a string first: a kind such as [] cannot be hashed.
-        if not isinstance(kind, str) or kind not in _CLASSIFIER_PARAMS:
-            kinds = ", ".join(_CLASSIFIER_PARAMS)
-            raise UsageError(f"unknown classifier kind {kind!r} (expected {kinds})")
-        allowed = ("kind", "params", "grid") if kind == "svm" else ("kind", "params")
-        _check_keys(classifier, "classifier", allowed)
-        params_cls = _CLASSIFIER_PARAMS[kind]
-        params = _params(params_cls, classifier.get("params", {}), "classifier.params")
-        out["classifier"] = {"kind": kind, "params": asdict(params)}
-        if kind == "svm":
-            out["classifier"]["grid"] = _svm_grid(classifier.get("grid"))
+        out = {key: coerce(cfg.get(key, default), str, key) for key, default in paths}
+        out["train_fraction"] = coerce(cfg.get("train_fraction", 0.7), float, "train_fraction")
+        out["seed"] = coerce(cfg.get("seed", 0), int, "seed")
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    for key, _ in paths:
+        if not out[key]:  # Path("") is the working directory
+            raise UsageError(f"config field {key!r} must be a non-empty path")
+    if not 0.0 < out["train_fraction"] < 1.0:
+        raise UsageError(f"train_fraction must be in (0, 1), got {out['train_fraction']}")
+
+    fit, params, grid = _settings(cfg, out["seed"])
+    out["reduction"] = {"method": cfg["reduction"]["method"]}
+    if isinstance(fit, RandomizedSvdParams):
+        out["reduction"].update(components=fit.k, oversampling=fit.oversampling,
+                                power_iterations=fit.power_iterations)
+    elif fit is not None:
+        out["reduction"]["components"] = fit
+    out["classifier"] = {"kind": cfg["classifier"]["kind"], "params": asdict(params)}
+    if isinstance(params, SvmParams):
+        out["classifier"]["grid"] = grid and asdict(grid)
     _check_keys(cfg, "top-level config", out)  # out has every top-level key
     return out
 
@@ -245,7 +267,12 @@ def run_pipeline(config: dict) -> dict:
     the labeled samples plus one band. A reduction replaces both sets
     with their projections, so the full-band samples are freed before
     training starts and the later stages hold only the reduced ones.
+    A reduction or classifier setting that breaks a rule, or a seed that
+    is not an integer under a reduction, raises UsageError before any
+    data is read; the other top-level fields are checked by
+    resolve_config.
     """
+    fit, params, grid = _settings(config, config["seed"])
     out_dir = Path(config["output"])
     starts = [("load", time.perf_counter())]  # (stage, start time) in run order
 
@@ -260,14 +287,8 @@ def run_pipeline(config: dict) -> dict:
 
         begin("reduce")
         bands = train_set.features.shape[1]
-        reduction = config["reduction"]
         pca_model = None
-        if reduction["method"] != "none":
-            fit = reduction["components"]
-            if reduction["method"] == "rpca":
-                fit = RandomizedSvdParams(
-                    fit, reduction["oversampling"], reduction["power_iterations"], config["seed"]
-                )
+        if fit is not None:
             pca_model, scores = fit_transform(train_set.features, fit)
             train_set = replace(train_set, features=scores)
             test_set = replace(test_set, features=transform(pca_model, test_set.features))
@@ -275,11 +296,10 @@ def run_pipeline(config: dict) -> dict:
         begin("train")
         clf = config["classifier"]
         grid_record = None
-        params = _CLASSIFIER_PARAMS[clf["kind"]](**clf["params"])
         if clf["kind"] == "svm":
-            if clf["grid"]:
+            if grid is not None:
                 best_c, best_gamma, table = grid_search_cv(
-                    train_set, SvmGrid(**clf["grid"]), seed=config["seed"], params=params
+                    train_set, grid, seed=config["seed"], params=params
                 )
                 params = replace(params, c=best_c, gamma=best_gamma)
                 grid_record = {"best": {"c": best_c, "gamma": best_gamma}, "table": table}

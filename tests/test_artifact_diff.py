@@ -32,7 +32,7 @@ def scenes(tmp_path):
 
 def test_a_tree_against_itself_makes_the_same_artifacts(artifact_diff, scenes, tmp_path):
     rows = artifact_diff.compare(ROOT, ROOT, scenes, tmp_path / "runs", seeds=(1,))
-    assert rows == [("tiny", 1, name, True) for name in artifact_diff.ARTIFACTS]
+    assert rows == [("tiny", 1, name, True, []) for name in artifact_diff.ARTIFACTS]
 
 
 def test_a_changed_constant_shows_in_the_model(artifact_diff, scenes, tmp_path):
@@ -43,5 +43,8 @@ def test_a_changed_constant_shows_in_the_model(artifact_diff, scenes, tmp_path):
     assert source.count("    c: float = 600.0\n") == 1
     svm_py.write_text(source.replace("    c: float = 600.0\n", "    c: float = 0.5\n"))
     rows = artifact_diff.compare(ROOT, changed, scenes, tmp_path / "runs", seeds=(1,))
-    assert [name for name, seed, _, _ in rows] == ["tiny"] * len(artifact_diff.ARTIFACTS)
-    assert ("tiny", 1, "model.json", False) in rows
+    assert [name for name, *_ in rows] == ["tiny"] * len(artifact_diff.ARTIFACTS)
+    reports = {artifact: report for _, _, artifact, same, report in rows if not same}
+    assert "model.json" in reports
+    assert "classifier.params.c: leaves differing 1, largest |delta| 599.5" in reports["config.json"]
+    assert any(line.startswith("classifier.model.machines[*].") for line in reports["model.json"])

@@ -29,6 +29,7 @@ from hsikit.cli import (
     main,
     method_label,
     resolve_config,
+    run_pipeline,
 )
 from hsikit.errors import (
     ConvergenceError,
@@ -192,6 +193,64 @@ def test_resolve_config_rejects(mutation):
     base = {"cube": "a.hsih", "ground_truth": "b.hsih"}
     with pytest.raises(UsageError):
         resolve_config({**base, **mutation}, {})
+
+
+@pytest.mark.parametrize(
+    "mutation, message",
+    [
+        ({"classifier": {"kind": "svm", "grid": {"c": [1, -2]}}},
+         "classifier.grid.c must be > 0, got -2.0"),
+        ({"classifier": {"kind": "svm", "grid": {"c": [1, "x"]}}},
+         "classifier.grid.c must be a finite number, got 'x'"),
+        ({"classifier": {"kind": "svm", "params": {"c": -2}}},
+         "classifier.params.c must be > 0, got -2.0"),
+        ({"classifier": {"kind": "gbdt", "params": {"num_trees": 0}}},
+         "classifier.params.num_trees must be >= 1, got 0"),
+        ({"classifier": {"kind": "gbdt",
+                         "params": {"goss_top_rate": 0.6, "goss_other_rate": 0.5}}},
+         "classifier.params.goss_top_rate + goss_other_rate must be < 1"),
+        ({"classifier": {"kind": "svm", "grid": {"folds": 1}}},
+         "classifier.grid.folds must be >= 2, got 1"),
+        ({"reduction": {"method": "rpca", "components": 3, "oversampling": -1}},
+         "reduction.oversampling must be >= 0, got -1"),
+        ({"reduction": {"method": "rpca", "components": 3, "power_iterations": -1}},
+         "reduction.power_iterations must be >= 0, got -1"),
+        ({"reduction": {"method": "rpca", "components": 3, "oversampl": 4}},
+         "unknown reduction fields ['oversampl']; allowed: "
+         "['components', 'method', 'oversampling', 'power_iterations']"),
+    ],
+)
+def test_resolve_config_names_the_config_field_of_a_broken_rule(mutation, message):
+    base = {"cube": "a.hsih", "ground_truth": "b.hsih"}
+    with pytest.raises(UsageError) as caught:
+        resolve_config({**base, **mutation}, {})
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "mutation, message",
+    [
+        ({"classifier": {"kind": "svm", "params": {"c": -1.0}, "grid": None}},
+         "classifier.params.c must be > 0, got -1.0"),
+        ({"seed": 2.5, "reduction": {"method": "rpca", "components": 3}},
+         "seed must be an integer, got 2.5"),
+    ],
+)
+def test_run_pipeline_checks_its_settings_before_loading(tmp_path, mutation, message):
+    config = {
+        "cube": str(tmp_path / "missing.hsih"),
+        "ground_truth": str(tmp_path / "missing_gt.hsih"),
+        "output": str(tmp_path / "o"),
+        "train_fraction": 0.7,
+        "seed": 0,
+        "reduction": {"method": "none"},
+        "classifier": {"kind": "svm", "grid": None},
+        **mutation,
+    }
+    with pytest.raises(UsageError) as caught:
+        run_pipeline(config)
+    assert str(caught.value) == message
+    assert not (tmp_path / "o").exists()
 
 
 def test_resolve_config_accepts_integral_numbers():

@@ -9,9 +9,15 @@ scene with BASE's sources and with the sources of this checkout, at run
 seeds 1 and 2, with one OpenBLAS/OMP thread and the same config, relative
 ``output`` included. The workloads and their configs are BASE's
 ``hsibench/workloads.py``. It prints one line per deterministic artifact
-(every artifact but ``timings.json``), ``same`` or ``differs``, then the
-code lines of both trees' ``src/hsikit`` as ``tools/code_lines.py``
-counts them, and exits 1 if any artifact differs or any run fails.
+(every artifact but ``timings.json``), ``same`` or ``differs``. Under a
+JSON artifact that differs it prints each generalized path whose leaves
+differ, list indices written ``[*]`` (e.g.
+``classifier.model.machines[*].dual_coef[*]``), with the number of
+differing leaves and the largest |delta| of the numeric ones, and for
+``predictions.json`` how many ``predicted`` entries changed. Last come
+both trees' code lines of each module of ``src/hsikit``, as
+``tools/code_lines.py`` counts them. It exits 1 if any artifact differs
+or any run fails.
 
 Nothing is written into the checkout: the runs work in the temporary
 directory, and Python writes no bytecode.
@@ -59,11 +65,59 @@ def run_tree(tree: Path, config: dict, run_dir: Path):
     return {name: (run_dir / config["output"] / name).read_bytes() for name in ARTIFACTS}
 
 
+def _leaves(node, path=()):
+    """(path, value) of each leaf of a JSON document; a path holds the
+    object keys and list indices that lead to the leaf."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaves(child, path + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _leaves(child, path + (index,))
+    else:
+        yield path, node
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def describe(artifact: str, base: bytes, head: bytes) -> list:
+    """The report lines of a JSON artifact whose bytes differ: for each
+    generalized path, its differing leaves and the largest |delta| of the
+    numeric ones, a leaf that one side lacks or whose type differs
+    counting as differing; for ``predictions.json``, how many
+    ``predicted`` entries changed."""
+    docs = json.loads(base), json.loads(head)
+    left, right = (dict(_leaves(doc)) for doc in docs)
+    found, missing = {}, object()
+    for path in left.keys() | right.keys():
+        a, b = left.get(path, missing), right.get(path, missing)
+        if type(a) is type(b) and a == b:
+            continue
+        key = "".join("[*]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+        count, delta = found.get(key, (0, None))
+        if _number(a) and _number(b):
+            delta = max(delta or 0.0, abs(a - b))
+        found[key] = (count + 1, delta)
+    lines = []
+    for key, (count, delta) in sorted(found.items()):
+        largest = "" if delta is None else f", largest |delta| {delta:.6g}"
+        lines.append(f"{key}: leaves differing {count}{largest}")
+    if artifact == "predictions.json":
+        a, b = (doc["predicted"] for doc in docs)
+        changed = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+        lines.append(f"predicted: {changed} of {len(b)} entries changed")
+    return lines
+
+
 def compare(base: Path, head: Path, scenes: dict, work: Path, seeds=SEEDS) -> list:
-    """(workload, seed, artifact, same) for each deterministic artifact of
-    each run; ``scenes`` maps a workload name to (scene directory, config
-    minus cube, ground_truth, output and seed). A failed run gives one
-    row for its workload and seed, not same, whose ``artifact`` is the
+    """(workload, seed, artifact, same, report lines) for each
+    deterministic artifact of each run; the report lines are those of
+    :func:`describe` for a JSON artifact that differs, else empty.
+    ``scenes`` maps a workload name to (scene directory, config minus
+    cube, ground_truth, output and seed). A failed run gives one row for
+    its workload and seed, not same, whose ``artifact`` is the
     failure."""
     rows = []
     for name, (scene_dir, config) in scenes.items():
@@ -81,9 +135,13 @@ def compare(base: Path, head: Path, scenes: dict, work: Path, seeds=SEEDS) -> li
             ]
             failed = [run for run in runs if isinstance(run, str)]
             if failed:
-                rows.append((name, seed, "; ".join(failed), False))
+                rows.append((name, seed, "; ".join(failed), False, []))
                 continue
-            rows.extend((name, seed, key, runs[0][key] == runs[1][key]) for key in ARTIFACTS)
+            for key in ARTIFACTS:
+                same = runs[0][key] == runs[1][key]
+                plain = same or not key.endswith(".json")
+                report = [] if plain else describe(key, runs[0][key], runs[1][key])
+                rows.append((name, seed, key, same, report))
     return rows
 
 
@@ -106,8 +164,9 @@ def _export(commit: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
-def _total(tree: Path) -> int:
-    return sum(code_lines(path) for path in (tree / "src" / "hsikit").rglob("*.py"))
+def _module_lines(tree: Path) -> dict:
+    root = tree / "src" / "hsikit"
+    return {str(path.relative_to(root)): code_lines(path) for path in root.rglob("*.py")}
 
 
 def main(argv: list) -> int:
@@ -129,10 +188,16 @@ def main(argv: list) -> int:
             )
             scenes[name] = (scene_dir, workload.config)
         rows = compare(base, ROOT, scenes, work / "runs")
-        for name, seed, artifact, same in rows:
+        for name, seed, artifact, same, report in rows:
             print(f"{name:<12} seed {seed}  {artifact:<18} {'same' if same else 'differs'}")
-        print(f"code lines of src/hsikit: {_total(base)} at {argv[0]}, {_total(ROOT)} here")
-    return 0 if all(same for *_, same in rows) else 1
+            for line in report:
+                print(f"    {line}")
+        counts = _module_lines(base), _module_lines(ROOT)
+        print(f"code lines of src/hsikit, at {argv[0]} and here:")
+        for module in sorted(counts[0].keys() | counts[1].keys()):
+            print(f"{counts[0].get(module, '-'):>6} {counts[1].get(module, '-'):>6}  {module}")
+        print(f"{sum(counts[0].values()):>6} {sum(counts[1].values()):>6}  total")
+    return 0 if all(same for _, _, _, same, _ in rows) else 1
 
 
 if __name__ == "__main__":
