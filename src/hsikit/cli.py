@@ -29,16 +29,16 @@ floating-point breakdown).
 Configs are JSON with the same shape as the config.json artifact.
 Each `run` flag sets one config field, which its help text names, and
 overrides the file's value; the flags of one section replace the file's
-whole `reduction` or `classifier` object. `resolve_config` is the one
-check on the merged settings: a bad value or a key it does not know, at
-any level, is a usage error that names the config field, e.g.
-`classifier.grid.c must be > 0, got -2.0`. The `reduction` and
-`classifier` sections become settings objects in one place, `_settings`,
-which builds the reduce stage's fit (None, an int k or a
-`RandomizedSvdParams`), the classifier kind's params and the optional
-`SvmGrid`; `resolve_config` writes config.json's sections from those
-objects, and `run_pipeline` builds its own from the config it is given,
-before any data is read.
+whole `reduction` or `classifier` object. One private resolver,
+`_resolve`, checks the merged settings: a bad value or a key it does not
+know, at any level, is a usage error that names the config field, e.g.
+`classifier.grid.c must be > 0, got -2.0`. It returns the config.json
+snapshot with the settings objects the stages take: the reduce stage's
+fit (None, an int k or a `RandomizedSvdParams`), the classifier kind's
+params and the optional `SvmGrid`. `resolve_config` returns the
+snapshot; `run_pipeline` resolves the config it is given before any data
+is read, so a hand-made config is checked as a file's is, and a resolved
+one runs as given.
 """
 
 import argparse
@@ -145,60 +145,16 @@ def _params(cls, raw, name: str, other=(), **fixed):
         raise UsageError(f"{name}.{exc}") from None
 
 
-def _settings(config: dict, seed: int):
-    """The settings objects of ``config``'s ``reduction`` and
-    ``classifier`` sections, as (fit, params, grid): ``fit`` is None, an
-    int k (exact PCA) or a ``RandomizedSvdParams`` with ``seed``;
-    ``params`` the kind's settings class; ``grid`` an ``SvmGrid``, or None
-    for a null or false grid (true is ``{}``, all defaults). A bad value or
-    a key a section does not take raises UsageError naming its config
-    field. A sketch's fit to the data is checked once that is read."""
-    reduction = config["reduction"]
-    if not isinstance(reduction, dict) or "method" not in reduction:
-        raise UsageError("config field 'reduction' must be an object with a 'method'")
-    method = reduction["method"]
-    if method not in ("none", "pca", "rpca"):
-        raise UsageError(f"unknown reduction method {method!r} (expected none, pca, rpca)")
-    fit = None
-    if method != "none":
-        try:
-            fit = coerce(reduction.get("components"), int, "reduction.components")
-            check_int(fit, "reduction.components", 1)
-            check_int(seed, "seed")  # a sketch's, named as the top-level field
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    keys = ["method"] if fit is None else ["method", "components"]
-    if method == "rpca":  # the whole section, so an unknown key's error lists every allowed one
-        fit = _params(RandomizedSvdParams, reduction, "reduction", keys, k=fit, seed=seed)
-    else:
-        _check_keys(reduction, "reduction", keys)
-
-    classifier = config["classifier"]
-    if not isinstance(classifier, dict) or "kind" not in classifier:
-        raise UsageError("config field 'classifier' must be an object with a 'kind'")
-    kind = classifier["kind"]
-    # Tested as a string first: a kind such as [] cannot be hashed.
-    if not isinstance(kind, str) or kind not in _CLASSIFIER_PARAMS:
-        kinds = ", ".join(_CLASSIFIER_PARAMS)
-        raise UsageError(f"unknown classifier kind {kind!r} (expected {kinds})")
-    allowed = ("kind", "params", "grid") if kind == "svm" else ("kind", "params")
-    _check_keys(classifier, "classifier", allowed)
-    params = _params(_CLASSIFIER_PARAMS[kind], classifier.get("params", {}), "classifier.params")
-    grid = classifier.get("grid")
-    if grid is None or grid is False:
-        return fit, params, None
-    return fit, params, _params(SvmGrid, {} if grid is True else grid, "classifier.grid")
-
-
-def resolve_config(file_config: dict, overrides: dict) -> dict:
-    """Merge a config file with flag overrides and fill all defaults.
-
-    The result is the canonical snapshot written to config.json; flags
-    win over file values, file values win over defaults. Every value is
-    checked here, and a key this function does not know, at any level, is
-    rejected, so a config that cannot run as written raises UsageError
-    before any data is read. The grid's lists keep the order given.
-    """
+def _resolve(file_config: dict, overrides: dict):
+    """``file_config`` merged with ``overrides``, every default filled and
+    every field checked, as (snapshot, fit, params, grid): ``snapshot`` is
+    what config.json holds; ``fit`` is None, an int k (exact PCA) or a
+    ``RandomizedSvdParams`` with the run seed; ``params`` the kind's
+    settings class; ``grid`` an ``SvmGrid``, or None for a null or false
+    grid (true is ``{}``, all defaults). The snapshot's ``reduction`` and
+    ``classifier`` are written from those objects. A bad value or a key
+    that a level does not take raises UsageError naming its config field.
+    A sketch's fit to the data is checked once that is read."""
     cfg = {"reduction": {"method": "none"}, "classifier": {"kind": "svm"}, **file_config}
     for key, value in overrides.items():
         if value is not None:
@@ -216,18 +172,65 @@ def resolve_config(file_config: dict, overrides: dict) -> dict:
     if not 0.0 < out["train_fraction"] < 1.0:
         raise UsageError(f"train_fraction must be in (0, 1), got {out['train_fraction']}")
 
-    fit, params, grid = _settings(cfg, out["seed"])
-    out["reduction"] = {"method": cfg["reduction"]["method"]}
+    reduction = cfg["reduction"]
+    if not isinstance(reduction, dict) or "method" not in reduction:
+        raise UsageError("config field 'reduction' must be an object with a 'method'")
+    method = reduction["method"]
+    if method not in ("none", "pca", "rpca"):
+        raise UsageError(f"unknown reduction method {method!r} (expected none, pca, rpca)")
+    fit = None
+    if method != "none":
+        try:
+            fit = coerce(reduction.get("components"), int, "reduction.components")
+            check_int(fit, "reduction.components", 1)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    keys = ["method"] if fit is None else ["method", "components"]
+    if method == "rpca":  # the whole section, so an unknown key's error lists every allowed one
+        fit = _params(RandomizedSvdParams, reduction, "reduction", keys, k=fit, seed=out["seed"])
+    else:
+        _check_keys(reduction, "reduction", keys)
+    out["reduction"] = {"method": method}
     if isinstance(fit, RandomizedSvdParams):
         out["reduction"].update(components=fit.k, oversampling=fit.oversampling,
                                 power_iterations=fit.power_iterations)
     elif fit is not None:
         out["reduction"]["components"] = fit
-    out["classifier"] = {"kind": cfg["classifier"]["kind"], "params": asdict(params)}
-    if isinstance(params, SvmParams):
+
+    classifier = cfg["classifier"]
+    if not isinstance(classifier, dict) or "kind" not in classifier:
+        raise UsageError("config field 'classifier' must be an object with a 'kind'")
+    kind = classifier["kind"]
+    # Tested as a string first: a kind such as [] cannot be hashed.
+    if not isinstance(kind, str) or kind not in _CLASSIFIER_PARAMS:
+        kinds = ", ".join(_CLASSIFIER_PARAMS)
+        raise UsageError(f"unknown classifier kind {kind!r} (expected {kinds})")
+    allowed = ("kind", "params", "grid") if kind == "svm" else ("kind", "params")
+    _check_keys(classifier, "classifier", allowed)
+    params = _params(_CLASSIFIER_PARAMS[kind], classifier.get("params", {}), "classifier.params")
+    grid = classifier.get("grid")
+    if grid is None or grid is False:
+        grid = None
+    else:
+        grid = _params(SvmGrid, {} if grid is True else grid, "classifier.grid")
+    out["classifier"] = {"kind": kind, "params": asdict(params)}
+    if kind == "svm":
         out["classifier"]["grid"] = grid and asdict(grid)
     _check_keys(cfg, "top-level config", out)  # out has every top-level key
-    return out
+    return out, fit, params, grid
+
+
+def resolve_config(file_config: dict, overrides: dict) -> dict:
+    """Merge a config file with flag overrides and fill all defaults.
+
+    The result is the canonical snapshot written to config.json; flags
+    win over file values, file values win over defaults. Every value is
+    checked here, and a key this function does not know, at any level, is
+    rejected, so a config that cannot run as written raises UsageError
+    before any data is read. The grid's lists keep the order given. A
+    snapshot resolves to itself.
+    """
+    return _resolve(file_config, overrides)[0]
 
 
 def method_label(config: dict) -> str:
@@ -258,7 +261,7 @@ def _load_json(path: Path) -> dict:
 
 
 def run_pipeline(config: dict) -> dict:
-    """Execute a resolved config and write artifacts; returns the report.
+    """Resolve and execute a config and write artifacts; returns the report.
 
     Raises StageError around any failing stage; artifacts are only
     written once every stage has succeeded. The cube is never held
@@ -267,12 +270,12 @@ def run_pipeline(config: dict) -> dict:
     the labeled samples plus one band. A reduction replaces both sets
     with their projections, so the full-band samples are freed before
     training starts and the later stages hold only the reduced ones.
-    A reduction or classifier setting that breaks a rule, or a seed that
-    is not an integer under a reduction, raises UsageError before any
-    data is read; the other top-level fields are checked by
-    resolve_config.
+    ``config`` is resolved first, as resolve_config resolves a file, so a
+    setting that breaks a rule raises UsageError before any data is read,
+    and config.json holds the resolved snapshot; a resolved config runs
+    as given.
     """
-    fit, params, grid = _settings(config, config["seed"])
+    config, fit, params, grid = _resolve(config, {})
     out_dir = Path(config["output"])
     starts = [("load", time.perf_counter())]  # (stage, start time) in run order
 

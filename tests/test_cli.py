@@ -234,9 +234,19 @@ def test_resolve_config_names_the_config_field_of_a_broken_rule(mutation, messag
          "classifier.params.c must be > 0, got -1.0"),
         ({"seed": 2.5, "reduction": {"method": "rpca", "components": 3}},
          "seed must be an integer, got 2.5"),
+        # The top-level fields, as resolve_config checks them.
+        ({"output": ""}, "config field 'output' must be a non-empty path"),
+        ({"train_fraction": 1.5}, "train_fraction must be in (0, 1), got 1.5"),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+        ({"train_fracton": 0.5},
+         "unknown top-level config fields ['train_fracton']; allowed: ['classifier', "
+         "'cube', 'ground_truth', 'output', 'reduction', 'seed', 'train_fraction']"),
     ],
 )
-def test_run_pipeline_checks_its_settings_before_loading(tmp_path, mutation, message):
+def test_run_pipeline_checks_its_settings_before_loading(
+    tmp_path, monkeypatch, mutation, message
+):
+    monkeypatch.chdir(tmp_path)  # where an empty output path would write
     config = {
         "cube": str(tmp_path / "missing.hsih"),
         "ground_truth": str(tmp_path / "missing_gt.hsih"),
@@ -250,7 +260,15 @@ def test_run_pipeline_checks_its_settings_before_loading(tmp_path, mutation, mes
     with pytest.raises(UsageError) as caught:
         run_pipeline(config)
     assert str(caught.value) == message
-    assert not (tmp_path / "o").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_pipeline_writes_the_resolved_snapshot(scene, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default output path is relative
+    config = {"cube": scene[0], "ground_truth": scene[1]}
+    run_pipeline(config)
+    written = (tmp_path / "hsikit_run" / "config.json").read_bytes()
+    assert written == _canonical_json(resolve_config(config, {}))
 
 
 def test_resolve_config_accepts_integral_numbers():
@@ -1297,6 +1315,22 @@ def test_no_module_imports_a_private_name():
                 for alias in node.names:
                     private = alias.name.startswith("_") and not alias.name.startswith("__")
                     assert not private, f"{path.name} imports {alias.name} from {node.module}"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    imported = {}  # top-level package -> a module that imports it
+    for path in Path(hsikit.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imported.update((name.split(".")[0], path.name) for name in names)
+    outside = {name: module for name, module in imported.items()
+               if name not in sys.stdlib_module_names}
+    assert set(outside) == {"numpy"}, outside
 
 
 def test_every_sampler_takes_a_seed_argument():

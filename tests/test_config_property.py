@@ -1,15 +1,16 @@
 """Property tests: resolve_config either returns a stable snapshot or
 raises UsageError, whatever JSON value a config field holds, and it
-rejects every key it does not know, in any object of a config."""
+rejects every key it does not know, in any object of a config;
+run_pipeline rejects a config exactly when resolve_config does."""
 
 import copy
 import json
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from hsikit.cli import UsageError, resolve_config
+from hsikit.cli import StageError, UsageError, resolve_config, run_pipeline
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -76,21 +77,51 @@ def test_every_base_resolves(base):
     assert resolve_config(json.loads(json.dumps(snapshot)), {}) == snapshot
 
 
-@settings(max_examples=600, deadline=None, database=None)
-@given(case=st.sampled_from(CASES), value=JSON_VALUES)
-def test_resolve_config_accepts_or_rejects_with_usage_error(case, value):
-    base, path = case
+def _mutated(base, path, value):
+    """A copy of ``base`` whose entry at ``path`` holds ``value``."""
     config = copy.deepcopy(base)
     node = config
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
+    return config
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(case=st.sampled_from(CASES), value=JSON_VALUES)
+def test_resolve_config_accepts_or_rejects_with_usage_error(case, value):
+    config = _mutated(*case, value)
     try:
         snapshot = resolve_config(config, {})
     except UsageError:
         return
     # The snapshot is written as config.json; read back, it resolves to itself.
     assert resolve_config(json.loads(json.dumps(snapshot)), {}) == snapshot
+
+
+# tmp_path holds no file for the runs to read or write, whichever example runs.
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(CASES), value=JSON_VALUES)
+def test_run_pipeline_rejects_exactly_what_resolve_config_rejects(
+    tmp_path, monkeypatch, case, value
+):
+    monkeypatch.chdir(tmp_path)  # where a relative output path would write
+    base, path = case
+    missing = {"cube": str(tmp_path / "a.hsih"), "ground_truth": str(tmp_path / "b.hsih")}
+    config = _mutated({**base, **missing}, path, value)
+    try:
+        resolve_config(config, {})
+        expected = None
+    except UsageError as exc:
+        expected = str(exc)
+    with pytest.raises((UsageError, StageError)) as caught:
+        run_pipeline(copy.deepcopy(config))
+    if expected is None:  # the config is valid, and its cube is missing
+        assert isinstance(caught.value, StageError) and caught.value.stage == "load"
+    else:
+        assert type(caught.value) is UsageError and str(caught.value) == expected
+    assert list(tmp_path.iterdir()) == []
 
 
 def _objects(node, prefix=()):
