@@ -19,7 +19,10 @@ serial run, and with one CPU or one item the same function runs
 in-process with no pool. A process forked from a pool's owner (a
 worker running a grid fit's pairs, say) and a daemonic multiprocessing
 worker (which may not start children) run serially. A worker that dies
-raises ``WorkerError``.
+raises ``WorkerError``. A worker ends itself when its owner ends,
+however the owner ends (SIGKILL included): the owner alone holds the
+write end of a pipe whose read end each worker watches from a thread,
+which reads EOF once the owner is gone.
 """
 
 import atexit
@@ -30,7 +33,8 @@ from ..errors import WorkerError
 
 __all__ = ["spread"]
 
-# (owner pid, executor) of the process pool; None until first use.
+# (owner pid, executor, read end, write end of the owner's pipe) of the
+# process pool; None until first use.
 _current = None
 
 
@@ -38,6 +42,22 @@ def _cpu_count() -> int:
     """The CPUs this process may run on; 1 where the platform cannot tell."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else 1
+
+
+def _exit_at_eof(read_end: int) -> None:
+    os.read(read_end, 1)  # nothing is written: this returns at EOF
+    os._exit(1)
+
+
+def _watch_owner(read_end: int, write_end: int) -> None:
+    """A worker's initializer: drop the inherited write end, then end the
+    worker from a daemon thread at EOF on the read end, once the owner's
+    write end closes. Only workers start the thread, so the owner forks
+    from no thread of its own."""
+    import threading
+
+    os.close(write_end)
+    threading.Thread(target=_exit_at_eof, args=(read_end,), daemon=True).start()
 
 
 def _executor():
@@ -59,7 +79,11 @@ def _executor():
         from concurrent.futures import ProcessPoolExecutor
 
         context = multiprocessing.get_context("fork")
-        _current = (os.getpid(), ProcessPoolExecutor(_cpu_count(), mp_context=context))
+        pipe = os.pipe()
+        executor = ProcessPoolExecutor(
+            _cpu_count(), mp_context=context, initializer=_watch_owner, initargs=pipe
+        )
+        _current = (os.getpid(), executor, *pipe)
     return _current[1]
 
 
@@ -70,6 +94,8 @@ def _drop_pool() -> None:
     global _current
     if _current is not None and _current[0] == os.getpid():
         _current[1].shutdown(cancel_futures=True)
+        for end in _current[2:]:
+            os.close(end)
         _current = None
 
 

@@ -19,7 +19,10 @@ projections from the reduce stage on. The six files are written to
 temporary names only after the whole pipeline has succeeded, and
 renamed into place only once all six are written and no target is a
 directory, so neither a failed stage nor a failed write leaves a mix of
-old and new artifacts.
+old and new artifacts. report.json and predictions.json are the
+records `RunReport` and `RunPredictions`: the run writes them and
+`compare` reads them back through the same classes, so a file whose
+fields or schema tag do not decode is a data error naming the file.
 
 Exit codes: 0 success, 1 usage (bad flags or config), 2 data error
 (unreadable or malformed inputs, degenerate datasets, mismatched
@@ -47,9 +50,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import get_origin
+from typing import Annotated, get_origin
 
 import numpy as np
 
@@ -66,7 +69,7 @@ from .classify import (
 )
 from .dimred import fit_transform, transform
 from .errors import ConvergenceError, DataFormatError, HsikitError
-from .evaluation import evaluate, mcnemar, render_map, write_ppm
+from .evaluation import EvalReport, evaluate, mcnemar, render_map, write_ppm
 from .hsi_data import (
     DTYPES,
     INTERLEAVES,
@@ -82,7 +85,7 @@ from .hsi_data import (
     save_ground_truth,
 )
 from .linalg import RandomizedSvdParams
-from .records import check_int, coerce, int_array
+from .records import Record, check_int, coerce
 
 # Unused here: hsibench/pipeline.py wraps them by name until ROADMAP item 1, step 3.
 from .dimred import fit_pca, fit_rpca  # noqa: F401
@@ -260,8 +263,44 @@ def _load_json(path: Path) -> dict:
 # --- the run pipeline --------------------------------------------------
 
 
-def run_pipeline(config: dict) -> dict:
-    """Resolve and execute a config and write artifacts; returns the report.
+@dataclass
+class RunReport(Record):
+    """report.json: a run's evaluation, with its method label and sizes."""
+
+    SCHEMA = "hsikit/report/1"
+
+    toolkit_version: str
+    method: str
+    n_train: int
+    n_test: int
+    evaluation: EvalReport
+
+
+@dataclass
+class RunPredictions(Record):
+    """predictions.json: the test pixels' indices, truth and predicted
+    labels, aligned, with the dataset, seed and split that make two runs
+    comparable."""
+
+    SCHEMA = "hsikit/predictions/1"
+
+    dataset: dict  # height, width and bands of the cube
+    seed: int
+    train_fraction: float
+    method: str
+    pixel_indices: Annotated[np.ndarray, np.int64]
+    truth: Annotated[np.ndarray, np.int64]
+    predicted: Annotated[np.ndarray, np.int64]
+
+    def __post_init__(self):
+        shapes = [np.shape(a) for a in (self.truth, self.predicted, self.pixel_indices)]
+        if len(set(shapes)) > 1 or len(shapes[0]) != 1:
+            raise ValueError(f"truth, predicted, pixel_indices must share one 1-D shape: {shapes}")
+
+
+def run_pipeline(config: dict) -> RunReport:
+    """Resolve and execute a config and write artifacts; returns the
+    report.json record.
 
     Raises StageError around any failing stage; artifacts are only
     written once every stage has succeeded. The cube is never held
@@ -316,31 +355,18 @@ def run_pipeline(config: dict) -> dict:
         predicted = predictor(model, test_set.features)
 
         begin("evaluate")
-        report = evaluate(predicted, test_set.labels, gt.num_classes)
+        evaluation = evaluate(predicted, test_set.labels, gt.num_classes)
         image = render_map(gt, predicted, test_set.pixel_indices)
     except (HsikitError, ValueError, OSError) as exc:
         raise StageError(starts[-1][0], exc)
 
     begin("write")
     label = method_label(config)
-    report_doc = {
-        "schema": "hsikit/report/1",
-        "toolkit_version": __version__,
-        "method": label,
-        "n_train": len(train_set),
-        "n_test": len(test_set),
-        "evaluation": report.to_dict(),
-    }
-    predictions_doc = {
-        "schema": "hsikit/predictions/1",
-        "dataset": {"height": gt.height, "width": gt.width, "bands": bands},
-        "seed": config["seed"],
-        "train_fraction": config["train_fraction"],
-        "method": label,
-        "pixel_indices": test_set.pixel_indices.tolist(),
-        "truth": test_set.labels.tolist(),
-        "predicted": predicted.tolist(),
-    }
+    report = RunReport(__version__, label, len(train_set), len(test_set), evaluation)
+    predictions = RunPredictions(
+        {"height": gt.height, "width": gt.width, "bands": bands}, config["seed"],
+        config["train_fraction"], label, test_set.pixel_indices, test_set.labels, predicted,
+    )
     model_doc = {
         "schema": "hsikit/run-model/1",
         "reduction": None if pca_model is None else pca_model.to_dict(),
@@ -356,7 +382,8 @@ def run_pipeline(config: dict) -> dict:
     *doc_paths, map_path, timings_path = staged = [out_dir / f"{name}.tmp" for name in names]
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        for path, doc in zip(doc_paths, (config, report_doc, predictions_doc, model_doc)):
+        docs = (config, report.to_dict(), predictions.to_dict(), model_doc)
+        for path, doc in zip(doc_paths, docs):
             path.write_bytes(_canonical_json(doc))
         write_ppm(image, map_path)
         # Each stage runs until the next begins; the last until now. total_ms
@@ -380,7 +407,7 @@ def run_pipeline(config: dict) -> dict:
         raise
     for tmp in staged:
         os.replace(tmp, tmp.with_suffix(""))
-    return report_doc
+    return report
 
 
 # --- subcommands -------------------------------------------------------
@@ -438,62 +465,44 @@ def _cmd_run(args) -> int:
         kinds = [k for k, cls in _CLASSIFIER_PARAMS.items() if given & {f.name for f in fields(cls)}]
         classifier["kind"] = kinds[0] if kinds else "svm"
     config = resolve_config(file_config, overrides)
-    report_doc = run_pipeline(config)
-    ev = report_doc["evaluation"]
-    print(
-        f"{report_doc['method']}: trained on {report_doc['n_train']} pixels, "
-        f"tested on {report_doc['n_test']}"
-    )
-    print(f"overall accuracy {ev['overall_accuracy']:.4f} over {ev['num_classes']} classes")
+    report = run_pipeline(config)
+    ev = report.evaluation
+    print(f"{report.method}: trained on {report.n_train} pixels, tested on {report.n_test}")
+    print(f"overall accuracy {ev.overall_accuracy:.4f} over {ev.num_classes} classes")
     print(f"artifacts written to {config['output']}")
     return 0
 
 
-def _compared_run(run_dir) -> dict:
-    """The predictions.json fields compare reads, and the report's
-    overall accuracy as ``accuracy``; the method must be a string and
-    the accuracy a finite number, as compare prints both, and truth,
-    predicted and pixel_indices must be lists of one length. The labels
-    are read once, into int64 arrays."""
+def _compared_run(run_dir) -> tuple:
+    """A run's (RunPredictions, RunReport), read from its predictions.json
+    and report.json; a document that does not decode, schema tag
+    included, is a DataFormatError naming its file."""
     base = Path(run_dir)
     path = base / "predictions.json"
     try:
-        predictions = _load_json(path)
-        run = {
-            key: predictions[key]
-            for key in ("dataset", "seed", "train_fraction", "pixel_indices", "truth",
-                        "predicted")
-        }
-        run["method"] = coerce(predictions["method"], str, "method")
-        for key in ("truth", "predicted"):
-            run[key] = int_array(run[key], np.int64, key)
-        shapes = [np.shape(run[key]) for key in ("truth", "predicted", "pixel_indices")]
-        if len(set(shapes)) > 1 or len(shapes[0]) != 1:
-            raise ValueError(f"truth, predicted, pixel_indices must share one 1-D shape: {shapes}")
+        predictions = RunPredictions.from_dict(_load_json(path))
         path = base / "report.json"
-        accuracy = _load_json(path)["evaluation"]["overall_accuracy"]
-        run["accuracy"] = coerce(accuracy, float, "evaluation.overall_accuracy")
-    except (KeyError, TypeError, ValueError) as exc:
+        return predictions, RunReport.from_dict(_load_json(path))
+    # An AttributeError comes from a document that is not an object.
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataFormatError(f"{path}: missing or malformed field ({exc!r})") from None
-    return run
 
 
 def _cmd_compare(args) -> int:
-    run_a, run_b = _compared_run(args.run_a), _compared_run(args.run_b)
+    (run_a, report_a), (run_b, report_b) = _compared_run(args.run_a), _compared_run(args.run_b)
     for field in ("dataset", "seed", "train_fraction"):
-        if run_a[field] != run_b[field]:
-            raise DataFormatError(
-                f"runs are not comparable: {field} differs "
-                f"({run_a[field]!r} vs {run_b[field]!r})"
-            )
-    if run_a["pixel_indices"] != run_b["pixel_indices"] or not np.array_equal(
-        run_a["truth"], run_b["truth"]
+        a, b = getattr(run_a, field), getattr(run_b, field)
+        if a != b:
+            raise DataFormatError(f"runs are not comparable: {field} differs ({a!r} vs {b!r})")
+    if not (
+        np.array_equal(run_a.pixel_indices, run_b.pixel_indices)
+        and np.array_equal(run_a.truth, run_b.truth)
     ):
         raise DataFormatError("runs are not comparable: test splits differ")
-    result = mcnemar(run_a["predicted"], run_b["predicted"], run_a["truth"])
+    result = mcnemar(run_a.predicted, run_b.predicted, run_a.truth)
     row = {
-        "a": {"method": run_a["method"], "accuracy": run_a["accuracy"]},
-        "b": {"method": run_b["method"], "accuracy": run_b["accuracy"]},
+        "a": {"method": run_a.method, "accuracy": report_a.evaluation.overall_accuracy},
+        "b": {"method": run_b.method, "accuracy": report_b.evaluation.overall_accuracy},
         "mcnemar": result.to_dict(),
     }
     if args.json:
@@ -629,11 +638,6 @@ def _exit_status(exc: Exception) -> tuple[int, str]:
     if isinstance(exc, StageError):
         return _exit_status(exc.cause)[0], "error"
     return next(status for kind, status in _EXIT_STATUS.items() if isinstance(exc, kind))
-
-
-def exit_code_for(exc: Exception) -> int:
-    """The exit code main returns for an error it reports."""
-    return _exit_status(exc)[0]
 
 
 def main(argv=None) -> int:

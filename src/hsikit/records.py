@@ -15,6 +15,8 @@ the array dtypes and the schema tag are each written once, in the class:
   values, a numpy scalar as its ``.item()``, and checked by
   :func:`coerce` on the way back;
 - a class that sets ``SCHEMA`` gets a ``"schema"`` key, checked on decode.
+
+A decode error names a nested field by its path, e.g. ``params.max_iter``.
 """
 
 import math
@@ -55,15 +57,17 @@ def int_array(values, dtype, name: str) -> np.ndarray:
     """``values`` as a C-ordered array of integer ``dtype``, when nothing
     is lost.
 
-    An integer ndarray is taken as it is. Anything else goes entry by
-    entry through :func:`coerce`'s int rule, since numpy would turn a
-    fraction or a bool into an integer. Every entry must then fit
-    ``dtype``. Raises ValueError naming ``name`` otherwise.
+    An integer ndarray is taken as it is. Anything else is scanned once
+    for its entries' types: entries that are all Python ints are kept,
+    and otherwise each goes through :func:`coerce`'s int rule, since
+    numpy would turn a fraction or a bool into an integer. Every entry
+    must then fit ``dtype``. Raises ValueError naming ``name`` otherwise.
     """
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
-        entries = np.asarray(values, dtype=object)
-        values = np.array([coerce(v, int, name) for v in entries.flat], dtype=object)
-        values = values.reshape(entries.shape)
+        values = np.asarray(values, dtype=object)
+        if set(map(type, values.flat)) - {int}:
+            entries = [coerce(v, int, name) for v in values.flat]
+            values = np.array(entries, dtype=object).reshape(values.shape)
     if values.size and not np.can_cast(values.dtype, dtype):
         info = np.iinfo(dtype)
         for value in (int(values.min()), int(values.max())):
@@ -130,7 +134,7 @@ def _decode(value, hint, name: str):
         read = int_array if dtype.kind in "iu" else real_array
         return read(value, dtype, name)
     if is_dataclass(hint):
-        return _fields_from_dict(hint, value)
+        return _fields_from_dict(hint, value, f"{name}.")
     if origin is list:
         (item,) = get_args(hint)
         return [_decode(v, item, name) for v in value]
@@ -147,12 +151,12 @@ def _fields_to_dict(obj) -> dict:
     return out
 
 
-def _fields_from_dict(cls, d: dict):
+def _fields_from_dict(cls, d: dict, prefix: str = ""):
     schema = getattr(cls, "SCHEMA", None)
     if schema is not None and d.get("schema") != schema:
         raise ValueError(f"unsupported {cls.__name__} schema: {d.get('schema')!r}")
     hints = get_type_hints(cls, include_extras=True)
-    return cls(**{f.name: _decode(d[f.name], hints[f.name], f.name) for f in fields(cls)})
+    return cls(**{f.name: _decode(d[f.name], hints[f.name], prefix + f.name) for f in fields(cls)})
 
 
 class Record:

@@ -32,7 +32,8 @@ def scenes(tmp_path):
 
 def test_a_tree_against_itself_makes_the_same_artifacts(artifact_diff, scenes, tmp_path):
     rows = artifact_diff.compare(ROOT, ROOT, scenes, tmp_path / "runs", seeds=(1,))
-    assert rows == [("tiny", 1, name, True, []) for name in artifact_diff.ARTIFACTS]
+    names = [*artifact_diff.ARTIFACTS, "compare --json"]
+    assert rows == [("tiny", 1, name, True, []) for name in names]
 
 
 def test_a_changed_constant_shows_in_the_model(artifact_diff, scenes, tmp_path):
@@ -43,8 +44,25 @@ def test_a_changed_constant_shows_in_the_model(artifact_diff, scenes, tmp_path):
     assert source.count("    c: float = 600.0\n") == 1
     svm_py.write_text(source.replace("    c: float = 600.0\n", "    c: float = 0.5\n"))
     rows = artifact_diff.compare(ROOT, changed, scenes, tmp_path / "runs", seeds=(1,))
-    assert [name for name, *_ in rows] == ["tiny"] * len(artifact_diff.ARTIFACTS)
+    assert [name for name, *_ in rows] == ["tiny"] * (len(artifact_diff.ARTIFACTS) + 1)
     reports = {artifact: report for _, _, artifact, same, report in rows if not same}
     assert "model.json" in reports
+    # Both trees' compare reads the two runs alike.
+    assert "compare --json" not in reports
     assert "classifier.params.c: leaves differing 1, largest |delta| 599.5" in reports["config.json"]
     assert any(line.startswith("classifier.model.machines[*].") for line in reports["model.json"])
+
+
+def test_a_changed_compare_shows_in_its_output(artifact_diff, scenes, tmp_path):
+    changed = tmp_path / "changed"
+    shutil.copytree(ROOT / "src", changed / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli_py = changed / "src" / "hsikit" / "cli.py"
+    source = cli_py.read_text(encoding="utf-8")
+    old = '"mcnemar": result.to_dict(),'
+    assert source.count(old) == 1
+    cli_py.write_text(source.replace(old, old + ' "extra": 1,'))
+    rows = artifact_diff.compare(ROOT, changed, scenes, tmp_path / "runs", seeds=(1,))
+    assert [(artifact, same) for _, _, artifact, same, _ in rows] == [
+        *((name, True) for name in artifact_diff.ARTIFACTS), ("compare --json", False)
+    ]
+    assert rows[-1][4] == ["extra: leaves differing 1"]

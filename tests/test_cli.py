@@ -21,11 +21,13 @@ import hsikit
 from hsikit.classify import GbdtModel, SvmGrid, SvmModel, gbdt, svm
 from hsikit.classify import _pool as pool
 from hsikit.cli import (
+    RunPredictions,
+    RunReport,
     StageError,
     UsageError,
     _canonical_json,
+    _exit_status,
     build_parser,
-    exit_code_for,
     main,
     method_label,
     resolve_config,
@@ -38,7 +40,6 @@ from hsikit.errors import (
     WorkerError,
 )
 from hsikit.dimred import PcaModel
-from hsikit.evaluation import EvalReport
 from hsikit.hsi_data import HsiCube, load_cube, load_ground_truth, save_cube, save_ground_truth
 from hsikit.synthetic import gaussian_scene
 
@@ -816,10 +817,9 @@ def test_run_artifacts_decode_and_reencode_identically(scene, tmp_path, flags, m
     classifier = model_doc["classifier"]
     classifier["model"] = model_cls.from_dict(classifier["model"]).to_dict()
     assert _canonical_json(model_doc) == model_bytes
-    report_bytes = (out / "report.json").read_bytes()
-    report_doc = json.loads(report_bytes)
-    report_doc["evaluation"] = EvalReport.from_dict(report_doc["evaluation"]).to_dict()
-    assert _canonical_json(report_doc) == report_bytes
+    for name, record in (("report.json", RunReport), ("predictions.json", RunPredictions)):
+        data = (out / name).read_bytes()
+        assert _canonical_json(record.from_dict(json.loads(data)).to_dict()) == data
 
 
 def test_run_flag_conflicts(scene, tmp_path, capsys):
@@ -972,6 +972,10 @@ def test_compare_missing_run_dir(tmp_path, capsys):
         ("predictions.json", lambda doc: doc["predicted"].pop()),
         ("predictions.json", lambda doc: doc.update(truth=[[t] for t in doc["truth"]])),
         ("predictions.json", lambda doc: doc["pixel_indices"].pop()),
+        ("predictions.json", lambda doc: doc.pop("schema")),
+        ("predictions.json", lambda doc: doc.update(schema="hsikit/predictions/2")),
+        ("report.json", lambda doc: doc.update(schema="hsikit/predictions/1")),
+        ("report.json", lambda doc: doc.update(n_test=[2])),
     ],
 )
 def test_compare_foreign_run_is_a_data_error(scene, tmp_path, capsys, name, mangle):
@@ -1375,15 +1379,15 @@ def test_package_reexports_each_module_all():
 
 
 def test_exit_code_mapping():
-    assert exit_code_for(UsageError("x")) == 1
-    assert exit_code_for(DataFormatError("x")) == 2
-    assert exit_code_for(DegenerateDataError("x")) == 2
-    assert exit_code_for(ValueError("x")) == 2
-    assert exit_code_for(OSError("x")) == 2
-    assert exit_code_for(MemoryError()) == 2
-    assert exit_code_for(WorkerError("x")) == 2
-    assert exit_code_for(ConvergenceError("x")) == 3
-    assert exit_code_for(FloatingPointError("x")) == 3
+    assert _exit_status(UsageError("x"))[0] == 1
+    assert _exit_status(DataFormatError("x"))[0] == 2
+    assert _exit_status(DegenerateDataError("x"))[0] == 2
+    assert _exit_status(ValueError("x"))[0] == 2
+    assert _exit_status(OSError("x"))[0] == 2
+    assert _exit_status(MemoryError())[0] == 2
+    assert _exit_status(WorkerError("x"))[0] == 2
+    assert _exit_status(ConvergenceError("x"))[0] == 3
+    assert _exit_status(FloatingPointError("x"))[0] == 3
     # StageError defers to its cause.
-    assert exit_code_for(StageError("train", ConvergenceError("x"))) == 3
-    assert exit_code_for(StageError("load", DataFormatError("x"))) == 2
+    assert _exit_status(StageError("train", ConvergenceError("x")))[0] == 3
+    assert _exit_status(StageError("load", DataFormatError("x")))[0] == 2

@@ -3,7 +3,8 @@
 The settings classes and ``check_int`` accept numpy's integer scalars,
 so a record can hold them, or numpy values computed from them; its
 ``to_dict`` must still give what ``json.dumps`` writes and
-``from_dict`` reads back.
+``from_dict`` reads back. A field that does not decode is named by its
+path.
 """
 
 import json
@@ -57,3 +58,10 @@ def test_records_of_numpy_numbers_round_trip_through_json(build, cls):
     back = cls.from_dict(json.loads(json.dumps(d)))
     assert back.to_dict() == d
     assert json.dumps(back.to_dict(), sort_keys=True) == json.dumps(d, sort_keys=True)
+
+
+def test_a_nested_field_is_named_by_its_path():
+    d = json.loads(json.dumps(svm_record().to_dict()))
+    d["params"]["max_iter"] = 2.5
+    with pytest.raises(ValueError, match=r"^params\.max_iter must be an integer, got 2\.5$"):
+        SvmModel.from_dict(d)

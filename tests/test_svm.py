@@ -2,9 +2,15 @@
 
 import multiprocessing
 import os
+import select
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -805,6 +811,56 @@ def test_pool_has_one_process_per_cpu(force_cpus):
         # A one-CPU run makes no pool at all.
         assert len(multiprocessing.active_children()) == (cpus if cpus > 1 else 0)
         assert (pool._current is None) == (cpus == 1)
+
+
+# Prints the pids of its two pool workers, then waits to be killed.
+_OWNER = """
+import multiprocessing, time
+from hsikit.classify import _pool as pool
+
+pool._cpu_count = lambda: 2
+pool.spread(sorted, [0, 1])
+print(*[worker.pid for worker in multiprocessing.active_children()], flush=True)
+time.sleep(120)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc/<pid>/stat")
+def test_workers_end_when_their_owner_is_killed(tmp_path):
+    # SIGKILL runs no cleanup in the owner: its workers must see it go.
+    src = str(Path(pool.__file__).resolve().parents[2])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    owner = subprocess.Popen(
+        [sys.executable, "-c", _OWNER], cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True
+    )
+    workers = []
+    try:
+        assert select.select([owner.stdout], [], [], 60)[0], "the owner printed no pids"
+        workers = [int(pid) for pid in owner.stdout.readline().split()]
+        assert len(workers) == 2 and owner.pid not in workers
+        owner.kill()
+        owner.wait()
+        deadline = time.monotonic() + 5.0
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        owner.kill()
+        owner.wait()
+        owner.stdout.close()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_pool_outlives_a_change_of_cpu_count(monkeypatch, force_cpus):

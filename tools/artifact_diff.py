@@ -14,10 +14,15 @@ JSON artifact that differs it prints each generalized path whose leaves
 differ, list indices written ``[*]`` (e.g.
 ``classifier.model.machines[*].dual_coef[*]``), with the number of
 differing leaves and the largest |delta| of the numeric ones, and for
-``predictions.json`` how many ``predicted`` entries changed. Last come
+``predictions.json`` how many ``predicted`` entries changed. After the
+artifacts of each workload and seed comes one ``compare --json`` line:
+``python -m hsikit compare --json`` on BASE's run and this checkout's
+run, with BASE's sources and with this checkout's, is ``same`` when
+both exit 0 and print the same bytes; under ``differs`` come the leaves
+that differ, or the failed command's exit code and output. Last come
 both trees' code lines of each module of ``src/hsikit``, as
 ``tools/code_lines.py`` counts them. It exits 1 if any artifact differs
-or any run fails.
+or any run or compare fails.
 
 Nothing is written into the checkout: the runs work in the temporary
 directory, and Python writes no bytecode.
@@ -63,6 +68,21 @@ def run_tree(tree: Path, config: dict, run_dir: Path):
     if done.returncode != 0:
         return f"exit {done.returncode}: {(done.stdout + done.stderr).strip()}"
     return {name: (run_dir / config["output"] / name).read_bytes() for name in ARTIFACTS}
+
+
+def compare_tree(tree: Path, run_a: Path, run_b: Path) -> tuple:
+    """(exit code, output) of ``hsikit compare --json run_a run_b`` with
+    ``tree``'s sources; the output is stdout, or stdout and stderr if
+    the command failed."""
+    done = subprocess.run(
+        [sys.executable, "-m", "hsikit", "compare", "--json", str(run_a), str(run_b)],
+        env=_env(tree),
+        capture_output=True,
+        text=True,
+    )
+    if done.returncode != 0:
+        return done.returncode, (done.stdout + done.stderr).strip()
+    return 0, done.stdout
 
 
 def _leaves(node, path=()):
@@ -113,8 +133,11 @@ def describe(artifact: str, base: bytes, head: bytes) -> list:
 
 def compare(base: Path, head: Path, scenes: dict, work: Path, seeds=SEEDS) -> list:
     """(workload, seed, artifact, same, report lines) for each
-    deterministic artifact of each run; the report lines are those of
-    :func:`describe` for a JSON artifact that differs, else empty.
+    deterministic artifact of each run, then for ``compare --json`` (see
+    :func:`compare_tree`) over the two runs with each tree's sources; the
+    report lines are those of :func:`describe` for a JSON artifact or
+    compare output that differs, or each failed compare's exit code and
+    output, else empty.
     ``scenes`` maps a workload name to (scene directory, config minus
     cube, ground_truth, output and seed). A failed run gives one row for
     its workload and seed, not same, whose ``artifact`` is the
@@ -129,10 +152,8 @@ def compare(base: Path, head: Path, scenes: dict, work: Path, seeds=SEEDS) -> li
                 "seed": seed,
                 **config,
             }
-            runs = [
-                run_tree(tree, full, work / side / name / f"seed{seed}")
-                for side, tree in (("base", base), ("head", head))
-            ]
+            dirs = [work / side / name / f"seed{seed}" for side in ("base", "head")]
+            runs = [run_tree(tree, full, run_dir) for tree, run_dir in zip((base, head), dirs)]
             failed = [run for run in runs if isinstance(run, str)]
             if failed:
                 rows.append((name, seed, "; ".join(failed), False, []))
@@ -142,6 +163,16 @@ def compare(base: Path, head: Path, scenes: dict, work: Path, seeds=SEEDS) -> li
                 plain = same or not key.endswith(".json")
                 report = [] if plain else describe(key, runs[0][key], runs[1][key])
                 rows.append((name, seed, key, same, report))
+            run_dirs = [run_dir / full["output"] for run_dir in dirs]
+            outputs = [compare_tree(tree, *run_dirs) for tree in (base, head)]
+            failed = [
+                f"{side}: exit {code}: {out}"
+                for side, (code, out) in zip(("base", "head"), outputs)
+                if code
+            ]
+            same = not failed and outputs[0] == outputs[1]
+            report = failed or ([] if same else describe("compare", outputs[0][1], outputs[1][1]))
+            rows.append((name, seed, "compare --json", same, report))
     return rows
 
 
