@@ -69,7 +69,7 @@ _MIN_GAIN = 1e-12
 
 
 @dataclass(frozen=True)
-class GbdtParams:
+class GbdtParams(Record):
     """Boosting settings. Building one with a bad field raises
     ValueError naming it."""
 

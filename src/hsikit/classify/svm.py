@@ -101,7 +101,7 @@ _KERNEL_BLOCK_BYTES = 2**16 * 8
 
 
 @dataclass(frozen=True)
-class SvmParams:
+class SvmParams(Record):
     """SMO settings: box bound ``c``, RBF width ``gamma``, KKT
     ``tolerance`` and iteration cap ``max_iter``. Building one with a
     bad field raises ValueError naming it."""
@@ -119,7 +119,7 @@ class SvmParams:
 
 
 @dataclass(frozen=True)
-class SvmGrid:
+class SvmGrid(Record):
     """Grid search settings: the ``c`` and ``gamma`` values to try and the
     number of cross-validation ``folds``. The default grid is centered on
     ``SvmParams``'s C=600, gamma=0.5. ``c`` and ``gamma`` are non-empty

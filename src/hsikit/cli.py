@@ -22,7 +22,8 @@ directory, so neither a failed stage nor a failed write leaves a mix of
 old and new artifacts. report.json and predictions.json are the
 records `RunReport` and `RunPredictions`: the run writes them and
 `compare` reads them back through the same classes, so a file whose
-fields or schema tag do not decode is a data error naming the file.
+fields or schema tag do not decode is a data error naming the file and
+the field.
 
 Exit codes: 0 success, 1 usage (bad flags or config), 2 data error
 (unreadable or malformed inputs, degenerate datasets, mismatched
@@ -32,10 +33,13 @@ floating-point breakdown).
 Configs are JSON with the same shape as the config.json artifact.
 Each `run` flag sets one config field, which its help text names, and
 overrides the file's value; the flags of one section replace the file's
-whole `reduction` or `classifier` object. One private resolver,
-`_resolve`, checks the merged settings: a bad value or a key it does not
-know, at any level, is a usage error that names the config field, e.g.
-`classifier.grid.c must be > 0, got -2.0`. It returns the config.json
+whole `reduction` or `classifier` object, so a reduction flag without
+`--reduction` is a usage error. One private resolver, `_resolve`, checks
+the merged settings: a bad value or a key it does not know, at any
+level, is a usage error that names the config field, e.g.
+`classifier.grid.c must be > 0, got -2.0`. Each settings section
+decodes through `records`, by the rules that read the run's artifacts;
+this module holds only the config's layout. It returns the config.json
 snapshot with the settings objects the stages take: the reduce stage's
 fit (None, an int k or a `RandomizedSvdParams`), the classifier kind's
 params and the optional `SvmGrid`. `resolve_config` returns the
@@ -50,9 +54,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Annotated, get_origin
+from typing import Annotated
 
 import numpy as np
 
@@ -85,7 +89,7 @@ from .hsi_data import (
     save_ground_truth,
 )
 from .linalg import RandomizedSvdParams
-from .records import Record, check_int, coerce
+from .records import Record, check_int, check_keys, coerce
 
 # Unused here: hsibench/pipeline.py wraps them by name until ROADMAP item 1, step 3.
 from .dimred import fit_pca, fit_rpca  # noqa: F401
@@ -116,36 +120,30 @@ class _Parser(argparse.ArgumentParser):
 
 # The settings class of each classifier kind.
 _CLASSIFIER_PARAMS = {"svm": SvmParams, "gbdt": GbdtParams}
-
-
-def _check_keys(raw, name: str, allowed) -> None:
-    """Raise UsageError unless ``raw`` is an object whose keys are all in
-    ``allowed``, so no key of a config is dropped without a word."""
-    if not isinstance(raw, dict):
-        raise UsageError(f"config field {name} must be an object, got {raw!r}")
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise UsageError(f"unknown {name} fields {sorted(unknown)}; allowed: {sorted(allowed)}")
+# The reduction methods a config may name.
+_REDUCTION_METHODS = ("none", "pca", "rpca")
 
 
 def _params(cls, raw, name: str, other=(), **fixed):
-    """``cls`` built from the config object ``raw`` at ``name``, whose keys
-    are the ``other`` keys, which are skipped, and the dataclass fields not
-    in ``fixed``. A scalar field's value is coerced to its type; a list
-    field's is left to ``cls``. A rule ``cls`` breaks raises UsageError
-    prefixed with ``name``, so the message's first word, a field of
-    ``cls``, reads as its config path; a rule on two fields, such as
-    GbdtParams's ``goss_top_rate + goss_other_rate must be < 1``, names
-    only the first by its path. The caller checks ``fixed`` itself."""
-    types = {f.name: f.type for f in fields(cls) if f.name not in fixed}
-    _check_keys(raw, name, [*other, *types])
-    try:
-        return cls(**fixed, **{
-            key: v if get_origin(types[key]) is list else coerce(v, types[key], key)
-            for key, v in raw.items() if key not in other
-        })
-    except ValueError as exc:
-        raise UsageError(f"{name}.{exc}") from None
+    """``cls`` decoded by ``records`` at the config path ``name`` from the
+    config object ``raw``, over the defaults of ``cls(**fixed)``: the keys
+    of ``raw`` are the ``other`` keys, which are skipped, and the fields
+    of ``cls`` not in ``fixed``. The caller checks ``fixed`` itself."""
+    check_keys(raw, name, [*other, *(f.name for f in fields(cls) if f.name not in fixed)])
+    given = {key: v for key, v in raw.items() if key not in other}
+    return cls.from_dict({**cls(**fixed).to_dict(), **given}, name)
+
+
+def _choice(cfg: dict, section: str, key: str, choices) -> tuple:
+    """The config section ``section`` and the value of its ``key``, one of
+    ``choices``; raises ValueError otherwise."""
+    raw = cfg[section]
+    if not isinstance(raw, dict) or key not in raw:
+        raise ValueError(f"config field '{section}' must be an object with a '{key}'")
+    # Tested as a string first: a value such as [] cannot be hashed.
+    if not isinstance(raw[key], str) or raw[key] not in choices:
+        raise ValueError(f"unknown {section} {key} {raw[key]!r} (expected {', '.join(choices)})")
+    return raw, raw[key]
 
 
 def _resolve(file_config: dict, overrides: dict):
@@ -155,71 +153,58 @@ def _resolve(file_config: dict, overrides: dict):
     ``RandomizedSvdParams`` with the run seed; ``params`` the kind's
     settings class; ``grid`` an ``SvmGrid``, or None for a null or false
     grid (true is ``{}``, all defaults). The snapshot's ``reduction`` and
-    ``classifier`` are written from those objects. A bad value or a key
-    that a level does not take raises UsageError naming its config field.
-    A sketch's fit to the data is checked once that is read."""
-    cfg = {"reduction": {"method": "none"}, "classifier": {"kind": "svm"}, **file_config}
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
-    paths = (("cube", None), ("ground_truth", None), ("output", "hsikit_run"))
+    ``classifier`` are written from those objects. Each settings section
+    decodes through ``records``, by the rules that read a run's
+    artifacts; this function holds only the config's layout. A bad value
+    or a key that a level does not take raises ValueError naming its
+    config field, which becomes a UsageError here, in one place. A
+    sketch's fit to the data is checked once that is read."""
     try:
+        if not isinstance(file_config, dict):
+            raise ValueError(f"config must be an object, got {file_config!r}")
+        cfg = {"reduction": {"method": "none"}, "classifier": {"kind": "svm"}, **file_config}
+        cfg.update((key, value) for key, value in overrides.items() if value is not None)
+        paths = (("cube", None), ("ground_truth", None), ("output", "hsikit_run"))
         out = {key: coerce(cfg.get(key, default), str, key) for key, default in paths}
         out["train_fraction"] = coerce(cfg.get("train_fraction", 0.7), float, "train_fraction")
         out["seed"] = coerce(cfg.get("seed", 0), int, "seed")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    for key, _ in paths:
-        if not out[key]:  # Path("") is the working directory
-            raise UsageError(f"config field {key!r} must be a non-empty path")
-    if not 0.0 < out["train_fraction"] < 1.0:
-        raise UsageError(f"train_fraction must be in (0, 1), got {out['train_fraction']}")
+        for key, _ in paths:
+            if not out[key]:  # Path("") is the working directory
+                raise ValueError(f"config field {key!r} must be a non-empty path")
+        if not 0.0 < out["train_fraction"] < 1.0:
+            raise ValueError(f"train_fraction must be in (0, 1), got {out['train_fraction']}")
 
-    reduction = cfg["reduction"]
-    if not isinstance(reduction, dict) or "method" not in reduction:
-        raise UsageError("config field 'reduction' must be an object with a 'method'")
-    method = reduction["method"]
-    if method not in ("none", "pca", "rpca"):
-        raise UsageError(f"unknown reduction method {method!r} (expected none, pca, rpca)")
-    fit = None
-    if method != "none":
-        try:
+        reduction, method = _choice(cfg, "reduction", "method", _REDUCTION_METHODS)
+        out["reduction"] = section = {"method": method}
+        fit = None
+        if method != "none":
             fit = coerce(reduction.get("components"), int, "reduction.components")
             check_int(fit, "reduction.components", 1)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    keys = ["method"] if fit is None else ["method", "components"]
-    if method == "rpca":  # the whole section, so an unknown key's error lists every allowed one
-        fit = _params(RandomizedSvdParams, reduction, "reduction", keys, k=fit, seed=out["seed"])
-    else:
-        _check_keys(reduction, "reduction", keys)
-    out["reduction"] = {"method": method}
-    if isinstance(fit, RandomizedSvdParams):
-        out["reduction"].update(components=fit.k, oversampling=fit.oversampling,
-                                power_iterations=fit.power_iterations)
-    elif fit is not None:
-        out["reduction"]["components"] = fit
+            section["components"] = fit
+        # rpca decodes the whole section, so an unknown key's error lists every allowed one.
+        if method == "rpca":
+            fit = _params(RandomizedSvdParams, reduction, "reduction", section, k=fit,
+                          seed=out["seed"])
+            section.update(oversampling=fit.oversampling, power_iterations=fit.power_iterations)
+        else:
+            check_keys(reduction, "reduction", section)
 
-    classifier = cfg["classifier"]
-    if not isinstance(classifier, dict) or "kind" not in classifier:
-        raise UsageError("config field 'classifier' must be an object with a 'kind'")
-    kind = classifier["kind"]
-    # Tested as a string first: a kind such as [] cannot be hashed.
-    if not isinstance(kind, str) or kind not in _CLASSIFIER_PARAMS:
-        kinds = ", ".join(_CLASSIFIER_PARAMS)
-        raise UsageError(f"unknown classifier kind {kind!r} (expected {kinds})")
-    allowed = ("kind", "params", "grid") if kind == "svm" else ("kind", "params")
-    _check_keys(classifier, "classifier", allowed)
-    params = _params(_CLASSIFIER_PARAMS[kind], classifier.get("params", {}), "classifier.params")
-    grid = classifier.get("grid")
-    if grid is None or grid is False:
-        grid = None
-    else:
-        grid = _params(SvmGrid, {} if grid is True else grid, "classifier.grid")
-    out["classifier"] = {"kind": kind, "params": asdict(params)}
-    if kind == "svm":
-        out["classifier"]["grid"] = grid and asdict(grid)
-    _check_keys(cfg, "top-level config", out)  # out has every top-level key
+        classifier, kind = _choice(cfg, "classifier", "kind", _CLASSIFIER_PARAMS)
+        allowed = ("kind", "params", "grid") if kind == "svm" else ("kind", "params")
+        check_keys(classifier, "classifier", allowed)
+        params = _params(_CLASSIFIER_PARAMS[kind], classifier.get("params", {}),
+                         "classifier.params")
+        grid = classifier.get("grid")
+        if grid is None or grid is False:
+            grid = None
+        else:
+            grid = _params(SvmGrid, {} if grid is True else grid, "classifier.grid")
+        out["classifier"] = {"kind": kind, "params": params.to_dict()}
+        if kind == "svm":
+            out["classifier"]["grid"] = grid and grid.to_dict()
+        check_keys(cfg, "top-level config", out)  # out has every top-level key
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return out, fit, params, grid
 
 
@@ -420,7 +405,7 @@ _RUN_FLAGS = (
     ("--output", "output", {}),
     ("--train-fraction", "train_fraction", {"type": float}),
     ("--seed", "seed", {"type": int}),
-    ("--reduction", "reduction.method", {"choices": ["none", "pca", "rpca"]}),
+    ("--reduction", "reduction.method", {"choices": _REDUCTION_METHODS}),
     ("--components", "reduction.components", {"type": int}),
     ("--oversampling", "reduction.oversampling", {"type": int}),
     ("--power-iterations", "reduction.power_iterations", {"type": int}),
@@ -458,6 +443,12 @@ def _cmd_run(args) -> int:
             for section in sections:
                 node = node.setdefault(section, {})
             node[key] = value
+    # The reduction flags replace the file's whole section, method included.
+    if "method" not in overrides.get("reduction", {"method": None}):
+        flags = " ".join(flag for flag, field, _ in _RUN_FLAGS
+                         if field.startswith("reduction.") and getattr(args, field) is not None)
+        raise UsageError(f"{flags} without --reduction: the reduction flags replace the "
+                         "config's whole reduction section, so --reduction must be given too")
     # Without --classifier, the first kind whose settings a flag sets.
     classifier = overrides.get("classifier")
     if classifier is not None and "kind" not in classifier:
@@ -483,8 +474,7 @@ def _compared_run(run_dir) -> tuple:
         predictions = RunPredictions.from_dict(_load_json(path))
         path = base / "report.json"
         return predictions, RunReport.from_dict(_load_json(path))
-    # An AttributeError comes from a document that is not an object.
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, ValueError) as exc:
         raise DataFormatError(f"{path}: missing or malformed field ({exc!r})") from None
 
 

@@ -36,7 +36,7 @@ behavior. Pre-scale the input yourself if you want correlation-matrix
 PCA.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Annotated
 
 import numpy as np
@@ -99,7 +99,7 @@ def fit_transform(x, fit: int | RandomizedSvdParams) -> tuple[PcaModel, np.ndarr
     """
     k, method, method_params = fit, "exact", {}
     if isinstance(fit, RandomizedSvdParams):
-        method, method_params = "randomized", asdict(fit)
+        method, method_params = "randomized", fit.to_dict()
         k = method_params.pop("k")
     check_int(k, "k")
     x = as_matrix(x, "x")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .records import check_int, real_array
+from .records import Record, check_int, real_array
 from .rng import SplitMix64
 
 __all__ = [
@@ -67,7 +67,7 @@ class SvdResult:
 
 
 @dataclass(frozen=True)
-class RandomizedSvdParams:
+class RandomizedSvdParams(Record):
     """Sketch configuration: target rank ``k``, extra sketch columns
     ``oversampling``, ``power_iterations`` passes of A A^T, and the
     stream seed. Each field is checked when the object is built, so an

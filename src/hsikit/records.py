@@ -1,4 +1,6 @@
-"""JSON-ready dicts for the toolkit's result dataclasses.
+"""JSON-ready dicts for the toolkit's dataclasses, and the one decoder
+of every JSON object the toolkit reads: run artifacts and config
+sections alike.
 
 A record's layout is read from its dataclass fields, so the field list,
 the array dtypes and the schema tag are each written once, in the class:
@@ -6,9 +8,11 @@ the array dtypes and the schema tag are each written once, in the class:
 - an array field declares its dtype in the annotation, e.g.
   ``Annotated[np.ndarray, np.int32]``, and is stored as nested lists;
   an integer array comes back through :func:`int_array`;
-- a dataclass field is stored as a dict of its own fields;
+- a dataclass field, itself a record, is stored as a dict of its own
+  fields;
 - ``list[...]`` fields nest, ``dict`` fields are copied, their values
-  encoded like fields;
+  encoded like fields; on decode a ``list`` field must hold a list and
+  a ``dict`` field an object;
 - a float array comes back through :func:`real_array`, the toolkit's
   one rule for real-valued arrays, which also holds their finite check;
 - ``int``, ``float``, ``bool`` and ``str`` fields are stored as Python
@@ -16,7 +20,14 @@ the array dtypes and the schema tag are each written once, in the class:
   :func:`coerce` on the way back;
 - a class that sets ``SCHEMA`` gets a ``"schema"`` key, checked on decode.
 
-A decode error names a nested field by its path, e.g. ``params.max_iter``.
+On decode, each dataclass is read from an object that holds every one
+of its fields and no other key (``schema`` aside), checked by
+:func:`check_keys`. A decode error names a nested field by its path,
+e.g. ``params.max_iter``, and so does a rule that a class's
+``__post_init__`` breaks: its message is prefixed with the object's
+path, so a rule on two fields, such as ``goss_top_rate +
+goss_other_rate must be < 1``, names the first by its path. A document
+that is not an object is named by its class.
 """
 
 import math
@@ -26,9 +37,10 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-__all__ = ["Record", "coerce", "int_array", "real_array", "check_int"]
+__all__ = ["Record", "coerce", "check_keys", "int_array", "real_array", "check_int"]
 
-_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
+               list: "a list", dict: "an object"}
 
 
 def coerce(value, kind: type, name: str):
@@ -51,6 +63,22 @@ def coerce(value, kind: type, name: str):
         if math.isfinite(number) and (kind is float or number.is_integer()):
             return kind(number)
     raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _typed(value, kind: type, name: str):
+    """``value``, when it is a ``kind`` (list or dict); raises ValueError
+    naming ``name`` otherwise."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def check_keys(d, name: str, allowed) -> None:
+    """Raise ValueError unless ``d`` is an object whose keys are all in
+    ``allowed``, so no key is dropped without a word."""
+    unknown = set(_typed(d, dict, name)) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {name} fields {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
 def int_array(values, dtype, name: str) -> np.ndarray:
@@ -119,7 +147,7 @@ def _encode(value):
     if isinstance(value, np.generic):  # a numpy scalar, as settings accept
         return value.item()
     if is_dataclass(value):
-        return _fields_to_dict(value)
+        return value.to_dict()
     if isinstance(value, list):
         return [_encode(item) for item in value]
     if isinstance(value, dict):
@@ -134,37 +162,38 @@ def _decode(value, hint, name: str):
         read = int_array if dtype.kind in "iu" else real_array
         return read(value, dtype, name)
     if is_dataclass(hint):
-        return _fields_from_dict(hint, value, f"{name}.")
+        return hint.from_dict(value, name)
     if origin is list:
         (item,) = get_args(hint)
-        return [_decode(v, item, name) for v in value]
+        return [_decode(v, item, name) for v in _typed(value, list, name)]
     if hint is dict:
-        return dict(value)
+        return dict(_typed(value, dict, name))
     return coerce(value, hint, name)
-
-
-def _fields_to_dict(obj) -> dict:
-    out = {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
-    schema = getattr(obj, "SCHEMA", None)
-    if schema is not None:
-        out["schema"] = schema
-    return out
-
-
-def _fields_from_dict(cls, d: dict, prefix: str = ""):
-    schema = getattr(cls, "SCHEMA", None)
-    if schema is not None and d.get("schema") != schema:
-        raise ValueError(f"unsupported {cls.__name__} schema: {d.get('schema')!r}")
-    hints = get_type_hints(cls, include_extras=True)
-    return cls(**{f.name: _decode(d[f.name], hints[f.name], prefix + f.name) for f in fields(cls)})
 
 
 class Record:
     """Base of a dataclass stored as JSON; see the module docstring."""
 
     def to_dict(self) -> dict:
-        return _fields_to_dict(self)
+        out = {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+        schema = getattr(self, "SCHEMA", None)
+        if schema is not None:
+            out["schema"] = schema
+        return out
 
     @classmethod
-    def from_dict(cls, d: dict):
-        return _fields_from_dict(cls, d)
+    def from_dict(cls, d: dict, path: str = ""):
+        """The record that ``d`` holds; ``path`` names ``d`` in errors,
+        as the path of a nested field would."""
+        names = [f.name for f in fields(cls)]
+        schema = getattr(cls, "SCHEMA", None)
+        check_keys(d, path or cls.__name__, names if schema is None else [*names, "schema"])
+        if schema is not None and d.get("schema") != schema:
+            raise ValueError(f"unsupported {cls.__name__} schema: {d.get('schema')!r}")
+        prefix = f"{path}." if path else ""
+        hints = get_type_hints(cls, include_extras=True)
+        values = {name: _decode(d[name], hints[name], prefix + name) for name in names}
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ValueError(f"{prefix}{exc}") from None

@@ -66,3 +66,23 @@ def test_a_changed_compare_shows_in_its_output(artifact_diff, scenes, tmp_path):
         *((name, True) for name in artifact_diff.ARTIFACTS), ("compare --json", False)
     ]
     assert rows[-1][4] == ["extra: leaves differing 1"]
+
+
+def test_a_changed_usage_message_shows_in_its_case(artifact_diff, tmp_path):
+    changed = tmp_path / "changed"
+    shutil.copytree(ROOT / "src", changed / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    records_py = changed / "src" / "hsikit" / "records.py"
+    source = records_py.read_text(encoding="utf-8")
+    old = 'f"unknown {name} fields'
+    assert source.count(old) == 1
+    records_py.write_text(source.replace(old, 'f"unknown {name} keys'))
+    rows = artifact_diff.usage_messages(ROOT, changed, tmp_path / "usage")
+    assert [(name, same) for name, same, _ in rows] == [
+        (name, name != "unknown key") for name in artifact_diff.USAGE_CASES
+    ]
+    (report,) = [report for name, _, report in rows if name == "unknown key"]
+    assert report == [
+        f"{side}: exit 1: usage error: unknown classifier.params {word} ['cc']; "
+        "allowed: ['c', 'gamma', 'max_iter', 'tolerance']"
+        for side, word in (("base", "fields"), ("here", "keys"))
+    ]

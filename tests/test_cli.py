@@ -264,6 +264,19 @@ def test_run_pipeline_checks_its_settings_before_loading(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("config", [[1, 2], "x", None])
+def test_a_config_that_is_not_an_object_is_a_usage_error(tmp_path, monkeypatch, config):
+    monkeypatch.chdir(tmp_path)
+    message = f"config must be an object, got {config!r}"
+    with pytest.raises(UsageError) as caught:
+        resolve_config(config, {})
+    assert str(caught.value) == message
+    with pytest.raises(UsageError) as caught:
+        run_pipeline(config)
+    assert str(caught.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_pipeline_writes_the_resolved_snapshot(scene, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the default output path is relative
     config = {"cube": scene[0], "ground_truth": scene[1]}
@@ -830,12 +843,12 @@ def test_run_flag_conflicts(scene, tmp_path, capsys):
     assert main(base + ["--svm-c", "10", "--gbdt-trees", "5"]) == 1
     assert main(base + ["--reduction", "pca"]) == 1  # no --components
     assert main(base + ["--classifier", "gbdt", "--svm-grid"]) == 1
-    # Reduction flags that would be dropped are rejected instead, by the
-    # config check, which names the config field.
+    # Reduction flags without --reduction are rejected, naming the flags.
     capsys.readouterr()
     assert main(base + ["--components", "5"]) == 1
     assert capsys.readouterr().err == (
-        "usage error: config field 'reduction' must be an object with a 'method'\n"
+        "usage error: --components without --reduction: the reduction flags replace the "
+        "config's whole reduction section, so --reduction must be given too\n"
     )
     assert main(base + ["--oversampling", "4"]) == 1
     assert main(base + ["--power-iterations", "1"]) == 1
@@ -1006,6 +1019,30 @@ def test_compare_non_utf8_run_file_is_a_data_error(scene, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error:")
     assert str(out_b / "predictions.json") in err
+
+
+@pytest.mark.parametrize(
+    "name, mangle, message",
+    [
+        ("report.json", lambda doc: doc.update(evaluation=[0.9]),
+         "ValueError('evaluation must be an object, got [0.9]')"),
+        ("predictions.json", lambda doc: [1, 2],
+         "ValueError('RunPredictions must be an object, got [1, 2]')"),
+    ],
+    ids=["evaluation-a-list", "predictions-a-list"],
+)
+def test_compare_names_what_is_not_an_object(scene, tmp_path, capsys, name, mangle, message):
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    make_run(scene, out_a)
+    make_run(scene, out_b)
+    doc = json.loads((out_b / name).read_text())
+    (out_b / name).write_text(json.dumps(mangle(doc) or doc))
+    capsys.readouterr()
+    assert main(["compare", str(out_a), str(out_b)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {out_b / name}: missing or malformed field ({message})\n"
+    )
 
 
 # ----------------------------------------------------------- convert/inspect

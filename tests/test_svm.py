@@ -558,7 +558,7 @@ def test_model_dict_rejects_invalid_params():
     train = sample_set([[0.0], [1.0]], [1, 2])
     d = svm_train(train, SvmParams(c=1.0, gamma=1.0)).to_dict()
     d["params"]["max_iter"] = 0
-    with pytest.raises(ValueError, match=r"^max_iter must be >= 1, got 0$"):
+    with pytest.raises(ValueError, match=r"^params\.max_iter must be >= 1, got 0$"):
         SvmModel.from_dict(d)
 
 

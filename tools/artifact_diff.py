@@ -20,9 +20,15 @@ artifacts of each workload and seed comes one ``compare --json`` line:
 run, with BASE's sources and with this checkout's, is ``same`` when
 both exit 0 and print the same bytes; under ``differs`` come the leaves
 that differ, or the failed command's exit code and output. Last come
+both trees' usage messages: ``hsikit run --config`` with each tree's
+sources on each config of ``USAGE_CASES``, which break one config rule
+each, is ``same`` when both exit with the same code and print the same
+stderr; under ``differs`` come both sides' exit code and stderr, so a
+change to the config decoder shows which messages moved. Last come
 both trees' code lines of each module of ``src/hsikit``, as
 ``tools/code_lines.py`` counts them. It exits 1 if any artifact differs
-or any run or compare fails.
+or any run or compare fails; a usage message that moved does not count,
+as a config change may move one on purpose.
 
 Nothing is written into the checkout: the runs work in the temporary
 directory, and Python writes no bytecode.
@@ -41,6 +47,19 @@ from code_lines import code_lines
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2)
 ARTIFACTS = ("config.json", "report.json", "predictions.json", "model.json", "map.ppm")
+# Configs that break one config rule each; their cube and ground truth
+# do not exist, so a tree that accepts one fails at the load stage.
+_MISSING = {"cube": "missing.hsih", "ground_truth": "missing_gt.hsih"}
+USAGE_CASES = {
+    "unknown key": {**_MISSING, "classifier": {"kind": "svm", "params": {"cc": 1.0}}},
+    "section not an object": {**_MISSING, "classifier": {"kind": "svm", "params": 3}},
+    "list field a number": {**_MISSING, "classifier": {"kind": "svm", "grid": {"c": 5}}},
+    "class rule": {
+        **_MISSING,
+        "classifier": {"kind": "gbdt", "params": {"goss_top_rate": 0.6, "goss_other_rate": 0.5}},
+    },
+    "config not an object": [1, 2],
+}
 
 
 def _env(tree: Path) -> dict:
@@ -53,18 +72,24 @@ def _env(tree: Path) -> dict:
     )
 
 
-def run_tree(tree: Path, config: dict, run_dir: Path):
-    """The artifacts of ``hsikit run`` with ``tree``'s sources in
-    ``run_dir``, as {name: bytes}, or the run's output if it failed."""
+def _run(tree: Path, config, run_dir: Path) -> subprocess.CompletedProcess:
+    """``hsikit run --config`` on ``config`` with ``tree``'s sources, in
+    ``run_dir``, which it makes."""
     run_dir.mkdir(parents=True)
     (run_dir / "config.in.json").write_text(json.dumps(config), encoding="utf-8")
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "hsikit", "run", "--config", "config.in.json"],
         cwd=run_dir,
         env=_env(tree),
         capture_output=True,
         text=True,
     )
+
+
+def run_tree(tree: Path, config: dict, run_dir: Path):
+    """The artifacts of ``hsikit run`` with ``tree``'s sources in
+    ``run_dir``, as {name: bytes}, or the run's output if it failed."""
+    done = _run(tree, config, run_dir)
     if done.returncode != 0:
         return f"exit {done.returncode}: {(done.stdout + done.stderr).strip()}"
     return {name: (run_dir / config["output"] / name).read_bytes() for name in ARTIFACTS}
@@ -176,6 +201,25 @@ def compare(base: Path, head: Path, scenes: dict, work: Path, seeds=SEEDS) -> li
     return rows
 
 
+def usage_messages(base: Path, head: Path, work: Path, cases=USAGE_CASES) -> list:
+    """(case, same, report lines) for each config of ``cases``: ``same``
+    when ``hsikit run --config`` on it exits with the same code and
+    prints the same stderr with both trees' sources; else the report
+    lines give each side's exit code and stderr."""
+    rows = []
+    for name, config in cases.items():
+        outputs = []
+        for side, tree in (("base", base), ("head", head)):
+            done = _run(tree, config, work / side / name.replace(" ", "-"))
+            outputs.append((done.returncode, done.stderr.strip()))
+        same = outputs[0] == outputs[1]
+        report = [] if same else [
+            f"{side}: exit {code}: {err}" for side, (code, err) in zip(("base", "here"), outputs)
+        ]
+        rows.append((name, same, report))
+    return rows
+
+
 def _workloads(tree: Path) -> dict:
     spec = importlib.util.spec_from_file_location(
         "base_workloads", tree / "hsibench" / "workloads.py"
@@ -221,6 +265,11 @@ def main(argv: list) -> int:
         rows = compare(base, ROOT, scenes, work / "runs")
         for name, seed, artifact, same, report in rows:
             print(f"{name:<12} seed {seed}  {artifact:<18} {'same' if same else 'differs'}")
+            for line in report:
+                print(f"    {line}")
+        print(f"usage messages of hsikit run --config, at {argv[0]} and here:")
+        for name, same, report in usage_messages(base, ROOT, work / "usage"):
+            print(f"{name:<22} {'same' if same else 'differs'}")
             for line in report:
                 print(f"    {line}")
         counts = _module_lines(base), _module_lines(ROOT)
