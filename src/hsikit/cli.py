@@ -23,7 +23,10 @@ old and new artifacts. report.json and predictions.json are the
 records `RunReport` and `RunPredictions`: the run writes them and
 `compare` reads them back through the same classes, so a file whose
 fields or schema tag do not decode is a data error naming the file and
-the field.
+the field. Every JSON file, a `--config` file included, is read by one
+reader, `_load_json`: a file that is not UTF-8 JSON, repeats a key in
+an object, or does not hold one object is a data error naming the file,
+which `run` reports as a usage error under `config file:`.
 
 Exit codes: 0 success, 1 usage (bad flags or config), 2 data error
 (unreadable or malformed inputs, degenerate datasets, mismatched
@@ -72,7 +75,7 @@ from .classify import (
     svm_train,
 )
 from .dimred import fit_transform, transform
-from .errors import ConvergenceError, DataFormatError, HsikitError
+from .errors import ConvergenceError, DataFormatError, HsikitError, naming
 from .evaluation import EvalReport, evaluate, mcnemar, render_map, write_ppm
 from .hsi_data import (
     DTYPES,
@@ -237,12 +240,31 @@ def _canonical_json(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _load_json(path: Path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"{path}: not valid JSON ({exc})")
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's ``pairs`` as a dict; a key given twice raises
+    ValueError, as a container header's does, so no value is dropped."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeats key {key!r}")
+        out[key] = value
+    return out
+
+
+def _load_json(path: Path, record=None):
+    """The one JSON object that the file at ``path`` holds, decoded as
+    the ``Record`` class ``record`` when one is given.
+
+    The file is read under ``errors.naming``: text that is not UTF-8 or
+    not JSON, an object that repeats a key, a document that is not an
+    object, and a record that does not decode each raise DataFormatError
+    whose message starts with ``path``. A failed open raises OSError.
+    """
+    with naming(path), open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh, object_pairs_hook=_unique_keys)
+        if not isinstance(doc, dict):
+            raise ValueError(f"not a JSON object, got {doc!r}")
+        return doc if record is None else record.from_dict(doc)
 
 
 # --- the run pipeline --------------------------------------------------
@@ -430,8 +452,6 @@ def _cmd_run(args) -> int:
             file_config = _load_json(Path(args.config))
         except (OSError, DataFormatError) as exc:
             raise UsageError(f"config file: {exc}") from None
-        if not isinstance(file_config, dict):
-            raise UsageError(f"{args.config}: config must be a JSON object")
     # Each given flag is placed at its config field, so the flags of one
     # section form a whole `reduction` or `classifier` object.
     overrides = {}
@@ -465,17 +485,13 @@ def _cmd_run(args) -> int:
 
 
 def _compared_run(run_dir) -> tuple:
-    """A run's (RunPredictions, RunReport), read from its predictions.json
-    and report.json; a document that does not decode, schema tag
-    included, is a DataFormatError naming its file."""
+    """A run's (RunPredictions, RunReport), read by ``_load_json`` from
+    its predictions.json and report.json: a document that does not
+    decode, schema tag included, is a DataFormatError that names its file
+    and then the fault, e.g. ``evaluation is missing fields ['n_test']``."""
     base = Path(run_dir)
-    path = base / "predictions.json"
-    try:
-        predictions = RunPredictions.from_dict(_load_json(path))
-        path = base / "report.json"
-        return predictions, RunReport.from_dict(_load_json(path))
-    except (KeyError, ValueError) as exc:
-        raise DataFormatError(f"{path}: missing or malformed field ({exc!r})") from None
+    return (_load_json(base / "predictions.json", RunPredictions),
+            _load_json(base / "report.json", RunReport))
 
 
 def _cmd_compare(args) -> int:

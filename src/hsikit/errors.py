@@ -1,9 +1,15 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one rule that
+names a faulty input file.
 
 Argument validation raises plain ``ValueError``; the classes here mark
 conditions the CLI maps to distinct exit codes (data errors vs numerical
-failures).
+failures). A reader of an outside file (a container, a config, a run's
+artifact) raises plain ``ValueError``s inside :func:`naming`, which turns
+each into a ``DataFormatError`` whose message starts with the file's
+path, so every reader states only what is wrong.
 """
+
+from contextlib import contextmanager
 
 __all__ = [
     "HsikitError",
@@ -33,3 +39,14 @@ class DegenerateDataError(HsikitError):
 class WorkerError(HsikitError):
     """A worker process ended before returning its result (the kernel's
     out-of-memory killer is the usual cause)."""
+
+
+@contextmanager
+def naming(path):
+    """Run the block; a ``ValueError`` raised in it becomes
+    ``DataFormatError(f"{path}: {exc}")``. Other errors, a
+    ``DataFormatError`` that already names its file among them, pass."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc

@@ -37,6 +37,13 @@ a file's size before they read anything. ``load_split`` and ``hsikit
 inspect`` read cubes through ``cube_bands``; ``load_cube``,
 ``load_ground_truth`` and ``hsikit convert`` (bsq, bil and bip dumps)
 read through ``read_raw``.
+
+Every reader names its file by the one rule of ``errors.naming``: a
+fault in the header or the payload, a value that breaks the rules of
+``HsiCube`` or ``GroundTruth`` among them, raises DataFormatError whose
+message starts with the header's path. A file that cannot be opened or
+read is named in ``cannot read header ...`` or ``cannot read payload
+...``, and a payload of the wrong size by its own path.
 """
 
 import math
@@ -48,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, naming
 from .linalg import as_matrix
 from .records import check_int, int_array, real_array
 from .rng import SplitMix64
@@ -178,41 +185,35 @@ def _payload_path(header_path) -> Path:
 def parse_header(header_path) -> dict:
     """Parse and validate a ``.hsih`` header; returns its fields."""
     path = Path(header_path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"cannot read header {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: header is not UTF-8 text ({exc})") from exc
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != _MAGIC:
-        raise DataFormatError(f"{path}: missing '{_MAGIC}' magic line")
-    fields = {}
-    for ln in lines[1:]:
-        if not ln.strip():
-            continue
-        if ":" not in ln:
-            raise DataFormatError(f"{path}: malformed header line {ln!r}")
-        key, value = (part.strip() for part in ln.split(":", 1))
-        if key in fields:
-            raise DataFormatError(f"{path}: header repeats key {key!r}")
-        fields[key] = value
-    for key in ("height", "width", "bands", "dtype", "interleave", "byteorder"):
-        if key not in fields:
-            raise DataFormatError(f"{path}: header missing required key {key!r}")
-    try:
+    with naming(path):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise DataFormatError(f"cannot read header {path}: {exc}") from exc
+        lines = text.splitlines()
+        if not lines or lines[0].strip() != _MAGIC:
+            raise ValueError(f"missing '{_MAGIC}' magic line")
+        fields = {}
+        for ln in lines[1:]:
+            if not ln.strip():
+                continue
+            if ":" not in ln:
+                raise ValueError(f"malformed header line {ln!r}")
+            key, value = (part.strip() for part in ln.split(":", 1))
+            if key in fields:
+                raise ValueError(f"header repeats key {key!r}")
+            fields[key] = value
+        for key in ("height", "width", "bands", "dtype", "interleave", "byteorder"):
+            if key not in fields:
+                raise ValueError(f"header missing required key {key!r}")
         for key in ("height", "width", "bands"):
             # int() alone would also take "+1", "1_0" and non-ASCII digits.
-            if not (fields[key].isascii() and fields[key].isdigit()):
-                raise ValueError
+            if not (fields[key].isascii() and fields[key].isdigit() and int(fields[key]) >= 1):
+                raise ValueError("height/width/bands must be positive integers")
             fields[key] = int(fields[key])
-            if fields[key] < 1:
-                raise ValueError
-    except ValueError:
-        raise DataFormatError(f"{path}: height/width/bands must be positive integers")
-    for key, supported in (("interleave", ("bsq",)), ("byteorder", ("le",)), ("dtype", DTYPES)):
-        if fields[key] not in supported:
-            raise DataFormatError(f"{path}: unsupported {key} {fields[key]!r}")
+        for key, supported in (("interleave", ("bsq",)), ("byteorder", ("le",)), ("dtype", DTYPES)):
+            if fields[key] not in supported:
+                raise ValueError(f"unsupported {key} {fields[key]!r}")
     return fields
 
 
@@ -253,14 +254,13 @@ def read_raw(path, dtype: str, height: int, width: int, bands: int, order="bsq")
 
 def _fields(header_path, kind: str, dtype: str, bands: int | None = None) -> dict:
     """The header fields of a container that must hold ``dtype`` and, if
-    given, ``bands`` bands."""
+    given, ``bands`` bands; raises ValueError otherwise, to be named by
+    the caller."""
     fields = parse_header(header_path)
     if fields["dtype"] != dtype:
-        raise DataFormatError(
-            f"{header_path}: {kind} requires dtype {dtype}, got {fields['dtype']}"
-        )
+        raise ValueError(f"{kind} requires dtype {dtype}, got {fields['dtype']}")
     if bands is not None and fields["bands"] != bands:
-        raise DataFormatError(f"{header_path}: {kind} must have bands: {bands}")
+        raise ValueError(f"{kind} must have bands: {bands}")
     return fields
 
 
@@ -268,13 +268,10 @@ def load_cube(header_path) -> HsiCube:
     """Load a ``dtype: f32`` scene, read into one float32 array through
     ``read_raw`` and checked once, by ``HsiCube``; raises DataFormatError
     on a malformed header, a size mismatch, or non-finite values."""
-    fields = _fields(header_path, "cube", "f32")
-    shape = fields["height"], fields["width"], fields["bands"]
-    values = read_raw(_payload_path(header_path), "f32", *shape)
-    try:
-        return HsiCube(*shape, values)
-    except ValueError as exc:
-        raise DataFormatError(f"{header_path}: {exc}") from exc
+    with naming(header_path):
+        fields = _fields(header_path, "cube", "f32")
+        shape = fields["height"], fields["width"], fields["bands"]
+        return HsiCube(*shape, read_raw(_payload_path(header_path), "f32", *shape))
 
 
 def cube_bands(header_path):
@@ -287,33 +284,29 @@ def cube_bands(header_path):
     reads it. Every failure, of the header or of the payload, raises
     DataFormatError naming the file.
     """
-    fields = _fields(header_path, "cube", "f32")
+    with naming(header_path):
+        fields = _fields(header_path, "cube", "f32")
     height, width, bands = fields["height"], fields["width"], fields["bands"]
 
     def read():
-        with _open_payload(_payload_path(header_path), "f32", height, width, bands) as fh:
+        payload = _payload_path(header_path)
+        with _open_payload(payload, "f32", height, width, bands) as fh, naming(header_path):
             for _ in range(bands):
                 band = np.fromfile(fh, dtype=DTYPES["f32"], count=height * width)
-                try:
-                    real_array(band, np.float32, "cube")
-                except ValueError as exc:
-                    raise DataFormatError(f"{header_path}: {exc}") from exc
-                yield band.reshape(height, width)
+                yield real_array(band, np.float32, "cube").reshape(height, width)
 
     return fields, read()
 
 
 def load_ground_truth(header_path) -> GroundTruth:
     """Load a ``dtype: u16`` single-band label raster."""
-    fields = _fields(header_path, "ground truth", "u16", bands=1)
-    values = read_raw(_payload_path(header_path), "u16", fields["height"], fields["width"], 1)
-    names = []
-    if fields.get("class_names"):
-        names = [s.strip() for s in fields["class_names"].split(",")]
-    try:
+    with naming(header_path):
+        fields = _fields(header_path, "ground truth", "u16", bands=1)
+        values = read_raw(_payload_path(header_path), "u16", fields["height"], fields["width"], 1)
+        names = []
+        if fields.get("class_names"):
+            names = [s.strip() for s in fields["class_names"].split(",")]
         return GroundTruth(fields["height"], fields["width"], values[0], names)
-    except ValueError as exc:
-        raise DataFormatError(f"{header_path}: {exc}") from exc
 
 
 def _save(header_path, values: np.ndarray, dtype: str, *extra_lines: str) -> Path:
@@ -449,10 +442,8 @@ def load_split(
     ground truth's.
     """
     fields, bands = cube_bands(cube_header)
-    try:
+    with naming(cube_header):
         flat_labels, indices = _labeled_pixels(fields["height"], fields["width"], gt)
-    except ValueError as exc:
-        raise DataFormatError(f"{cube_header}: {exc}") from exc
     in_train = _train_mask(flat_labels[indices], train_fraction, seed)
     rows = (indices[in_train], indices[~in_train])
     features = [np.empty((len(r), fields["bands"]), dtype=np.float64) for r in rows]

@@ -22,12 +22,15 @@ the array dtypes and the schema tag are each written once, in the class:
 
 On decode, each dataclass is read from an object that holds every one
 of its fields and no other key (``schema`` aside), checked by
-:func:`check_keys`. A decode error names a nested field by its path,
-e.g. ``params.max_iter``, and so does a rule that a class's
-``__post_init__`` breaks: its message is prefixed with the object's
-path, so a rule on two fields, such as ``goss_top_rate +
+:func:`check_keys`; missing fields are named, before any field is
+decoded, by the object's path (``evaluation is missing fields
+['n_test']``), or by its class at the top. A decode error names a
+nested field by its path, e.g. ``params.max_iter``, and so does a rule
+that a class's ``__post_init__`` breaks: its message is prefixed with
+the object's path, so a rule on two fields, such as ``goss_top_rate +
 goss_other_rate must be < 1``, names the first by its path. A document
-that is not an object is named by its class.
+that is not an object is named by its class. Every decode error is a
+``ValueError``.
 """
 
 import math
@@ -188,6 +191,9 @@ class Record:
         names = [f.name for f in fields(cls)]
         schema = getattr(cls, "SCHEMA", None)
         check_keys(d, path or cls.__name__, names if schema is None else [*names, "schema"])
+        missing = [name for name in names if name not in d]
+        if missing:
+            raise ValueError(f"{path or cls.__name__} is missing fields {missing}")
         if schema is not None and d.get("schema") != schema:
             raise ValueError(f"unsupported {cls.__name__} schema: {d.get('schema')!r}")
         prefix = f"{path}." if path else ""

@@ -86,3 +86,23 @@ def test_a_changed_usage_message_shows_in_its_case(artifact_diff, tmp_path):
         "allowed: ['c', 'gamma', 'max_iter', 'tolerance']"
         for side, word in (("base", "fields"), ("here", "keys"))
     ]
+
+
+def test_a_changed_data_message_shows_in_its_case(artifact_diff, scenes, tmp_path):
+    changed = tmp_path / "changed"
+    shutil.copytree(ROOT / "src", changed / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    records_py = changed / "src" / "hsikit" / "records.py"
+    source = records_py.read_text(encoding="utf-8")
+    old = 'is missing fields {missing}"'
+    assert source.count(old) == 1
+    records_py.write_text(source.replace(old, 'lacks fields {missing}"'))
+    scene_dir = scenes["tiny"][0]
+    rows = artifact_diff.data_messages(ROOT, changed, scene_dir, tmp_path / "data")
+    assert [(name, same) for name, same, _ in rows] == [
+        (name, name != "report without n_test") for name in artifact_diff.DATA_CASES
+    ]
+    (report,) = [report for name, _, report in rows if name == "report without n_test"]
+    assert report == [
+        f"{side}: exit 2: data error: {Path('b', 'report.json')}: evaluation {words} ['n_test']"
+        for side, words in (("base", "is missing fields"), ("here", "lacks fields"))
+    ]

@@ -803,6 +803,24 @@ def test_run_unreadable_config_is_usage_error(tmp_path, capsys, name, content):
     assert str(config_file) in err
 
 
+@pytest.mark.parametrize("nested", [False, True], ids=["top-level", "nested"])
+def test_run_config_repeating_a_key_is_usage_error(scene, tmp_path, capsys, nested):
+    cube_path, gt_path = scene
+    config_file = tmp_path / "dup.json"
+    if nested:
+        text = '{"classifier": {"kind": "svm", "params": {"c": 1.0, "c": 2.0}}}'
+    else:
+        text = '{"seed": 1, "seed": 2}'
+    config_file.write_text(text)
+    out = tmp_path / "out"
+    argv = ["--config", str(config_file), "--cube", cube_path, "--gt", gt_path]
+    assert main(["run", *argv, "--output", str(out)]) == 1
+    key = "c" if nested else "seed"
+    err = capsys.readouterr().err
+    assert err == f"usage error: config file: {config_file}: repeats key '{key}'\n"
+    assert not out.exists()
+
+
 def test_run_empty_output_writes_nothing(scene, tmp_path, monkeypatch, capsys):
     cube_path, gt_path = scene
     cwd = tmp_path / "cwd"
@@ -1025,9 +1043,8 @@ def test_compare_non_utf8_run_file_is_a_data_error(scene, tmp_path, capsys):
     "name, mangle, message",
     [
         ("report.json", lambda doc: doc.update(evaluation=[0.9]),
-         "ValueError('evaluation must be an object, got [0.9]')"),
-        ("predictions.json", lambda doc: [1, 2],
-         "ValueError('RunPredictions must be an object, got [1, 2]')"),
+         "evaluation must be an object, got [0.9]"),
+        ("predictions.json", lambda doc: [1, 2], "not a JSON object, got [1, 2]"),
     ],
     ids=["evaluation-a-list", "predictions-a-list"],
 )
@@ -1040,9 +1057,44 @@ def test_compare_names_what_is_not_an_object(scene, tmp_path, capsys, name, mang
     (out_b / name).write_text(json.dumps(mangle(doc) or doc))
     capsys.readouterr()
     assert main(["compare", str(out_a), str(out_b)]) == 2
-    assert capsys.readouterr().err == (
-        f"data error: {out_b / name}: missing or malformed field ({message})\n"
-    )
+    assert capsys.readouterr().err == f"data error: {out_b / name}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "name, mangle, message",
+    [
+        ("report.json", lambda doc: doc["evaluation"].pop("n_test"),
+         "evaluation is missing fields ['n_test']"),
+        ("predictions.json", lambda doc: doc.pop("truth"),
+         "RunPredictions is missing fields ['truth']"),
+    ],
+    ids=["nested", "top-level"],
+)
+def test_compare_names_a_missing_field_by_its_path(scene, tmp_path, capsys, name, mangle,
+                                                    message):
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    make_run(scene, out_a)
+    make_run(scene, out_b)
+    doc = json.loads((out_b / name).read_text())
+    mangle(doc)
+    (out_b / name).write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["compare", str(out_a), str(out_b)]) == 2
+    assert capsys.readouterr().err == f"data error: {out_b / name}: {message}\n"
+
+
+def test_a_repeated_key_in_a_run_file_is_a_data_error(scene, tmp_path, capsys):
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    make_run(scene, out_a)
+    make_run(scene, out_b)
+    report = out_b / "report.json"
+    text = report.read_text()
+    report.write_text(text.replace('"method": ', '"method": "svm/pca-3", "method": ', 1))
+    capsys.readouterr()
+    assert main(["compare", str(out_a), str(out_b)]) == 2
+    assert capsys.readouterr().err == f"data error: {report}: repeats key 'method'\n"
 
 
 # ----------------------------------------------------------- convert/inspect

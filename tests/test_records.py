@@ -5,7 +5,8 @@ so a record can hold them, or numpy values computed from them; its
 ``to_dict`` must still give what ``json.dumps`` writes and
 ``from_dict`` reads back. A field that does not decode is named by its
 path, and so is an object that is not one or holds a key its class does
-not know. The settings classes are records too.
+not know, and a missing field, before any field is decoded. The
+settings classes are records too.
 """
 
 import json
@@ -116,6 +117,26 @@ def test_a_field_of_the_wrong_shape_is_named_by_its_path(build, cls, edit, messa
     with pytest.raises(ValueError) as caught:
         cls.from_dict(doc)
     assert str(caught.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "build, cls, edit, message",
+    [
+        (svm_record, SvmModel, lambda doc: doc["params"].pop("max_iter"),
+         "params is missing fields ['max_iter']"),
+        (eval_record, EvalReport, lambda doc: doc.pop("n_test"),
+         "EvalReport is missing fields ['n_test']"),
+        (svm_record, SvmModel, lambda doc: doc["machines"][0].pop("dual_coef"),
+         "machines is missing fields ['dual_coef']"),
+    ],
+    ids=["nested", "top-level", "list-entry"],
+)
+def test_a_missing_field_is_named_by_its_path(build, cls, edit, message):
+    doc = json.loads(json.dumps(build().to_dict()))
+    edit(doc)
+    with pytest.raises(ValueError) as caught:
+        cls.from_dict(doc)
+    assert str(caught.value) == message
 
 
 def test_a_class_rule_is_named_by_the_path_given():

@@ -24,11 +24,17 @@ both trees' usage messages: ``hsikit run --config`` with each tree's
 sources on each config of ``USAGE_CASES``, which break one config rule
 each, is ``same`` when both exit with the same code and print the same
 stderr; under ``differs`` come both sides' exit code and stderr, so a
-change to the config decoder shows which messages moved. Last come
-both trees' code lines of each module of ``src/hsikit``, as
-``tools/code_lines.py`` counts them. It exits 1 if any artifact differs
-or any run or compare fails; a usage message that moved does not count,
-as a config change may move one on purpose.
+change to the config decoder shows which messages moved. Then come both
+trees' data messages, read the same way: each case of ``DATA_CASES``
+breaks one input rule (a run file that lacks a field or is not an
+object, a config that is not JSON or repeats a key, a cube payload cut
+short), and runs ``hsikit compare`` or ``hsikit run`` on it with each
+tree's sources, beside a good run of the first workload's scene made
+with BASE's sources. Last come both trees' code lines of each module of
+``src/hsikit``, as ``tools/code_lines.py`` counts them. It exits 1 if
+any artifact differs or any run or compare fails; a usage or data
+message that moved does not count, as a change to a reader may move one
+on purpose.
 
 Nothing is written into the checkout: the runs work in the temporary
 directory, and Python writes no bytecode.
@@ -37,6 +43,7 @@ directory, and Python writes no bytecode.
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -59,6 +66,55 @@ USAGE_CASES = {
         "classifier": {"kind": "gbdt", "params": {"goss_top_rate": 0.6, "goss_other_rate": 0.5}},
     },
     "config not an object": [1, 2],
+}
+
+
+def _run_file(name: str, edit):
+    """A case that compares a good run ``a`` with its copy ``b`` whose
+    file ``name`` holds ``edit`` of its document."""
+
+    def make(case: Path, scene_dir: Path, good_run: Path) -> list:
+        for side in ("a", "b"):
+            shutil.copytree(good_run, case / side)
+        path = case / "b" / name
+        path.write_text(json.dumps(edit(json.loads(path.read_text(encoding="utf-8")))))
+        return ["compare", "a", "b"]
+
+    return make
+
+
+def _config(text: str, cut: int = 0):
+    """A case that runs the config ``text`` beside a copy of the scene
+    whose cube payload lacks its last ``cut`` bytes."""
+
+    def make(case: Path, scene_dir: Path, good_run: Path) -> list:
+        for path in scene_dir.glob("scene*.hsi[hr]"):
+            shutil.copy(path, case / path.name)
+        payload = case / "scene.hsir"
+        data = payload.read_bytes()
+        payload.write_bytes(data[: len(data) - cut])
+        (case / "config.json").write_text(text, encoding="utf-8")
+        return ["run", "--config", "config.json"]
+
+    return make
+
+
+def _without_n_test(report: dict) -> dict:
+    del report["evaluation"]["n_test"]
+    return report
+
+
+# Inputs that break one input rule each; a config's cube and ground
+# truth do not exist unless the case is about them, so a tree that
+# accepts the config fails at the load stage.
+DATA_CASES = {
+    "report without n_test": _run_file("report.json", _without_n_test),
+    "predictions a list": _run_file("predictions.json", lambda doc: [1, 2]),
+    "truncated config": _config('{"seed": 1,'),
+    "repeated config key": _config(
+        '{"cube": "missing.hsih", "ground_truth": "missing_gt.hsih", "seed": 1, "seed": 2}'
+    ),
+    "truncated payload": _config('{"cube": "scene.hsih", "ground_truth": "scene_gt.hsih"}', cut=2),
 }
 
 
@@ -201,22 +257,55 @@ def compare(base: Path, head: Path, scenes: dict, work: Path, seeds=SEEDS) -> li
     return rows
 
 
+def _messages(name: str, outputs: list) -> tuple:
+    """(case, same, report lines) of the (exit code, stderr) of each
+    tree: ``same`` when both match; else the report lines give each
+    side's exit code and stderr."""
+    same = outputs[0] == outputs[1]
+    report = [] if same else [
+        f"{side}: exit {code}: {err}" for side, (code, err) in zip(("base", "here"), outputs)
+    ]
+    return name, same, report
+
+
 def usage_messages(base: Path, head: Path, work: Path, cases=USAGE_CASES) -> list:
-    """(case, same, report lines) for each config of ``cases``: ``same``
-    when ``hsikit run --config`` on it exits with the same code and
-    prints the same stderr with both trees' sources; else the report
-    lines give each side's exit code and stderr."""
+    """(case, same, report lines) for each config of ``cases``, by
+    :func:`_messages`, of ``hsikit run --config`` on it with each tree's
+    sources."""
     rows = []
     for name, config in cases.items():
         outputs = []
         for side, tree in (("base", base), ("head", head)):
             done = _run(tree, config, work / side / name.replace(" ", "-"))
             outputs.append((done.returncode, done.stderr.strip()))
-        same = outputs[0] == outputs[1]
-        report = [] if same else [
-            f"{side}: exit {code}: {err}" for side, (code, err) in zip(("base", "here"), outputs)
-        ]
-        rows.append((name, same, report))
+        rows.append(_messages(name, outputs))
+    return rows
+
+
+def data_messages(base: Path, head: Path, scene_dir: Path, work: Path, cases=DATA_CASES) -> list:
+    """(case, same, report lines) for each case of ``cases``, by
+    :func:`_messages`, of the command the case names, run with each
+    tree's sources in the case's own directory. A case writes its inputs
+    there from ``scene_dir``, which holds ``scene.hsih`` and
+    ``scene_gt.hsih``, and from a good run of that scene made with
+    ``base``'s sources; every path it names is relative, so both trees
+    print the same path."""
+    config = {"cube": str(scene_dir / "scene.hsih"),
+              "ground_truth": str(scene_dir / "scene_gt.hsih"), "output": "out"}
+    done = _run(base, config, work / "good")
+    if done.returncode != 0:
+        raise RuntimeError(f"the good run failed: {done.stderr.strip()}")
+    rows = []
+    for name, make in cases.items():
+        case = work / name.replace(" ", "-")
+        case.mkdir()
+        argv = make(case, scene_dir, work / "good" / "out")
+        outputs = []
+        for tree in (base, head):
+            done = subprocess.run([sys.executable, "-m", "hsikit", *argv], cwd=case,
+                                  env=_env(tree), capture_output=True, text=True)
+            outputs.append((done.returncode, done.stderr.strip()))
+        rows.append(_messages(name, outputs))
     return rows
 
 
@@ -267,11 +356,18 @@ def main(argv: list) -> int:
             print(f"{name:<12} seed {seed}  {artifact:<18} {'same' if same else 'differs'}")
             for line in report:
                 print(f"    {line}")
-        print(f"usage messages of hsikit run --config, at {argv[0]} and here:")
-        for name, same, report in usage_messages(base, ROOT, work / "usage"):
-            print(f"{name:<22} {'same' if same else 'differs'}")
-            for line in report:
-                print(f"    {line}")
+        first_scene = next(iter(scenes.values()))[0]
+        messages = (
+            ("usage messages of hsikit run --config", usage_messages(base, ROOT, work / "usage")),
+            ("data messages of hsikit run and compare",
+             data_messages(base, ROOT, first_scene, work / "data")),
+        )
+        for title, message_rows in messages:
+            print(f"{title}, at {argv[0]} and here:")
+            for name, same, report in message_rows:
+                print(f"{name:<22} {'same' if same else 'differs'}")
+                for line in report:
+                    print(f"    {line}")
         counts = _module_lines(base), _module_lines(ROOT)
         print(f"code lines of src/hsikit, at {argv[0]} and here:")
         for module in sorted(counts[0].keys() | counts[1].keys()):
