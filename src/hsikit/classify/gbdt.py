@@ -35,7 +35,10 @@ update, are spread over the CPUs the process may run on (see
 however many there are.
 
 ``GbdtParams`` checks its fields when it is built, so every object that
-exists is valid and training does not check them again.
+exists is valid and training does not check them again. Training checks
+its scores after every round instead: a learning rate large enough to
+overflow them to infinity or NaN raises ``ConvergenceError``, so no
+model holds a non-finite leaf value.
 """
 
 from dataclasses import dataclass, field, replace
@@ -43,7 +46,7 @@ from typing import Annotated
 
 import numpy as np
 
-from ..errors import DegenerateDataError
+from ..errors import ConvergenceError, DegenerateDataError
 from ..hsi_data import SampleSet
 from ..linalg import as_matrix
 from ..records import Record, check_int
@@ -289,7 +292,7 @@ def _best_split(hists: np.ndarray, min_samples_leaf: int):
     return list(zip(best.tolist(), feature.tolist(), cut.tolist()))
 
 
-def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None, root=None):
+def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, root):
     """Grow one leaf-wise tree on the ``rows`` of pre-binned features
     (rows x features); returns the tree and its bin-space copy.
 
@@ -300,12 +303,9 @@ def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None, root=N
     raw ones (see ``_bin_features``). Each open leaf keeps one
     histogram array; a split builds the smaller child's and takes the
     sibling's as the difference, and searches both children's splits
-    in one call. ``root`` is the histogram of ``rows`` when the caller
-    has it. When ``trace`` is a list, each expansion appends (chosen
-    leaf gain, gains of the other open leaves) for inspection.
+    in one call. ``root`` is the histogram of ``rows``, which the
+    caller builds (see ``_grow_class_trees``).
     """
-    num_bins = params.num_bins
-
     def new_leaves(nodes, leaf_rows, hists):
         splits = _best_split(hists, params.min_samples_leaf)
         return [
@@ -323,22 +323,18 @@ def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None, root=N
     value = np.zeros(size)
     # Open leaves in creation order: max() takes the first of equal
     # gains, so ties go to the oldest leaf.
-    if root is None:
-        root = _leaf_histograms(binned, rows, g, h, num_bins)
     open_leaves = new_leaves([0], [rows], root[None])
     while len(open_leaves) < params.max_leaves:
         leaf = max(open_leaves, key=lambda l: l.gain)
         if leaf.gain <= _MIN_GAIN:
             break
         open_leaves.remove(leaf)
-        if trace is not None:
-            trace.append((leaf.gain, [l.gain for l in open_leaves]))
         go_left = binned[leaf.rows, leaf.feature] <= leaf.cut
         children = (leaf.rows[go_left], leaf.rows[~go_left])
         # Build the smaller side's histogram, derive the sibling's.
         small = int(len(children[0]) > len(children[1]))
         hists = np.empty((2, *leaf.hist.shape))
-        hists[small] = _leaf_histograms(binned, children[small], g, h, num_bins)
+        hists[small] = _leaf_histograms(binned, children[small], g, h, params.num_bins)
         np.subtract(leaf.hist, hists[small], out=hists[1 - small])
         node_l = 2 * (len(open_leaves) + 1) - 1  # nodes so far: the open leaves and this one
         feature[leaf.node] = leaf.feature
@@ -347,9 +343,10 @@ def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, trace=None, root=N
         left[leaf.node] = node_l
         right[leaf.node] = node_l + 1
         open_leaves += new_leaves((node_l, node_l + 1), children, hists)
-    for leaf in open_leaves:
-        g_sum, h_sum = leaf.hist[:2, 0].sum(axis=1)
-        value[leaf.node] = -params.learning_rate * g_sum / (h_sum + _LAMBDA)
+    with np.errstate(over="ignore"):  # gbdt_train checks the scores these values make
+        for leaf in open_leaves:
+            g_sum, h_sum = leaf.hist[:2, 0].sum(axis=1)
+            value[leaf.node] = -params.learning_rate * g_sum / (h_sum + _LAMBDA)
     n_nodes = 2 * len(open_leaves) - 1
     tree = Tree(
         feature=feature[:n_nodes],
@@ -379,7 +376,7 @@ def _grow_class_trees(class_gh: list, binned_columns, rows, edges, params) -> li
     grown = []
     for g, h in class_gh:
         root = _histograms(codes, g, h, width, params.num_bins, counts)
-        tree, bin_tree = _grow_tree(binned, edges, g, h, local, params, root=root)
+        tree, bin_tree = _grow_tree(binned, edges, g, h, local, params, root)
         grown.append((tree, bin_tree.predict_columns(binned_columns)))
     return grown
 
@@ -417,6 +414,8 @@ def gbdt_train(train: SampleSet, params: GbdtParams | None = None, seed: int = 0
         grown = spread(_grow_class_trees, list(zip(g, h)), binned_columns, rows, edges, params)
         for c, (_, values) in enumerate(grown):
             scores[:, c] += values
+        if not np.isfinite(scores).all():
+            raise ConvergenceError("the GBDT scores overflow float64; lower learning_rate")
         all_trees.append([tree for tree, _ in grown])
     return GbdtModel(
         classes=classes.astype(np.int64),

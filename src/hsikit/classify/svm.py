@@ -156,9 +156,10 @@ class BinarySvm(Record):
     converged: bool
     kkt_violation: float
 
-    def decision(self, x_scaled: np.ndarray, gamma: float, sq_x=None) -> np.ndarray:
+    def decision(self, x_scaled: np.ndarray, gamma: float, sq_x: np.ndarray) -> np.ndarray:
         """Decision values of the rows of ``x_scaled``; ``sq_x`` holds
-        their squared norms, computed here when not given.
+        their squared norms, which the caller computes once for every
+        machine (see ``_wins_pos``).
 
         The kernel K[i, j] = exp(-gamma * ||x_i - sv_j||^2) is formed in
         blocks of ``max(1, _KERNEL_BLOCK_BYTES // (8 * n_sv))`` rows, each
@@ -169,8 +170,6 @@ class BinarySvm(Record):
         count can move a decision value at rounding level (see the
         module docstring).
         """
-        if sq_x is None:
-            sq_x = (x_scaled * x_scaled).sum(axis=1)
         sv = self.support_vectors
         sq_sv = (sv * sv).sum(axis=1)
         n = len(x_scaled)

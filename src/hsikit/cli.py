@@ -25,8 +25,10 @@ records `RunReport` and `RunPredictions`: the run writes them and
 fields or schema tag do not decode is a data error naming the file and
 the field. Every JSON file, a `--config` file included, is read by one
 reader, `_load_json`: a file that is not UTF-8 JSON, repeats a key in
-an object, or does not hold one object is a data error naming the file,
-which `run` reports as a usage error under `config file:`.
+an object, is nested too deeply to parse, or does not hold one object is
+a data error naming the file, which `run` reports as a usage error under
+`config file:`. No JSON artifact holds NaN or Infinity: such a value
+fails the write, which then leaves no artifact.
 
 Exit codes: 0 success, 1 usage (bad flags or config), 2 data error
 (unreadable or malformed inputs, degenerate datasets, mismatched
@@ -174,6 +176,12 @@ def _resolve(file_config: dict, overrides: dict):
         for key, _ in paths:
             if not out[key]:  # Path("") is the working directory
                 raise ValueError(f"config field {key!r} must be a non-empty path")
+            try:  # the file system encoding may lack a character; no OS path holds a NUL
+                unencodable = b"\0" in os.fsencode(out[key])
+            except UnicodeEncodeError:
+                unencodable = True
+            if unencodable:
+                raise ValueError(f"config field {key!r} cannot be encoded as a path")
         if not 0.0 < out["train_fraction"] < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {out['train_fraction']}")
 
@@ -237,7 +245,9 @@ def method_label(config: dict) -> str:
 
 
 def _canonical_json(obj) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """``obj`` as sorted, indented UTF-8 JSON; a float that is not finite
+    raises ValueError, as no decoder of an artifact takes one."""
+    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -256,9 +266,10 @@ def _load_json(path: Path, record=None):
     the ``Record`` class ``record`` when one is given.
 
     The file is read under ``errors.naming``: text that is not UTF-8 or
-    not JSON, an object that repeats a key, a document that is not an
-    object, and a record that does not decode each raise DataFormatError
-    whose message starts with ``path``. A failed open raises OSError.
+    not JSON, a document nested too deeply to parse, an object that
+    repeats a key, a document that is not an object, and a record that
+    does not decode each raise DataFormatError whose message starts with
+    ``path``. A failed open raises OSError.
     """
     with naming(path), open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh, object_pairs_hook=_unique_keys)

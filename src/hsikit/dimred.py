@@ -78,10 +78,6 @@ class PcaModel(Record):
     method_params: dict = field(default_factory=dict)
 
     @property
-    def n_components(self) -> int:
-        return self.components.shape[0]
-
-    @property
     def n_features(self) -> int:
         return self.components.shape[1]
 

@@ -44,9 +44,11 @@ class WorkerError(HsikitError):
 @contextmanager
 def naming(path):
     """Run the block; a ``ValueError`` raised in it becomes
-    ``DataFormatError(f"{path}: {exc}")``. Other errors, a
-    ``DataFormatError`` that already names its file among them, pass."""
+    ``DataFormatError(f"{path}: {exc}")``, and so does a
+    ``RecursionError``, which ``json`` raises for a document nested too
+    deeply to parse. Other errors, a ``DataFormatError`` that already
+    names its file among them, pass."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc

@@ -65,9 +65,6 @@ class SplitMix64:
         self._count += n
         return start
 
-    def next_u64(self) -> int:
-        return int(self.u64_block(1)[0])
-
     def u64_block(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
         return self._outputs(self._claim(n), n)

@@ -188,6 +188,9 @@ def test_resolve_config_empty_grid_object_is_the_default_grid():
         {"classifier": {"kind": "gbdt", "params": {"seed": 1}}},
         # An integer too large for a float is not a finite number.
         {"train_fraction": 10**400},
+        # Paths the OS can take: no NUL, nothing the file system encoding lacks.
+        {"cube": "a\0b"},
+        {"output": "\ud800"},
     ],
 )
 def test_resolve_config_rejects(mutation):
@@ -242,6 +245,8 @@ def test_resolve_config_names_the_config_field_of_a_broken_rule(mutation, messag
         ({"train_fracton": 0.5},
          "unknown top-level config fields ['train_fracton']; allowed: ['classifier', "
          "'cube', 'ground_truth', 'output', 'reduction', 'seed', 'train_fraction']"),
+        *(({key: value}, f"config field {key!r} cannot be encoded as a path")
+          for key in ("cube", "output") for value in ("a\0b", "\ud800")),
     ],
 )
 def test_run_pipeline_checks_its_settings_before_loading(
@@ -752,6 +757,39 @@ def test_run_failed_write_keeps_previous_artifacts(scene, tmp_path, monkeypatch,
     assert sorted(path.name for path in out.iterdir()) == sorted(ARTIFACTS)  # no *.tmp
 
 
+def test_run_gbdt_scores_that_overflow_exit_3_and_write_nothing(
+    scene, tmp_path, capsys, force_cpus
+):
+    force_cpus(1)
+    cube_path, gt_path = scene
+    out = tmp_path / "out"
+    argv = ["run", "--cube", cube_path, "--gt", gt_path, "--output", str(out),
+            "--classifier", "gbdt", "--gbdt-trees", "3", "--gbdt-learning-rate", "1e308"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: stage 'train' failed: the GBDT scores overflow float64; lower learning_rate\n"
+    )
+    assert not out.exists()
+
+
+def test_run_model_holding_nan_writes_no_artifact(scene, tmp_path, monkeypatch):
+    # No JSON artifact may hold NaN or Infinity, which its decoder rejects.
+    cube_path, gt_path = scene
+    real_train = svm.svm_train
+
+    def nan_train(*args, **kwargs):
+        model = real_train(*args, **kwargs)
+        model.machines[0].bias = float("nan")
+        return model
+
+    monkeypatch.setattr("hsikit.cli.svm_train", nan_train)
+    out = tmp_path / "out"
+    config = resolve_config({"cube": cube_path, "ground_truth": gt_path, "output": str(out)}, {})
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        run_pipeline(config)
+    assert list(out.iterdir()) == []
+
+
 def test_run_directory_in_an_artifact_place_keeps_previous_artifacts(scene, tmp_path, capsys):
     cube_path, gt_path = scene
     out = tmp_path / "out"
@@ -829,6 +867,15 @@ def test_run_empty_output_writes_nothing(scene, tmp_path, monkeypatch, capsys):
     assert main(["run", "--cube", cube_path, "--gt", gt_path, "--output", ""]) == 1
     assert "config field 'output' must be a non-empty path" in capsys.readouterr().err
     assert list(cwd.iterdir()) == []
+
+
+def test_run_config_nested_too_deeply_is_usage_error(tmp_path, capsys):
+    config_file = tmp_path / "deep.json"
+    config_file.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["run", "--config", str(config_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"usage error: config file: {config_file}: maximum recursion depth")
 
 
 @pytest.mark.parametrize(
@@ -1095,6 +1142,20 @@ def test_a_repeated_key_in_a_run_file_is_a_data_error(scene, tmp_path, capsys):
     capsys.readouterr()
     assert main(["compare", str(out_a), str(out_b)]) == 2
     assert capsys.readouterr().err == f"data error: {report}: repeats key 'method'\n"
+
+
+def test_compare_run_file_nested_too_deeply_is_a_data_error(scene, tmp_path, capsys):
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    make_run(scene, out_a)
+    make_run(scene, out_b)
+    predictions = out_b / "predictions.json"
+    predictions.write_text("[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    assert main(["compare", str(out_a), str(out_b)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"data error: {predictions}: maximum recursion depth")
 
 
 # ----------------------------------------------------------- convert/inspect

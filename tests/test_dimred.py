@@ -171,7 +171,7 @@ def test_fit_rpca_sketch_budget_validation():
         fit_rpca(x, k=3)
     # An explicit smaller sketch fits.
     model = fit_rpca(x, k=3, oversampling=5)
-    assert model.n_components == 3
+    assert model.components.shape[0] == 3
 
 
 # ------------------------------------- against the n-row factorization

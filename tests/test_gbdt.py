@@ -7,6 +7,7 @@ import pytest
 
 from _oracles import tree_walk
 from hsikit.classify import _pool as pool
+from hsikit.classify import gbdt
 from hsikit.classify.gbdt import (
     GbdtModel,
     GbdtParams,
@@ -14,13 +15,14 @@ from hsikit.classify.gbdt import (
     _bin_features,
     _goss_sample,
     _grow_tree,
+    _leaf_histograms,
     gbdt_predict,
     gbdt_train,
     softmax_cross_entropy,
     softmax_gradients,
     softmax_probabilities,
 )
-from hsikit.errors import DegenerateDataError
+from hsikit.errors import ConvergenceError, DegenerateDataError
 from hsikit.hsi_data import SampleSet
 from hsikit.rng import SplitMix64
 
@@ -44,6 +46,40 @@ def two_gaussian_set(n_per_class, separation, seed):
     a = rng.normal_matrix(n_per_class, 2)
     b = rng.normal_matrix(n_per_class, 2) + separation
     return sample_set(np.vstack([a, b]), [1] * n_per_class + [2] * n_per_class)
+
+
+def grow(binned, edges, g, h, rows, params):
+    """``_grow_tree`` on a root histogram of ``rows`` built here."""
+    root = _leaf_histograms(binned, rows, g, h, params.num_bins)
+    return _grow_tree(binned, edges, g, h, rows, params, root)
+
+
+def grow_with_expansions(monkeypatch, binned, edges, g, h, rows, params):
+    """``grow``, plus (chosen leaf's gain, gains of the other open
+    leaves) for each expansion in order.
+
+    Each ``_best_split`` call scores the leaves it is given in node
+    order: the root first, then the two children of each expansion, so
+    the k-th expansion creates nodes 2k - 1 and 2k, and its parent is
+    the node whose left child is 2k - 1.
+    """
+    gains = []
+    best_split = gbdt._best_split
+
+    def recording(hists, min_samples_leaf):
+        splits = best_split(hists, min_samples_leaf)
+        gains.extend(gain for gain, _, _ in splits)
+        return splits
+
+    monkeypatch.setattr(gbdt, "_best_split", recording)
+    tree, _ = grow(binned, edges, g, h, rows, params)
+    expansions, open_nodes = [], [0]
+    for k in range(1, tree.n_leaves):
+        parent = int(np.flatnonzero(tree.left == 2 * k - 1)[0])
+        open_nodes.remove(parent)
+        expansions.append((gains[parent], [gains[node] for node in open_nodes]))
+        open_nodes += [2 * k - 1, 2 * k]
+    return tree, expansions
 
 
 def exhaustive_root_split(features, g, h, num_bins, min_leaf, lam=1.0):
@@ -298,7 +334,7 @@ def test_root_split_matches_oracle_multifeature():
         assert tree.threshold[0] == threshold
 
 
-def test_leaf_wise_growth_expands_best_leaf_first():
+def test_leaf_wise_growth_expands_best_leaf_first(monkeypatch):
     # Instrumented growth: every expansion must pick a leaf whose gain
     # is at least every other open leaf's gain.
     rng = SplitMix64(99)
@@ -309,15 +345,16 @@ def test_leaf_wise_growth_expands_best_leaf_first():
         num_trees=1, max_leaves=10, min_samples_leaf=5, num_bins=16, **NO_GOSS
     )
     edges, binned = _bin_features(features, params.num_bins)
-    trace = []
-    tree, _ = _grow_tree(binned.T, edges, g, h, np.arange(300), params, trace=trace)
-    assert len(trace) >= 3
-    for chosen, others in trace:
+    tree, expansions = grow_with_expansions(
+        monkeypatch, binned.T, edges, g, h, np.arange(300), params
+    )
+    assert len(expansions) >= 3
+    for chosen, others in expansions:
         assert all(chosen >= other - 1e-12 for other in others)
     assert tree.n_leaves <= params.max_leaves
 
 
-def test_leaf_wise_growth_ties_go_to_the_older_leaf():
+def test_leaf_wise_growth_ties_go_to_the_older_leaf(monkeypatch):
     # Feature 0 splits the rows into two halves whose gradients are
     # negatives of each other, so both children of the root have the
     # same best gain on feature 1. With room for one more split, the
@@ -330,10 +367,11 @@ def test_leaf_wise_growth_ties_go_to_the_older_leaf():
         num_trees=1, max_leaves=3, min_samples_leaf=1, num_bins=4, **NO_GOSS
     )
     edges, binned = _bin_features(np.column_stack([x0, x1]), params.num_bins)
-    trace = []
-    tree, _ = _grow_tree(binned.T, edges, g, h, np.arange(16), params, trace=trace)
-    assert len(trace) == 2
-    chosen, others = trace[1]
+    tree, expansions = grow_with_expansions(
+        monkeypatch, binned.T, edges, g, h, np.arange(16), params
+    )
+    assert len(expansions) == 2
+    chosen, others = expansions[1]
     assert others == [chosen]
     assert list(tree.feature) == [0, 1, -1, -1, -1]
     assert list(tree.left) == [1, 3, -1, -1, -1]
@@ -353,7 +391,7 @@ def test_grown_tree_structure(max_leaves, min_samples_leaf, grown_leaves):
         num_bins=16, **NO_GOSS
     )
     edges, binned = _bin_features(features, params.num_bins)
-    tree, _ = _grow_tree(binned.T, edges, g, h, np.arange(200), params)
+    tree, _ = grow(binned.T, edges, g, h, np.arange(200), params)
     if grown_leaves is None:
         assert 1 < tree.n_leaves < max_leaves
     else:
@@ -384,7 +422,7 @@ def test_grown_leaf_values_include_shrinkage():
         learning_rate=0.3, **NO_GOSS
     )
     edges, binned = _bin_features(x[:, None], params.num_bins)
-    tree, _ = _grow_tree(binned.T, edges, g, h, np.arange(4), params)
+    tree, _ = grow(binned.T, edges, g, h, np.arange(4), params)
     # Leaf value is -lr * G / (H + 1).
     expect_left = -0.3 * (-1.0) / (0.5 + 1.0)
     expect_right = -0.3 * (1.0) / (0.5 + 1.0)
@@ -401,7 +439,7 @@ def test_no_split_below_min_samples():
         num_trees=1, max_leaves=8, min_samples_leaf=4, num_bins=4, **NO_GOSS
     )
     edges, binned = _bin_features(x[:, None], params.num_bins)
-    tree, _ = _grow_tree(binned.T, edges, g, h, np.arange(4), params)
+    tree, _ = grow(binned.T, edges, g, h, np.arange(4), params)
     assert tree.n_leaves == 1
 
 
@@ -414,7 +452,7 @@ def test_bin_space_tree_routes_binned_rows_as_the_tree_routes_raw_rows():
     )
     edges, binned = _bin_features(features, params.num_bins)
     rng = SplitMix64(117)
-    tree, bin_tree = _grow_tree(
+    tree, bin_tree = grow(
         binned.T, edges, rng.normals(300), np.full(300, 0.25), np.arange(300), params
     )
     assert tree.n_leaves == params.max_leaves
@@ -433,6 +471,13 @@ def test_bin_space_tree_routes_binned_rows_as_the_tree_routes_raw_rows():
 def test_train_single_class_rejected():
     with pytest.raises(DegenerateDataError):
         gbdt_train(sample_set([0.0, 1.0], [1, 1]))
+
+
+def test_train_scores_that_overflow_raise_convergence_error(force_cpus):
+    force_cpus(1)
+    params = GbdtParams(num_trees=3, learning_rate=1e308, **NO_GOSS)
+    with pytest.raises(ConvergenceError, match="scores overflow float64"):
+        gbdt_train(two_gaussian_set(20, separation=2.0, seed=118), params)
 
 
 def test_train_param_validation():
@@ -581,7 +626,7 @@ def test_train_matches_reference_loop():
             h = np.zeros(n)
             g[rows] = grad[rows, c] * amplify
             h[rows] = hess[rows, c] * amplify
-            tree, _ = _grow_tree(binned.T, edges, g, h, rows, params)
+            tree, _ = grow(binned.T, edges, g, h, rows, params)
             for name in ("feature", "threshold", "left", "right", "value"):
                 assert np.array_equal(getattr(got, name), getattr(tree, name)), name
             scores[:, c] += tree_walk(tree, features)
@@ -716,7 +761,7 @@ def test_predict_matches_tree_walk_on_grown_trees(max_leaves):
         num_trees=1, max_leaves=max_leaves, min_samples_leaf=4, num_bins=16, **NO_GOSS
     )
     edges, binned = _bin_features(features, params.num_bins)
-    tree, _ = _grow_tree(
+    tree, _ = grow(
         binned.T, edges, rng.normals(300), np.full(300, 0.25), np.arange(300), params
     )
     assert tree.n_leaves == max_leaves

@@ -37,7 +37,7 @@ def test_block_matches_scalar_draws():
     rng = SplitMix64(7)
     block = rng.u64_block(10)
     rng2 = SplitMix64(7)
-    singles = [rng2.next_u64() for _ in range(10)]
+    singles = [int(rng2.u64_block(1)[0]) for _ in range(10)]
     assert list(block) == singles
 
 

@@ -420,12 +420,11 @@ def test_predict_support_vectors_their_own_label():
         raw = machine.support_vectors * model.feature_range + model.feature_min
         pred = svm_predict(model, raw)
         sv = machine.support_vectors
-        decided = machine.decision(sv, gamma)
+        decided = machine.decision(sv, gamma, (sv * sv).sum(axis=1))
         # Squared norms computed once per predict bin give the same bits
         # as rbf_cross computing them per machine.
         expected = rbf_cross(sv, sv, gamma) @ machine.dual_coef + machine.bias
         assert np.array_equal(decided, expected)
-        assert np.array_equal(machine.decision(sv, gamma, (sv * sv).sum(axis=1)), expected)
         (wins_pos,) = svm._wins_pos([machine], sv, gamma)
         assert np.array_equal(wins_pos, expected > 0.0)
         for p, d, coef in zip(pred, decided, machine.dual_coef):
@@ -506,7 +505,7 @@ def test_blocked_decisions_match_the_whole_kernel(case, monkeypatch, force_cpus)
     scaled = (x - model.feature_min) / model.feature_range
     gamma = model.params.gamma
     for machine in model.machines:
-        decided = machine.decision(scaled, gamma)
+        decided = machine.decision(scaled, gamma, (scaled * scaled).sum(axis=1))
         whole = rbf_cross(scaled, machine.support_vectors, gamma) @ machine.dual_coef
         assert decided.shape == (n_test,)
         assert np.abs(decided - (whole + machine.bias)).max(initial=0.0) <= 1e-12
@@ -537,7 +536,7 @@ def test_predict_machine_without_support_vectors():
     (machine,) = model.machines
     assert len(machine.dual_coef) == 0
     x = SplitMix64(94).normal_matrix(20, 2)
-    decided = machine.decision(x, model.params.gamma)
+    decided = machine.decision(x, model.params.gamma, (x * x).sum(axis=1))
     assert np.array_equal(decided, np.full(20, machine.bias))
     assert np.array_equal(svm_predict(model, x), np.full(20, machine.class_neg))
 
@@ -783,7 +782,8 @@ def test_spread_inside_a_workers_bin_runs_in_that_worker(monkeypatch, force_cpus
 
 
 def _decisions(machines, x_scaled, gamma):
-    return [machine.decision(x_scaled, gamma) for machine in machines]
+    sq_x = (x_scaled * x_scaled).sum(axis=1)
+    return [machine.decision(x_scaled, gamma, sq_x) for machine in machines]
 
 
 def test_blocked_decisions_identical_for_any_cpu_count(monkeypatch, force_cpus):

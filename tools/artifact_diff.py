@@ -27,8 +27,9 @@ stderr; under ``differs`` come both sides' exit code and stderr, so a
 change to the config decoder shows which messages moved. Then come both
 trees' data messages, read the same way: each case of ``DATA_CASES``
 breaks one input rule (a run file that lacks a field or is not an
-object, a config that is not JSON or repeats a key, a cube payload cut
-short), and runs ``hsikit compare`` or ``hsikit run`` on it with each
+object, a config that is not JSON, repeats a key or is nested too
+deeply to parse, a cube payload cut short, a GBDT learning rate whose
+scores overflow), and runs ``hsikit compare`` or ``hsikit run`` on it with each
 tree's sources, beside a good run of the first workload's scene made
 with BASE's sources. Last come both trees' code lines of each module of
 ``src/hsikit``, as ``tools/code_lines.py`` counts them. It exits 1 if
@@ -66,6 +67,7 @@ USAGE_CASES = {
         "classifier": {"kind": "gbdt", "params": {"goss_top_rate": 0.6, "goss_other_rate": 0.5}},
     },
     "config not an object": [1, 2],
+    "output holds a NUL": {**_MISSING, "output": "a\0b"},
 }
 
 
@@ -115,6 +117,12 @@ DATA_CASES = {
         '{"cube": "missing.hsih", "ground_truth": "missing_gt.hsih", "seed": 1, "seed": 2}'
     ),
     "truncated payload": _config('{"cube": "scene.hsih", "ground_truth": "scene_gt.hsih"}', cut=2),
+    # Raw text: json.dumps cannot write a document nested this deeply.
+    "deeply nested config": _config("[" * 100_000 + "]" * 100_000),
+    "overflowing GBDT": _config(
+        '{"cube": "scene.hsih", "ground_truth": "scene_gt.hsih", "classifier": '
+        '{"kind": "gbdt", "params": {"num_trees": 3, "learning_rate": 1e308}}}'
+    ),
 }
 
 
