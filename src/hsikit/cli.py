@@ -108,10 +108,12 @@ class UsageError(HsikitError):
 
 
 class StageError(HsikitError):
-    """A pipeline stage failed; carries the stage name and the cause."""
+    """A pipeline stage failed; carries the stage name and the cause,
+    and names the file the stage was writing, if one."""
 
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage '{stage}' failed: {cause}")
+    def __init__(self, stage: str, cause: Exception, file: str | None = None):
+        where = "" if file is None else f"{file}: "
+        super().__init__(f"stage '{stage}' failed: {where}{cause}")
         self.stage = stage
         self.cause = cause
 
@@ -399,10 +401,12 @@ def run_pipeline(config: dict) -> RunReport:
              "timings.json")
     *doc_paths, map_path, timings_path = staged = [out_dir / f"{name}.tmp" for name in names]
     out_dir.mkdir(parents=True, exist_ok=True)
+    name = None  # the artifact being written, for the error
     try:
         docs = (config, report.to_dict(), predictions.to_dict(), model_doc)
-        for path, doc in zip(doc_paths, docs):
+        for name, path, doc in zip(names, doc_paths, docs):
             path.write_bytes(_canonical_json(doc))
+        name = "map.ppm"
         write_ppm(image, map_path)
         # Each stage runs until the next begins; the last until now. total_ms
         # is the wall clock from entry, up to the writes it cannot time: its
@@ -412,16 +416,19 @@ def run_pipeline(config: dict) -> RunReport:
         for (stage, start), (_, end) in zip(starts, starts[1:]):
             timings_doc[f"{stage}_ms"] = round((end - start) * 1000.0, 3)
         timings_doc["total_ms"] = round((starts[-1][1] - starts[0][1]) * 1000.0, 3)
+        name = "timings.json"
         timings_path.write_bytes(_canonical_json(timings_doc))
         # A directory in a target's place would fail its rename after the
         # ones before it had succeeded.
-        for tmp in staged:
+        for name, tmp in zip(names, staged):
             target = tmp.with_suffix("")
             if target.is_dir():
                 raise IsADirectoryError(f"{target} is a directory, not an artifact")
-    except BaseException:
+    except BaseException as exc:
         for tmp in staged:
             tmp.unlink(missing_ok=True)
+        if isinstance(exc, (ValueError, OSError)):
+            raise StageError("write", exc, name)
         raise
     for tmp in staged:
         os.replace(tmp, tmp.with_suffix(""))

@@ -5,11 +5,13 @@ singular vectors of the centered n x B matrix A, and its squared
 singular values over n - 1 as the explained variances. Models are
 immutable after fit and record how they were produced.
 
-Neither fit factors A itself. Both form the band Gram matrix
-G = A^T A (B x B, one pass over the data) and take its eigenpairs
-(lambda_i, v_i) in descending order. These are A's singular pairs:
-s_i = sqrt(lambda_i), and v_i is the right singular vector. Exact PCA
-reads its top k axes and variances straight from them, so no SVD runs.
+Neither fit factors A itself, nor holds it. Both form the band Gram
+matrix G = A^T A (B x B) in one pass over the data, as a running sum of
+blk^T @ blk over blocks of ``_GRAM_ROWS`` = 32 centered rows, and take
+its eigenpairs (lambda_i, v_i) in descending order. These are A's
+singular pairs: s_i = sqrt(lambda_i), and v_i is the right singular
+vector. Exact PCA reads its top k axes and variances straight from
+them, so no SVD runs.
 
 Randomized PCA runs :func:`hsikit.linalg.randomized_svd` on the B x B
 matrix S whose row i is sqrt(lambda_i) v_i^T. Since S^T S = A^T A,
@@ -23,12 +25,21 @@ Squaring A costs precision at the bottom of the spectrum: variances
 below about eps * lambda_1 (eps = 2.2e-16) come out as rounding noise
 or zero, and their axes are not resolved.
 
+Rows are centered into one reused buffer of ``_CENTER_BLOCK_BYTES``
+(1 MiB), as many whole Gram blocks at a time as it holds, and each
+projection writes block @ components^T into its preallocated m x k
+result, so neither a fit nor :func:`transform` holds a centered copy of
+its input. Both block sizes follow from B alone, never from the CPU or
+BLAS thread count, and OpenBLAS sums a 32-row product the same way
+under 1, 2 or 4 threads, so a fit's bytes do not depend on the thread
+count either.
+
 Both fits fix signs with :func:`hsikit.linalg.fix_signs` on the data's
-own scores A @ components^T: the largest-magnitude entry of each column
-is made positive. For exact PCA the scores are U diag(s), so this is
-the rule ``exact_svd`` applies to A. Randomized SVD of A applies it to
-the sketch's estimate of U instead; the two agree wherever the sketch
-resolves the component.
+own scores A @ components^T, in place: the largest-magnitude entry of
+each column is made positive. For exact PCA the scores are U diag(s),
+so this is the rule ``exact_svd`` applies to A. Randomized SVD of A
+applies it to the sketch's estimate of U instead; the two agree
+wherever the sketch resolves the component.
 
 Only centering is applied, never per-band standardization: spectral
 bands share units, so PCA on the covariance matrix is the intended
@@ -47,6 +58,14 @@ from .records import Record, check_int
 
 # Unused here: hsibench/pipeline.py wraps it by name until ROADMAP item 1, step 3.
 from .linalg import exact_svd  # noqa: F401
+
+# Memory for the rows a fit or a projection centers at a time: 2^17
+# float64, reused block after block.
+_CENTER_BLOCK_BYTES = 2**20
+# Rows per product of the band Gram. OpenBLAS 0.3.31 sums blk^T @ blk of
+# up to 32 rows the same way under 1, 2 and 4 threads (at B = 8 to 200);
+# 48 or 64 rows are not thread-invariant at B = 103.
+_GRAM_ROWS = 32
 
 __all__ = [
     "PcaModel",
@@ -108,8 +127,7 @@ def fit_transform(x, fit: int | RandomizedSvdParams) -> tuple[PcaModel, np.ndarr
         fit.validate(n, b)
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the result
         mean = x.mean(axis=0)
-        centered = x - mean
-        gram = centered.T @ centered
+        gram = _gram(x, mean)
     if not np.isfinite(gram).all():
         raise ConvergenceError("the band covariance overflows float64; rescale the data")
     eigenvalues, eigenvectors = np.linalg.eigh(gram)  # ascending
@@ -120,7 +138,7 @@ def fit_transform(x, fit: int | RandomizedSvdParams) -> tuple[PcaModel, np.ndarr
         svd = randomized_svd(s[:, None] * vt, fit)
         s, vt = svd.s, svd.vt
     # The scores are transform(model, x)'s bytes: a sign flip is exact.
-    scores, components = fix_signs(centered @ vt[:k].T, vt[:k])
+    scores, components = fix_signs(_project(x, mean, vt[:k]), vt[:k])
     model = PcaModel(
         mean=mean,
         components=components,
@@ -159,7 +177,38 @@ def transform(model: PcaModel, x) -> np.ndarray:
     """Project rows of ``x`` (m x B) onto the model's components: the
     result is (x - mean) @ components^T, shape m x k."""
     x = as_matrix(x, "x", cols=model.n_features)
-    return (x - model.mean) @ model.components.T
+    return _project(x, model.mean, model.components)
+
+
+def _gram(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """A^T A for A = x - mean, summed over blocks of ``_GRAM_ROWS`` rows."""
+    gram = np.zeros((x.shape[1],) * 2)
+    for _, block in _centered_blocks(x, mean):
+        for start in range(0, len(block), _GRAM_ROWS):
+            part = block[start : start + _GRAM_ROWS]
+            gram += part.T @ part
+    return gram
+
+
+def _centered_blocks(x: np.ndarray, mean: np.ndarray):
+    """Yield (start, rows start.. of ``x`` minus ``mean``) for blocks of
+    as many whole Gram blocks as ``_CENTER_BLOCK_BYTES`` holds, at least
+    one; every block is a view of one reused buffer."""
+    n, b = x.shape
+    rows = _GRAM_ROWS * max(1, _CENTER_BLOCK_BYTES // (8 * _GRAM_ROWS * b))
+    buffer = np.empty((min(rows, n), b))
+    for start in range(0, n, rows):
+        block = buffer[: min(rows, n - start)]
+        np.subtract(x[start : start + rows], mean, out=block)
+        yield start, block
+
+
+def _project(x: np.ndarray, mean: np.ndarray, components: np.ndarray) -> np.ndarray:
+    """(x - mean) @ components^T, written block by block into the result."""
+    out = np.empty((len(x), len(components)))
+    for start, block in _centered_blocks(x, mean):
+        np.matmul(block, components.T, out=out[start : start + len(block)])
+    return out
 
 
 def explained_variance_ratio(model: PcaModel, total_variance: float) -> np.ndarray:

@@ -113,13 +113,17 @@ def householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
 
 def fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``u`` and ``vt`` with each pair (column i of ``u``, row i of
-    ``vt``) flipped so that the column's largest-magnitude entry is
-    positive; a zero column keeps its sign. The one sign convention of
-    every factorization here, so their results compare entry by entry."""
-    lead = np.abs(u).argmax(axis=0)
-    signs = np.sign(u[lead, np.arange(u.shape[1])])
-    signs[signs == 0] = 1.0
-    return u * signs, vt * signs[:, None]
+    ``vt``) flipped so that the column's largest-magnitude entry, the
+    first one if several tie, is positive; a zero column keeps its sign.
+    The one sign convention of every factorization here, so their
+    results compare entry by entry. ``u`` is flipped in place and
+    returned, so the rule allocates nothing of its size."""
+    # The sign of max + min is the sign of the larger extreme in magnitude.
+    signs = np.sign(u.max(axis=0) + u.min(axis=0))
+    for i in np.flatnonzero(signs == 0):  # |max| = |min|: the earlier leads
+        signs[i] = -1.0 if u[:, i].argmin() < u[:, i].argmax() else 1.0
+    u *= signs
+    return u, vt * signs[:, None]
 
 
 def exact_svd(a, k: int) -> SvdResult:

@@ -1,6 +1,7 @@
 """``tools/artifact_diff.py`` tells a source tree that makes the same
 artifacts from one that does not, on a tiny scene and without git."""
 
+import re
 import shutil
 from pathlib import Path
 
@@ -30,10 +31,17 @@ def scenes(tmp_path):
     return {"tiny": (scene_dir, CONFIG)}
 
 
-def test_a_tree_against_itself_makes_the_same_artifacts(artifact_diff, scenes, tmp_path):
+def test_a_tree_against_itself_makes_the_same_artifacts(artifact_diff, scenes, tmp_path, capsys):
     rows = artifact_diff.compare(ROOT, ROOT, scenes, tmp_path / "runs", seeds=(1,))
     names = [*artifact_diff.ARTIFACTS, "compare --json"]
-    assert rows == [("tiny", 1, name, True, []) for name in names]
+    assert rows[1:] == [("tiny", 1, name, True, []) for name in names]
+    # Both runs' peak RSS is printed beside the artifacts, and not judged.
+    assert rows[0][:4] == ("tiny", 1, "peak RSS", None)
+    artifact_diff.print_rows(rows)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["tiny", "seed", "1", "peak", "RSS", "report"]
+    assert re.fullmatch(r"    base \d+\.\d MiB, head \d+\.\d MiB", lines[1])
+    assert lines[2].split() == ["tiny", "seed", "1", "config.json", "same"]
 
 
 def test_a_changed_constant_shows_in_the_model(artifact_diff, scenes, tmp_path):
@@ -44,8 +52,8 @@ def test_a_changed_constant_shows_in_the_model(artifact_diff, scenes, tmp_path):
     assert source.count("    c: float = 600.0\n") == 1
     svm_py.write_text(source.replace("    c: float = 600.0\n", "    c: float = 0.5\n"))
     rows = artifact_diff.compare(ROOT, changed, scenes, tmp_path / "runs", seeds=(1,))
-    assert [name for name, *_ in rows] == ["tiny"] * (len(artifact_diff.ARTIFACTS) + 1)
-    reports = {artifact: report for _, _, artifact, same, report in rows if not same}
+    assert [name for name, *_ in rows] == ["tiny"] * (len(artifact_diff.ARTIFACTS) + 2)
+    reports = {artifact: report for _, _, artifact, same, report in rows if same is False}
     assert "model.json" in reports
     # Both trees' compare reads the two runs alike.
     assert "compare --json" not in reports
@@ -63,7 +71,9 @@ def test_a_changed_compare_shows_in_its_output(artifact_diff, scenes, tmp_path):
     cli_py.write_text(source.replace(old, old + ' "extra": 1,'))
     rows = artifact_diff.compare(ROOT, changed, scenes, tmp_path / "runs", seeds=(1,))
     assert [(artifact, same) for _, _, artifact, same, _ in rows] == [
-        *((name, True) for name in artifact_diff.ARTIFACTS), ("compare --json", False)
+        ("peak RSS", None),
+        *((name, True) for name in artifact_diff.ARTIFACTS),
+        ("compare --json", False),
     ]
     assert rows[-1][4] == ["extra: leaves differing 1"]
 

@@ -527,10 +527,8 @@ def test_run_rpca_sketch_wider_than_the_bands(scene, tmp_path, capsys):
 
 
 def test_run_determinism_across_blas_threads(tmp_path):
-    # The determinism contract: with one BLAS thread count every
-    # deterministic artifact repeats byte for byte; across 1 and 2
-    # threads the fitted floats in model.json may differ in their last
-    # digits, but config, report, predictions and map must not.
+    # The determinism contract: every deterministic artifact repeats
+    # byte for byte, with one BLAS thread count and across 1 and 2.
     cube, gt = gaussian_scene(40, 40, 60, 5, seed=11)
     save_cube(cube, tmp_path / "scene.hsih")
     save_ground_truth(gt, tmp_path / "scene_gt.hsih")
@@ -559,7 +557,7 @@ def test_run_determinism_across_blas_threads(tmp_path):
             runs[threads, rep] = run_dir_bytes(cwd / "run")
     assert runs["1", 0] == runs["1", 1]
     assert runs["2", 0] == runs["2", 1]
-    for name in ("config.json", "report.json", "predictions.json", "map.ppm"):
+    for name in ("config.json", "report.json", "predictions.json", "model.json", "map.ppm"):
         assert runs["1", 0][name] == runs["2", 0][name], name
 
 
@@ -785,8 +783,10 @@ def test_run_model_holding_nan_writes_no_artifact(scene, tmp_path, monkeypatch):
     monkeypatch.setattr("hsikit.cli.svm_train", nan_train)
     out = tmp_path / "out"
     config = resolve_config({"cube": cube_path, "ground_truth": gt_path, "output": str(out)}, {})
-    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+    message = "^stage 'write' failed: model.json: Out of range float values are not JSON compliant"
+    with pytest.raises(StageError, match=message) as caught:
         run_pipeline(config)
+    assert isinstance(caught.value.cause, ValueError)
     assert list(out.iterdir()) == []
 
 
@@ -800,7 +800,9 @@ def test_run_directory_in_an_artifact_place_keeps_previous_artifacts(scene, tmp_
     (out / "map.ppm").unlink()
     (out / "map.ppm").mkdir()
     assert main(argv + ["--seed", "2"]) == 2
-    assert "map.ppm is a directory" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'write' failed: map.ppm: ")
+    assert "map.ppm is a directory" in err
     assert {name: (out / name).read_bytes() for name in before} == before
     assert sorted(path.name for path in out.iterdir()) == sorted(ARTIFACTS)  # no *.tmp
 

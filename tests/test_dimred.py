@@ -1,12 +1,19 @@
 """Tests for exact and randomized PCA."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hsikit
 from _oracles import decaying_test_matrices, jacobi_eigenvalues, pca_by_row_factorization
 from hsikit.dimred import (
+    _CENTER_BLOCK_BYTES,
     PcaModel,
     explained_variance_ratio,
     fit_pca,
@@ -249,6 +256,67 @@ def test_fit_transform_projects_the_fit_rows_once(method, k):
         assert model.to_dict() == fit_pca(x, k).to_dict()
     else:
         assert model.to_dict() == fit_rpca(x, k, oversampling=6, seed=4).to_dict()
+
+
+# A child process prints, for each band count, a digest of an exact and
+# a randomized fit: the models' arrays and the scores.
+_FIT_DIGESTS = """
+import hashlib
+import numpy as np
+from hsikit.dimred import fit_transform
+from hsikit.linalg import RandomizedSvdParams
+from hsikit.rng import SplitMix64
+for b in (8, 60, 103, 200):
+    x = SplitMix64(b).normal_matrix(3000, b) * np.linspace(1.0, 3.0, b) + 5.0
+    digest = hashlib.sha256()
+    for fit in (5, RandomizedSvdParams(3, oversampling=4, seed=1)):
+        model, scores = fit_transform(x, fit)
+        for a in (model.mean, model.components, model.explained_variance, scores):
+            digest.update(a.tobytes())
+    print(b, digest.hexdigest())
+"""
+
+
+def test_fits_are_the_same_bytes_under_any_blas_thread_count():
+    # The Gram is summed over blocks whose row count follows from B
+    # alone, and each block's product is thread-invariant, so a fit's
+    # model and scores do not depend on the BLAS thread count. One
+    # n x B product (the whole Gram at once) differs at B = 103.
+    src = str(Path(hsikit.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", _FIT_DIGESTS], env=env, check=True,
+                              capture_output=True, text=True)
+        outputs[threads] = done.stdout
+    assert len(outputs["1"].splitlines()) == 4
+    assert outputs["1"] == outputs["2"] == outputs["4"]
+
+
+def _traced_peak(call) -> int:
+    """Bytes ``call()`` allocates at its peak above what was allocated
+    before it, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fit", [20, RandomizedSvdParams(20, seed=1)], ids=["exact", "randomized"])
+def test_reduce_stage_holds_no_centered_copy(fit):
+    # A fit and a projection center their rows a block at a time, so
+    # above their input they hold the n x k result, one block buffer and
+    # B x B matrices: well under the 15.7 MiB of a centered 20,000 x 103
+    # copy. The margin covers the B x B matrices (about 0.3 MiB here).
+    x = random_matrix(20_000, 103, 80) + 2.0
+    model, scores = fit_transform(x, fit)
+    bound = scores.nbytes + _CENTER_BLOCK_BYTES + 2**19
+    assert _traced_peak(lambda: fit_transform(x, fit)) <= bound
+    assert _traced_peak(lambda: transform(model, x)) <= bound
 
 
 def test_exact_fits_factor_once(monkeypatch):

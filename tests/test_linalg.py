@@ -10,6 +10,7 @@ from hsikit.linalg import (
     RandomizedSvdParams,
     as_matrix,
     exact_svd,
+    fix_signs,
     householder_qr,
     randomized_range_finder,
     randomized_svd,
@@ -160,6 +161,24 @@ def test_exact_svd_sign_convention():
         res = exact_svd(random_matrix(8, 5, seed + 50), k=5)
         lead = np.abs(res.u).argmax(axis=0)
         assert (res.u[lead, np.arange(5)] > 0.0).all()
+
+
+def test_fix_signs_flips_in_place_by_the_first_largest_magnitude():
+    # Small integers tie often: |max| = |min| in a column, zero columns
+    # and constant ones. The lead is the first entry of the largest
+    # magnitude, as np.abs(u).argmax finds it.
+    u = np.rint(random_matrix(7, 400, 90) * 1.2)
+    u[:, :3] = [[0.0, -2.0, 2.0]]
+    assert (u.max(axis=0) == -u.min(axis=0)).sum() > 50
+    vt = random_matrix(400, 5, 91)
+    signs = np.sign(u[np.abs(u).argmax(axis=0), np.arange(400)])
+    signs[signs == 0] = 1.0
+    expected = u * signs
+    flipped, flipped_vt = fix_signs(u, vt)
+    assert flipped is u
+    assert np.array_equal(flipped, expected)
+    assert np.array_equal(flipped_vt, vt * signs[:, None])
+    assert np.array_equal(signs[:3], [1.0, -1.0, 1.0])
 
 
 def test_exact_svd_k_validation():

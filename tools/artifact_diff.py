@@ -8,7 +8,9 @@ makes each benchmark workload's scene once with BASE's
 scene with BASE's sources and with the sources of this checkout, at run
 seeds 1 and 2, with one OpenBLAS/OMP thread and the same config, relative
 ``output`` included. The workloads and their configs are BASE's
-``hsibench/workloads.py``. It prints one line per deterministic artifact
+``hsibench/workloads.py``. For each workload and seed it prints both
+runs' peak RSS (the child's ``ru_maxrss``, as ``hsibench/run.py`` reads
+it), a report and not a gate, then one line per deterministic artifact
 (every artifact but ``timings.json``), ``same`` or ``differs``. Under a
 JSON artifact that differs it prints each generalized path whose leaves
 differ, list indices written ``[*]`` (e.g.
@@ -136,27 +138,38 @@ def _env(tree: Path) -> dict:
     )
 
 
-def _run(tree: Path, config, run_dir: Path) -> subprocess.CompletedProcess:
-    """``hsikit run --config`` on ``config`` with ``tree``'s sources, in
-    ``run_dir``, which it makes."""
+def _run(tree: Path, config, run_dir: Path) -> tuple:
+    """(CompletedProcess, peak RSS in MiB) of ``hsikit run --config`` on
+    ``config`` with ``tree``'s sources, in ``run_dir``, which it makes.
+    The peak is the child's ``ru_maxrss`` from ``os.wait4``, as
+    ``hsibench/run.py`` reads it."""
     run_dir.mkdir(parents=True)
     (run_dir / "config.in.json").write_text(json.dumps(config), encoding="utf-8")
-    return subprocess.run(
-        [sys.executable, "-m", "hsikit", "run", "--config", "config.in.json"],
-        cwd=run_dir,
-        env=_env(tree),
-        capture_output=True,
-        text=True,
-    )
+    argv = [sys.executable, "-m", "hsikit", "run", "--config", "config.in.json"]
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(argv, cwd=run_dir, env=_env(tree), stdout=out, stderr=err)
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        except BaseException:
+            proc.kill()
+            proc.wait()
+            raise
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        text = []
+        for stream in (out, err):
+            stream.seek(0)
+            text.append(stream.read().decode("utf-8", "replace"))
+    return subprocess.CompletedProcess(argv, proc.returncode, *text), usage.ru_maxrss / 1024.0
 
 
-def run_tree(tree: Path, config: dict, run_dir: Path):
-    """The artifacts of ``hsikit run`` with ``tree``'s sources in
-    ``run_dir``, as {name: bytes}, or the run's output if it failed."""
-    done = _run(tree, config, run_dir)
+def run_tree(tree: Path, config: dict, run_dir: Path) -> tuple:
+    """(the artifacts of ``hsikit run`` with ``tree``'s sources in
+    ``run_dir`` as {name: bytes}, or the run's output if it failed;
+    the run's peak RSS in MiB)."""
+    done, peak = _run(tree, config, run_dir)
     if done.returncode != 0:
-        return f"exit {done.returncode}: {(done.stdout + done.stderr).strip()}"
-    return {name: (run_dir / config["output"] / name).read_bytes() for name in ARTIFACTS}
+        return f"exit {done.returncode}: {(done.stdout + done.stderr).strip()}", peak
+    return {name: (run_dir / config["output"] / name).read_bytes() for name in ARTIFACTS}, peak
 
 
 def compare_tree(tree: Path, run_a: Path, run_b: Path) -> tuple:
@@ -221,7 +234,9 @@ def describe(artifact: str, base: bytes, head: bytes) -> list:
 
 
 def compare(base: Path, head: Path, scenes: dict, work: Path, seeds=SEEDS) -> list:
-    """(workload, seed, artifact, same, report lines) for each
+    """(workload, seed, artifact, same, report lines) for each workload
+    and seed: first a ``peak RSS`` row that only reports, ``same`` None
+    and one line with both runs' peak RSS; then a row for each
     deterministic artifact of each run, then for ``compare --json`` (see
     :func:`compare_tree`) over the two runs with each tree's sources; the
     report lines are those of :func:`describe` for a JSON artifact or
@@ -229,8 +244,8 @@ def compare(base: Path, head: Path, scenes: dict, work: Path, seeds=SEEDS) -> li
     output, else empty.
     ``scenes`` maps a workload name to (scene directory, config minus
     cube, ground_truth, output and seed). A failed run gives one row for
-    its workload and seed, not same, whose ``artifact`` is the
-    failure."""
+    its workload and seed, after the peak RSS, not same, whose
+    ``artifact`` is the failure."""
     rows = []
     for name, (scene_dir, config) in scenes.items():
         for seed in seeds:
@@ -242,7 +257,10 @@ def compare(base: Path, head: Path, scenes: dict, work: Path, seeds=SEEDS) -> li
                 **config,
             }
             dirs = [work / side / name / f"seed{seed}" for side in ("base", "head")]
-            runs = [run_tree(tree, full, run_dir) for tree, run_dir in zip((base, head), dirs)]
+            runs, peaks = zip(*(run_tree(tree, full, run_dir)
+                                for tree, run_dir in zip((base, head), dirs)))
+            rows.append((name, seed, "peak RSS", None,
+                         ["base {:.1f} MiB, head {:.1f} MiB".format(*peaks)]))
             failed = [run for run in runs if isinstance(run, str)]
             if failed:
                 rows.append((name, seed, "; ".join(failed), False, []))
@@ -265,6 +283,17 @@ def compare(base: Path, head: Path, scenes: dict, work: Path, seeds=SEEDS) -> li
     return rows
 
 
+def print_rows(rows: list) -> None:
+    """Print each row of :func:`compare`: its workload, seed, artifact
+    and verdict, ``same``, ``differs`` or ``report`` for a row that only
+    reports, then its report lines, indented."""
+    verdicts = {True: "same", False: "differs", None: "report"}
+    for name, seed, artifact, same, report in rows:
+        print(f"{name:<12} seed {seed}  {artifact:<18} {verdicts[same]}")
+        for line in report:
+            print(f"    {line}")
+
+
 def _messages(name: str, outputs: list) -> tuple:
     """(case, same, report lines) of the (exit code, stderr) of each
     tree: ``same`` when both match; else the report lines give each
@@ -284,7 +313,7 @@ def usage_messages(base: Path, head: Path, work: Path, cases=USAGE_CASES) -> lis
     for name, config in cases.items():
         outputs = []
         for side, tree in (("base", base), ("head", head)):
-            done = _run(tree, config, work / side / name.replace(" ", "-"))
+            done, _ = _run(tree, config, work / side / name.replace(" ", "-"))
             outputs.append((done.returncode, done.stderr.strip()))
         rows.append(_messages(name, outputs))
     return rows
@@ -300,7 +329,7 @@ def data_messages(base: Path, head: Path, scene_dir: Path, work: Path, cases=DAT
     print the same path."""
     config = {"cube": str(scene_dir / "scene.hsih"),
               "ground_truth": str(scene_dir / "scene_gt.hsih"), "output": "out"}
-    done = _run(base, config, work / "good")
+    done, _ = _run(base, config, work / "good")
     if done.returncode != 0:
         raise RuntimeError(f"the good run failed: {done.stderr.strip()}")
     rows = []
@@ -360,10 +389,7 @@ def main(argv: list) -> int:
             )
             scenes[name] = (scene_dir, workload.config)
         rows = compare(base, ROOT, scenes, work / "runs")
-        for name, seed, artifact, same, report in rows:
-            print(f"{name:<12} seed {seed}  {artifact:<18} {'same' if same else 'differs'}")
-            for line in report:
-                print(f"    {line}")
+        print_rows(rows)
         first_scene = next(iter(scenes.values()))[0]
         messages = (
             ("usage messages of hsikit run --config", usage_messages(base, ROOT, work / "usage")),
@@ -381,7 +407,7 @@ def main(argv: list) -> int:
         for module in sorted(counts[0].keys() | counts[1].keys()):
             print(f"{counts[0].get(module, '-'):>6} {counts[1].get(module, '-'):>6}  {module}")
         print(f"{sum(counts[0].values()):>6} {sum(counts[1].values()):>6}  total")
-    return 0 if all(same for _, _, _, same, _ in rows) else 1
+    return 0 if all(same is not False for _, _, _, same, _ in rows) else 1
 
 
 if __name__ == "__main__":
