@@ -9,9 +9,8 @@ McNemar significance tests, and rendered classification maps. The
 
 All randomness flows through the seeded counter-based generator in
 ``hsikit.rng``, so a run's artifacts are byte-identical for a fixed
-numpy/BLAS build and BLAS thread count. Across thread counts fitted
-floats may change in their last digits; predictions held in the tested
-runs (see the README's Determinism section).
+numpy/BLAS build, under any BLAS thread count the tests cover (see the
+README's Determinism section).
 
 Every name a library module lists in its ``__all__`` is re-exported
 here, so ``hsikit.__all__`` is ``__version__`` followed by those lists.

@@ -11,11 +11,11 @@ and writes six fixed-name artifacts into its output directory:
     timings.json      wall clock per stage and in total, in milliseconds
 
 Everything except timings.json is a pure function of (config, seed)
-for a fixed numpy/BLAS build and BLAS thread count, so two identical
-runs produce byte-identical artifacts; timings.json is the documented
-canonicalization cut. A run reads the cube band by band into its train
-and test samples and, when it reduces them, holds only their
-projections from the reduce stage on. The six files are written to
+for a fixed numpy/BLAS build, whatever its BLAS thread count, so two
+identical runs produce byte-identical artifacts; timings.json is the
+documented canonicalization cut. A run reads the cube band by band
+into its train and test samples and, when it reduces them, holds only
+their projections from the reduce stage on. The six files are written to
 temporary names only after the whole pipeline has succeeded, and
 renamed into place only once all six are written and no target is a
 directory, so neither a failed stage nor a failed write leaves a mix of
@@ -400,9 +400,9 @@ def run_pipeline(config: dict) -> RunReport:
     names = ("config.json", "report.json", "predictions.json", "model.json", "map.ppm",
              "timings.json")
     *doc_paths, map_path, timings_path = staged = [out_dir / f"{name}.tmp" for name in names]
-    out_dir.mkdir(parents=True, exist_ok=True)
     name = None  # the artifact being written, for the error
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         docs = (config, report.to_dict(), predictions.to_dict(), model_doc)
         for name, path, doc in zip(names, doc_paths, docs):
             path.write_bytes(_canonical_json(doc))
@@ -425,7 +425,8 @@ def run_pipeline(config: dict) -> RunReport:
             if target.is_dir():
                 raise IsADirectoryError(f"{target} is a directory, not an artifact")
     except BaseException as exc:
-        for tmp in staged:
+        # After a failed mkdir nothing is staged, and out_dir may be a file.
+        for tmp in staged if out_dir.is_dir() else ():
             tmp.unlink(missing_ok=True)
         if isinstance(exc, (ValueError, OSError)):
             raise StageError("write", exc, name)

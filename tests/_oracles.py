@@ -183,7 +183,7 @@ def smo_reference(x, y, params):
     # else the midpoint of the final maximal violating pair.
     free = up & low
     bias = score[free].mean() if free.any() else (score[i] + score[j]) / 2.0
-    return alpha, float(bias), n_iter, n_iter < params.max_iter, violation
+    return alpha, float(bias), n_iter, violation <= params.tolerance, violation
 
 
 # --- symmetric eigenvalues by cyclic Jacobi ------------------------------

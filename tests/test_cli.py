@@ -807,6 +807,16 @@ def test_run_directory_in_an_artifact_place_keeps_previous_artifacts(scene, tmp_
     assert sorted(path.name for path in out.iterdir()) == sorted(ARTIFACTS)  # no *.tmp
 
 
+def test_run_output_naming_a_file_is_a_write_stage_error(scene, tmp_path, capsys):
+    cube_path, gt_path = scene
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"not a directory")
+    assert main(["run", "--cube", cube_path, "--gt", gt_path, "--output", str(afile)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: stage 'write' failed: ")
+    assert afile.read_bytes() == b"not a directory"
+
+
 def test_run_bad_config_is_usage_error_before_loading(tmp_path, capsys):
     config_file = tmp_path / "c.json"
     config_file.write_text(

@@ -1,5 +1,6 @@
 """Tests for the SMO-trained one-vs-one RBF SVM."""
 
+import functools
 import multiprocessing
 import os
 import select
@@ -11,6 +12,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -159,6 +161,21 @@ def test_smo_iteration_cap():
         assert abs(bias - expected_bias) <= 1e-9
 
 
+def test_train_converging_on_the_last_allowed_iteration_is_converged():
+    # Converged means the KKT gap closed, not that the cap was not
+    # reached: a cap equal to the solve's own iteration count changes
+    # nothing, and leaves no iteration-cap note.
+    rng = np.random.default_rng(0)
+    x = np.vstack([rng.normal(0.0, 1.0, (60, 3)), rng.normal(1.5, 1.0, (60, 3))])
+    train = sample_set(x, np.repeat([1, 2], 60))
+    params = SvmParams(c=10.0, gamma=0.5)
+    (machine,) = svm_train(train, params).machines
+    capped = svm_train(train, replace(params, max_iter=machine.n_iter))
+    assert machine.converged
+    assert [m.to_dict() for m in capped.machines] == [machine.to_dict()]
+    assert capped.warnings == []
+
+
 def test_smo_column_recompute_path_matches_full_gram(monkeypatch):
     # With room for only the two columns of a step, almost every column
     # is evicted and recomputed; the recomputed columns are bit-identical,
@@ -223,20 +240,32 @@ def test_smo_matches_reference_loop(case, monkeypatch):
 
 
 @pytest.mark.parametrize("max_iter", [100_000, 1000])
-def test_smo_shrunk_rows_that_come_back_are_solved_over_all_rows(max_iter, monkeypatch):
+def test_smo_shrunk_rows_that_come_back_are_solved_and_shrunk_again(max_iter, monkeypatch):
     # At this seed the reference loop selects a row the solver has shrunk,
-    # so the paths part, and a shrunk row violates once the active rows
-    # converge, so the solve finishes over all rows; a cap of 1000 stops
-    # it while rows are still shrunk. Either way the violation and the
-    # bias it returns must follow from alpha over the full Gram matrix.
+    # so the paths part: a shrunk row violates once the active rows
+    # converge, so the solve goes on over all rows and shrinks again on
+    # the same clock; a cap of 1000 stops it while rows are still shrunk.
+    # Either way the violation and the bias it returns must follow from
+    # alpha over the full Gram matrix.
     x = SplitMix64(511).normal_matrix(300, 3)
     y = np.where(x[:, 0] + 0.5 * SplitMix64(512).normals(300) > 0, 1.0, -1.0)
     params = SvmParams(c=10.0, gamma=0.5, tolerance=1e-3, max_iter=max_iter)
     monkeypatch.setattr(svm, "_SHRINK_ROWS", len(y))
     monkeypatch.setattr(svm, "_SHRINK_EVERY", 50)
+    sizes = []  # the maxsize of each kernel cache the solve makes, in order
+
+    def lru_cache(maxsize):
+        sizes.append(maxsize)
+        return functools.lru_cache(maxsize=maxsize)
+
+    monkeypatch.setattr(svm, "functools", SimpleNamespace(lru_cache=lru_cache))
     result = _smo_solve(x, y, params)
     alpha, bias, n_iter, converged, violation = result
     assert converged == (n_iter < max_iter) == (max_iter > 1000)
+    # A cache's maxsize falls as its rows grow, and only a rebuild gives
+    # rows back, so a smaller maxsize after a larger one is a shrink after
+    # a come-back.
+    assert any(b < a for a, b in zip(sizes, sizes[1:])) == converged
     assert converged == (violation <= params.tolerance)
     assert not np.array_equal(alpha, smo_reference(x, y, params)[0])
     grad = (np.outer(y, y) * rbf_cross(x, x, params.gamma)) @ alpha - 1.0

@@ -31,10 +31,11 @@ trees' data messages, read the same way: each case of ``DATA_CASES``
 breaks one input rule (a run file that lacks a field or is not an
 object, a config that is not JSON, repeats a key or is nested too
 deeply to parse, a cube payload cut short, a GBDT learning rate whose
-scores overflow), and runs ``hsikit compare`` or ``hsikit run`` on it with each
-tree's sources, beside a good run of the first workload's scene made
-with BASE's sources. Last come both trees' code lines of each module of
-``src/hsikit``, as ``tools/code_lines.py`` counts them. It exits 1 if
+scores overflow, an output that names a file), and runs ``hsikit
+compare`` or ``hsikit run`` on it with each tree's sources, beside a
+good run of the first workload's scene made with BASE's sources. Last
+come both trees' code lines of each module of ``src/hsikit``, as
+``tools/code_lines.py`` counts them. It exits 1 if
 any artifact differs or any run or compare fails; a usage or data
 message that moved does not count, as a change to a reader may move one
 on purpose.
@@ -124,6 +125,9 @@ DATA_CASES = {
     "overflowing GBDT": _config(
         '{"cube": "scene.hsih", "ground_truth": "scene_gt.hsih", "classifier": '
         '{"kind": "gbdt", "params": {"num_trees": 3, "learning_rate": 1e308}}}'
+    ),
+    "output a file": _config(
+        '{"cube": "scene.hsih", "ground_truth": "scene_gt.hsih", "output": "config.json"}'
     ),
 }
 
