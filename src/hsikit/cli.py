@@ -425,9 +425,11 @@ def run_pipeline(config: dict) -> RunReport:
             if target.is_dir():
                 raise IsADirectoryError(f"{target} is a directory, not an artifact")
     except BaseException as exc:
-        # After a failed mkdir nothing is staged, and out_dir may be a file.
-        for tmp in staged if out_dir.is_dir() else ():
-            tmp.unlink(missing_ok=True)
+        # Only files are removed: unlinking a directory in a staged path's
+        # place would raise over the write error. After a failed mkdir
+        # out_dir may be a file, and no path under it is a file.
+        for tmp in filter(Path.is_file, staged):
+            tmp.unlink()
         if isinstance(exc, (ValueError, OSError)):
             raise StageError("write", exc, name)
         raise
@@ -553,7 +555,9 @@ def _cmd_convert(args) -> int:
         raise UsageError("--class-names is only valid with --dtype u16 (ground truth)")
     values = read_raw(args.input, args.dtype, args.height, args.width, args.bands, args.order)
     if args.dtype == "f32":
-        header = save_cube(HsiCube(args.height, args.width, args.bands, values), args.output)
+        with naming(args.input):
+            cube = HsiCube(args.height, args.width, args.bands, values)
+        header = save_cube(cube, args.output)
         print(f"wrote cube {header}")
         return 0
     labels = values[0]

@@ -78,17 +78,21 @@ def test_a_changed_compare_shows_in_its_output(artifact_diff, scenes, tmp_path):
     assert rows[-1][4] == ["extra: leaves differing 1"]
 
 
-def test_a_changed_usage_message_shows_in_its_case(artifact_diff, tmp_path):
+def _changed_records(tmp_path, old, new):
     changed = tmp_path / "changed"
     shutil.copytree(ROOT / "src", changed / "src", ignore=shutil.ignore_patterns("__pycache__"))
     records_py = changed / "src" / "hsikit" / "records.py"
     source = records_py.read_text(encoding="utf-8")
-    old = 'f"unknown {name} fields'
     assert source.count(old) == 1
-    records_py.write_text(source.replace(old, 'f"unknown {name} keys'))
-    rows = artifact_diff.usage_messages(ROOT, changed, tmp_path / "usage")
+    records_py.write_text(source.replace(old, new))
+    return changed
+
+
+def test_a_changed_usage_message_shows_in_its_case(artifact_diff, scenes, tmp_path):
+    changed = _changed_records(tmp_path, 'f"unknown {name} fields', 'f"unknown {name} keys')
+    rows = artifact_diff.messages(ROOT, changed, scenes["tiny"][0], tmp_path / "messages")
     assert [(name, same) for name, same, _ in rows] == [
-        (name, name != "unknown key") for name in artifact_diff.USAGE_CASES
+        (name, name != "unknown key") for name in artifact_diff.CASES
     ]
     (report,) = [report for name, _, report in rows if name == "unknown key"]
     assert report == [
@@ -99,17 +103,11 @@ def test_a_changed_usage_message_shows_in_its_case(artifact_diff, tmp_path):
 
 
 def test_a_changed_data_message_shows_in_its_case(artifact_diff, scenes, tmp_path):
-    changed = tmp_path / "changed"
-    shutil.copytree(ROOT / "src", changed / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    records_py = changed / "src" / "hsikit" / "records.py"
-    source = records_py.read_text(encoding="utf-8")
-    old = 'is missing fields {missing}"'
-    assert source.count(old) == 1
-    records_py.write_text(source.replace(old, 'lacks fields {missing}"'))
-    scene_dir = scenes["tiny"][0]
-    rows = artifact_diff.data_messages(ROOT, changed, scene_dir, tmp_path / "data")
+    changed = _changed_records(tmp_path, 'is missing fields {missing}"', 'lacks fields {missing}"')
+    assert {"convert non-finite", "staged path a directory"} <= artifact_diff.CASES.keys()
+    rows = artifact_diff.messages(ROOT, changed, scenes["tiny"][0], tmp_path / "messages")
     assert [(name, same) for name, same, _ in rows] == [
-        (name, name != "report without n_test") for name in artifact_diff.DATA_CASES
+        (name, name != "report without n_test") for name in artifact_diff.CASES
     ]
     (report,) = [report for name, _, report in rows if name == "report without n_test"]
     assert report == [

@@ -817,6 +817,19 @@ def test_run_output_naming_a_file_is_a_write_stage_error(scene, tmp_path, capsys
     assert afile.read_bytes() == b"not a directory"
 
 
+def test_run_directory_in_a_staged_path_is_a_write_stage_error(scene, tmp_path, capsys):
+    # The cleanup leaves the directory, and its failure to remove it does
+    # not replace the write error.
+    cube_path, gt_path = scene
+    out = tmp_path / "out"
+    (out / "model.json.tmp").mkdir(parents=True)
+    assert main(["run", "--cube", cube_path, "--gt", gt_path, "--output", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: stage 'write' failed: model.json: ")
+    assert [path.name for path in out.iterdir()] == ["model.json.tmp"]
+    assert (out / "model.json.tmp").is_dir()
+
+
 def test_run_bad_config_is_usage_error_before_loading(tmp_path, capsys):
     config_file = tmp_path / "c.json"
     config_file.write_text(
@@ -1264,6 +1277,18 @@ def test_convert_size_mismatch(tmp_path, capsys):
     )
     assert code == 2
     assert "expected" in capsys.readouterr().err
+
+
+def test_convert_non_finite_value_names_the_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    np.array([0.0, np.nan, 1.0, 2.0], dtype="<f4").tofile("raw.bin")
+    code = main(
+        ["convert", "--input", "raw.bin", "--height", "2", "--width", "2", "--bands", "1",
+         "--dtype", "f32", "--output", "c1"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "data error: raw.bin: cube contains non-finite values\n"
+    assert not Path("c1.hsih").exists()
 
 
 def big_raw_cube(tmp_path):

@@ -21,24 +21,22 @@ artifacts of each workload and seed comes one ``compare --json`` line:
 ``python -m hsikit compare --json`` on BASE's run and this checkout's
 run, with BASE's sources and with this checkout's, is ``same`` when
 both exit 0 and print the same bytes; under ``differs`` come the leaves
-that differ, or the failed command's exit code and output. Last come
-both trees' usage messages: ``hsikit run --config`` with each tree's
-sources on each config of ``USAGE_CASES``, which break one config rule
-each, is ``same`` when both exit with the same code and print the same
-stderr; under ``differs`` come both sides' exit code and stderr, so a
-change to the config decoder shows which messages moved. Then come both
-trees' data messages, read the same way: each case of ``DATA_CASES``
-breaks one input rule (a run file that lacks a field or is not an
-object, a config that is not JSON, repeats a key or is nested too
-deeply to parse, a cube payload cut short, a GBDT learning rate whose
-scores overflow, an output that names a file), and runs ``hsikit
-compare`` or ``hsikit run`` on it with each tree's sources, beside a
-good run of the first workload's scene made with BASE's sources. Last
+that differ, or the failed command's exit code and output. Then come
+both trees' messages: each case of ``CASES`` breaks one input rule (a
+config that breaks one config rule, is not an object or not JSON,
+repeats a key or is nested too deeply to parse, a run file that lacks a
+field or is not an object, a cube payload cut short, a raw dump that
+holds a NaN, a GBDT learning rate whose scores overflow, an output that
+names a file, a directory where an artifact is staged), and runs
+``hsikit run``, ``compare`` or ``convert`` on it with each tree's
+sources, beside a good run of the first workload's scene made with
+BASE's sources. A case is ``same`` when both exit with the same code
+and print the same stderr; under ``differs`` come both sides' exit code
+and stderr, so a change to a reader shows which messages moved. Last
 come both trees' code lines of each module of ``src/hsikit``, as
-``tools/code_lines.py`` counts them. It exits 1 if
-any artifact differs or any run or compare fails; a usage or data
-message that moved does not count, as a change to a reader may move one
-on purpose.
+``tools/code_lines.py`` counts them. It exits 1 if any artifact differs
+or any run or compare fails; a message that moved does not count, as a
+change to a reader may move one on purpose.
 
 Nothing is written into the checkout: the runs work in the temporary
 directory, and Python writes no bytecode.
@@ -58,20 +56,6 @@ from code_lines import code_lines
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2)
 ARTIFACTS = ("config.json", "report.json", "predictions.json", "model.json", "map.ppm")
-# Configs that break one config rule each; their cube and ground truth
-# do not exist, so a tree that accepts one fails at the load stage.
-_MISSING = {"cube": "missing.hsih", "ground_truth": "missing_gt.hsih"}
-USAGE_CASES = {
-    "unknown key": {**_MISSING, "classifier": {"kind": "svm", "params": {"cc": 1.0}}},
-    "section not an object": {**_MISSING, "classifier": {"kind": "svm", "params": 3}},
-    "list field a number": {**_MISSING, "classifier": {"kind": "svm", "grid": {"c": 5}}},
-    "class rule": {
-        **_MISSING,
-        "classifier": {"kind": "gbdt", "params": {"goss_top_rate": 0.6, "goss_other_rate": 0.5}},
-    },
-    "config not an object": [1, 2],
-    "output holds a NUL": {**_MISSING, "output": "a\0b"},
-}
 
 
 def _run_file(name: str, edit):
@@ -109,10 +93,40 @@ def _without_n_test(report: dict) -> dict:
     return report
 
 
+def _broken_config(fields: dict):
+    """A case that runs a config of ``fields`` whose cube and ground truth
+    do not exist, so a tree that accepts the config fails at the load
+    stage."""
+    missing = {"cube": "missing.hsih", "ground_truth": "missing_gt.hsih"}
+    return _config(json.dumps({**missing, **fields}))
+
+
+def _convert_non_finite(case: Path, scene_dir: Path, good_run: Path) -> list:
+    """A case that converts a 2 x 2 x 1 float32 dump of NaNs."""
+    (case / "raw.bin").write_bytes(b"\x00\x00\xc0\x7f" * 4)
+    return ["convert", "--input", "raw.bin", "--height", "2", "--width", "2", "--bands", "1",
+            "--dtype", "f32", "--output", "c1"]
+
+
+def _staged_path_a_directory(case: Path, scene_dir: Path, good_run: Path) -> list:
+    """A case that runs the scene into ``out``, where a directory takes
+    ``model.json``'s staged path."""
+    (case / "out" / "model.json.tmp").mkdir(parents=True)
+    config = '{"cube": "scene.hsih", "ground_truth": "scene_gt.hsih", "output": "out"}'
+    return _config(config)(case, scene_dir, good_run)
+
+
 # Inputs that break one input rule each; a config's cube and ground
-# truth do not exist unless the case is about them, so a tree that
-# accepts the config fails at the load stage.
-DATA_CASES = {
+# truth do not exist unless the case is about them.
+CASES = {
+    "unknown key": _broken_config({"classifier": {"kind": "svm", "params": {"cc": 1.0}}}),
+    "section not an object": _broken_config({"classifier": {"kind": "svm", "params": 3}}),
+    "list field a number": _broken_config({"classifier": {"kind": "svm", "grid": {"c": 5}}}),
+    "class rule": _broken_config(
+        {"classifier": {"kind": "gbdt", "params": {"goss_top_rate": 0.6, "goss_other_rate": 0.5}}}
+    ),
+    "config not an object": _config("[1, 2]"),
+    "output holds a NUL": _broken_config({"output": "a\0b"}),
     "report without n_test": _run_file("report.json", _without_n_test),
     "predictions a list": _run_file("predictions.json", lambda doc: [1, 2]),
     "truncated config": _config('{"seed": 1,'),
@@ -129,6 +143,8 @@ DATA_CASES = {
     "output a file": _config(
         '{"cube": "scene.hsih", "ground_truth": "scene_gt.hsih", "output": "config.json"}'
     ),
+    "convert non-finite": _convert_non_finite,
+    "staged path a directory": _staged_path_a_directory,
 }
 
 
@@ -142,16 +158,13 @@ def _env(tree: Path) -> dict:
     )
 
 
-def _run(tree: Path, config, run_dir: Path) -> tuple:
-    """(CompletedProcess, peak RSS in MiB) of ``hsikit run --config`` on
-    ``config`` with ``tree``'s sources, in ``run_dir``, which it makes.
-    The peak is the child's ``ru_maxrss`` from ``os.wait4``, as
-    ``hsibench/run.py`` reads it."""
-    run_dir.mkdir(parents=True)
-    (run_dir / "config.in.json").write_text(json.dumps(config), encoding="utf-8")
-    argv = [sys.executable, "-m", "hsikit", "run", "--config", "config.in.json"]
+def _hsikit(tree: Path, argv: list, cwd: Path) -> tuple:
+    """(exit code, stdout, stderr, peak RSS in MiB) of ``python -m hsikit
+    *argv`` with ``tree``'s sources, in ``cwd``. The peak is the child's
+    ``ru_maxrss`` from ``os.wait4``, as ``hsibench/run.py`` reads it."""
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        proc = subprocess.Popen(argv, cwd=run_dir, env=_env(tree), stdout=out, stderr=err)
+        proc = subprocess.Popen([sys.executable, "-m", "hsikit", *argv], cwd=cwd,
+                                env=_env(tree), stdout=out, stderr=err)
         try:
             _, status, usage = os.wait4(proc.pid, 0)
         except BaseException:
@@ -159,20 +172,21 @@ def _run(tree: Path, config, run_dir: Path) -> tuple:
             proc.wait()
             raise
         proc.returncode = os.waitstatus_to_exitcode(status)
-        text = []
         for stream in (out, err):
             stream.seek(0)
-            text.append(stream.read().decode("utf-8", "replace"))
-    return subprocess.CompletedProcess(argv, proc.returncode, *text), usage.ru_maxrss / 1024.0
+        text = [stream.read().decode("utf-8", "replace") for stream in (out, err)]
+    return proc.returncode, *text, usage.ru_maxrss / 1024.0
 
 
 def run_tree(tree: Path, config: dict, run_dir: Path) -> tuple:
-    """(the artifacts of ``hsikit run`` with ``tree``'s sources in
-    ``run_dir`` as {name: bytes}, or the run's output if it failed;
-    the run's peak RSS in MiB)."""
-    done, peak = _run(tree, config, run_dir)
-    if done.returncode != 0:
-        return f"exit {done.returncode}: {(done.stdout + done.stderr).strip()}", peak
+    """(the artifacts of ``hsikit run --config`` on ``config`` with
+    ``tree``'s sources in ``run_dir``, which it makes, as {name: bytes},
+    or the run's output if it failed; the run's peak RSS in MiB)."""
+    run_dir.mkdir(parents=True)
+    (run_dir / "config.in.json").write_text(json.dumps(config), encoding="utf-8")
+    code, out, err, peak = _hsikit(tree, ["run", "--config", "config.in.json"], run_dir)
+    if code != 0:
+        return f"exit {code}: {(out + err).strip()}", peak
     return {name: (run_dir / config["output"] / name).read_bytes() for name in ARTIFACTS}, peak
 
 
@@ -180,15 +194,8 @@ def compare_tree(tree: Path, run_a: Path, run_b: Path) -> tuple:
     """(exit code, output) of ``hsikit compare --json run_a run_b`` with
     ``tree``'s sources; the output is stdout, or stdout and stderr if
     the command failed."""
-    done = subprocess.run(
-        [sys.executable, "-m", "hsikit", "compare", "--json", str(run_a), str(run_b)],
-        env=_env(tree),
-        capture_output=True,
-        text=True,
-    )
-    if done.returncode != 0:
-        return done.returncode, (done.stdout + done.stderr).strip()
-    return 0, done.stdout
+    code, out, err, _ = _hsikit(tree, ["compare", "--json", str(run_a), str(run_b)], run_a)
+    return code, ((out + err).strip() if code else out)
 
 
 def _leaves(node, path=()):
@@ -298,55 +305,32 @@ def print_rows(rows: list) -> None:
             print(f"    {line}")
 
 
-def _messages(name: str, outputs: list) -> tuple:
-    """(case, same, report lines) of the (exit code, stderr) of each
-    tree: ``same`` when both match; else the report lines give each
-    side's exit code and stderr."""
-    same = outputs[0] == outputs[1]
-    report = [] if same else [
-        f"{side}: exit {code}: {err}" for side, (code, err) in zip(("base", "here"), outputs)
-    ]
-    return name, same, report
-
-
-def usage_messages(base: Path, head: Path, work: Path, cases=USAGE_CASES) -> list:
-    """(case, same, report lines) for each config of ``cases``, by
-    :func:`_messages`, of ``hsikit run --config`` on it with each tree's
-    sources."""
-    rows = []
-    for name, config in cases.items():
-        outputs = []
-        for side, tree in (("base", base), ("head", head)):
-            done, _ = _run(tree, config, work / side / name.replace(" ", "-"))
-            outputs.append((done.returncode, done.stderr.strip()))
-        rows.append(_messages(name, outputs))
-    return rows
-
-
-def data_messages(base: Path, head: Path, scene_dir: Path, work: Path, cases=DATA_CASES) -> list:
-    """(case, same, report lines) for each case of ``cases``, by
-    :func:`_messages`, of the command the case names, run with each
-    tree's sources in the case's own directory. A case writes its inputs
-    there from ``scene_dir``, which holds ``scene.hsih`` and
-    ``scene_gt.hsih``, and from a good run of that scene made with
-    ``base``'s sources; every path it names is relative, so both trees
-    print the same path."""
+def messages(base: Path, head: Path, scene_dir: Path, work: Path, cases=CASES) -> list:
+    """(case, same, report lines) for each case of ``cases``: the command
+    the case names, run with each tree's sources in the case's own
+    directory, is ``same`` when both exit with the same code and print
+    the same stderr; else the report lines give each side's exit code
+    and stderr. A case writes its inputs there from ``scene_dir``, which
+    holds ``scene.hsih`` and ``scene_gt.hsih``, and from a good run of
+    that scene made with ``base``'s sources; every path it names is
+    relative, so both trees print the same path."""
     config = {"cube": str(scene_dir / "scene.hsih"),
               "ground_truth": str(scene_dir / "scene_gt.hsih"), "output": "out"}
-    done, _ = _run(base, config, work / "good")
-    if done.returncode != 0:
-        raise RuntimeError(f"the good run failed: {done.stderr.strip()}")
+    good, _ = run_tree(base, config, work / "good")
+    if isinstance(good, str):
+        raise RuntimeError(f"the good run failed: {good}")
     rows = []
     for name, make in cases.items():
         case = work / name.replace(" ", "-")
         case.mkdir()
         argv = make(case, scene_dir, work / "good" / "out")
-        outputs = []
-        for tree in (base, head):
-            done = subprocess.run([sys.executable, "-m", "hsikit", *argv], cwd=case,
-                                  env=_env(tree), capture_output=True, text=True)
-            outputs.append((done.returncode, done.stderr.strip()))
-        rows.append(_messages(name, outputs))
+        runs = [_hsikit(tree, argv, case) for tree in (base, head)]
+        outputs = [(code, err.strip()) for code, _, err, _ in runs]
+        same = outputs[0] == outputs[1]
+        report = [] if same else [
+            f"{side}: exit {code}: {err}" for side, (code, err) in zip(("base", "here"), outputs)
+        ]
+        rows.append((name, same, report))
     return rows
 
 
@@ -360,13 +344,9 @@ def _workloads(tree: Path) -> dict:
 
 
 def _export(commit: str, into: Path) -> None:
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", commit],
-        stdout=subprocess.PIPE,
-        check=True,
-    ).stdout
+    archive = subprocess.check_output(["git", "-C", str(ROOT), "archive", "--format=tar", commit])
     into.mkdir()
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    subprocess.check_output(["tar", "-x", "-C", str(into)], input=archive)
 
 
 def _module_lines(tree: Path) -> dict:
@@ -386,26 +366,19 @@ def main(argv: list) -> int:
         for name, workload in _workloads(base).items():
             scene_dir = work / "scenes" / name
             scene_dir.mkdir(parents=True)
-            subprocess.run(
+            subprocess.check_call(
                 [sys.executable, str(base / "hsibench" / "scene.py"), name, str(scene_dir)],
                 env=_env(base),
-                check=True,
             )
             scenes[name] = (scene_dir, workload.config)
         rows = compare(base, ROOT, scenes, work / "runs")
         print_rows(rows)
         first_scene = next(iter(scenes.values()))[0]
-        messages = (
-            ("usage messages of hsikit run --config", usage_messages(base, ROOT, work / "usage")),
-            ("data messages of hsikit run and compare",
-             data_messages(base, ROOT, first_scene, work / "data")),
-        )
-        for title, message_rows in messages:
-            print(f"{title}, at {argv[0]} and here:")
-            for name, same, report in message_rows:
-                print(f"{name:<22} {'same' if same else 'differs'}")
-                for line in report:
-                    print(f"    {line}")
+        print(f"messages of hsikit run, compare and convert, at {argv[0]} and here:")
+        for name, same, report in messages(base, ROOT, first_scene, work / "messages"):
+            print(f"{name:<22} {'same' if same else 'differs'}")
+            for line in report:
+                print(f"    {line}")
         counts = _module_lines(base), _module_lines(ROOT)
         print(f"code lines of src/hsikit, at {argv[0]} and here:")
         for module in sorted(counts[0].keys() | counts[1].keys()):
