@@ -9,15 +9,16 @@ Features are bucketed once into at most ``num_bins`` bins by training
 quantiles; split thresholds are stored as raw feature values so that
 prediction never needs the bin edges. The routing rule is strict:
 ``value < threshold`` goes left, everything else right, matching the
-half-open binning. A tree routes rows by index partition: starting
-from all row indices at the root, each internal node splits its index
-array on one contiguous feature column (the features transposed once
-per call, or once per ensemble in ``GbdtModel.decision_scores``), and
-each leaf writes its value to the rows that reach it. Training updates
-its scores through the same routine on the binned features: each split
-keeps its bin, the index of its edge plus one, as the threshold of a
-bin-space copy of the tree, which routes every row as the raw
-threshold does.
+half-open binning. A tree routes rows by index partition
+(``Tree.leaves``): starting from all row indices at the root, each
+internal node splits its index array on one contiguous feature column
+(the features transposed once per call, or once per ensemble in
+``GbdtModel.decision_scores``), and each leaf writes its node to the
+rows that reach it; a prediction is the leaf values at those nodes.
+Training routes its rows through the same routine on the binned
+features: each split keeps its bin, the index of its edge plus one, as
+the threshold of a bin-space copy of the tree, which routes every row
+as the raw threshold does.
 
 Gradient-based one-side sampling (GOSS) keeps the top ``a * n`` rows
 by summed absolute gradient each round, samples ``b * n`` of the rest
@@ -29,10 +30,11 @@ run passes its run seed.
 A round's class trees are independent once its gradients and GOSS rows
 are fixed. Each tree grows on those rows alone, gathered in ascending
 order, so each histogram bin sums the same values in the same order as
-it would over all rows. The class columns, each tree with its score
-update, are spread over the CPUs the process may run on (see
-``hsikit.classify._pool``); the trees and scores are bit-identical
-however many there are.
+it would over all rows. The class trees are spread over the CPUs the
+process may run on (see ``hsikit.classify._pool``). Each returns with
+the leaf node of every training row, one byte a row for trees of up to
+256 nodes, and the caller adds those leaves' values to its scores; the
+trees and scores are bit-identical however many CPUs there are.
 
 ``GbdtParams`` checks its fields when it is built, so every object that
 exists is valid and training does not check them again. Training checks
@@ -126,13 +128,18 @@ class Tree(Record):
     def predict_columns(self, columns: np.ndarray) -> np.ndarray:
         """Leaf value of each row, given the rows' features as columns
         (features x rows, so each feature is one contiguous array)."""
-        out = np.empty(columns.shape[1])
+        return self.value[self.leaves(columns)]
+
+    def leaves(self, columns: np.ndarray) -> np.ndarray:
+        """Leaf node of each row, given the rows' features as columns, in
+        the smallest unsigned type that holds every node."""
+        out = np.empty(columns.shape[1], dtype=np.min_scalar_type(self.n_nodes - 1))
         stack = [(0, np.arange(columns.shape[1]))]
         while stack:
             node, rows = stack.pop()
             f = self.feature[node]
             if f < 0:
-                out[rows] = self.value[node]
+                out[rows] = node
                 continue
             go_left = columns[f][rows] < self.threshold[node]
             stack += [(self.left[node], rows[go_left]), (self.right[node], rows[~go_left])]
@@ -160,8 +167,8 @@ class GbdtModel(Record):
 
 
 def softmax_probabilities(scores: np.ndarray) -> np.ndarray:
-    z = scores - scores.max(axis=1, keepdims=True)
-    p = np.exp(z)
+    p = scores - scores.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
     return p
 
@@ -177,7 +184,10 @@ def softmax_gradients(scores: np.ndarray, onehot: np.ndarray):
     """Per-entry gradient p - y and diagonal hessian p(1 - p) of the
     summed cross-entropy with respect to the score matrix."""
     p = softmax_probabilities(scores)
-    return p - onehot, p * (1.0 - p)
+    hess = 1.0 - p
+    hess *= p
+    p -= onehot
+    return p, hess
 
 
 def _bin_features(features: np.ndarray, num_bins: int):
@@ -358,9 +368,9 @@ def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, root):
     return tree, replace(tree, threshold=bin_threshold[:n_nodes])
 
 
-def _grow_class_trees(class_gh: list, binned_columns, rows, edges, params) -> list:
-    """(tree, value at every training row) for each class's ``(g, h)``
-    in ``class_gh``, its GOSS rows' gradients and hessians.
+def _grow_class_trees(class_gh: list, rows, binned_columns, edges, params) -> list:
+    """(tree, leaf node of every training row) for each class's
+    ``(g, h)`` in ``class_gh``, its GOSS rows' gradients and hessians.
 
     ``binned_columns`` holds every training row's bins (features x
     rows). The round's trees grow on its GOSS ``rows``, gathered here
@@ -377,8 +387,20 @@ def _grow_class_trees(class_gh: list, binned_columns, rows, edges, params) -> li
     for g, h in class_gh:
         root = _histograms(codes, g, h, width, params.num_bins, counts)
         tree, bin_tree = _grow_tree(binned, edges, g, h, local, params, root)
-        grown.append((tree, bin_tree.predict_columns(binned_columns)))
+        grown.append((tree, bin_tree.leaves(binned_columns)))
     return grown
+
+
+def _class_gradients(scores, onehot, params: GbdtParams, rng: SplitMix64):
+    """(each class's ``(g, h)``, the GOSS rows) of one round: the
+    amplified gradients and hessians of the rows it samples from the
+    softmax gradients of ``scores``. The full n x C gradients end here,
+    before the round's trees grow."""
+    grad, hess = softmax_gradients(scores, onehot)
+    rows, amplify = _goss_sample(grad, params, rng)
+    g = np.ascontiguousarray(grad[rows].T) * amplify
+    h = np.ascontiguousarray(hess[rows].T) * amplify
+    return list(zip(g, h)), rows
 
 
 def gbdt_train(train: SampleSet, params: GbdtParams | None = None, seed: int = 0) -> GbdtModel:
@@ -406,14 +428,14 @@ def gbdt_train(train: SampleSet, params: GbdtParams | None = None, seed: int = 0
         notes.append(f"GOSS keeps {sum(_goss_sizes(n, params))} of {n} rows per round")
     all_trees = []
     for _ in range(params.num_trees):
-        grad, hess = softmax_gradients(scores, onehot)
-        rows, amplify = _goss_sample(grad, params, rng)
-        g = np.ascontiguousarray(grad[rows].T) * amplify
-        h = np.ascontiguousarray(hess[rows].T) * amplify
-        # Each class's own rows, so a bin receives only its classes' g and h.
-        grown = spread(_grow_class_trees, list(zip(g, h)), binned_columns, rows, edges, params)
-        for c, (_, values) in enumerate(grown):
-            scores[:, c] += values
+        # Each class's own g and h, so a bin receives only its classes'. No
+        # name holds them, so they are freed before the next round's.
+        grown = spread(
+            _grow_class_trees, *_class_gradients(scores, onehot, params, rng),
+            binned_columns, edges, params,
+        )
+        for c, (tree, leaves) in enumerate(grown):
+            scores[:, c] += tree.value[leaves]
         if not np.isfinite(scores).all():
             raise ConvergenceError("the GBDT scores overflow float64; lower learning_rate")
         all_trees.append([tree for tree, _ in grown])

@@ -369,7 +369,8 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
 
 
 def _fit_scaling(features: np.ndarray):
-    fmin = features.min(axis=0)
+    # float64 before the range, so float32 features scale as their float64 copy.
+    fmin = features.min(axis=0).astype(np.float64)
     frange = features.max(axis=0) - fmin
     frange = np.where(frange > 0.0, frange, 1.0)
     return fmin, frange

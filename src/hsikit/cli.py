@@ -247,9 +247,40 @@ def method_label(config: dict) -> str:
 
 
 def _canonical_json(obj) -> bytes:
-    """``obj`` as sorted, indented UTF-8 JSON; a float that is not finite
-    raises ValueError, as no decoder of an artifact takes one."""
-    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
+    """``obj`` as sorted, indented UTF-8 JSON, the bytes of
+    ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``; a float that is
+    not finite raises json's ValueError, as no decoder of an artifact
+    takes one."""
+    return (_json_text(obj, "\n") + "\n").encode("utf-8")
+
+
+def _json_text(value, newline: str) -> str:
+    """``value`` as ``_canonical_json`` writes it, ``newline`` being the
+    line break and indent of the line it starts on.
+
+    The indented ``json.dumps`` runs json's pure-Python encoder, a call
+    and a string per value. So objects with string keys and lists are
+    written here: a list of floats alone (``float`` itself, so no numpy
+    scalar) or of ints alone (so no bool) is one join of its values'
+    reprs, json's own spelling of them. A list of floats whose sum is
+    not finite, a NaN or an infinity among them, and every other value
+    go through ``json.dumps``, whose line breaks take ``newline``'s
+    indent: a JSON string holds no line break.
+    """
+    inner = newline + "  "
+    if isinstance(value, dict) and value and all(type(key) is str for key in value):
+        items = (f"{json.dumps(key)}: {_json_text(value[key], inner)}" for key in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list) and value:
+        kinds = set(map(type, value))
+        if kinds == {float} and math.isfinite(sum(value)):
+            items = map(float.__repr__, value)
+        elif kinds == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = (_json_text(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", newline)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -326,7 +357,8 @@ def run_pipeline(config: dict) -> RunReport:
     written once every stage has succeeded. The cube is never held
     whole: the load stage splits the ground truth's labels, then reads
     the cube band by band into the train and test sets, so loading holds
-    the labeled samples plus one band. A reduction replaces both sets
+    the labeled samples plus one band, in float32 when the run reduces
+    them and in float64 when it does not. A reduction replaces both sets
     with their projections, so the full-band samples are freed before
     training starts and the later stages hold only the reduced ones.
     ``config`` is resolved first, as resolve_config resolves a file, so a
@@ -343,8 +375,11 @@ def run_pipeline(config: dict) -> RunReport:
 
     try:
         gt = load_ground_truth(config["ground_truth"])
+        # A reduction reads float32 samples exactly, in half the memory;
+        # without one, the classifiers get float64, as they compute.
         train_set, test_set = load_split(
-            config["cube"], gt, config["train_fraction"], config["seed"]
+            config["cube"], gt, config["train_fraction"], config["seed"],
+            np.float64 if fit is None else np.float32,
         )
 
         begin("reduce")

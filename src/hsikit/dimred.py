@@ -41,6 +41,11 @@ so this is the rule ``exact_svd`` applies to A. Randomized SVD of A
 applies it to the sketch's estimate of U instead; the two agree
 wherever the sketch resolves the component.
 
+The input may be float32, as ``load_split`` reads a cube's samples, or
+float64. The mean is summed in float64, and each block is centered into
+the float64 buffer, which upcasts every value exactly; so float32 input
+gives the same bytes as its float64 copy, and is never copied whole.
+
 Only centering is applied, never per-band standardization: spectral
 bands share units, so PCA on the covariance matrix is the intended
 behavior. Pre-scale the input yourself if you want correlation-matrix
@@ -117,7 +122,7 @@ def fit_transform(x, fit: int | RandomizedSvdParams) -> tuple[PcaModel, np.ndarr
         method, method_params = "randomized", fit.to_dict()
         k = method_params.pop("k")
     check_int(k, "k")
-    x = as_matrix(x, "x")
+    x = as_matrix(x, "x", keep_float32=True)
     n, b = x.shape
     if n < 2:
         raise DegenerateDataError(f"PCA needs at least 2 samples, got {n}")
@@ -126,7 +131,7 @@ def fit_transform(x, fit: int | RandomizedSvdParams) -> tuple[PcaModel, np.ndarr
     if method == "randomized":
         fit.validate(n, b)
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the result
-        mean = x.mean(axis=0)
+        mean = x.mean(axis=0, dtype=np.float64)
         gram = _gram(x, mean)
     if not np.isfinite(gram).all():
         raise ConvergenceError("the band covariance overflows float64; rescale the data")
@@ -176,7 +181,7 @@ def fit_rpca(
 def transform(model: PcaModel, x) -> np.ndarray:
     """Project rows of ``x`` (m x B) onto the model's components: the
     result is (x - mean) @ components^T, shape m x k."""
-    x = as_matrix(x, "x", cols=model.n_features)
+    x = as_matrix(x, "x", cols=model.n_features, keep_float32=True)
     return _project(x, model.mean, model.components)
 
 

@@ -5,7 +5,8 @@ cross-validation folds of ``grid_search_cv``). Both shuffle each class's
 positions, in ascending class order, from one SplitMix64 stream.
 ``load_split`` gives ``stratified_split``'s train and test sets straight
 from a cube file: it splits the labels first, then reads the cube one
-band at a time into the two sets, so it never holds the whole cube.
+band at a time into the two sets, so it never holds the whole cube, and
+can keep the samples in the cube's float32.
 
 Container format
 ----------------
@@ -153,7 +154,8 @@ def default_class_names(num_classes: int) -> list[str]:
 class SampleSet:
     """Labeled pixels: features (n x B), labels in 1..C, and the flat
     raster offset of each pixel for map rendering. Features pass the
-    real-matrix gate ``linalg.as_matrix``; labels and offsets are stored
+    real-matrix gate ``linalg.as_matrix``, which keeps float32 features
+    float32 and makes any others float64; labels and offsets are stored
     as int64 and checked by ``records.int_array``."""
 
     features: np.ndarray
@@ -161,7 +163,7 @@ class SampleSet:
     pixel_indices: np.ndarray
 
     def __post_init__(self):
-        self.features = as_matrix(self.features, "features")
+        self.features = as_matrix(self.features, "features", keep_float32=True)
         self.labels = int_array(self.labels, np.int64, "labels")
         self.pixel_indices = int_array(self.pixel_indices, np.int64, "pixel_indices")
         n = self.features.shape[0]
@@ -378,9 +380,10 @@ def extract_labeled(cube: HsiCube, gt: GroundTruth) -> SampleSet:
     truth class ids, pixel_indices the flat ``y * width + x`` offsets.
     """
     flat_labels, indices = _labeled_pixels(cube.height, cube.width, gt)
-    # SampleSet casts each array to its dtype and C order; a cast here would copy twice.
+    # One cast to float64 in C order, which SampleSet keeps as it is.
+    features = cube.values.reshape(cube.bands, -1)[:, indices].T
     return SampleSet(
-        features=cube.values.reshape(cube.bands, -1)[:, indices].T,
+        features=np.asarray(features, dtype=np.float64, order="C"),
         labels=flat_labels[indices],
         pixel_indices=indices,
     )
@@ -428,25 +431,27 @@ def stratified_split(
 
 
 def load_split(
-    cube_header, gt: GroundTruth, train_fraction: float, seed: int
+    cube_header, gt: GroundTruth, train_fraction: float, seed: int, dtype=np.float64
 ) -> tuple[SampleSet, SampleSet]:
     """``stratified_split(extract_labeled(load_cube(cube_header), gt),
     train_fraction, seed)``, with the same bytes, read band by band.
 
     The labels are split first; each band of the cube is then read,
     checked for non-finite values (unlabeled pixels included) and its
-    train and test pixels are written into their own float64 matrices.
-    So the cube is never held whole: the peak is the labeled samples
-    plus one band. Raises DataFormatError, naming the cube's file, on
-    any fault ``load_cube`` rejects or on a size that differs from the
-    ground truth's.
+    train and test pixels are written into their own matrices of
+    ``dtype``. So the cube is never held whole: the peak is the labeled
+    samples plus one band. With ``dtype`` float32, the cube's own type,
+    the samples take half the memory and upcast exactly to the float64
+    ones; a PCA fit and projection give the same bytes on either. Raises
+    DataFormatError, naming the cube's file, on any fault ``load_cube``
+    rejects or on a size that differs from the ground truth's.
     """
     fields, bands = cube_bands(cube_header)
     with naming(cube_header):
         flat_labels, indices = _labeled_pixels(fields["height"], fields["width"], gt)
     in_train = _train_mask(flat_labels[indices], train_fraction, seed)
     rows = (indices[in_train], indices[~in_train])
-    features = [np.empty((len(r), fields["bands"]), dtype=np.float64) for r in rows]
+    features = [np.empty((len(r), fields["bands"]), dtype=dtype) for r in rows]
     for b, band in enumerate(bands):
         for r, f in zip(rows, features):
             f[:, b] = band.reshape(-1)[r]

@@ -6,7 +6,8 @@ entry point runs them through :func:`as_matrix`, the toolkit's one gate
 for real-valued matrices. It applies ``records.real_array``, the rule
 every real-valued array follows (integers or floats only, so no bools,
 strings or complex values, and no NaN or infinity), and rejects
-anything that is not 2-D.
+anything that is not 2-D. A caller that reads float32 samples exactly
+(``SampleSet``, the PCA fit and projection) has it keep them float32.
 
 The randomized scheme is the standard Gaussian-sketch prototype:
 multiply by a seeded Gaussian test matrix, orthonormalize, optionally
@@ -37,15 +38,20 @@ __all__ = [
 ]
 
 
-def as_matrix(a, name: str = "a", cols: int | None = None) -> np.ndarray:
-    """Validate and convert ``a`` to a 2-D float64 C-ordered array.
+def as_matrix(
+    a, name: str = "a", cols: int | None = None, keep_float32: bool = False
+) -> np.ndarray:
+    """Validate and convert ``a`` to a 2-D float64 C-ordered array; with
+    ``keep_float32``, a float32 ndarray stays float32 instead, uncopied
+    if it is C-ordered.
 
     Rejects entries that are not integers or floats or not finite
     (``records.real_array``) and non-2-D input, each with a ValueError
     naming ``name``. A fitted model passes its width as ``cols``, and
     any other column count is rejected.
     """
-    out = real_array(a, np.float64, name)
+    float32 = keep_float32 and isinstance(a, np.ndarray) and a.dtype == np.float32
+    out = real_array(a, np.float32 if float32 else np.float64, name)
     if out.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got ndim={out.ndim}")
     if cols is not None and out.shape[1] != cols:

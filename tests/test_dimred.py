@@ -319,6 +319,27 @@ def test_reduce_stage_holds_no_centered_copy(fit):
     assert _traced_peak(lambda: transform(model, x)) <= bound
 
 
+# Row counts that are not a multiple of the 32-row Gram block, and that
+# span two or more center blocks and many of numpy's 8,192-value
+# reduction buffers.
+@pytest.mark.parametrize("n, b", [(40_007, 8), (3_001, 103), (1_501, 200)])
+@pytest.mark.parametrize(
+    "fit", [5, RandomizedSvdParams(5, oversampling=3, seed=2)], ids=["exact", "randomized"]
+)
+def test_float32_input_gives_the_bytes_of_its_float64_copy(n, b, fit):
+    # The mean sums in float64 and each block upcasts into the float64
+    # buffer exactly, so a fit and a projection read float32 samples as
+    # they read their float64 copy.
+    x32 = (random_matrix(n, b, seed=b) * 3.0 + 1.5).astype(np.float32)
+    x64 = x32.astype(np.float64)
+    assert n % 32 and n * b > 3 * 8192 and n * b * 8 > 2 * _CENTER_BLOCK_BYTES
+    model32, scores32 = fit_transform(x32, fit)
+    model64, scores64 = fit_transform(x64, fit)
+    assert model32.to_dict() == model64.to_dict()
+    assert scores32.tobytes() == scores64.tobytes()
+    assert transform(model64, x32).tobytes() == transform(model64, x64).tobytes()
+
+
 def test_exact_fits_factor_once(monkeypatch):
     # Exact PCA reads its axes and variances from the eigenpairs of the
     # band Gram matrix, so no SVD runs after them.

@@ -1,6 +1,7 @@
 """Tests for the leaf-wise histogram GBDT with GOSS sampling."""
 
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -579,6 +580,16 @@ def test_train_goss_small_sample_notes_warning():
     assert "GOSS" in model.warnings[0]
 
 
+def test_train_on_float32_features_matches_their_float64_copy():
+    # A SampleSet keeps float32 features; the bin edges are the float64
+    # copy's, and so is every tree.
+    train = five_class_set(30, seed=122)
+    narrow = SampleSet(train.features.astype(np.float32), train.labels, train.pixel_indices)
+    params = GbdtParams(num_trees=3, max_leaves=5, min_samples_leaf=2, num_bins=8)
+    wide = SampleSet(narrow.features.astype(np.float64), train.labels, train.pixel_indices)
+    assert gbdt_train(narrow, params, seed=1).to_dict() == gbdt_train(wide, params, seed=1).to_dict()
+
+
 def test_train_three_classes_structure():
     rng = SplitMix64(104)
     features = rng.normal_matrix(90, 2)
@@ -663,6 +674,31 @@ def test_train_identical_for_any_cpu_count(force_cpus, n_per_class, goss, rows_k
     assert models[1] == models[0]
     assert models[2] == models[0]
     assert models[3] == models[0]
+
+
+def test_train_holds_few_score_sized_arrays_while_its_workers_grow_trees(force_cpus):
+    # With a pool, the caller holds the n x C float64 scores and one-hot
+    # labels for the whole run; a round adds the probabilities, turned
+    # into gradients in place, the hessians and GOSS's |gradient| sums,
+    # and ends them before the next round's. The workers send back one
+    # byte a row per tree, its leaf node. Measured: 6.7 arrays of n x C
+    # float64 here, so 8.5 leaves a margin of a quarter.
+    force_cpus(2)
+    n, classes = 3000, 9
+    labels = np.arange(n) % classes + 1
+    features = SplitMix64(123).normal_matrix(n, 20)
+    features[:, 0] += labels
+    train = sample_set(features, labels)
+    params = GbdtParams(num_trees=4, max_leaves=8, min_samples_leaf=5, num_bins=16)
+    gbdt_train(train, GbdtParams(num_trees=1), seed=1)  # forks the pool
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gbdt_train(train, params, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * n * classes * 8
 
 
 def _train_in_child(train, params):
@@ -774,6 +810,23 @@ def test_predict_matches_tree_walk_on_grown_trees(max_leaves):
     at[np.nonzero(inner)[0], tree.feature[inner]] = tree.threshold[inner]
     for rows in (features, x, at):
         assert np.array_equal(tree.predict(rows), tree_walk(tree, rows))
+
+
+@pytest.mark.parametrize("max_leaves, dtype", [(2, np.uint8), (128, np.uint8), (129, np.uint16)])
+def test_leaves_route_rows_to_leaf_nodes_in_the_smallest_type(max_leaves, dtype):
+    # 128 leaves make 255 nodes, the most a byte numbers; 129 make 257.
+    features = SplitMix64(116).normal_matrix(2000, 3)
+    params = GbdtParams(num_trees=1, max_leaves=max_leaves, min_samples_leaf=1, **NO_GOSS)
+    edges, binned = _bin_features(features, params.num_bins)
+    g = SplitMix64(117).normals(2000)
+    tree, _ = grow(binned.T, edges, g, np.full(2000, 0.25), np.arange(2000), params)
+    assert tree.n_leaves == max_leaves
+    columns = np.ascontiguousarray(features.T)
+    leaves = tree.leaves(columns)
+    assert leaves.dtype == dtype
+    assert (tree.feature[leaves] == -1).all()
+    assert np.array_equal(tree.predict_columns(columns), tree.value[leaves])
+    assert np.array_equal(tree.value[leaves], tree_walk(tree, features))
 
 
 def test_decision_scores_sum_tree_predictions_round_by_round():

@@ -561,6 +561,22 @@ def test_load_split_holds_the_samples_and_a_few_bands(tmp_path):
     assert peak < 0.5 * payload_bytes
 
 
+def test_load_split_float32_samples_upcast_to_the_float64_ones(tmp_path):
+    values = (SplitMix64(11).normal_matrix(7, 30 * 20) * 100.0).astype(np.float32)
+    path = save_cube(HsiCube(30, 20, 7, values.reshape(7, 30, 20)), tmp_path / "scene")
+    labels = np.arange(30 * 20) % 4  # one pixel in four unlabeled
+    gt = GroundTruth(30, 20, labels.reshape(30, 20))
+    wide = load_split(path, gt, 0.6, seed=2)
+    narrow = load_split(path, gt, 0.6, seed=2, dtype=np.float32)
+    for s64, s32 in zip(wide, narrow):
+        assert s64.features.dtype == np.float64 and s32.features.dtype == np.float32
+        assert s32.features.astype(np.float64).tobytes() == s64.features.tobytes()
+        assert np.array_equal(s32.labels, s64.labels)
+        assert np.array_equal(s32.pixel_indices, s64.pixel_indices)
+        # A SampleSet keeps float32 features as they are.
+        assert SampleSet(s32.features, s32.labels, s32.pixel_indices).features is s32.features
+
+
 def test_sample_set_validation():
     with pytest.raises(ValueError):
         SampleSet(np.zeros((2, 3)), np.array([0, 1]), np.array([0, 1]))

@@ -357,6 +357,18 @@ def test_train_scaling_recorded():
     assert model.feature_range[1] == 1.0
 
 
+def test_train_and_predict_on_float32_features_match_their_float64_copy():
+    # A SampleSet keeps float32 features. The scaling takes their range
+    # in float64, so the model is the float64 copy's.
+    labels = np.repeat([1, 2, 3], 20)
+    x = (SplitMix64(31).normal_matrix(60, 3) * 7.3).astype(np.float32)
+    x[labels == 2, 0] += 3.0
+    params = SvmParams(c=10.0, gamma=0.5)
+    model = svm_train(SampleSet(x, labels, np.arange(60)), params)
+    assert model.to_dict() == svm_train(sample_set(x, labels), params).to_dict()
+    assert np.array_equal(svm_predict(model, x), svm_predict(model, x.astype(np.float64)))
+
+
 def test_train_single_class_rejected():
     with pytest.raises(DegenerateDataError):
         svm_train(sample_set([[0.0], [1.0]], [1, 1]))

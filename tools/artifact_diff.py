@@ -8,7 +8,10 @@ makes each benchmark workload's scene once with BASE's
 scene with BASE's sources and with the sources of this checkout, at run
 seeds 1 and 2, with one OpenBLAS/OMP thread and the same config, relative
 ``output`` included. The workloads and their configs are BASE's
-``hsibench/workloads.py``. For each workload and seed it prints both
+``hsibench/workloads.py``; after them come the runs of ``UNREDUCED`` on
+the ``svm-grid`` scene, a path that no workload takes: ``reduction:
+none``, once with the default SVM and once with a 10-tree GBDT. For
+each workload and seed it prints both
 runs' peak RSS (the child's ``ru_maxrss``, as ``hsibench/run.py`` reads
 it), a report and not a gate, then one line per deterministic artifact
 (every artifact but ``timings.json``), ``same`` or ``differs``. Under a
@@ -145,6 +148,16 @@ CASES = {
     ),
     "convert non-finite": _convert_non_finite,
     "staged path a directory": _staged_path_a_directory,
+}
+
+
+# Runs on the original bands of the svm-grid scene, by name: no workload
+# runs a classifier on float64 samples straight from the cube.
+UNREDUCED = {
+    "none-svm": {"train_fraction": 0.7, "reduction": {"method": "none"},
+                 "classifier": {"kind": "svm"}},
+    "none-gbdt": {"train_fraction": 0.7, "reduction": {"method": "none"},
+                  "classifier": {"kind": "gbdt", "params": {"num_trees": 10}}},
 }
 
 
@@ -371,6 +384,8 @@ def main(argv: list) -> int:
                 env=_env(base),
             )
             scenes[name] = (scene_dir, workload.config)
+        for name, config in UNREDUCED.items():
+            scenes[name] = (scenes["svm-grid"][0], config)
         rows = compare(base, ROOT, scenes, work / "runs")
         print_rows(rows)
         first_scene = next(iter(scenes.values()))[0]
