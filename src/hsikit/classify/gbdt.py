@@ -121,10 +121,6 @@ class Tree(Record):
     def n_leaves(self) -> int:
         return int(np.sum(self.feature < 0))
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Leaf value of each row of ``x`` (rows x features)."""
-        return self.predict_columns(np.ascontiguousarray(x.T))
-
     def predict_columns(self, columns: np.ndarray) -> np.ndarray:
         """Leaf value of each row, given the rows' features as columns
         (features x rows, so each feature is one contiguous array)."""
@@ -196,14 +192,16 @@ def _bin_features(features: np.ndarray, num_bins: int):
 
     Bin b holds values v with edges[b-1] <= v < edges[b], so a split at
     boundary t (left = bins 0..t) is exactly the raw rule v < edges[t].
-    Bins are stored in the smallest unsigned type that holds them.
+    Bins are stored in the smallest unsigned type that holds them. Each
+    column's quantiles are taken in float64 (float64 features are not
+    copied), so float32 features bin exactly as their float64 copy.
     """
     n, width = features.shape
     qs = np.arange(1, num_bins) / num_bins
     edges = []
     binned = np.empty((width, n), dtype=np.min_scalar_type(num_bins - 1))
     for f in range(width):
-        col = features[:, f]
+        col = np.asarray(features[:, f], dtype=np.float64)
         e = np.unique(np.quantile(col, qs))
         edges.append(e)
         binned[f] = np.searchsorted(e, col, side="right")

@@ -357,10 +357,11 @@ def run_pipeline(config: dict) -> RunReport:
     written once every stage has succeeded. The cube is never held
     whole: the load stage splits the ground truth's labels, then reads
     the cube band by band into the train and test sets, so loading holds
-    the labeled samples plus one band, in float32 when the run reduces
-    them and in float64 when it does not. A reduction replaces both sets
-    with their projections, so the full-band samples are freed before
-    training starts and the later stages hold only the reduced ones.
+    the labeled samples, in the cube's float32, plus one band. A
+    reduction replaces both sets with their projections, so the
+    full-band samples are freed before training starts and the later
+    stages hold only the reduced ones. Without one, each classifier
+    computes on the float64 copy of the float32 samples.
     ``config`` is resolved first, as resolve_config resolves a file, so a
     setting that breaks a rule raises UsageError before any data is read,
     and config.json holds the resolved snapshot; a resolved config runs
@@ -375,12 +376,7 @@ def run_pipeline(config: dict) -> RunReport:
 
     try:
         gt = load_ground_truth(config["ground_truth"])
-        # A reduction reads float32 samples exactly, in half the memory;
-        # without one, the classifiers get float64, as they compute.
-        train_set, test_set = load_split(
-            config["cube"], gt, config["train_fraction"], config["seed"],
-            np.float64 if fit is None else np.float32,
-        )
+        train_set, test_set = load_split(config["cube"], gt, config["train_fraction"], config["seed"])
 
         begin("reduce")
         bands = train_set.features.shape[1]

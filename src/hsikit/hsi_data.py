@@ -6,7 +6,7 @@ positions, in ascending class order, from one SplitMix64 stream.
 ``load_split`` gives ``stratified_split``'s train and test sets straight
 from a cube file: it splits the labels first, then reads the cube one
 band at a time into the two sets, so it never holds the whole cube, and
-can keep the samples in the cube's float32.
+keeps the samples in the cube's float32.
 
 Container format
 ----------------
@@ -431,18 +431,20 @@ def stratified_split(
 
 
 def load_split(
-    cube_header, gt: GroundTruth, train_fraction: float, seed: int, dtype=np.float64
+    cube_header, gt: GroundTruth, train_fraction: float, seed: int
 ) -> tuple[SampleSet, SampleSet]:
     """``stratified_split(extract_labeled(load_cube(cube_header), gt),
-    train_fraction, seed)``, with the same bytes, read band by band.
+    train_fraction, seed)``, read band by band, with the samples kept in
+    the cube's float32.
 
     The labels are split first; each band of the cube is then read,
     checked for non-finite values (unlabeled pixels included) and its
-    train and test pixels are written into their own matrices of
-    ``dtype``. So the cube is never held whole: the peak is the labeled
-    samples plus one band. With ``dtype`` float32, the cube's own type,
-    the samples take half the memory and upcast exactly to the float64
-    ones; a PCA fit and projection give the same bytes on either. Raises
+    train and test pixels are written into their own float32 matrices.
+    So the cube is never held whole: the peak is the labeled samples, in
+    half the memory of float64, plus one band. The samples upcast
+    exactly to ``extract_labeled``'s float64 ones, and every stage gives
+    the same bytes on either: a PCA fit and projection, and each
+    classifier, which computes on the float64 copy. Raises
     DataFormatError, naming the cube's file, on any fault ``load_cube``
     rejects or on a size that differs from the ground truth's.
     """
@@ -451,7 +453,7 @@ def load_split(
         flat_labels, indices = _labeled_pixels(fields["height"], fields["width"], gt)
     in_train = _train_mask(flat_labels[indices], train_fraction, seed)
     rows = (indices[in_train], indices[~in_train])
-    features = [np.empty((len(r), fields["bands"]), dtype=dtype) for r in rows]
+    features = [np.empty((len(r), fields["bands"]), dtype=np.float32) for r in rows]
     for b, band in enumerate(bands):
         for r, f in zip(rows, features):
             f[:, b] = band.reshape(-1)[r]

@@ -5,6 +5,7 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hsikit import gaussian_scene, save_cube, save_ground_truth
@@ -40,8 +41,20 @@ def test_a_tree_against_itself_makes_the_same_artifacts(artifact_diff, scenes, t
     artifact_diff.print_rows(rows)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["tiny", "seed", "1", "peak", "RSS", "report"]
-    assert re.fullmatch(r"    base \d+\.\d MiB, head \d+\.\d MiB", lines[1])
+    peak = r"(\d+\.\d MiB|≤ \d+\.\d MiB \(the tool's own peak\))"
+    assert re.fullmatch(rf"    base {peak}, head {peak}", lines[1])
     assert lines[2].split() == ["tiny", "seed", "1", "config.json", "same"]
+
+
+def test_a_peak_below_the_tools_own_is_marked(artifact_diff, tmp_path):
+    # A child's ru_maxrss starts at its parent's high-water mark, so a
+    # small run after the tool touched 200 MB must not print a number.
+    ballast = np.ones(200 * 2**20 // 8)
+    code, out, _, peak = artifact_diff._hsikit(ROOT, ["--help"], tmp_path)
+    del ballast
+    assert code == 0 and "usage" in out
+    assert re.fullmatch(r"≤ \d+\.\d MiB \(the tool's own peak\)", peak)
+    assert float(peak.split()[1]) >= 200
 
 
 def test_a_changed_constant_shows_in_the_model(artifact_diff, scenes, tmp_path):

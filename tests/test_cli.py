@@ -471,7 +471,7 @@ def test_run_with_pca_and_gbdt(scene, tmp_path):
 
 def test_run_frees_the_full_band_samples_before_training(scene, tmp_path, monkeypatch):
     # A reduced run trains and predicts on the projections alone, so the
-    # float64 band matrices load_split returned are gone before training.
+    # float32 band matrices load_split returned are gone before training.
     real_load_split, real_svm_train = hsikit.cli.load_split, hsikit.cli.svm_train
     loaded, alive = [], []
 

@@ -127,10 +127,11 @@ def tree_of(feature, threshold, left, right, value):
 def round_losses(model, features, onehot):
     """Training loss after each boosting round, walking the saved trees."""
     scores = np.tile(model.priors, (features.shape[0], 1))
+    columns = np.ascontiguousarray(features.T)
     losses = [softmax_cross_entropy(scores, onehot)]
     for round_trees in model.trees:
         for c, tree in enumerate(round_trees):
-            scores[:, c] += tree.predict(features)
+            scores[:, c] += tree.predict_columns(columns)
         losses.append(softmax_cross_entropy(scores, onehot))
     return losses
 
@@ -427,7 +428,7 @@ def test_grown_leaf_values_include_shrinkage():
     # Leaf value is -lr * G / (H + 1).
     expect_left = -0.3 * (-1.0) / (0.5 + 1.0)
     expect_right = -0.3 * (1.0) / (0.5 + 1.0)
-    got = tree.predict(x[:, None])
+    got = tree.predict_columns(np.ascontiguousarray(x[:, None].T))
     assert np.allclose(got[:2], expect_left, atol=1e-12)
     assert np.allclose(got[2:], expect_right, atol=1e-12)
 
@@ -463,7 +464,8 @@ def test_bin_space_tree_routes_binned_rows_as_the_tree_routes_raw_rows():
     assert sum(on_edge) > len(on_edge) // 2
     for name in ("feature", "left", "right", "value"):
         assert np.array_equal(getattr(bin_tree, name), getattr(tree, name)), name
-    assert np.array_equal(bin_tree.predict_columns(binned), tree.predict(features))
+    columns = np.ascontiguousarray(features.T)
+    assert np.array_equal(bin_tree.predict_columns(binned), tree.predict_columns(columns))
 
 
 # ----------------------------------------------------------------- training
@@ -776,16 +778,17 @@ def test_predict_rows_at_threshold_go_right():
         [-2.5, 0.5],  # right, then left
         [0.0, np.nextafter(0.5, 0.0)],  # just below the root threshold: left
     ])
-    assert np.array_equal(tree.predict(x), [3.0, 3.0, 2.0, 1.0])
-    assert np.array_equal(tree.predict(x), tree_walk(tree, x))
+    got = tree.predict_columns(np.ascontiguousarray(x.T))
+    assert np.array_equal(got, [3.0, 3.0, 2.0, 1.0])
+    assert np.array_equal(got, tree_walk(tree, x))
 
 
 def test_predict_single_leaf_tree_and_zero_rows():
     leaf = tree_of([-1], [0.0], [-1], [-1], [0.25])
-    assert np.array_equal(leaf.predict(np.zeros((3, 2))), [0.25] * 3)
+    assert np.array_equal(leaf.predict_columns(np.zeros((2, 3))), [0.25] * 3)
     stump = tree_of([0, -1, -1], [1.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, -1.0, 1.0])
     for tree in (leaf, stump):
-        out = tree.predict(np.zeros((0, 2)))
+        out = tree.predict_columns(np.zeros((2, 0)))
         assert out.shape == (0,) and out.dtype == np.float64
 
 
@@ -809,7 +812,8 @@ def test_predict_matches_tree_walk_on_grown_trees(max_leaves):
     inner = tree.feature >= 0
     at[np.nonzero(inner)[0], tree.feature[inner]] = tree.threshold[inner]
     for rows in (features, x, at):
-        assert np.array_equal(tree.predict(rows), tree_walk(tree, rows))
+        got = tree.predict_columns(np.ascontiguousarray(rows.T))
+        assert np.array_equal(got, tree_walk(tree, rows))
 
 
 @pytest.mark.parametrize("max_leaves, dtype", [(2, np.uint8), (128, np.uint8), (129, np.uint16)])
@@ -837,7 +841,7 @@ def test_decision_scores_sum_tree_predictions_round_by_round():
     scores = np.tile(model.priors, (len(x), 1))
     for round_trees in model.trees:
         for c, tree in enumerate(round_trees):
-            scores[:, c] += tree.predict(x)
+            scores[:, c] += tree.predict_columns(np.ascontiguousarray(x.T))
     assert np.array_equal(model.decision_scores(x), scores)
 
 

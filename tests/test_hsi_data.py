@@ -539,7 +539,7 @@ def test_load_split_single_sample_class_warns_at_its_caller(tmp_path):
 
 def test_load_split_holds_the_samples_and_a_few_bands(tmp_path):
     # A 40 x 50 x 500 cube, a 4 MB payload, with one pixel in five labeled
-    # as on the 610 x 340 scene: the samples take 1.6 MB as float64.
+    # as on the 610 x 340 scene: the samples take 0.8 MB as float32.
     values = SplitMix64(7).normal_matrix(500, 40 * 50).astype(np.float32)
     path = save_cube(HsiCube(40, 50, 500, values.reshape(500, 40, 50)), tmp_path / "big")
     payload_bytes = path.with_suffix(".hsir").stat().st_size
@@ -555,7 +555,7 @@ def test_load_split_holds_the_samples_and_a_few_bands(tmp_path):
     finally:
         tracemalloc.stop()
     samples_bytes = train.features.nbytes + test.features.nbytes
-    assert samples_bytes == 400 * 500 * 8
+    assert samples_bytes == 400 * 500 * 4
     band_bytes = 40 * 50 * 4
     assert peak < samples_bytes + 4 * band_bytes + 2**14
     assert peak < 0.5 * payload_bytes
@@ -566,8 +566,8 @@ def test_load_split_float32_samples_upcast_to_the_float64_ones(tmp_path):
     path = save_cube(HsiCube(30, 20, 7, values.reshape(7, 30, 20)), tmp_path / "scene")
     labels = np.arange(30 * 20) % 4  # one pixel in four unlabeled
     gt = GroundTruth(30, 20, labels.reshape(30, 20))
-    wide = load_split(path, gt, 0.6, seed=2)
-    narrow = load_split(path, gt, 0.6, seed=2, dtype=np.float32)
+    wide = stratified_split(extract_labeled(load_cube(path), gt), 0.6, seed=2)
+    narrow = load_split(path, gt, 0.6, seed=2)
     for s64, s32 in zip(wide, narrow):
         assert s64.features.dtype == np.float64 and s32.features.dtype == np.float32
         assert s32.features.astype(np.float64).tobytes() == s64.features.tobytes()

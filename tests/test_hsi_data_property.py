@@ -4,10 +4,12 @@ file holds, save_cube -> load_cube returns the cube it was given, a
 ground truth that saves loads back with its class names, and
 `hsikit convert` reads raw bsq, bil and bip payloads back in (band, row,
 column) order, stratified_folds deals each class out evenly over
-disjoint folds, and load_split gives the bytes of the whole-cube path."""
+disjoint folds, and load_split gives the bytes of the whole-cube path,
+its float32 samples upcast to float64."""
 
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +211,9 @@ def test_load_split_matches_the_whole_cube_path(values, data, singleton, fractio
     if singleton:
         assert "class 5 has a single sample; assigning it to train" in got_warnings
     for want, have in zip(expected, got):
+        # load_split keeps the cube's float32, which upcasts exactly.
+        assert have.features.dtype == np.float32
+        have = replace(have, features=have.features.astype(np.float64))
         for name in ("features", "labels", "pixel_indices"):
             a, b = getattr(want, name), getattr(have, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())

@@ -11,12 +11,14 @@ seeds 1 and 2, with one OpenBLAS/OMP thread and the same config, relative
 ``hsibench/workloads.py``; after them come the runs of ``UNREDUCED`` on
 the ``svm-grid`` scene, a path that no workload takes: ``reduction:
 none``, once with the default SVM and once with a 10-tree GBDT. For
-each workload and seed it prints both
-runs' peak RSS (the child's ``ru_maxrss``, as ``hsibench/run.py`` reads
-it), a report and not a gate, then one line per deterministic artifact
-(every artifact but ``timings.json``), ``same`` or ``differs``. Under a
-JSON artifact that differs it prints each generalized path whose leaves
-differ, list indices written ``[*]`` (e.g.
+each workload and seed it prints both runs' peak RSS (the child's
+``ru_maxrss``, as ``hsibench/run.py`` reads it), a report and not a
+gate; as a child's ``ru_maxrss`` starts at the tool's own, a reading at
+or below the tool's own peak prints as ``≤`` that peak, marked as the
+tool's, and never as the run's. Then come one line per deterministic
+artifact (every artifact but ``timings.json``), ``same`` or
+``differs``. Under a JSON artifact that differs it prints each
+generalized path whose leaves differ, list indices written ``[*]`` (e.g.
 ``classifier.model.machines[*].dual_coef[*]``), with the number of
 differing leaves and the largest |delta| of the numeric ones, and for
 ``predictions.json`` how many ``predicted`` entries changed. After the
@@ -48,6 +50,7 @@ directory, and Python writes no bytecode.
 import importlib.util
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -152,7 +155,7 @@ CASES = {
 
 
 # Runs on the original bands of the svm-grid scene, by name: no workload
-# runs a classifier on float64 samples straight from the cube.
+# runs a classifier on the cube's samples unreduced.
 UNREDUCED = {
     "none-svm": {"train_fraction": 0.7, "reduction": {"method": "none"},
                  "classifier": {"kind": "svm"}},
@@ -171,10 +174,22 @@ def _env(tree: Path) -> dict:
     )
 
 
+def _peak(child_kib: int, floor_kib: int) -> str:
+    """A child's peak RSS, its ``ru_maxrss``, in MiB; or, when that is at
+    or below ``floor_kib``, the tool's own ``ru_maxrss``, marked as not
+    the run's peak: Linux starts a child's ``ru_maxrss`` at the
+    high-water mark of the process that spawned it."""
+    if child_kib <= floor_kib:
+        return f"≤ {floor_kib / 1024.0:.1f} MiB (the tool's own peak)"
+    return f"{child_kib / 1024.0:.1f} MiB"
+
+
 def _hsikit(tree: Path, argv: list, cwd: Path) -> tuple:
-    """(exit code, stdout, stderr, peak RSS in MiB) of ``python -m hsikit
-    *argv`` with ``tree``'s sources, in ``cwd``. The peak is the child's
-    ``ru_maxrss`` from ``os.wait4``, as ``hsibench/run.py`` reads it."""
+    """(exit code, stdout, stderr, peak RSS) of ``python -m hsikit *argv``
+    with ``tree``'s sources, in ``cwd``. The peak is the child's
+    ``ru_maxrss`` from ``os.wait4``, as ``hsibench/run.py`` reads it,
+    written by :func:`_peak` against the tool's own ``ru_maxrss`` read
+    as the child ends, which holds all the tool held when it spawned it."""
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         proc = subprocess.Popen([sys.executable, "-m", "hsikit", *argv], cwd=cwd,
                                 env=_env(tree), stdout=out, stderr=err)
@@ -184,17 +199,19 @@ def _hsikit(tree: Path, argv: list, cwd: Path) -> tuple:
             proc.kill()
             proc.wait()
             raise
+        floor = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         proc.returncode = os.waitstatus_to_exitcode(status)
         for stream in (out, err):
             stream.seek(0)
         text = [stream.read().decode("utf-8", "replace") for stream in (out, err)]
-    return proc.returncode, *text, usage.ru_maxrss / 1024.0
+    return proc.returncode, *text, _peak(usage.ru_maxrss, floor)
 
 
 def run_tree(tree: Path, config: dict, run_dir: Path) -> tuple:
     """(the artifacts of ``hsikit run --config`` on ``config`` with
     ``tree``'s sources in ``run_dir``, which it makes, as {name: bytes},
-    or the run's output if it failed; the run's peak RSS in MiB)."""
+    or the run's output if it failed; the run's peak RSS, as
+    :func:`_hsikit` writes it)."""
     run_dir.mkdir(parents=True)
     (run_dir / "config.in.json").write_text(json.dumps(config), encoding="utf-8")
     code, out, err, peak = _hsikit(tree, ["run", "--config", "config.in.json"], run_dir)
@@ -284,7 +301,7 @@ def compare(base: Path, head: Path, scenes: dict, work: Path, seeds=SEEDS) -> li
             runs, peaks = zip(*(run_tree(tree, full, run_dir)
                                 for tree, run_dir in zip((base, head), dirs)))
             rows.append((name, seed, "peak RSS", None,
-                         ["base {:.1f} MiB, head {:.1f} MiB".format(*peaks)]))
+                         ["base {}, head {}".format(*peaks)]))
             failed = [run for run in runs if isinstance(run, str)]
             if failed:
                 rows.append((name, seed, "; ".join(failed), False, []))
