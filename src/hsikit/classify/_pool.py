@@ -20,12 +20,17 @@ in-process with no pool. A process forked from a pool's owner (a
 worker running a grid fit's pairs, say) and a daemonic multiprocessing
 worker (which may not start children) run serially. A worker that dies
 raises ``WorkerError``. A worker ends itself when its owner ends,
-however the owner ends (SIGKILL included): the owner alone holds the
-write end of a pipe whose read end each worker watches from a thread,
-which reads EOF once the owner is gone.
+however the owner ends (SIGKILL included). Each worker watches, from a
+thread, the sentinel pipe that ``multiprocessing`` opens for every child
+it forks (``multiprocessing.parent_process().sentinel``): the owner
+holds the write end of each worker's sentinel, and a worker forked
+later inherits those of the workers forked before it. So once the owner
+is gone, the last worker reads EOF first, and its end closes the write
+ends that the one before it waits on, down to the first. When the
+owner exits normally or is interrupted, ``concurrent.futures``' own
+exit hook joins the workers as the interpreter begins to shut down.
 """
 
-import atexit
 import os
 import sys
 
@@ -33,8 +38,7 @@ from ..errors import WorkerError
 
 __all__ = ["spread"]
 
-# (owner pid, executor, read end, write end of the owner's pipe) of the
-# process pool; None until first use.
+# (owner pid, executor) of the process pool; None until first use.
 _current = None
 
 
@@ -44,20 +48,24 @@ def _cpu_count() -> int:
     return len(affinity(0)) if affinity else 1
 
 
-def _exit_at_eof(read_end: int) -> None:
-    os.read(read_end, 1)  # nothing is written: this returns at EOF
+def _exit_at_eof() -> None:
+    import multiprocessing
+
+    # Nothing is written to the sentinel: this read returns at EOF.
+    os.read(multiprocessing.parent_process().sentinel, 1)
     os._exit(1)
 
 
-def _watch_owner(read_end: int, write_end: int) -> None:
-    """A worker's initializer: drop the inherited write end, then end the
-    worker from a daemon thread at EOF on the read end, once the owner's
-    write end closes. Only workers start the thread, so the owner forks
-    from no thread of its own."""
+def _watch_owner() -> None:
+    """A worker's initializer: end the worker from a daemon thread at EOF
+    on its sentinel, the read end of a pipe whose write ends only the
+    owner and the workers forked after this one hold. So the last worker
+    reads EOF once the owner is gone, and each worker's end lets the one
+    forked before it read EOF. Only workers start the thread, so the
+    owner forks from no thread of its own."""
     import threading
 
-    os.close(write_end)
-    threading.Thread(target=_exit_at_eof, args=(read_end,), daemon=True).start()
+    threading.Thread(target=_exit_at_eof, daemon=True).start()
 
 
 def _executor():
@@ -79,23 +87,17 @@ def _executor():
         from concurrent.futures import ProcessPoolExecutor
 
         context = multiprocessing.get_context("fork")
-        pipe = os.pipe()
-        executor = ProcessPoolExecutor(
-            _cpu_count(), mp_context=context, initializer=_watch_owner, initargs=pipe
-        )
-        _current = (os.getpid(), executor, *pipe)
+        executor = ProcessPoolExecutor(_cpu_count(), mp_context=context, initializer=_watch_owner)
+        _current = (os.getpid(), executor)
     return _current[1]
 
 
-@atexit.register
 def _drop_pool() -> None:
     """Shut down the pool this process made; the next ``_executor`` makes a
-    new one. Run at exit too, so the pool goes while its modules are whole."""
+    new one."""
     global _current
     if _current is not None and _current[0] == os.getpid():
         _current[1].shutdown(cancel_futures=True)
-        for end in _current[2:]:
-            os.close(end)
         _current = None
 
 

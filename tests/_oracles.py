@@ -250,6 +250,28 @@ def pca_by_row_factorization(x, k, params=None):
     return svd.vt, svd.s**2 / (x.shape[0] - 1)
 
 
+# --- randomized SVD by the textbook sketch --------------------------------
+
+
+def randomized_svd_reference(a, k, oversampling, power_iterations, seed):
+    """(u, s, vt) of the rank-``k`` randomized SVD of ``a``, written out
+    as Halko, Martinsson & Tropp (2011) give it: sketch with the seeded
+    Gaussian ``SplitMix64(seed).normal_matrix(n, k + oversampling)``,
+    orthonormalize with ``np.linalg.qr``, apply ``a.T`` then ``a`` once
+    per power iteration with a QR after each product, then factor
+    ``Q.T @ a`` by a full SVD. Each column of u is flipped so that its
+    largest-magnitude entry, the first of equal ones, is positive, and
+    the row of vt with it."""
+    q, _ = np.linalg.qr(a @ SplitMix64(seed).normal_matrix(a.shape[1], k + oversampling))
+    for _ in range(power_iterations):
+        q, _ = np.linalg.qr(a.T @ q)
+        q, _ = np.linalg.qr(a @ q)
+    u_small, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
+    u = q @ u_small[:, :k]
+    signs = np.sign(u[np.abs(u).argmax(axis=0), np.arange(k)])
+    return u * signs, s[:k], vt[:k] * signs[:, None]
+
+
 # --- chi-square(1) tail by numerical integration -------------------------
 
 

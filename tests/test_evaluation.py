@@ -180,6 +180,16 @@ def test_mcnemar_ten_zero_chi_square_path():
     assert result.significant_at_05
 
 
+def test_mcnemar_switches_to_chi_square_at_25_discordant_pairs():
+    # The default threshold: 24 discordant pairs still take the exact
+    # tail, 25 take the continuity-corrected approximation.
+    for discordant, method in ((24, "exact_binomial"), (25, "chi_square")):
+        pred_a, pred_b, truth = paired_predictions(b=discordant - 8, c=8)
+        result = mcnemar(pred_a, pred_b, truth)
+        assert result.method == method
+        assert (result.b, result.c) == (discordant - 8, 8)
+
+
 def test_mcnemar_near_identical_accuracies_not_significant():
     # 10000 test pixels, 460 vs 461 errors with 431 shared: the 0.9540
     # vs 0.9539 gap is noise.

@@ -445,6 +445,21 @@ def test_no_split_below_min_samples():
     assert tree.n_leaves == 1
 
 
+def test_a_small_but_real_gain_splits():
+    # G_L = 5e-3 on H_L = 50 and G_R = -5e-3 on H_R = 50, so the split's
+    # gain is 0.5 * 2 * 25e-6 / 51, about 4.9e-7: small, yet not zero.
+    x = np.arange(100, dtype=np.float64)
+    g = np.where(x < 50, 1e-4, -1e-4)
+    h = np.ones(100)
+    params = GbdtParams(num_trees=1, min_samples_leaf=5, **NO_GOSS)
+    edges, binned = _bin_features(x[:, None], params.num_bins)
+    tree, _ = grow(binned.T, edges, g, h, np.arange(100), params)
+    assert tree.n_leaves == 2
+    # The cut falls between the two halves: each leaf holds one sign.
+    values = tree.predict_columns(np.ascontiguousarray(x[None, :]))
+    assert (values[:50] < 0).all() and (values[50:] > 0).all()
+
+
 def test_bin_space_tree_routes_binned_rows_as_the_tree_routes_raw_rows():
     # Features on a 0.5 grid put many values exactly on bin edges, where
     # a threshold off by one bin would route them the other way.

@@ -4,6 +4,7 @@ range finder / SVD pair."""
 import numpy as np
 import pytest
 
+from _oracles import randomized_svd_reference
 from hsikit.errors import ConvergenceError
 from hsikit.hsi_data import HsiCube, SampleSet
 from hsikit.linalg import (
@@ -289,6 +290,27 @@ def test_rsvd_power_iterations_do_not_hurt():
         return np.linalg.norm(a - res.u @ np.diag(res.s) @ res.vt)
 
     assert resid(2) <= resid(0) + 1e-9
+
+
+def test_rsvd_matches_the_textbook_sketch_at_each_power_iteration_count():
+    # sigma_i = 0.95^i decays slowly, so each power iteration moves the
+    # estimates well past round-off: one iteration more or fewer than
+    # asked cannot match the reference.
+    m, n = 300, 100
+    s = 0.95 ** np.arange(n)
+    a = orthonormal(m, n, 40) @ np.diag(s) @ orthonormal(n, n, 41).T
+    estimates = []
+    for q_iters in (0, 1, 2):
+        res = randomized_svd(
+            a, RandomizedSvdParams(k=6, oversampling=4, power_iterations=q_iters, seed=7)
+        )
+        u, s_ref, vt = randomized_svd_reference(a, 6, 4, q_iters, seed=7)
+        assert np.abs(res.s - s_ref).max() <= 1e-12
+        assert np.abs(res.u - u).max() <= 1e-12
+        assert np.abs(res.vt - vt).max() <= 1e-12
+        estimates.append(res.s)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert np.abs(estimates[i] - estimates[j]).min() > 1e-6
 
 
 def test_rsvd_deterministic_bit_identical():

@@ -854,13 +854,15 @@ def test_pool_has_one_process_per_cpu(force_cpus):
         assert (pool._current is None) == (cpus == 1)
 
 
-# Prints the pids of its two pool workers, then waits to be killed.
+# Makes a pool of argv[1] workers, prints their pids, then waits to be
+# killed.
 _OWNER = """
-import multiprocessing, time
+import multiprocessing, sys, time
 from hsikit.classify import _pool as pool
 
-pool._cpu_count = lambda: 2
-pool.spread(sorted, [0, 1])
+n = int(sys.argv[1])
+pool._cpu_count = lambda: n
+pool.spread(sorted, list(range(n)))
 print(*[worker.pid for worker in multiprocessing.active_children()], flush=True)
 time.sleep(120)
 """
@@ -876,19 +878,22 @@ def _alive(pid: int) -> bool:
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc/<pid>/stat")
-def test_workers_end_when_their_owner_is_killed(tmp_path):
-    # SIGKILL runs no cleanup in the owner: its workers must see it go.
+@pytest.mark.parametrize("n_workers", [2, 4])
+def test_workers_end_when_their_owner_is_killed(tmp_path, n_workers):
+    # SIGKILL runs no cleanup in the owner: its workers must see it go,
+    # each later worker holding the sentinels of the earlier ones open.
     src = str(Path(pool.__file__).resolve().parents[2])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     owner = subprocess.Popen(
-        [sys.executable, "-c", _OWNER], cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True
+        [sys.executable, "-c", _OWNER, str(n_workers)],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True,
     )
     workers = []
     try:
         assert select.select([owner.stdout], [], [], 60)[0], "the owner printed no pids"
         workers = [int(pid) for pid in owner.stdout.readline().split()]
-        assert len(workers) == 2 and owner.pid not in workers
+        assert len(workers) == n_workers and owner.pid not in workers
         owner.kill()
         owner.wait()
         deadline = time.monotonic() + 5.0

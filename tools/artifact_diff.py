@@ -15,9 +15,11 @@ each workload and seed it prints both runs' peak RSS (the child's
 ``ru_maxrss``, as ``hsibench/run.py`` reads it), a report and not a
 gate; as a child's ``ru_maxrss`` starts at the tool's own, a reading at
 or below the tool's own peak prints as ``≤`` that peak, marked as the
-tool's, and never as the run's. Then come one line per deterministic
-artifact (every artifact but ``timings.json``), ``same`` or
-``differs``. Under a JSON artifact that differs it prints each
+tool's, and never as the run's; the tool compares the artifacts file
+to file and reads one only to describe a difference, so its own peak
+stays below that of the runs it measures. Then come one line per
+deterministic artifact (every artifact but ``timings.json``), ``same``
+or ``differs``. Under a JSON artifact that differs it prints each
 generalized path whose leaves differ, list indices written ``[*]`` (e.g.
 ``classifier.model.machines[*].dual_coef[*]``), with the number of
 differing leaves and the largest |delta| of the numeric ones, and for
@@ -47,6 +49,7 @@ Nothing is written into the checkout: the runs work in the temporary
 directory, and Python writes no bytecode.
 """
 
+import filecmp
 import importlib.util
 import json
 import os
@@ -209,7 +212,7 @@ def _hsikit(tree: Path, argv: list, cwd: Path) -> tuple:
 
 def run_tree(tree: Path, config: dict, run_dir: Path) -> tuple:
     """(the artifacts of ``hsikit run --config`` on ``config`` with
-    ``tree``'s sources in ``run_dir``, which it makes, as {name: bytes},
+    ``tree``'s sources in ``run_dir``, which it makes, as {name: path},
     or the run's output if it failed; the run's peak RSS, as
     :func:`_hsikit` writes it)."""
     run_dir.mkdir(parents=True)
@@ -217,7 +220,7 @@ def run_tree(tree: Path, config: dict, run_dir: Path) -> tuple:
     code, out, err, peak = _hsikit(tree, ["run", "--config", "config.in.json"], run_dir)
     if code != 0:
         return f"exit {code}: {(out + err).strip()}", peak
-    return {name: (run_dir / config["output"] / name).read_bytes() for name in ARTIFACTS}, peak
+    return {name: run_dir / config["output"] / name for name in ARTIFACTS}, peak
 
 
 def compare_tree(tree: Path, run_a: Path, run_b: Path) -> tuple:
@@ -307,9 +310,10 @@ def compare(base: Path, head: Path, scenes: dict, work: Path, seeds=SEEDS) -> li
                 rows.append((name, seed, "; ".join(failed), False, []))
                 continue
             for key in ARTIFACTS:
-                same = runs[0][key] == runs[1][key]
+                paths = runs[0][key], runs[1][key]
+                same = filecmp.cmp(*paths, shallow=False)
                 plain = same or not key.endswith(".json")
-                report = [] if plain else describe(key, runs[0][key], runs[1][key])
+                report = [] if plain else describe(key, *(path.read_bytes() for path in paths))
                 rows.append((name, seed, key, same, report))
             run_dirs = [run_dir / full["output"] for run_dir in dirs]
             outputs = [compare_tree(tree, *run_dirs) for tree in (base, head)]
