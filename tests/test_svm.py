@@ -877,11 +877,8 @@ def _alive(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc/<pid>/stat")
-@pytest.mark.parametrize("n_workers", [2, 4])
-def test_workers_end_when_their_owner_is_killed(tmp_path, n_workers):
-    # SIGKILL runs no cleanup in the owner: its workers must see it go,
-    # each later worker holding the sentinels of the earlier ones open.
+def _owner_killed_leaves_no_worker(tmp_path: Path, n_workers: int) -> None:
+    """SIGKILL an owner of ``n_workers`` pool workers; assert they all end."""
     src = str(Path(pool.__file__).resolve().parents[2])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -899,7 +896,7 @@ def test_workers_end_when_their_owner_is_killed(tmp_path, n_workers):
         deadline = time.monotonic() + 5.0
         while any(map(_alive, workers)) and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert not [pid for pid in workers if _alive(pid)]
+        assert not [pid for pid in workers if _alive(pid)], n_workers
     finally:
         owner.kill()
         owner.wait()
@@ -907,6 +904,14 @@ def test_workers_end_when_their_owner_is_killed(tmp_path, n_workers):
         for pid in workers:
             if _alive(pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc/<pid>/stat")
+def test_workers_end_when_their_owner_is_killed(tmp_path):
+    # SIGKILL runs no cleanup in the owner: its workers must see it go,
+    # each later worker holding the sentinels of the earlier ones open.
+    for n_workers in (2, 4):
+        _owner_killed_leaves_no_worker(tmp_path, n_workers)
 
 
 def test_pool_outlives_a_change_of_cpu_count(monkeypatch, force_cpus):
