@@ -23,12 +23,10 @@ old and new artifacts. report.json and predictions.json are the
 records `RunReport` and `RunPredictions`: the run writes them and
 `compare` reads them back through the same classes, so a file whose
 fields or schema tag do not decode is a data error naming the file and
-the field. Every JSON file, a `--config` file included, is read by one
-reader, `_load_json`: a file that is not UTF-8 JSON, repeats a key in
-an object, is nested too deeply to parse, or does not hold one object is
-a data error naming the file, which `run` reports as a usage error under
-`config file:`. No JSON artifact holds NaN or Infinity: such a value
-fails the write, which then leaves no artifact.
+the field. Every JSON file is written and read by `records`, which
+holds the file format; `run` reports a `--config` file that it cannot
+read as a usage error under `config file:`, and a value that the writer
+rejects fails the write, which then leaves no artifact.
 
 Exit codes: 0 success, 1 usage (bad flags or config), 2 data error
 (unreadable or malformed inputs, degenerate datasets, mismatched
@@ -54,7 +52,6 @@ one runs as given.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -94,7 +91,7 @@ from .hsi_data import (
     save_ground_truth,
 )
 from .linalg import RandomizedSvdParams
-from .records import Record, check_int, check_keys, coerce
+from .records import Record, check_int, check_keys, coerce, json_bytes, read_json
 
 # Unused here: hsibench/pipeline.py wraps them by name until ROADMAP item 1, step 3.
 from .dimred import fit_pca, fit_rpca  # noqa: F401
@@ -243,74 +240,6 @@ def method_label(config: dict) -> str:
     return f"{config['classifier']['kind']}/{suffix}"
 
 
-# --- artifact IO -------------------------------------------------------
-
-
-def _canonical_json(obj) -> bytes:
-    """``obj`` as sorted, indented UTF-8 JSON, the bytes of
-    ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``; a float that is
-    not finite raises json's ValueError, as no decoder of an artifact
-    takes one."""
-    return (_json_text(obj, "\n") + "\n").encode("utf-8")
-
-
-def _json_text(value, newline: str) -> str:
-    """``value`` as ``_canonical_json`` writes it, ``newline`` being the
-    line break and indent of the line it starts on.
-
-    The indented ``json.dumps`` runs json's pure-Python encoder, a call
-    and a string per value. So objects with string keys and lists are
-    written here: a list of floats alone (``float`` itself, so no numpy
-    scalar) or of ints alone (so no bool) is one join of its values'
-    reprs, json's own spelling of them. A list of floats whose sum is
-    not finite, a NaN or an infinity among them, and every other value
-    go through ``json.dumps``, whose line breaks take ``newline``'s
-    indent: a JSON string holds no line break.
-    """
-    inner = newline + "  "
-    if isinstance(value, dict) and value and all(type(key) is str for key in value):
-        items = (f"{json.dumps(key)}: {_json_text(value[key], inner)}" for key in sorted(value))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, list) and value:
-        kinds = set(map(type, value))
-        if kinds == {float} and math.isfinite(sum(value)):
-            items = map(float.__repr__, value)
-        elif kinds == {int}:
-            items = map(int.__repr__, value)
-        else:
-            items = (_json_text(item, inner) for item in value)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", newline)
-
-
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object's ``pairs`` as a dict; a key given twice raises
-    ValueError, as a container header's does, so no value is dropped."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"repeats key {key!r}")
-        out[key] = value
-    return out
-
-
-def _load_json(path: Path, record=None):
-    """The one JSON object that the file at ``path`` holds, decoded as
-    the ``Record`` class ``record`` when one is given.
-
-    The file is read under ``errors.naming``: text that is not UTF-8 or
-    not JSON, a document nested too deeply to parse, an object that
-    repeats a key, a document that is not an object, and a record that
-    does not decode each raise DataFormatError whose message starts with
-    ``path``. A failed open raises OSError.
-    """
-    with naming(path), open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh, object_pairs_hook=_unique_keys)
-        if not isinstance(doc, dict):
-            raise ValueError(f"not a JSON object, got {doc!r}")
-        return doc if record is None else record.from_dict(doc)
-
-
 # --- the run pipeline --------------------------------------------------
 
 
@@ -436,7 +365,7 @@ def run_pipeline(config: dict) -> RunReport:
         out_dir.mkdir(parents=True, exist_ok=True)
         docs = (config, report.to_dict(), predictions.to_dict(), model_doc)
         for name, path, doc in zip(names, doc_paths, docs):
-            path.write_bytes(_canonical_json(doc))
+            path.write_bytes(json_bytes(doc))
         name = "map.ppm"
         write_ppm(image, map_path)
         # Each stage runs until the next begins; the last until now. total_ms
@@ -448,7 +377,7 @@ def run_pipeline(config: dict) -> RunReport:
             timings_doc[f"{stage}_ms"] = round((end - start) * 1000.0, 3)
         timings_doc["total_ms"] = round((starts[-1][1] - starts[0][1]) * 1000.0, 3)
         name = "timings.json"
-        timings_path.write_bytes(_canonical_json(timings_doc))
+        timings_path.write_bytes(json_bytes(timings_doc))
         # A directory in a target's place would fail its rename after the
         # ones before it had succeeded.
         for name, tmp in zip(names, staged):
@@ -501,7 +430,7 @@ def _cmd_run(args) -> int:
     file_config = {}
     if args.config:
         try:
-            file_config = _load_json(Path(args.config))
+            file_config = read_json(Path(args.config))
         except (OSError, DataFormatError) as exc:
             raise UsageError(f"config file: {exc}") from None
     # Each given flag is placed at its config field, so the flags of one
@@ -536,18 +465,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _compared_run(run_dir) -> tuple:
-    """A run's (RunPredictions, RunReport), read by ``_load_json`` from
-    its predictions.json and report.json: a document that does not
-    decode, schema tag included, is a DataFormatError that names its file
-    and then the fault, e.g. ``evaluation is missing fields ['n_test']``."""
-    base = Path(run_dir)
-    return (_load_json(base / "predictions.json", RunPredictions),
-            _load_json(base / "report.json", RunReport))
-
-
 def _cmd_compare(args) -> int:
-    (run_a, report_a), (run_b, report_b) = _compared_run(args.run_a), _compared_run(args.run_b)
+    # Each run's predictions.json, then its report.json: a file that does
+    # not decode, schema tag included, is a data error naming the file and
+    # then the fault, e.g. `evaluation is missing fields ['n_test']`.
+    run_a, report_a, run_b, report_b = (
+        read_json(Path(run, name), record) for run in (args.run_a, args.run_b)
+        for name, record in (("predictions.json", RunPredictions), ("report.json", RunReport)))
     for field in ("dataset", "seed", "train_fraction"):
         a, b = getattr(run_a, field), getattr(run_b, field)
         if a != b:
@@ -564,7 +488,7 @@ def _cmd_compare(args) -> int:
         "mcnemar": result.to_dict(),
     }
     if args.json:
-        sys.stdout.write(_canonical_json(row).decode("utf-8"))
+        sys.stdout.write(json_bytes(row).decode("utf-8"))
         return 0
     print(f"{'method':<24}{'accuracy':>10}")
     print(f"{row['a']['method']:<24}{row['a']['accuracy']:>10.4f}")

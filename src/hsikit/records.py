@@ -1,6 +1,6 @@
-"""JSON-ready dicts for the toolkit's dataclasses, and the one decoder
-of every JSON object the toolkit reads: run artifacts and config
-sections alike.
+"""The toolkit's JSON file format: JSON-ready dicts for its dataclasses,
+the one decoder of every JSON object it reads, run artifacts and config
+sections alike, and the one writer and reader of its JSON files.
 
 A record's layout is read from its dataclass fields, so the field list,
 the array dtypes and the schema tag are each written once, in the class:
@@ -31,8 +31,17 @@ the object's path, so a rule on two fields, such as ``goss_top_rate +
 goss_other_rate must be < 1``, names the first by its path. A document
 that is not an object is named by its class. Every decode error is a
 ``ValueError``.
+
+Every JSON file, a config included, is written by :func:`json_bytes`
+and read by :func:`read_json`. The writer's bytes are those of the
+indented, key-sorted ``json.dumps`` plus a newline, and a NaN or an
+infinity fails the write, as no decoder of an artifact takes one. The
+reader raises a data error naming the file for a file that is not UTF-8
+JSON, repeats a key in an object, is nested too deeply to parse, or
+does not hold one object.
 """
 
+import json
 import math
 import numbers
 from dataclasses import fields, is_dataclass
@@ -40,7 +49,10 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-__all__ = ["Record", "coerce", "check_keys", "int_array", "real_array", "check_int"]
+from .errors import naming
+
+__all__ = ["Record", "coerce", "check_keys", "int_array", "real_array", "check_int", "json_bytes",
+           "read_json"]
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
                list: "a list", dict: "an object"}
@@ -203,3 +215,68 @@ class Record:
             return cls(**values)
         except ValueError as exc:
             raise ValueError(f"{prefix}{exc}") from None
+
+
+def json_bytes(value) -> bytes:
+    """``value`` as sorted, indented UTF-8 JSON, the bytes of
+    ``json.dumps(value, indent=2, sort_keys=True) + "\n"``; a float that
+    is not finite raises json's ValueError, as no decoder of an artifact
+    takes one."""
+    return (_json_text(value, "\n") + "\n").encode("utf-8")
+
+
+def _json_text(value, newline: str) -> str:
+    """``value`` as :func:`json_bytes` writes it, ``newline`` being the
+    line break and indent of the line it starts on.
+
+    The indented ``json.dumps`` runs json's pure-Python encoder, a call
+    and a string per value. So objects with string keys and lists are
+    written here: a list of floats alone (``float`` itself, so no numpy
+    scalar) or of ints alone (so no bool) is one join of its values'
+    reprs, json's own spelling of them. A list of floats whose sum is
+    not finite, a NaN or an infinity among them, and every other value
+    go through ``json.dumps``, whose line breaks take ``newline``'s
+    indent: a JSON string holds no line break.
+    """
+    inner = newline + "  "
+    if isinstance(value, dict) and value and all(type(key) is str for key in value):
+        items = (f"{json.dumps(key)}: {_json_text(value[key], inner)}" for key in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list) and value:
+        kinds = set(map(type, value))
+        if kinds == {float} and math.isfinite(sum(value)):
+            items = map(float.__repr__, value)
+        elif kinds == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = (_json_text(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", newline)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's ``pairs`` as a dict; a key given twice raises
+    ValueError, as a container header's does, so no value is dropped."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeats key {key!r}")
+        out[key] = value
+    return out
+
+
+def read_json(path, record=None):
+    """The one JSON object that the file at ``path`` holds, decoded as
+    the ``Record`` class ``record`` when one is given.
+
+    The file is read under ``errors.naming``: text that is not UTF-8 or
+    not JSON, a document nested too deeply to parse, an object that
+    repeats a key, a document that is not an object, and a record that
+    does not decode each raise DataFormatError whose message starts with
+    ``path``. A failed open raises OSError.
+    """
+    with naming(path), open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh, object_pairs_hook=_unique_keys)
+        if not isinstance(doc, dict):
+            raise ValueError(f"not a JSON object, got {doc!r}")
+        return doc if record is None else record.from_dict(doc)

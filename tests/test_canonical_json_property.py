@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsikit.cli import _canonical_json
+from hsikit.records import json_bytes
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308, 0.1]
@@ -40,7 +40,7 @@ def dumps(doc) -> bytes:
 @settings(max_examples=400, deadline=None)
 @given(DOCUMENTS)
 def test_the_writer_writes_the_bytes_of_json_dumps(doc):
-    assert _canonical_json(doc) == dumps(doc)
+    assert json_bytes(doc) == dumps(doc)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -61,10 +61,10 @@ def test_a_value_that_is_not_finite_raises_json_s_error(bad, place):
     with pytest.raises(ValueError) as expected:
         json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with pytest.raises(ValueError) as caught:
-        _canonical_json(doc)
+        json_bytes(doc)
     assert str(caught.value) == str(expected.value)
 
 
 def test_finite_floats_whose_sum_overflows_are_written():
     doc = {"big": [1.7976931348623157e308, 1.7976931348623157e308, -1.0]}
-    assert _canonical_json(doc) == dumps(doc)
+    assert json_bytes(doc) == dumps(doc)

@@ -25,7 +25,6 @@ from hsikit.cli import (
     RunReport,
     StageError,
     UsageError,
-    _canonical_json,
     _exit_status,
     build_parser,
     main,
@@ -41,6 +40,7 @@ from hsikit.errors import (
 )
 from hsikit.dimred import PcaModel
 from hsikit.hsi_data import HsiCube, load_cube, load_ground_truth, save_cube, save_ground_truth
+from hsikit.records import json_bytes
 from hsikit.synthetic import gaussian_scene
 
 ARTIFACTS = (
@@ -287,7 +287,7 @@ def test_run_pipeline_writes_the_resolved_snapshot(scene, tmp_path, monkeypatch)
     config = {"cube": scene[0], "ground_truth": scene[1]}
     run_pipeline(config)
     written = (tmp_path / "hsikit_run" / "config.json").read_bytes()
-    assert written == _canonical_json(resolve_config(config, {}))
+    assert written == json_bytes(resolve_config(config, {}))
 
 
 def test_resolve_config_accepts_integral_numbers():
@@ -919,10 +919,10 @@ def test_run_artifacts_decode_and_reencode_identically(scene, tmp_path, flags, m
     model_doc["reduction"] = PcaModel.from_dict(model_doc["reduction"]).to_dict()
     classifier = model_doc["classifier"]
     classifier["model"] = model_cls.from_dict(classifier["model"]).to_dict()
-    assert _canonical_json(model_doc) == model_bytes
+    assert json_bytes(model_doc) == model_bytes
     for name, record in (("report.json", RunReport), ("predictions.json", RunPredictions)):
         data = (out / name).read_bytes()
-        assert _canonical_json(record.from_dict(json.loads(data)).to_dict()) == data
+        assert json_bytes(record.from_dict(json.loads(data)).to_dict()) == data
 
 
 def test_run_flag_conflicts(scene, tmp_path, capsys):

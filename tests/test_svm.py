@@ -204,7 +204,9 @@ def test_smo_column_recompute_path_matches_full_gram(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "case", ["rows-at-c", "iteration-cap", "duplicate-rows", "two-column-cache", "shrinking"]
+    "case",
+    ["rows-at-c", "iteration-cap", "duplicate-rows", "two-column-cache", "shrinking",
+     "default-shrink-cadence"],
 )
 def test_smo_matches_reference_loop(case, monkeypatch):
     # The solver keeps masked score arrays and Python scalars; the
@@ -228,6 +230,12 @@ def test_smo_matches_reference_loop(case, monkeypatch):
     elif case == "shrinking":
         monkeypatch.setattr(svm, "_SHRINK_ROWS", len(y))
         monkeypatch.setattr(svm, "_SHRINK_EVERY", 50)
+    elif case == "default-shrink-cadence":
+        # Shrunk at the default cadence, this problem's 1733 steps match
+        # the reference; shrunk every 37, 50 or 101 steps, they do not.
+        x = SplitMix64(504).normal_matrix(300, 3)
+        y = np.where(x[:, 0] + 0.5 * SplitMix64(505).normals(300) > 0, 1.0, -1.0)
+        monkeypatch.setattr(svm, "_SHRINK_ROWS", len(y))
     expected = smo_reference(x, y, params)
     alpha, bias, n_iter, converged, violation = _smo_solve(x, y, params)
     assert np.array_equal(alpha, expected[0])
@@ -237,6 +245,18 @@ def test_smo_matches_reference_loop(case, monkeypatch):
     assert violation == expected[4]
     assert (alpha == params.c).any()
     assert converged == (case != "iteration-cap")
+
+
+def test_smo_takes_a_tiny_quad_as_it_is():
+    # Two rows 1e-4 apart have quad = 2 - 2 exp(-0.5e-8), about 1e-8, so
+    # the first step, 2 / quad, passes C and puts both alphas at C. A
+    # floor on quad above it, such as 1e-6, shortens the step and the
+    # solve takes 6 steps.
+    params = SvmParams(c=1e7, gamma=0.5)
+    alpha, _, n_iter, converged, _ = _smo_solve(np.array([[0.0], [1e-4]]), np.array([1.0, -1.0]),
+                                                params)
+    assert alpha.tolist() == [params.c, params.c]
+    assert n_iter == 1 and converged
 
 
 @pytest.mark.parametrize("max_iter", [100_000, 1000])
