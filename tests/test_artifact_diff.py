@@ -91,31 +91,39 @@ def test_a_changed_compare_shows_in_its_output(artifact_diff, scenes, tmp_path):
     assert rows[-1][4] == ["extra: leaves differing 1"]
 
 
-def test_changed_messages_show_in_their_cases(artifact_diff, scenes, tmp_path):
-    # One changed tree carries a usage message and a data message edit,
-    # so one pass over the cases shows that each moves in its own case.
+def _changed_records(tmp_path, old, new):
     changed = tmp_path / "changed"
     shutil.copytree(ROOT / "src", changed / "src", ignore=shutil.ignore_patterns("__pycache__"))
     records_py = changed / "src" / "hsikit" / "records.py"
     source = records_py.read_text(encoding="utf-8")
-    for old, new in (('f"unknown {name} fields', 'f"unknown {name} keys'),
-                     ('is missing fields {missing}"', 'lacks fields {missing}"')):
-        assert source.count(old) == 1
-        source = source.replace(old, new)
-    records_py.write_text(source)
-    assert {"convert non-finite", "staged path a directory"} <= artifact_diff.CASES.keys()
+    assert source.count(old) == 1
+    records_py.write_text(source.replace(old, new))
+    return changed
+
+
+def test_a_changed_usage_message_shows_in_its_case(artifact_diff, scenes, tmp_path):
+    changed = _changed_records(tmp_path, 'f"unknown {name} fields', 'f"unknown {name} keys')
     rows = artifact_diff.messages(ROOT, changed, scenes["tiny"][0], tmp_path / "messages")
-    moved = {"unknown key", "report without n_test"}
     assert [(name, same) for name, same, _ in rows] == [
-        (name, name not in moved) for name in artifact_diff.CASES
+        (name, name != "unknown key") for name in artifact_diff.CASES
     ]
-    reports = {name: report for name, _, report in rows if name in moved}
-    assert reports["unknown key"] == [
+    (report,) = [report for name, _, report in rows if name == "unknown key"]
+    assert report == [
         f"{side}: exit 1: usage error: unknown classifier.params {word} ['cc']; "
         "allowed: ['c', 'gamma', 'max_iter', 'tolerance']"
         for side, word in (("base", "fields"), ("here", "keys"))
     ]
-    assert reports["report without n_test"] == [
+
+
+def test_a_changed_data_message_shows_in_its_case(artifact_diff, scenes, tmp_path):
+    changed = _changed_records(tmp_path, 'is missing fields {missing}"', 'lacks fields {missing}"')
+    assert {"convert non-finite", "staged path a directory"} <= artifact_diff.CASES.keys()
+    rows = artifact_diff.messages(ROOT, changed, scenes["tiny"][0], tmp_path / "messages")
+    assert [(name, same) for name, same, _ in rows] == [
+        (name, name != "report without n_test") for name in artifact_diff.CASES
+    ]
+    (report,) = [report for name, _, report in rows if name == "report without n_test"]
+    assert report == [
         f"{side}: exit 2: data error: {Path('b', 'report.json')}: evaluation {words} ['n_test']"
         for side, words in (("base", "is missing fields"), ("here", "lacks fields"))
     ]
