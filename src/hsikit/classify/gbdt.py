@@ -121,11 +121,6 @@ class Tree(Record):
     def n_leaves(self) -> int:
         return int(np.sum(self.feature < 0))
 
-    def predict_columns(self, columns: np.ndarray) -> np.ndarray:
-        """Leaf value of each row, given the rows' features as columns
-        (features x rows, so each feature is one contiguous array)."""
-        return self.value[self.leaves(columns)]
-
     def leaves(self, columns: np.ndarray) -> np.ndarray:
         """Leaf node of each row, given the rows' features as columns, in
         the smallest unsigned type that holds every node."""
@@ -158,7 +153,7 @@ class GbdtModel(Record):
         columns = np.ascontiguousarray(x.T)
         for round_trees in self.trees:
             for c, tree in enumerate(round_trees):
-                scores[:, c] += tree.predict_columns(columns)
+                scores[:, c] += tree.value[tree.leaves(columns)]
         return scores
 
 
@@ -268,12 +263,6 @@ def _histograms(codes, g, h, width, num_bins, counts=None):
     return np.array(hist, dtype=np.float64).reshape(3, width, num_bins)
 
 
-def _leaf_histograms(binned, rows, g, h, num_bins):
-    """``_histograms`` of the ``rows`` of ``binned``, ``g`` and ``h``."""
-    codes = _offset_codes(binned[rows], num_bins)
-    return _histograms(codes, g[rows], h[rows], binned.shape[1], num_bins)
-
-
 def _best_split(hists: np.ndarray, min_samples_leaf: int):
     """(gain, feature, cut) of each leaf's best boundary, for a stack of
     leaf histograms shaped (leaves, 3, features, bins).
@@ -342,7 +331,9 @@ def _grow_tree(binned, edges, g, h, rows, params: GbdtParams, root):
         # Build the smaller side's histogram, derive the sibling's.
         small = int(len(children[0]) > len(children[1]))
         hists = np.empty((2, *leaf.hist.shape))
-        hists[small] = _leaf_histograms(binned, children[small], g, h, params.num_bins)
+        fewer = children[small]
+        codes = _offset_codes(binned[fewer], params.num_bins)
+        hists[small] = _histograms(codes, g[fewer], h[fewer], binned.shape[1], params.num_bins)
         np.subtract(leaf.hist, hists[small], out=hists[1 - small])
         node_l = 2 * (len(open_leaves) + 1) - 1  # nodes so far: the open leaves and this one
         feature[leaf.node] = leaf.feature

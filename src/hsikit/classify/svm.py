@@ -85,8 +85,7 @@ __all__ = [
     "grid_search_cv",
 ]
 
-# Memory for cached kernel columns per SMO solve: what a 4096-row Gram
-# matrix of float64 takes.
+# Memory for the kernel columns that one SMO solve caches: 128 MiB.
 _KERNEL_CACHE_BYTES = 4096 * 4096 * 8
 
 # Shrinking: a class pair of at least _SHRINK_ROWS rows drops, every
@@ -207,6 +206,12 @@ class SvmModel(Record):
         return self.feature_min.shape[0]
 
 
+def _masked(score, up, low):
+    """``score`` as selection reads it: -inf outside ``up`` and +inf
+    outside ``low`` (see ``_smo_solve``)."""
+    return np.where(up, score, -np.inf), np.where(low, score, np.inf)
+
+
 def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
     """Solve the binary soft-margin dual by SMO.
 
@@ -244,7 +249,10 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
     so a solve whose shrunk rows never come back takes the unshrunk path
     step for step. When the active rows converge, or the cap is reached,
     the shrunk rows' scores are rebuilt from the kernel columns of the
-    nonzero alphas and selection runs over all rows again. If a rebuilt
+    nonzero alphas. One score array takes them and each active row's
+    score from an array that holds it, and is masked by ``up`` and
+    ``low`` as the solve's first scores are (``_masked``), so no active
+    score changes its bits; selection runs over all rows again. If a rebuilt
     row then violates, the solve goes on over all rows and shrinks again
     at the next check: that is the one way it leaves the unshrunk path,
     and the rebuilt scores differ from the updated ones at rounding
@@ -272,8 +280,7 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
 
     score = np.array(y, dtype=np.float64)  # -y * gradient; the gradient is -1 at alpha = 0
     pos = score > 0
-    s_up = np.where(pos, score, -np.inf)
-    s_low = np.where(pos, np.inf, score)
+    s_up, s_low = _masked(score, pos, ~pos)
     diff = np.empty(n)
     y = score.tolist()
     pos = pos.tolist()
@@ -299,14 +306,11 @@ def _smo_solve(x: np.ndarray, y: np.ndarray, params: SvmParams):
             rebuilt = score[shrunk]  # the scores at alpha = 0
             for k in np.flatnonzero(alpha).tolist():
                 rebuilt -= (alpha[k] * y[k]) * col(k)[shrunk]
-            in_up = np.array(up)[shrunk]
-            full_up = np.full(n, -np.inf)
-            full_low = np.full(n, np.inf)
-            full_up[active] = s_up
-            full_low[active] = s_low
-            full_up[shrunk[in_up]] = rebuilt[in_up]
-            full_low[shrunk[~in_up]] = rebuilt[~in_up]
-            s_up, s_low, diff = full_up, full_low, np.empty(n)
+            full = np.empty(n)
+            full[active] = np.where(np.array(up)[active], s_up, s_low)
+            full[shrunk] = rebuilt
+            s_up, s_low = _masked(full, up, low)
+            diff = np.empty(n)
             active = np.arange(n)
             column = col
             continue

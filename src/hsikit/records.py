@@ -11,13 +11,14 @@ the array dtypes and the schema tag are each written once, in the class:
 - a dataclass field, itself a record, is stored as a dict of its own
   fields;
 - ``list[...]`` fields nest, ``dict`` fields are copied, their values
-  encoded like fields; on decode a ``list`` field must hold a list and
-  a ``dict`` field an object;
+  encoded like fields;
 - a float array comes back through :func:`real_array`, the toolkit's
   one rule for real-valued arrays, which also holds their finite check;
 - ``int``, ``float``, ``bool`` and ``str`` fields are stored as Python
-  values, a numpy scalar as its ``.item()``, and checked by
-  :func:`coerce` on the way back;
+  values, a numpy scalar as its ``.item()``;
+- :func:`coerce` checks every JSON kind on the way back: the numbers,
+  bools and strings above, a list for a ``list`` field and an object
+  for a ``dict`` field;
 - a class that sets ``SCHEMA`` gets a ``"schema"`` key, checked on decode.
 
 On decode, each dataclass is read from an object that holds every one
@@ -59,13 +60,15 @@ _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false
 
 
 def coerce(value, kind: type, name: str):
-    """``value`` as ``kind`` (int, float, bool or str), when nothing is lost.
+    """``value`` as ``kind`` (int, float, bool, str, list or dict), when
+    nothing is lost.
 
-    Numbers, numpy's scalars among them, must be finite, bools do not
-    count as numbers, and an int accepts an integral float such as
+    A bool, str, list or dict must already be one, and comes back as
+    given. Numbers, numpy's scalars among them, must be finite, bools do
+    not count as numbers, and an int accepts an integral float such as
     ``10.0``. Raises ValueError naming ``name`` otherwise.
     """
-    if kind is bool or kind is str:
+    if kind in (bool, str, list, dict):
         if isinstance(value, kind):
             return value
     elif isinstance(value, numbers.Real) and not isinstance(value, bool):
@@ -80,18 +83,10 @@ def coerce(value, kind: type, name: str):
     raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _typed(value, kind: type, name: str):
-    """``value``, when it is a ``kind`` (list or dict); raises ValueError
-    naming ``name`` otherwise."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return value
-
-
 def check_keys(d, name: str, allowed) -> None:
     """Raise ValueError unless ``d`` is an object whose keys are all in
     ``allowed``, so no key is dropped without a word."""
-    unknown = set(_typed(d, dict, name)) - set(allowed)
+    unknown = set(coerce(d, dict, name)) - set(allowed)
     if unknown:
         raise ValueError(f"unknown {name} fields {sorted(unknown)}; allowed: {sorted(allowed)}")
 
@@ -180,9 +175,9 @@ def _decode(value, hint, name: str):
         return hint.from_dict(value, name)
     if origin is list:
         (item,) = get_args(hint)
-        return [_decode(v, item, name) for v in _typed(value, list, name)]
+        return [_decode(v, item, name) for v in coerce(value, list, name)]
     if hint is dict:
-        return dict(_typed(value, dict, name))
+        return dict(coerce(value, dict, name))
     return coerce(value, hint, name)
 
 

@@ -16,7 +16,8 @@ from hsikit.classify.gbdt import (
     _bin_features,
     _goss_sample,
     _grow_tree,
-    _leaf_histograms,
+    _histograms,
+    _offset_codes,
     gbdt_predict,
     gbdt_train,
     softmax_cross_entropy,
@@ -51,7 +52,8 @@ def two_gaussian_set(n_per_class, separation, seed):
 
 def grow(binned, edges, g, h, rows, params):
     """``_grow_tree`` on a root histogram of ``rows`` built here."""
-    root = _leaf_histograms(binned, rows, g, h, params.num_bins)
+    codes = _offset_codes(binned[rows], params.num_bins)
+    root = _histograms(codes, g[rows], h[rows], binned.shape[1], params.num_bins)
     return _grow_tree(binned, edges, g, h, rows, params, root)
 
 
@@ -131,7 +133,7 @@ def round_losses(model, features, onehot):
     losses = [softmax_cross_entropy(scores, onehot)]
     for round_trees in model.trees:
         for c, tree in enumerate(round_trees):
-            scores[:, c] += tree.predict_columns(columns)
+            scores[:, c] += tree.value[tree.leaves(columns)]
         losses.append(softmax_cross_entropy(scores, onehot))
     return losses
 
@@ -428,7 +430,7 @@ def test_grown_leaf_values_include_shrinkage():
     # Leaf value is -lr * G / (H + 1).
     expect_left = -0.3 * (-1.0) / (0.5 + 1.0)
     expect_right = -0.3 * (1.0) / (0.5 + 1.0)
-    got = tree.predict_columns(np.ascontiguousarray(x[:, None].T))
+    got = tree.value[tree.leaves(np.ascontiguousarray(x[:, None].T))]
     assert np.allclose(got[:2], expect_left, atol=1e-12)
     assert np.allclose(got[2:], expect_right, atol=1e-12)
 
@@ -456,7 +458,7 @@ def test_a_small_but_real_gain_splits():
     tree, _ = grow(binned.T, edges, g, h, np.arange(100), params)
     assert tree.n_leaves == 2
     # The cut falls between the two halves: each leaf holds one sign.
-    values = tree.predict_columns(np.ascontiguousarray(x[None, :]))
+    values = tree.value[tree.leaves(np.ascontiguousarray(x[None, :]))]
     assert (values[:50] < 0).all() and (values[50:] > 0).all()
 
 
@@ -480,7 +482,8 @@ def test_bin_space_tree_routes_binned_rows_as_the_tree_routes_raw_rows():
     for name in ("feature", "left", "right", "value"):
         assert np.array_equal(getattr(bin_tree, name), getattr(tree, name)), name
     columns = np.ascontiguousarray(features.T)
-    assert np.array_equal(bin_tree.predict_columns(binned), tree.predict_columns(columns))
+    binned_values = bin_tree.value[bin_tree.leaves(binned)]
+    assert np.array_equal(binned_values, tree.value[tree.leaves(columns)])
 
 
 # ----------------------------------------------------------------- training
@@ -793,17 +796,17 @@ def test_predict_rows_at_threshold_go_right():
         [-2.5, 0.5],  # right, then left
         [0.0, np.nextafter(0.5, 0.0)],  # just below the root threshold: left
     ])
-    got = tree.predict_columns(np.ascontiguousarray(x.T))
+    got = tree.value[tree.leaves(np.ascontiguousarray(x.T))]
     assert np.array_equal(got, [3.0, 3.0, 2.0, 1.0])
     assert np.array_equal(got, tree_walk(tree, x))
 
 
 def test_predict_single_leaf_tree_and_zero_rows():
     leaf = tree_of([-1], [0.0], [-1], [-1], [0.25])
-    assert np.array_equal(leaf.predict_columns(np.zeros((2, 3))), [0.25] * 3)
+    assert np.array_equal(leaf.value[leaf.leaves(np.zeros((2, 3)))], [0.25] * 3)
     stump = tree_of([0, -1, -1], [1.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, -1.0, 1.0])
     for tree in (leaf, stump):
-        out = tree.predict_columns(np.zeros((2, 0)))
+        out = tree.value[tree.leaves(np.zeros((2, 0)))]
         assert out.shape == (0,) and out.dtype == np.float64
 
 
@@ -827,7 +830,7 @@ def test_predict_matches_tree_walk_on_grown_trees(max_leaves):
     inner = tree.feature >= 0
     at[np.nonzero(inner)[0], tree.feature[inner]] = tree.threshold[inner]
     for rows in (features, x, at):
-        got = tree.predict_columns(np.ascontiguousarray(rows.T))
+        got = tree.value[tree.leaves(np.ascontiguousarray(rows.T))]
         assert np.array_equal(got, tree_walk(tree, rows))
 
 
@@ -844,7 +847,6 @@ def test_leaves_route_rows_to_leaf_nodes_in_the_smallest_type(max_leaves, dtype)
     leaves = tree.leaves(columns)
     assert leaves.dtype == dtype
     assert (tree.feature[leaves] == -1).all()
-    assert np.array_equal(tree.predict_columns(columns), tree.value[leaves])
     assert np.array_equal(tree.value[leaves], tree_walk(tree, features))
 
 
@@ -856,7 +858,7 @@ def test_decision_scores_sum_tree_predictions_round_by_round():
     scores = np.tile(model.priors, (len(x), 1))
     for round_trees in model.trees:
         for c, tree in enumerate(round_trees):
-            scores[:, c] += tree.predict_columns(np.ascontiguousarray(x.T))
+            scores[:, c] += tree_walk(tree, x)
     assert np.array_equal(model.decision_scores(x), scores)
 
 

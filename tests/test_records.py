@@ -6,7 +6,8 @@ so a record can hold them, or numpy values computed from them; its
 ``from_dict`` reads back. A field that does not decode is named by its
 path, and so is an object that is not one or holds a key its class does
 not know, and a missing field, before any field is decoded. The
-settings classes are records too.
+settings classes are records too. ``coerce`` checks every JSON kind,
+lists and objects among them.
 """
 
 import json
@@ -27,6 +28,7 @@ from hsikit.dimred import PcaModel, fit_rpca
 from hsikit.evaluation import EvalReport, evaluate
 from hsikit.hsi_data import SampleSet
 from hsikit.linalg import RandomizedSvdParams
+from hsikit.records import coerce
 from hsikit.rng import SplitMix64
 
 
@@ -162,3 +164,16 @@ def test_settings_round_trip_through_json(obj):
     d = json.loads(json.dumps(obj.to_dict()))
     assert type(obj).from_dict(d) == obj
     assert type(obj).from_dict(obj.to_dict()) == obj
+
+
+def test_coerce_takes_a_list_or_an_object_as_given():
+    values = [1, "a"]
+    obj = {"k": [2.5]}
+    assert coerce(values, list, "x") is values
+    assert coerce(obj, dict, "x") is obj
+    with pytest.raises(ValueError) as caught:
+        coerce({}, list, "x")
+    assert str(caught.value) == "x must be a list, got {}"
+    with pytest.raises(ValueError) as caught:
+        coerce([], dict, "x")
+    assert str(caught.value) == "x must be an object, got []"

@@ -206,7 +206,7 @@ def test_smo_column_recompute_path_matches_full_gram(monkeypatch):
 @pytest.mark.parametrize(
     "case",
     ["rows-at-c", "iteration-cap", "duplicate-rows", "two-column-cache", "shrinking",
-     "default-shrink-cadence"],
+     "default-shrink-cadence", "bound-row-in-up-at-rebuild", "bound-row-in-low-at-rebuild"],
 )
 def test_smo_matches_reference_loop(case, monkeypatch):
     # The solver keeps masked score arrays and Python scalars; the
@@ -236,6 +236,16 @@ def test_smo_matches_reference_loop(case, monkeypatch):
         x = SplitMix64(504).normal_matrix(300, 3)
         y = np.where(x[:, 0] + 0.5 * SplitMix64(505).normals(300) > 0, 1.0, -1.0)
         monkeypatch.setattr(svm, "_SHRINK_ROWS", len(y))
+    elif case.startswith("bound-row"):
+        # A row turns bound after the last shrink and is still active at
+        # the rebuild: a row in up alone, or, with the labels flipped, in
+        # low alone. The rebuild must take its score from the array that
+        # holds it.
+        x = SplitMix64(516).normal_matrix(300, 3)
+        y = np.where(x[:, 0] + 0.5 * SplitMix64(517).normals(300) > 0, 1.0, -1.0)
+        y = -y if case == "bound-row-in-low-at-rebuild" else y
+        monkeypatch.setattr(svm, "_SHRINK_ROWS", len(y))
+        monkeypatch.setattr(svm, "_SHRINK_EVERY", 50)
     expected = smo_reference(x, y, params)
     alpha, bias, n_iter, converged, violation = _smo_solve(x, y, params)
     assert np.array_equal(alpha, expected[0])
